@@ -6,15 +6,26 @@ One pytest-benchmark entry per (benchmark, mode); the figure's bars are::
 
 for mode ∈ {warnings, full}.  ``examples/figure1_overhead.py`` prints the
 bars directly; EXPERIMENTS.md records paper-vs-measured.  The shape assertion
-(every bar small, codegen ≥ warnings-only) is checked by
+(every bar below ``BAR_BOUND_PCT``, codegen ≥ warnings-only) is checked by
 ``test_fig1_shape`` below, which also runs under ``--benchmark-only``
 because it uses the benchmark fixture for its timing.
+
+The bars are relative to this repository's own ``base`` compile -- its
+minilang front end and middle end -- not to GCC's as in the paper.  A faster
+front end shrinks the denominator while the analysis stage stays the same,
+so the bars rise: when the regex lexer and precedence-climbing parser made
+``base`` 1.5-2.0x faster, bars of 5-32% became 26-38% (best of 9, all five
+programs, a 2-vCPU x86-64 host).  ``BAR_BOUND_PCT`` is the earlier 25% bound
+scaled by that 2x.
 """
 
 import pytest
 
 from repro.bench import FIGURE1_BENCHMARKS, compile_source, measure_overheads
 from repro.bench.pipeline import MODES
+
+#: Upper bound on each Figure 1 bar, in percent of the ``base`` compile.
+BAR_BOUND_PCT = 50.0
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -36,8 +47,8 @@ def test_fig1_shape(benchmark, sources, name):
     warnings alone (up to timing noise)."""
     src = sources[name]
     ov = benchmark(measure_overheads, src, 3)
-    if (ov["warnings_overhead_pct"] >= 25.0
-            or ov["full_overhead_pct"] >= 25.0
+    if (ov["warnings_overhead_pct"] >= BAR_BOUND_PCT
+            or ov["full_overhead_pct"] >= BAR_BOUND_PCT
             or ov["full_overhead_pct"] < ov["warnings_overhead_pct"] - 8.0):
         # A 3-repeat best-of can still land near the bound when the machine
         # is busy.  Before declaring a real regression, re-measure once
@@ -47,7 +58,7 @@ def test_fig1_shape(benchmark, sources, name):
         ov = measure_overheads(src, 9)
     benchmark.extra_info["warnings_overhead_pct"] = round(ov["warnings_overhead_pct"], 2)
     benchmark.extra_info["full_overhead_pct"] = round(ov["full_overhead_pct"], 2)
-    assert ov["warnings_overhead_pct"] < 25.0
-    assert ov["full_overhead_pct"] < 25.0
+    assert ov["warnings_overhead_pct"] < BAR_BOUND_PCT
+    assert ov["full_overhead_pct"] < BAR_BOUND_PCT
     # codegen adds on top of warnings, modulo single-digit timing noise
     assert ov["full_overhead_pct"] >= ov["warnings_overhead_pct"] - 8.0

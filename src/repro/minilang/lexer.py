@@ -1,4 +1,23 @@
-"""Hand-written lexer for the minilang hybrid language.
+r"""Regex-driven lexer for the minilang hybrid language.
+
+Token grammar (``\d`` and ``\w`` are the Unicode classes of :mod:`re`)::
+
+    trivia   := ( [ \t\r\n]+ | '\' newline | '//' ... | '/*' ... '*/' )*
+    IDENT    := (letter | '_') \w*       -- a keyword if it is one
+    INT      := \d+
+    FLOAT    := \d+ '.' \d+ [exponent] | \d+ exponent
+    exponent := [eE] [+-]? \d+
+    STRING   := '"' ... '"' | "'" ... "'"  -- escapes \n \t \\ \" \' \0,
+                                            -- no newline inside
+    operator := the longest entry of ``OPERATORS``
+    HASH     := '#'                        -- starts a pragma directive
+
+Unicode rule: a number takes decimal digits only (``\d``, exactly what
+``int()`` accepts).  An identifier starts with a letter (``str.isalpha``)
+or ``_`` and continues with letters, digits or ``_`` (``\w``, that is
+``str.isalnum``), so ``é`` lexes like ``e``.  A numeric character that is
+not a decimal digit (``²``, ``½``, ``Ⅳ``) may continue an identifier, and
+is an ``unexpected character`` where a token would start.
 
 Newlines are normally whitespace, except inside a ``#pragma`` directive where
 the newline terminates the directive (C semantics), so the lexer emits a
@@ -7,190 +26,122 @@ the newline terminates the directive (C semantics), so the lexer emits a
 
 from __future__ import annotations
 
-from typing import Iterator, List
+import re
+from typing import List
 
-from .tokens import (
-    KEYWORDS,
-    MULTI_CHAR_OPS,
-    SINGLE_CHAR_OPS,
-    LexError,
-    Token,
-    TokenType,
+from .tokens import KEYWORDS, OPERATORS, LexError, Token, TokenType
+
+# Each match takes the trivia before a token and then the token, one group
+# per kind of token, so ``m.lastindex`` names the kind.  ``/*`` comes before
+# the operators, whose ``/`` would take it.  The last two alternatives match
+# anywhere, so the longest trivia always stands: were no alternative to
+# match, the engine would retry with less trivia, and a ``//`` comment could
+# come back as two ``/`` operators.
+_TOKEN = (
+    r"(?:([^\W\d]\w*)"                                 # identifier, keyword
+    r"|(/\*)"                                          # block comment
+    "|(" + "|".join(map(re.escape, sorted(OPERATORS, key=len, reverse=True))) + ")"
+    r"|(\d+(?:\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+))"   # float
+    r"|(\d+)"                                          # int
+    r"|(\n)"                                           # end of a pragma
+    r"|(#)"                                            # start of a pragma
+    r"|([\"'])"                                        # string
+    r"|(\Z)"                                           # end of input
+    r"|(.))"                                           # anything else
 )
+_IDENT, _COMMENT, _OPERATOR, _FLOAT, _INT, _NEWLINE, _HASH, _STRING, _END = range(1, 10)
+
+#: Outside a pragma every newline is trivia; inside one it is a token.
+_NORMAL = re.compile(r"(?:[ \t\r\n]+|\\\n|//[^\n]*)*" + _TOKEN, re.DOTALL)
+_PRAGMA = re.compile(r"(?:[ \t\r]+|\\\n|//[^\n]*)*" + _TOKEN, re.DOTALL)
+
+#: A string literal: its longest valid body, then the character that ended
+#: it -- the closing quote, or the newline, bad escape or end of input that
+#: makes the literal an error.
+_STRING_LITERAL = re.compile(r"""(["'])((?:(?!\1)[^\\\n]|\\[nt\\"'0])*)(.?)""", re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)")
+_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "'": "'", "0": "\0"}
 
 
-class Lexer:
-    """Converts source text into a token stream.
-
-    Parameters
-    ----------
-    source:
-        The program text.
-    filename:
-        Used only in error messages.
-    """
-
-    def __init__(self, source: str, filename: str = "<string>") -> None:
-        self.source = source
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self._in_pragma = False
-
-    # -- low-level helpers -------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        return self.source[idx] if idx < len(self.source) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.source):
-                if self.source[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
-
-    # -- token producers ----------------------------------------------------
-
-    def _skip_whitespace_and_comments(self) -> List[Token]:
-        """Advance over blanks and comments; may emit a NEWLINE in pragma mode."""
-        emitted: List[Token] = []
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch == "\n":
-                if self._in_pragma:
-                    emitted.append(Token(TokenType.NEWLINE, "\n", self.line, self.col))
-                    self._in_pragma = False
-                self._advance()
-            elif ch in " \t\r":
-                self._advance()
-            elif ch == "\\" and self._peek(1) == "\n":
-                # Line continuation (used in long pragmas).
-                self._advance(2)
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self.line, self.col
-                self._advance(2)
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexError("unterminated block comment", start_line, start_col)
-            else:
-                break
-        return emitted
-
-    def _lex_number(self) -> Token:
-        start_line, start_col = self.line, self.col
-        start = self.pos
-        seen_dot = False
-        while self.pos < len(self.source) and (
-            self._peek().isdigit() or (self._peek() == "." and not seen_dot)
-        ):
-            if self._peek() == ".":
-                # A dot must be followed by a digit to count as a float part.
-                if not self._peek(1).isdigit():
-                    break
-                seen_dot = True
-            self._advance()
-        # Exponent part: 1e5, 2.5e-3
-        if self._peek() in "eE" and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            seen_dot = True
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        text = self.source[start : self.pos]
-        ttype = TokenType.FLOAT if seen_dot else TokenType.INT
-        return Token(ttype, text, start_line, start_col)
-
-    def _lex_ident(self) -> Token:
-        start_line, start_col = self.line, self.col
-        start = self.pos
-        while self.pos < len(self.source) and (
-            self._peek().isalnum() or self._peek() == "_"
-        ):
-            self._advance()
-        text = self.source[start : self.pos]
-        ttype = KEYWORDS.get(text, TokenType.IDENT)
-        return Token(ttype, text, start_line, start_col)
-
-    def _lex_string(self) -> Token:
-        start_line, start_col = self.line, self.col
-        quote = self._peek()
-        self._advance()
-        chars: List[str] = []
-        while True:
-            ch = self._peek()
-            if ch == "":
-                raise LexError("unterminated string literal", start_line, start_col)
-            if ch == "\n":
-                raise LexError("newline in string literal", self.line, self.col)
-            if ch == "\\":
-                nxt = self._peek(1)
-                escapes = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "'": "'", "0": "\0"}
-                if nxt in escapes:
-                    chars.append(escapes[nxt])
-                    self._advance(2)
-                    continue
-                raise LexError(f"unknown escape \\{nxt}", self.line, self.col)
-            if ch == quote:
-                self._advance()
-                break
-            chars.append(ch)
-            self._advance()
-        return Token(TokenType.STRING, "".join(chars), start_line, start_col)
-
-    def tokens(self) -> Iterator[Token]:
-        """Yield tokens until (and including) EOF."""
-        while True:
-            for tok in self._skip_whitespace_and_comments():
-                yield tok
-            if self.pos >= len(self.source):
-                if self._in_pragma:
-                    # Pragma at end of file without trailing newline.
-                    yield Token(TokenType.NEWLINE, "", self.line, self.col)
-                    self._in_pragma = False
-                yield Token(TokenType.EOF, "", self.line, self.col)
-                return
-            ch = self._peek()
-            if ch.isdigit():
-                yield self._lex_number()
-            elif ch.isalpha() or ch == "_":
-                yield self._lex_ident()
-            elif ch in "\"'":
-                yield self._lex_string()
-            elif ch == "#":
-                self._in_pragma = True
-                yield Token(TokenType.HASH, "#", self.line, self.col)
-                self._advance()
-            else:
-                for text, ttype in MULTI_CHAR_OPS:
-                    if self.source.startswith(text, self.pos):
-                        tok = Token(ttype, text, self.line, self.col)
-                        self._advance(len(text))
-                        yield tok
-                        break
-                else:
-                    if ch in SINGLE_CHAR_OPS:
-                        yield Token(SINGLE_CHAR_OPS[ch], ch, self.line, self.col)
-                        self._advance()
-                    else:
-                        raise LexError(f"unexpected character {ch!r}", self.line, self.col)
+def _unescape(m: re.Match) -> str:
+    return _ESCAPES[m.group(1)]
 
 
 def tokenize(source: str, filename: str = "<string>") -> List[Token]:
-    """Tokenize ``source`` fully, returning the token list (ending with EOF)."""
-    return list(Lexer(source, filename).tokens())
+    """Tokenize ``source`` fully, returning the token list (ending with EOF).
+
+    Raises :class:`LexError` with the line and column of the offending
+    character.  ``filename`` is accepted for the parser's signature; errors
+    carry positions only.
+    """
+    tokens: List[Token] = []
+    append = tokens.append
+    keyword = KEYWORDS.get
+    normal = _NORMAL.match
+    pragma = _PRAGMA.match
+    match = normal
+    pos = 0
+    line = 1
+    line_start = 0  # offset of the first character of ``line``
+    while True:
+        m = match(source, pos)
+        kind = m.lastindex
+        start = m.start(kind)
+        if start != pos:
+            newlines = source.count("\n", pos, start)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", pos, start) + 1
+        pos = m.end()
+        col = start - line_start + 1
+        if kind == _IDENT:
+            text = m.group(kind)
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise LexError(f"unexpected character {text[0]!r}", line, col)
+            append(Token(keyword(text, TokenType.IDENT), text, line, col))
+        elif kind == _OPERATOR:
+            text = m.group(kind)
+            append(Token(OPERATORS[text], text, line, col))
+        elif kind == _INT:
+            append(Token(TokenType.INT, m.group(kind), line, col))
+        elif kind == _FLOAT:
+            append(Token(TokenType.FLOAT, m.group(kind), line, col))
+        elif kind == _NEWLINE:
+            append(Token(TokenType.NEWLINE, "\n", line, col))
+            line += 1
+            line_start = pos
+            match = normal
+        elif kind == _HASH:
+            append(Token(TokenType.HASH, "#", line, col))
+            match = pragma
+        elif kind == _COMMENT:
+            end = source.find("*/", pos)
+            if end < 0:
+                raise LexError("unterminated block comment", line, col)
+            newlines = source.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", pos, end) + 1
+            pos = end + 2
+        elif kind == _STRING:
+            s = _STRING_LITERAL.match(source, start)
+            quote, body, last = s.groups()
+            if last != quote:
+                at = col + s.start(3) - start
+                if last == "\n":
+                    raise LexError("newline in string literal", line, at)
+                if last == "\\":
+                    raise LexError(f"unknown escape \\{source[s.end(3):s.end(3) + 1]}", line, at)
+                raise LexError("unterminated string literal", line, col)
+            if "\\" in body:
+                body = _ESCAPE.sub(_unescape, body)
+            append(Token(TokenType.STRING, body, line, col))
+            pos = s.end()
+        elif kind == _END:
+            if match is pragma:
+                # Pragma at end of file without trailing newline.
+                append(Token(TokenType.NEWLINE, "", line, col))
+            append(Token(TokenType.EOF, "", line, col))
+            return tokens
+        else:
+            raise LexError(f"unexpected character {m.group(kind)!r}", line, col)

@@ -46,6 +46,16 @@ _ASSIGN_OPS = {
     TokenType.SLASHEQ: "/=",
 }
 
+#: Binary operators by precedence, loosest first; all are left-associative.
+_BINARY = {
+    TokenType.OR: 1,
+    TokenType.AND: 2,
+    TokenType.EQ: 3, TokenType.NE: 3,
+    TokenType.LT: 4, TokenType.GT: 4, TokenType.LE: 4, TokenType.GE: 4,
+    TokenType.PLUS: 5, TokenType.MINUS: 5,
+    TokenType.STAR: 6, TokenType.SLASH: 6, TokenType.PERCENT: 6,
+}
+
 
 class Parser:
     def __init__(self, tokens: List[Token], filename: str = "<string>") -> None:
@@ -55,28 +65,31 @@ class Parser:
 
     # -- token helpers ------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        idx = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+    # The token list ends with EOF, and nothing advances past it: every
+    # ``_advance`` follows a check that the current token is something else.
+
+    def _peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def _advance(self) -> Token:
         tok = self.tokens[self.pos]
-        if self.pos < len(self.tokens) - 1:
-            self.pos += 1
+        self.pos += 1
         return tok
 
     def _check(self, ttype: TokenType) -> bool:
-        return self._peek().type is ttype
+        return self.tokens[self.pos].type is ttype
 
     def _match(self, *ttypes: TokenType) -> Optional[Token]:
-        if self._peek().type in ttypes:
+        if self.tokens[self.pos].type in ttypes:
             return self._advance()
         return None
 
     def _expect(self, ttype: TokenType, what: str = "") -> Token:
-        if self._peek().type is ttype:
-            return self._advance()
-        raise ParseError(what or f"expected {ttype.value!r}", self._peek())
+        tok = self.tokens[self.pos]
+        if tok.type is ttype:
+            self.pos += 1
+            return tok
+        raise ParseError(what or f"expected {ttype.value!r}", tok)
 
     # -- program / functions -------------------------------------------------
 
@@ -383,56 +396,19 @@ class Parser:
 
     # -- expressions ------------------------------------------------------------
 
-    def parse_expr(self) -> A.Expr:
-        return self._parse_or()
-
-    def _parse_or(self) -> A.Expr:
-        left = self._parse_and()
-        while self._check(TokenType.OR):
-            tok = self._advance()
-            right = self._parse_and()
-            left = A.BinOp(op="||", left=left, right=right, line=tok.line, col=tok.col)
-        return left
-
-    def _parse_and(self) -> A.Expr:
-        left = self._parse_equality()
-        while self._check(TokenType.AND):
-            tok = self._advance()
-            right = self._parse_equality()
-            left = A.BinOp(op="&&", left=left, right=right, line=tok.line, col=tok.col)
-        return left
-
-    def _parse_equality(self) -> A.Expr:
-        left = self._parse_relational()
-        while self._peek().type in (TokenType.EQ, TokenType.NE):
-            tok = self._advance()
-            right = self._parse_relational()
-            left = A.BinOp(op=tok.value, left=left, right=right, line=tok.line, col=tok.col)
-        return left
-
-    def _parse_relational(self) -> A.Expr:
-        left = self._parse_additive()
-        while self._peek().type in (TokenType.LT, TokenType.GT, TokenType.LE, TokenType.GE):
-            tok = self._advance()
-            right = self._parse_additive()
-            left = A.BinOp(op=tok.value, left=left, right=right, line=tok.line, col=tok.col)
-        return left
-
-    def _parse_additive(self) -> A.Expr:
-        left = self._parse_multiplicative()
-        while self._peek().type in (TokenType.PLUS, TokenType.MINUS):
-            tok = self._advance()
-            right = self._parse_multiplicative()
-            left = A.BinOp(op=tok.value, left=left, right=right, line=tok.line, col=tok.col)
-        return left
-
-    def _parse_multiplicative(self) -> A.Expr:
+    def parse_expr(self, min_prec: int = 1) -> A.Expr:
+        """Precedence climbing over ``_BINARY``: operands and operators are
+        consumed, and nodes built, in the same order as a recursive-descent
+        ladder with one function per precedence level."""
         left = self._parse_unary()
-        while self._peek().type in (TokenType.STAR, TokenType.SLASH, TokenType.PERCENT):
-            tok = self._advance()
-            right = self._parse_unary()
+        while True:
+            tok = self.tokens[self.pos]
+            prec = _BINARY.get(tok.type, 0)
+            if prec < min_prec:
+                return left
+            self.pos += 1
+            right = self.parse_expr(prec + 1)
             left = A.BinOp(op=tok.value, left=left, right=right, line=tok.line, col=tok.col)
-        return left
 
     def _parse_unary(self) -> A.Expr:
         tok = self._peek()

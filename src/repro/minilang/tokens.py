@@ -8,7 +8,7 @@ analyses: structured control flow, function calls, OpenMP structured blocks.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TokenType(enum.Enum):
@@ -92,23 +92,21 @@ KEYWORDS = {
     "pragma": TokenType.KW_PRAGMA,
 }
 
-#: Multi-character operators, longest first so the lexer can greedily match.
-MULTI_CHAR_OPS = [
-    ("==", TokenType.EQ),
-    ("!=", TokenType.NE),
-    ("<=", TokenType.LE),
-    (">=", TokenType.GE),
-    ("&&", TokenType.AND),
-    ("||", TokenType.OR),
-    ("+=", TokenType.PLUSEQ),
-    ("-=", TokenType.MINUSEQ),
-    ("*=", TokenType.STAREQ),
-    ("/=", TokenType.SLASHEQ),
-    ("++", TokenType.PLUSPLUS),
-    ("--", TokenType.MINUSMINUS),
-]
-
-SINGLE_CHAR_OPS = {
+#: Operators and punctuation mapped to their token types.  ``#`` is not
+#: here: it starts a pragma directive, which the lexer tracks itself.
+OPERATORS = {
+    "==": TokenType.EQ,
+    "!=": TokenType.NE,
+    "<=": TokenType.LE,
+    ">=": TokenType.GE,
+    "&&": TokenType.AND,
+    "||": TokenType.OR,
+    "+=": TokenType.PLUSEQ,
+    "-=": TokenType.MINUSEQ,
+    "*=": TokenType.STAREQ,
+    "/=": TokenType.SLASHEQ,
+    "++": TokenType.PLUSPLUS,
+    "--": TokenType.MINUSMINUS,
     "(": TokenType.LPAREN,
     ")": TokenType.RPAREN,
     "{": TokenType.LBRACE,
@@ -117,7 +115,6 @@ SINGLE_CHAR_OPS = {
     "]": TokenType.RBRACKET,
     ",": TokenType.COMMA,
     ";": TokenType.SEMI,
-    "#": TokenType.HASH,
     "=": TokenType.ASSIGN,
     "+": TokenType.PLUS,
     "-": TokenType.MINUS,
@@ -130,8 +127,7 @@ SINGLE_CHAR_OPS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A lexical token with its source position (1-based line/column)."""
 
     type: TokenType

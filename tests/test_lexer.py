@@ -3,6 +3,7 @@
 import pytest
 
 from repro.minilang.lexer import tokenize
+from repro.minilang.parser import parse_program
 from repro.minilang.tokens import LexError, TokenType
 
 
@@ -137,3 +138,26 @@ def test_pragma_line_continuation():
     toks = tokenize("#pragma omp parallel \\\n num_threads(2)\n{ }")
     values = [t.value for t in toks if t.type is TokenType.IDENT]
     assert "num_threads" in values
+
+
+@pytest.mark.parametrize("source, col", [("x = 2²;", 6), ("x = ½;", 5), ("x = Ⅳ;", 5)])
+def test_numeric_non_decimal_character_is_unexpected(source, col):
+    # ``"²".isdigit()`` is true but ``int("2²")`` fails: numbers take decimal
+    # digits only, so these characters cannot start or continue one.
+    with pytest.raises(LexError) as err:
+        tokenize(source)
+    ch = source[col - 1]
+    assert (err.value.message, err.value.line, err.value.col) == (
+        f"unexpected character {ch!r}", 1, col)
+
+
+def test_superscript_digit_no_longer_crashes_the_parser():
+    with pytest.raises(LexError):
+        parse_program("int main() { int x = 2²; return x; }")
+
+
+def test_unicode_letters_and_decimal_digits():
+    toks = tokenize("café x² ٣")
+    assert [(t.type, t.value) for t in toks[:-1]] == [
+        (TokenType.IDENT, "café"), (TokenType.IDENT, "x²"), (TokenType.INT, "٣"),
+    ]
