@@ -13,15 +13,19 @@ prunings driven by the scheduler's recorded event footprints
   the *later* step's thread (or, when that thread is not schedulable there,
   conservatively for every alternative).  Only backtrack entries are
   explored — an alternative no race asks for commutes into a schedule the
-  sweep already has;
+  sweep already has.  :func:`race_pairs` finds the races in one pass over
+  the run's events, indexing earlier accesses by shared object;
 * **sleep sets**: after exploring choice ``c`` at a node, ``c`` is put to
   sleep in every sibling subtree and stays asleep until some executed step
   conflicts with its next step — schedules that begin with a sleeping
   thread are permutations of already-explored ones;
 * **state fingerprinting** (optional): when the scheduler hashes the
-  quiescent state at every decision, a node whose fingerprint was already
+  quiescent state at a decision, a node whose fingerprint was already
   visited with a sleep set no larger than the current one is not expanded
-  at all — its subtree was explored from the earlier visit.
+  at all — its subtree was explored from the earlier visit.  Expansion
+  reads a run's hashes only from the end of its forced prefix (earlier
+  states repeat the parent run's) up to its abort, so the scheduler takes
+  them only there (``Scheduler(fingerprint_from=len(prefix))``).
 
 The driver enumerates prefixes in FIFO (breadth-first) wave order and all
 pruning state lives in the driver, so executing a wave's runs on worker
@@ -38,9 +42,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
+                    Sequence, Tuple)
 
-from .footprint import Footprint, conflicts
+from .footprint import Footprint, conflicts, is_wildcard, modes_conflict
 from .strategies import Decision, preemption_counts
 
 
@@ -85,6 +90,41 @@ class DporStats:
             "fingerprint_prunes": self.fingerprint_prunes,
             "bound_skips": self.bound_skips,
         }
+
+
+def race_pairs(events: Sequence[Tuple[str, Footprint]]
+               ) -> Iterator[Tuple[int, int]]:
+    """Every race of a run: the pairs ``(j, k)``, ``j < k``, of events by
+    different threads whose footprints :func:`conflicts`, ordered by ``k``
+    then ``j``.
+
+    One pass over the events.  Earlier accesses are indexed by shared
+    object, so an event is only tested against earlier events of other
+    threads that touch one of its objects (under
+    :func:`~repro.explore.footprint.modes_conflict`), plus every earlier
+    wildcard event; a wildcard event races every earlier non-empty event
+    of another thread."""
+    by_obj: Dict[str, List[Tuple[int, str, str]]] = {}
+    wild: List[Tuple[int, str]] = []
+    busy: List[Tuple[int, str]] = []
+    for k, (tk, fpk) in enumerate(events):
+        if not fpk:
+            continue
+        if is_wildcard(fpk):
+            hits = [j for j, tj in busy if tj != tk]
+            wild.append((k, tk))
+        else:
+            found = {j for j, tj in wild if tj != tk}
+            for obj, mode in fpk:
+                for j, tj, other in by_obj.get(obj, ()):
+                    if tj != tk and modes_conflict(other, mode):
+                        found.add(j)
+            hits = sorted(found)
+            for obj, mode in fpk:
+                by_obj.setdefault(obj, []).append((k, tk, mode))
+        busy.append((k, tk))
+        for j in hits:
+            yield j, k
 
 
 @dataclass
@@ -171,25 +211,19 @@ class DporStrategy:
         # no race asks for commutes into this very schedule — skip it.
         dec_of_event = {eb[i]: i for i in range(min(limit, len(eb)))}
         backtrack: Dict[int, set] = {}
-        for k in range(1, len(events)):
-            tk, fpk = events[k]
-            if not fpk:
+        for j, k in race_pairs(events):
+            i = dec_of_event.get(j)
+            if i is None:
                 continue
-            for j in range(k):
-                tj, fpj = events[j]
-                if tj == tk or not fpj or not conflicts(fpj, fpk):
-                    continue
-                i = dec_of_event.get(j)
-                if i is None:
-                    continue
-                d = decisions[i]
-                alts = [a for a in d.runnable if a != d.chosen]
-                if not alts:
-                    continue
-                # The racing thread itself when schedulable there; otherwise
-                # conservatively every alternative ("add all enabled").
-                targets = [tk] if tk in alts else alts
-                backtrack.setdefault(i, set()).update(targets)
+            d = decisions[i]
+            alts = [a for a in d.runnable if a != d.chosen]
+            if not alts:
+                continue
+            # The racing thread itself when schedulable there; otherwise
+            # conservatively every alternative ("add all enabled").
+            tk = events[k][0]
+            targets = [tk] if tk in alts else alts
+            backtrack.setdefault(i, set()).update(targets)
 
         def push(i: int, alt: str, child_sleep) -> None:
             prefix = tuple(choices[:i]) + (alt,)

@@ -145,10 +145,10 @@ def _run_with_scheduler(
     group_kinds: Optional[Dict[int, str]],
     strategy_info: Optional[Dict[str, object]],
     mode: str,
-    fingerprints: bool,
+    fingerprint_from: Optional[int],
 ) -> Tuple[RunResult, ScheduleTrace, Scheduler]:
     scheduler = Scheduler(strategy or DefaultStrategy(),
-                          fingerprints=fingerprints)
+                          fingerprint_from=fingerprint_from)
     result = run_program(
         program,
         nprocs=config.nprocs,
@@ -170,12 +170,14 @@ def run_scheduled(
     group_kinds: Optional[Dict[int, str]] = None,
     strategy_info: Optional[Dict[str, object]] = None,
     mode: str = "full",
-    fingerprints: bool = False,
+    fingerprint_from: Optional[int] = None,
 ) -> Tuple[RunResult, ScheduleTrace]:
-    """Execute one deterministic scheduled run; return result + its trace."""
+    """Execute one deterministic scheduled run; return result + its trace.
+    ``fingerprint_from`` is the first decision whose state is hashed into
+    the trace (``sf``); None hashes none."""
     result, trace, _ = _run_with_scheduler(
         program, config, strategy, group_kinds, strategy_info, mode,
-        fingerprints)
+        fingerprint_from)
     return result, trace
 
 
@@ -230,12 +232,14 @@ def _minimize_failure(program, config, group_kinds, outcome: ScheduleOutcome,
 
 
 def _dpor_worker(payload) -> Tuple[ScheduleTrace, RunRecord]:
-    """Pool entry: execute one forced-prefix run, ship trace + record back."""
+    """Pool entry: execute one forced-prefix run, ship trace + record back.
+    States are hashed only past the forced prefix: those before it repeat
+    the states of the run the prefix was taken from."""
     program, config, group_kinds, prefix, preemptions, fingerprints = payload
     _, trace, scheduler = _run_with_scheduler(
         program, config, ScriptedStrategy(prefix), group_kinds,
         {"name": "dpor", "prefix": len(prefix), "preemptions": preemptions},
-        "full", fingerprints)
+        "full", len(prefix) if fingerprints else None)
     return trace, RunRecord.from_scheduler(scheduler)
 
 

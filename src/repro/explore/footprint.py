@@ -89,25 +89,30 @@ def point_footprint(point: str) -> Footprint:
     return WILDCARD
 
 
+def modes_conflict(a: str, b: str) -> bool:
+    """The per-object rule: two accesses of one object conflict unless both
+    are reads or both are the same symmetric arrival ``c:<tag>``."""
+    return a != b or not (a == "r" or a.startswith("c:"))
+
+
+def is_wildcard(fp: Footprint) -> bool:
+    """True when ``fp`` holds an unclassified (``*``) step."""
+    return any(obj == "*" for obj, _ in fp)
+
+
 def conflicts(a: Footprint, b: Footprint) -> bool:
-    """True when the two steps do **not** commute."""
+    """True when the two steps do **not** commute: both are non-empty and
+    either is a wildcard, or some object both touch is accessed in modes
+    that :func:`modes_conflict`."""
     if not a or not b:
         return False
-    by_obj = {}
+    if is_wildcard(a) or is_wildcard(b):
+        return True
+    modes = {}
     for obj, mode in b:
-        if obj == "*":
-            return True
-        by_obj.setdefault(obj, []).append(mode)
-    for obj, mode in a:
-        if obj == "*":
-            return True
-        for other in by_obj.get(obj, ()):
-            if mode == "r" and other == "r":
-                continue
-            if mode.startswith("c:") and mode == other:
-                continue
-            return True
-    return False
+        modes.setdefault(obj, []).append(mode)
+    return any(modes_conflict(mode, other)
+               for obj, mode in a for other in modes.get(obj, ()))
 
 
 def footprint_to_list(fp: Footprint) -> list:

@@ -23,10 +23,17 @@ every shared-state access the runtime reported via :meth:`note_access`
 while the segment ran.  ``decision_event_index[i]`` maps decision ``i`` to
 the index of the first event executed after it, so
 ``events[decision_event_index[i]]`` is exactly the step taken by the chosen
-thread.  With ``fingerprints=True`` each branching decision additionally
-hashes the quiescent global state (thread positions + observation hashes,
-mailbox contents, collective-round state, shared cells) so drivers can
-prune revisited states.
+thread.  With ``fingerprint_from=n`` each branching decision from index
+``n`` on additionally hashes the quiescent global state (thread positions +
+observation hashes, mailbox contents, collective-round state, shared cells)
+so drivers can prune revisited states — until the run aborts: decisions
+after that only reorder the unwinding, and no driver reads their hashes.
+
+A scheduled run ends when its last logical thread detaches, not when the
+rank threads return: a rank that aborts inside a parallel region leaves
+its team's workers unwinding, and they still append decisions and events.
+:meth:`await_detached` lets the world wait for that moment, so the logs
+are complete and stable once ``run_program`` returns.
 
 Time is virtual — one tick per scheduling operation — and deadlock
 detection is structural: the moment a decision finds no runnable thread
@@ -89,12 +96,15 @@ class Scheduler(ExecutionHooks):
 
     def __init__(self, strategy: Optional[Strategy] = None,
                  wall_guard: float = 120.0,
-                 fingerprints: bool = False) -> None:
+                 fingerprint_from: Optional[int] = None) -> None:
         self.strategy = strategy or DefaultStrategy()
         self.wall_guard = wall_guard
-        self.fingerprints = fingerprints
+        #: First decision index to hash the state at; None hashes none.
+        self.fingerprint_from = fingerprint_from
         self._lock = threading.RLock()
         self._threads: Dict[str, _Logical] = {}
+        #: Set when the last logical thread detaches: the run is over.
+        self._detached = threading.Event()
         self._ready_list: List[str] = []  # sorted; maintained incrementally
         self._attach_events: Dict[str, threading.Event] = {}
         self._spawn_counts: Dict[Optional[str], int] = {}
@@ -110,7 +120,8 @@ class Scheduler(ExecutionHooks):
         #: ``decision_event_index[i]`` = index into :attr:`events` of the
         #: first event executed after decision ``i``.
         self.decision_event_index: List[int] = []
-        #: Per-decision state fingerprint (None unless ``fingerprints``).
+        #: Per-decision state fingerprint (None outside the hashed window:
+        #: before ``fingerprint_from`` and from the abort on).
         self.state_fingerprints: List[Optional[str]] = []
         #: Decision count at the moment the run aborted, if it did —
         #: decisions past this index only reorder the unwinding.
@@ -174,6 +185,11 @@ class Scheduler(ExecutionHooks):
                 self._current = None
                 if self._world is not None:
                     self._schedule_next_locked(self._world, SchedPoint.EXIT, me)
+            if not self._threads:
+                self._detached.set()
+
+    def await_detached(self, timeout: Optional[float]) -> bool:
+        return self._detached.wait(timeout)
 
     def start(self, world) -> None:
         with self._lock:
@@ -322,10 +338,11 @@ class Scheduler(ExecutionHooks):
         if chosen not in candidates:
             chosen = candidates[0]
         self.decision_event_index.append(len(self.events))
-        if self.fingerprints and world is not None:
-            self.state_fingerprints.append(self._fingerprint_locked(world))
-        else:
-            self.state_fingerprints.append(None)
+        hashed = (self.fingerprint_from is not None
+                  and index >= self.fingerprint_from
+                  and self.abort_decision is None and world is not None)
+        self.state_fingerprints.append(
+            self._fingerprint_locked(world) if hashed else None)
         self.decisions.append(Decision(index, point, current,
                                        tuple(candidates), chosen))
         return chosen

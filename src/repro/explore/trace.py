@@ -31,8 +31,9 @@ metadata that dynamic partial-order reduction works from: ``f`` is the
 access footprint of the step the chosen thread actually executed after the
 decision (canonical sorted ``object/mode`` strings, see
 :mod:`repro.explore.footprint`) and ``sf`` is the state fingerprint of the
-quiescent state at the decision (present only when the recording scheduler
-ran with ``fingerprints=True``).  Only ``c`` is required to replay; the
+quiescent state at the decision (present only where the recording
+scheduler hashed it: from its ``fingerprint_from`` index until the run
+aborted).  Only ``c`` is required to replay; the
 rest make traces self-describing and drive DFS/DPOR expansion.  Version-1
 traces (no ``f``/``sf``) load and replay unchanged.  ``mode: "minimized"``
 marks a delta-debugged choice sequence that relies on the deterministic

@@ -102,6 +102,12 @@ class ExecutionHooks:
     def await_children(self, names) -> None:
         pass
 
+    def await_detached(self, timeout: Optional[float]) -> bool:
+        """Block until every logical thread has detached — the end of a
+        scheduled run, which may come after the rank threads return (a
+        team's workers still unwinding an abort).  False on timeout."""
+        return True
+
     def start(self, world) -> None:
         pass
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
+from ...util.brepr import bounded_repr
 from ..errors import AbortedError, DeadlockError
 from ..schedpoint import SchedPoint
 from . import ops
@@ -84,7 +85,7 @@ class CollectiveEngine:
         return (
             self.round_no,
             tuple(
-                (r, v[0], repr(v[1]), repr(v[2]))
+                (r, v[0], bounded_repr(v[1]), bounded_repr(v[2]))
                 for r, v in sorted(self.arrivals.items())
             ),
             self._releasing,

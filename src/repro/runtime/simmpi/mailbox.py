@@ -11,6 +11,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
+from ...util.brepr import bounded_repr
 from ..errors import DeadlockError
 from ..schedpoint import SchedPoint
 
@@ -31,7 +32,7 @@ class Mailbox:
     def fingerprint_state(self):
         """Canonical queue contents for state fingerprinting."""
         return tuple(
-            (dest, tuple(self.queues[dest]))
+            (dest, bounded_repr(tuple(self.queues[dest])))
             for dest in sorted(self.queues) if self.queues[dest]
         )
 

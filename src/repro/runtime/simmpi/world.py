@@ -205,9 +205,11 @@ class MpiWorld:
             guard = None
         for t in threads:
             t.join(timeout=guard)
-        if any(t.is_alive() for t in threads) and self.abort_error is None:
+        stalled = (any(t.is_alive() for t in threads)
+                   or not self.hooks.await_detached(guard))
+        if stalled and self.abort_error is None:
             self.abort(DeadlockError(
-                "run stalled: rank thread(s) still alive past the join guard"
+                "run stalled: thread(s) still running past the join guard"
             ))
 
         result.error = self.abort_error

@@ -3,13 +3,23 @@
 CPython 3.11 caps ``int → str`` conversion at 4300 digits and raises
 ``ValueError`` past it.  Fuzzed programs hit this trivially (an
 ``x = x * x`` loop squares its way to astronomically large values within
-a handful of iterations), and two hashing paths in the runtime feed raw
-cell values through ``repr``: the interpreter's shared-state fingerprint
-(:meth:`Interpreter._shared_state`) and the cooperative scheduler's
-per-thread observation hash (:meth:`SchedHooks.note_observation`).  An
-unbounded ``repr`` there kills the rank thread mid-run, which presents as
-a world deadlock or an ``internal error`` crash — both found by the
-coverage-guided fuzz campaign (see ``docs/fuzzing.md``).
+a handful of iterations).  Every runtime path that hashes program values
+goes through this function:
+
+* the interpreter's shared cells (:meth:`Interpreter._shared_state`);
+* the cooperative scheduler's per-thread observation hash
+  (:meth:`Scheduler.note_observation`);
+* the collective engine's open-round arrivals, payloads and signatures
+  (:meth:`CollectiveEngine.fingerprint_state`);
+* the mailbox's queued messages (:meth:`Mailbox.fingerprint_state`).
+
+The last three feed :meth:`Scheduler._fingerprint_locked`, whose own
+``repr`` then only ever sees these strings and small counters.  An
+unbounded ``repr`` on any of these paths raises on a rank thread, which
+presents as an ``internal error`` crash — or, inside a scheduling
+decision, as a hang: the token has been released and never granted, so
+every logical thread stays parked.  All were found by the fuzz campaign
+(see ``docs/fuzzing.md``).
 
 :func:`bounded_repr` digests any int wider than 256 bits to
 ``bigint:<bit_length>:<low 64 bits>`` — still deterministic, still

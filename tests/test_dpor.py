@@ -2,10 +2,12 @@
 visits a subset of the bounded-DFS schedules yet finds the identical
 verdict set), the headline reduction on the seeded racy gallery case, the
 byte-identical parallel frontier (``--jobs``), footprint commutativity,
-trace v1/v2 compatibility, random-strategy dedupe and the wall-clock
-budget."""
+trace v1/v2 compatibility, random-strategy dedupe, the wall-clock budget,
+sweeps over values too large for ``repr``, and runs that end only when
+every logical thread has detached."""
 
 import json
+import threading
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.explore import (
     ExploreConfig,
     RunRecord,
     ScheduleTrace,
+    ScriptedStrategy,
     conflicts,
     explore_config,
     replay,
@@ -235,3 +238,98 @@ def test_run_record_is_picklable():
     assert record2.events == record.events
     assert record2.fingerprints == record.fingerprints
     assert isinstance(record2, RunRecord)
+
+
+# -- values past repr's digit limit ------------------------------------------------
+
+_BIG_VALUE_PROGRAM = """void main() {
+    MPI_Init_thread(3);
+    int r = MPI_Comm_rank();
+    int x = 3;
+    for (int i = 0; i < 14; i += 1) { x *= x; }
+    #pragma omp parallel num_threads(2)
+    {
+        #pragma omp single
+        {
+            %s
+        }
+    }
+    MPI_Finalize();
+}
+"""
+
+
+@pytest.mark.parametrize("op", [
+    "MPI_Bcast(x, 0);",
+    "if (r == 0) { MPI_Send(x, 1, 0); } else { MPI_Recv(x, 0, 0); }",
+], ids=["collective-payload", "queued-message"])
+def test_dpor_sweeps_values_past_the_repr_digit_limit(op):
+    """``x`` has 7,818 digits.  Hashing an open round's payload or a queued
+    message with a plain ``repr`` raised inside a scheduling decision, lost
+    the token and hung the sweep."""
+    program = parse_program(_BIG_VALUE_PROGRAM % op, "big.mc")
+    config = ExploreConfig(nprocs=2, num_threads=2)
+    reports = []
+    sweep = threading.Thread(target=lambda: reports.append(explore_config(
+        program, config, strategy="dpor", runs=20, minimize=False)),
+        daemon=True)
+    sweep.start()
+    sweep.join(timeout=60)
+    assert reports, "the DPOR sweep hung"
+    assert reports[0].schedules == 20
+    assert dict(reports[0].verdict_counts) == {"clean": 20}
+
+
+# -- a scheduled run ends when its last logical thread detaches --------------------
+
+
+def _barrier_in_parallel_sweep(**kwargs):
+    program = _program("barrier_in_parallel")
+    config = ExploreConfig(nprocs=CASES["barrier_in_parallel"].nprocs,
+                           num_threads=3)
+    return program, config, explore_config(
+        program, config, strategy="dpor", runs=100, preemptions=2,
+        minimize=False, collect_schedules=True, **kwargs)
+
+
+def _report_snapshot(report):
+    return (report.schedules, dict(report.verdict_counts), report.dpor_stats,
+            report.schedule_choices,
+            [(f.index, f.verdict, f.trace.choices) for f in report.failures],
+            report.summary())
+
+
+@pytest.fixture(scope="module")
+def barrier_sweep():
+    """One serial sweep of a case whose runs abort inside a parallel
+    region, leaving team workers to unwind after their rank returned."""
+    return _barrier_in_parallel_sweep()
+
+
+def test_run_returns_only_after_every_logical_thread_detached(barrier_sweep):
+    from repro.explore.explore import _run_with_scheduler
+
+    program, config, report = barrier_sweep
+    aborted = 0
+    for choices in report.schedule_choices[:30]:
+        _, trace, scheduler = _run_with_scheduler(
+            program, config, ScriptedStrategy(list(choices)), None, None,
+            "full", None)
+        assert not scheduler._threads
+        assert trace.choices == scheduler.decisions
+        aborted += scheduler.abort_decision is not None
+    assert aborted > 10
+
+
+def test_dpor_sweeps_repeat_exactly_in_one_process(barrier_sweep):
+    _, _, first = barrier_sweep
+    _, _, second = _barrier_in_parallel_sweep()
+    assert first.failed > 0
+    assert _report_snapshot(second) == _report_snapshot(first)
+
+
+def test_dpor_jobs_matches_serial_when_runs_abort_in_parallel_regions(
+        barrier_sweep):
+    _, _, serial = barrier_sweep
+    _, _, pooled = _barrier_in_parallel_sweep(jobs=2)
+    assert _report_snapshot(pooled) == _report_snapshot(serial)
