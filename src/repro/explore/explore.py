@@ -170,14 +170,10 @@ def run_scheduled(
     group_kinds: Optional[Dict[int, str]] = None,
     strategy_info: Optional[Dict[str, object]] = None,
     mode: str = "full",
-    fingerprint_from: Optional[int] = None,
 ) -> Tuple[RunResult, ScheduleTrace]:
-    """Execute one deterministic scheduled run; return result + its trace.
-    ``fingerprint_from`` is the first decision whose state is hashed into
-    the trace (``sf``); None hashes none."""
+    """Execute one deterministic scheduled run; return result + its trace."""
     result, trace, _ = _run_with_scheduler(
-        program, config, strategy, group_kinds, strategy_info, mode,
-        fingerprint_from)
+        program, config, strategy, group_kinds, strategy_info, mode, None)
     return result, trace
 
 
