@@ -20,6 +20,7 @@ can compute overhead percentages exactly as the figure does.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
@@ -121,10 +122,19 @@ def measure_overheads(source: str, repeats: int = 3,
     # than every repeat of one mode, and the per-mode best-of-N discards
     # it.  (Blocked order made the derived overhead percentages flappy on
     # noisy machines — the baseline and the instrumented mode saw
-    # different weather.)
+    # different weather.)  Each compile runs with the cyclic collector
+    # parked, after a collection: a collection that fell due in one mode's
+    # compile would otherwise land in every repeat of that mode.
     for _ in range(max(1, repeats)):
         for mode in MODES:
-            result = compile_source(source, mode, precision)
+            enabled = gc.isenabled()
+            gc.collect()
+            gc.disable()
+            try:
+                result = compile_source(source, mode, precision)
+            finally:
+                if enabled:
+                    gc.enable()
             times[mode].append(result.total_time)
     best = {mode: min(series) for mode, series in times.items()}
     best["warnings_overhead_pct"] = overhead_percent(best["base"], best["warnings"])

@@ -141,9 +141,10 @@ from .core import AnalysisEngine, analyze_program, instrument_program, render_re
 from .core.callgraph import callgraph_to_dot
 from .core.driver import build_plan
 from .core.sites import index_program
-from .minilang.parser import parse_program
+from .minilang.parser import ParseError, parse_program
 from .minilang.pretty import pretty
 from .minilang.semantics import check_program
+from .minilang.tokens import LexError
 from .mpi.thread_levels import ThreadLevel
 from .parallelism import EMPTY, format_word, parse_word
 from .runtime import run_program
@@ -151,9 +152,20 @@ from .runtime.errors import ValidationError
 
 
 def _load(path: str, want_source: bool = False):
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    program = parse_program(source, path)
+    """Read, parse and check ``path``.  Unreadable or invalid input is a
+    usage error: ``PATH:LINE:COL: message`` (or ``PATH: reason``) on
+    stderr, exit 2."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            source = handle.read()
+    except OSError as err:
+        print(f"{path}: {err.strerror or err}", file=sys.stderr)
+        raise SystemExit(2)
+    try:
+        program = parse_program(source, path)
+    except (LexError, ParseError) as err:
+        print(f"{path}:{err}", file=sys.stderr)
+        raise SystemExit(2)
     issues = check_program(program)
     errors = [i for i in issues if i.severity == "error"]
     if errors:
@@ -907,8 +919,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point.  Normalizes every exit path onto the documented
-    0/1/2 contract — including argparse usage errors and the semantic-error
-    abort in ``_load``, which raise ``SystemExit`` internally."""
+    0/1/2 contract — including argparse usage errors and ``_load``'s
+    invalid-input abort, which raise ``SystemExit`` internally."""
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)

@@ -29,6 +29,14 @@ observation hashes, mailbox contents, collective-round state, shared cells)
 so drivers can prune revisited states — until the run aborts: decisions
 after that only reorder the unwinding, and no driver reads their hashes.
 
+Logical threads run on carriers (reused OS threads, see
+:mod:`repro.runtime.carrier`).  The spawning thread — the world's caller
+for rank mains, the token holder for team workers — registers each child
+as runnable (:meth:`register`) before handing it to a carrier; the child
+only binds its name and parks (:meth:`attach`).  The token passes through
+one raw ``_thread`` lock per logical thread: the holder releases the
+chosen thread's lock and parks on its own.
+
 A scheduled run ends when its last logical thread detaches, not when the
 rank threads return: a rank that aborts inside a parallel region leaves
 its team's workers unwinding, and they still append decisions and events.
@@ -44,11 +52,12 @@ timeout involved.
 
 from __future__ import annotations
 
+import _thread
 import hashlib
 import threading
 import zlib
 from bisect import bisect_left, insort
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..runtime.errors import DeadlockError
 from ..runtime.schedpoint import ExecutionHooks, SchedPoint
@@ -64,13 +73,15 @@ _EMPTY_FP: Footprint = frozenset()
 
 
 class _Logical:
-    __slots__ = ("name", "state", "sem", "cond", "predicate", "describe",
+    __slots__ = ("name", "state", "token", "cond", "predicate", "describe",
                  "pending_fp", "accesses", "obs")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.state = _READY
-        self.sem = threading.Semaphore(0)
+        #: Held while the thread is parked; released to grant it the token.
+        self.token = _thread.allocate_lock()
+        self.token.acquire()
         self.cond: Optional[threading.Condition] = None
         self.predicate: Optional[Callable[[], bool]] = None
         self.describe = ""
@@ -83,10 +94,6 @@ class _Logical:
         #: for its local state, since thread locals are a deterministic
         #: function of the observation sequence.
         self.obs = 0
-
-
-class ScheduleStall(RuntimeError):
-    """A spawned logical thread never attached (scheduler wiring bug)."""
 
 
 class Scheduler(ExecutionHooks):
@@ -106,7 +113,6 @@ class Scheduler(ExecutionHooks):
         #: Set when the last logical thread detaches: the run is over.
         self._detached = threading.Event()
         self._ready_list: List[str] = []  # sorted; maintained incrementally
-        self._attach_events: Dict[str, threading.Event] = {}
         self._spawn_counts: Dict[Optional[str], int] = {}
         self._tls = threading.local()
         self._current: Optional[str] = None
@@ -142,10 +148,6 @@ class Scheduler(ExecutionHooks):
     def _me(self) -> Optional[str]:
         return getattr(self._tls, "name", None)
 
-    def _attach_event(self, name: str) -> threading.Event:
-        with self._lock:
-            return self._attach_events.setdefault(name, threading.Event())
-
     def child_names(self, size: int) -> List[Optional[str]]:
         parent = self._me()
         with self._lock:
@@ -153,21 +155,16 @@ class Scheduler(ExecutionHooks):
             self._spawn_counts[parent] = seq + 1
         return [None] + [f"{parent}/{seq}.{tid}" for tid in range(1, size)]
 
-    def attach(self, name: str) -> None:
-        lt = _Logical(name)
+    def register(self, names: Sequence[Optional[str]]) -> None:
         with self._lock:
-            self._threads[name] = lt
-            insort(self._ready_list, name)
-        self._tls.name = name
-        self._attach_event(name).set()
-        lt.sem.acquire()  # parked until first scheduled
+            for name in names:
+                if name is not None:
+                    self._threads[name] = _Logical(name)
+                    insort(self._ready_list, name)
 
-    def await_children(self, names) -> None:
-        for name in names:
-            if name is None:
-                continue
-            if not self._attach_event(name).wait(timeout=30.0):
-                raise ScheduleStall(f"logical thread {name} never attached")
+    def attach(self, name: Optional[str]) -> None:
+        self._tls.name = name
+        self._threads[name].token.acquire()  # parked until first scheduled
 
     def detach(self) -> None:
         me = self._me()
@@ -257,7 +254,7 @@ class Scheduler(ExecutionHooks):
                 return
             self._mark_ready_locked(lt)
             self._grant_locked(chosen)
-        lt.sem.acquire()
+        lt.token.acquire()
 
     def wait(self, world, cond, describe="", predicate=None):
         me = self._me()
@@ -284,7 +281,7 @@ class Scheduler(ExecutionHooks):
                 # Hand the token over (may wake us straight back up if the
                 # handoff detects a structural deadlock and aborts).
                 self._schedule_next_locked(world, SchedPoint.BLOCK, describe)
-            lt.sem.acquire()
+            lt.token.acquire()
         finally:
             cond._acquire_restore(saved)
 
@@ -374,7 +371,7 @@ class Scheduler(ExecutionHooks):
         self._ready_remove_locked(name)
         self._current = name
         self._vtime += 1
-        lt.sem.release()
+        lt.token.release()
 
     def _schedule_next_locked(self, world, kind: str, detail: str) -> None:
         self._current = None

@@ -23,13 +23,20 @@ condition notification on abort (no 20 ms busy-polling), and a coarse
 ``repro.explore.Scheduler`` implements the same interface cooperatively —
 exactly one logical thread runs at a time, every decision is recorded, and
 runs are reproducible from their choice sequence.
+
+Logical threads (rank mains, team workers) run on carriers, the reused OS
+threads of :mod:`repro.runtime.carrier`.  The spawner announces its
+children with ``register(names)`` before it hands them to carriers, so the
+next decision already counts them runnable; each child's first act on its
+carrier is ``attach(name)``, which binds the name and parks it until it is
+scheduled.  No thread ever waits for another to check in.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 
 class SchedPoint:
@@ -93,13 +100,15 @@ class ExecutionHooks:
         entry 0 is the master and always ``None``)."""
         return [None] * size
 
-    def attach(self, name: str) -> None:
-        pass
+    def register(self, names: Sequence[Optional[str]]) -> None:
+        """The spawning thread announces logical threads ``names`` (``None``
+        entries skipped) before handing them to carriers."""
+
+    def attach(self, name: Optional[str]) -> None:
+        """First call of a logical thread on its carrier: bind ``name`` to
+        the calling OS thread and park until scheduled."""
 
     def detach(self) -> None:
-        pass
-
-    def await_children(self, names) -> None:
         pass
 
     def await_detached(self, timeout: Optional[float]) -> bool:

@@ -1,10 +1,12 @@
-"""The simulated MPI world: N ranks, one Python thread each.
+"""The simulated MPI world: N ranks, one logical thread each.
 
-``MpiWorld.run(target)`` spawns one thread per rank executing
-``target(proc)``; the first :class:`ValidationError` raised anywhere aborts
-the world (all blocked waits unwind via :class:`AbortedError`) and becomes
-the run's verdict.  A rank finishing while peers wait in a collective is
-detected as a deadlock by the engines.
+``MpiWorld.run(target)`` runs ``target(proc)`` for every rank, each rank
+a logical thread on a carrier (a reused OS thread, see
+:mod:`repro.runtime.carrier`); the first :class:`ValidationError` raised
+anywhere aborts the world (all blocked waits unwind via
+:class:`AbortedError`) and becomes the run's verdict.  A rank finishing
+while peers wait in a collective is detected as a deadlock by the
+engines.
 
 Every blocking decision point delegates to the world's
 :class:`~repro.runtime.schedpoint.ExecutionHooks` (see ``schedpoint.py``):
@@ -20,9 +22,11 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ...mpi.thread_levels import ThreadLevel
+from ..carrier import spawn
 from ..errors import AbortedError, DeadlockError, ValidationError
 from ..schedpoint import THREADED_HOOKS, ExecutionHooks
 from .engine import CollectiveEngine
@@ -165,11 +169,10 @@ class MpiWorld:
         """Run ``target(proc)`` on every rank; collect the verdict."""
         result = RunResult(nprocs=self.nprocs)
         start = time.perf_counter()
-        cooperative = self.hooks.cooperative
+        hooks = self.hooks
 
         def runner(proc: MpiProcess, name: str) -> None:
-            if cooperative:
-                self.hooks.attach(name)
+            hooks.attach(name)
             try:
                 proc.main_thread = threading.current_thread()
                 result.returns[proc.rank] = target(proc)
@@ -186,27 +189,19 @@ class MpiWorld:
             finally:
                 self.finished_ranks.add(proc.rank)
                 self.engine.on_proc_finished(proc.rank)
-                if cooperative:
-                    self.hooks.detach()
+                hooks.detach()
 
         names = [f"r{proc.rank}" for proc in self.procs]
-        threads = [
-            threading.Thread(target=runner, args=(proc, name),
-                             name=f"rank-{proc.rank}", daemon=True)
-            for proc, name in zip(self.procs, names)
-        ]
-        for t in threads:
-            t.start()
-        if cooperative:
-            self.hooks.await_children(names)
-            self.hooks.start(self)
-        guard = self.hooks.join_timeout(self.timeout)
+        hooks.register(names)
+        ranks_done = [spawn(partial(runner, proc, name))
+                      for proc, name in zip(self.procs, names)]
+        hooks.start(self)
+        guard = hooks.join_timeout(self.timeout)
         if not math.isfinite(guard):
             guard = None
-        for t in threads:
-            t.join(timeout=guard)
-        stalled = (any(t.is_alive() for t in threads)
-                   or not self.hooks.await_detached(guard))
+        ended = [done.acquire(timeout=-1 if guard is None else guard)
+                 for done in ranks_done]
+        stalled = not all(ended) or not hooks.await_detached(guard)
         if stalled and self.abort_error is None:
             self.abort(DeadlockError(
                 "run stalled: thread(s) still running past the join guard"

@@ -1,8 +1,9 @@
 """simomp — the explicit fork/join OpenMP-like thread runtime.
 
 A :class:`Team` is one parallel region instance: the encountering thread
-becomes tid 0 (the master), ``size - 1`` workers are spawned, and
-``Team.run`` joins them (the join is the region's implicit barrier from the
+becomes tid 0 (the master), ``size - 1`` workers are spawned on carriers
+(reused OS threads, see :mod:`repro.runtime.carrier`), and ``Team.run``
+joins them (the join is the region's implicit barrier from the
 master's perspective; the interpreter emits the semantic implicit barrier
 explicitly before the join so *all* threads synchronize, as OpenMP
 requires).  Teams nest freely — a worker encountering another ``parallel``
@@ -12,14 +13,19 @@ All blocking (barriers, the master's join) goes through the world's
 SchedPoint hooks: condition-notified under real threads, cooperative and
 fully deterministic under an installed scheduler — where workers get
 deterministic hierarchical names so a run is reproducible from its schedule
-choice sequence alone.
+choice sequence alone.  The master registers the workers with the hooks
+before spawning them, and the join waits on the workers' completion count
+alone: a worker's carrier outlives its task, so there is no OS thread to
+join.
 """
 
 from __future__ import annotations
 
 import threading
+from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
+from ..carrier import spawn
 from ..errors import AbortedError, DeadlockError, ValidationError
 from ..schedpoint import SchedPoint
 
@@ -51,49 +57,40 @@ class Team:
             if self.size == 1:
                 self._run_guarded(body, 0)
                 return
-            names = self.world.hooks.child_names(self.size)
-            workers = [
-                threading.Thread(
-                    target=self._worker_main, args=(body, tid, names[tid]),
-                    name=f"rank{self.proc.rank}-tid{tid}", daemon=True,
-                )
-                for tid in range(1, self.size)
-            ]
-            for t in workers:
-                t.start()
-            self.world.hooks.await_children(names)
+            hooks = self.world.hooks
+            names = hooks.child_names(self.size)
+            hooks.register(names)
+            for tid in range(1, self.size):
+                spawn(partial(self._worker_main, body, tid, names[tid]))
             self._run_guarded(body, 0)
-            self._join_workers(workers)
+            self._join_workers(self.size - 1)
         finally:
             self.proc.exit_parallel(self.size)
 
     def _worker_main(self, body: Callable[[int], None], tid: int,
                      name: Optional[str]) -> None:
-        if name is not None:
-            self.world.hooks.attach(name)
+        hooks = self.world.hooks
+        hooks.attach(name)
         try:
             self._run_guarded(body, tid)
         finally:
             with self._done_cond:
                 self._done += 1
                 self.world.notify(self._done_cond)
-            if name is not None:
-                self.world.hooks.detach()
+            hooks.detach()
 
-    def _join_workers(self, workers) -> None:
+    def _join_workers(self, workers: int) -> None:
         deadline = self.world.clock() + self.world.timeout * 2
         with self._done_cond:
-            while self._done < len(workers):
+            while self._done < workers:
                 self.world.check_abort()
                 if self.world.clock() > deadline:
-                    break  # fall through to the real join + abort check
+                    break  # fall through to the abort check
                 self.world.wait(
                     self._done_cond,
                     f"rank {self.proc.rank} master joining its team",
-                    lambda: self._done >= len(workers),
+                    lambda: self._done >= workers,
                 )
-        for t in workers:
-            t.join(timeout=1.0)
         self.world.check_abort()
 
     def _run_guarded(self, body: Callable[[int], None], tid: int) -> None:

@@ -1,5 +1,10 @@
 """CLI tests (driving repro.cli.main directly)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -180,3 +185,52 @@ def test_contract_fuzz(capsys, tmp_path):
                  "--explore-runs", "6"]) == 0
     out = capsys.readouterr().out
     assert "8/8 seeds" in out
+
+
+
+# ---------------------------------------------------------------------------
+# Unreadable or invalid input: one located diagnostic and exit 2, never a
+# traceback — for every subcommand that loads a program.
+# ---------------------------------------------------------------------------
+
+_BAD_INPUT = {
+    "parse-error": ("void main() { int x = ; }\n",
+                    ":1:23: expected an expression"),
+    "lex-error": ("void main() { int x = 1 @ 2; }\n",
+                  ":1:25: unexpected character '@'"),
+    "missing": (None, ": No such file or directory"),
+}
+
+_LOADING_COMMANDS = {
+    "analyze": [], "callgraph": [], "batch": [], "instrument": [],
+    "run": ["-np", "2"], "explore": ["--runs", "2"], "cfg": ["main"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_LOADING_COMMANDS))
+@pytest.mark.parametrize("kind", sorted(_BAD_INPUT))
+def test_bad_input_exits_two_with_a_located_message(command, kind, tmp_path,
+                                                   capsys):
+    text, message = _BAD_INPUT[kind]
+    path = tmp_path / "bad.mh"
+    if text is not None:
+        path.write_text(text)
+    assert main([command, str(path)] + _LOADING_COMMANDS[command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}{message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_INPUT))
+def test_bad_input_prints_no_traceback(kind, tmp_path):
+    text, message = _BAD_INPUT[kind]
+    path = tmp_path / "bad.mh"
+    if text is not None:
+        path.write_text(text)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "analyze", str(path)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"{path}{message}")
