@@ -9,9 +9,11 @@ Configs:
 
 * ``fuzz_generate`` — generation + well-formedness gate only (the grammar
   floor: how fast seeds can be minted);
-* ``fuzz_oracle``   — the full differential oracle (two static analyses,
-  instrumentation, two scheduled runs, bounded DFS sweep) — the number the
-  campaign's seeds/sec ultimately follows;
+* ``fuzz_oracle``   — the full differential oracle on program text (parse
+  and check, two static analyses, in-place instrumentation, the raw
+  default run, and a bounded DPOR sweep whose first schedule is the
+  instrumented default run) — the number the campaign's seeds/sec
+  ultimately follows;
 * ``fuzz_campaign_open`` / ``fuzz_campaign_coverage`` — the campaign
   driver end to end (real oracle), open-loop vs coverage-guided on the
   same seed budget.  ``export_bench.py`` derives

@@ -4,7 +4,7 @@ A standing adversarial workload: a seeded weighted-grammar generator
 produces thousands of well-formed hybrid MPI+OpenMP minilang programs, a
 differential oracle cross-checks every verdict source the system has
 (intra- and interprocedural static analysis, deterministic raw /
-instrumented scheduled runs, bounded DFS schedule exploration), and any
+instrumented scheduled runs, a bounded DPOR schedule sweep), and any
 disagreement is ddmin-reduced into the checked-in ``tests/corpus/``
 regression directory.  Surfaced as ``parcoach fuzz``.
 """

@@ -51,6 +51,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..minilang import ast_nodes as A
 from ..util.faultinject import fault_site, quarantine_thread, release_quarantine
 from ..util.probe import collecting
 from .coverage import (
@@ -59,13 +60,14 @@ from .coverage import (
     decode_mutant,
     energy_for,
     finding_fingerprint_for,
+    fold_signature,
     is_mutant_seed,
     mutant_seed,
     mutation_rounds,
     mutation_seed,
-    signature_for,
+    program_features,
 )
-from .generator import GenConfig, GeneratorError, generate_program, mutate
+from .generator import GenConfig, GeneratorError, generate_checked, mutate_checked
 from .oracle import (
     AGREE,
     CRASH,
@@ -73,7 +75,7 @@ from .oracle import (
     STATIC_OVERAPPROX,
     OracleConfig,
     OracleVerdict,
-    run_oracle,
+    run_oracle_checked,
 )
 from .reduce import reduce_counterexample, write_counterexample
 
@@ -96,7 +98,13 @@ QUEUE_LIMIT = 512
 
 
 def program_for_seed(seed: int, config: GenConfig = GenConfig()) -> str:
-    """The deterministic program text for one absolute seed value.
+    """The deterministic program text for one absolute seed value."""
+    return checked_program_for_seed(seed, config)[0]
+
+
+def checked_program_for_seed(seed: int, config: GenConfig = GenConfig()
+                             ) -> Tuple[str, A.Program]:
+    """The program text for one absolute seed value and its checked AST.
 
     Mutant-encoded seeds (``seed >= MUTANT_BASE``) decode to
     ``(parent, slot)`` — recursively, a parent may itself be a mutant —
@@ -104,13 +112,13 @@ def program_for_seed(seed: int, config: GenConfig = GenConfig()) -> str:
     CLI reproduces coverage-queue mutants from the integer alone."""
     if is_mutant_seed(seed):
         parent, slot = decode_mutant(seed)
-        base = program_for_seed(parent, config)
-        return mutate(base, mutation_seed(parent, slot),
-                      rounds=mutation_rounds(slot))
-    source = generate_program(seed, config)
+        source, program = checked_program_for_seed(parent, config)
+        return mutate_checked(source, program, mutation_seed(parent, slot),
+                              rounds=mutation_rounds(slot))
+    source, program = generate_checked(seed, config)
     if seed % MUTANT_STRIDE == MUTANT_STRIDE - 1:
-        source = mutate(source, seed)
-    return source
+        source, program = mutate_checked(source, program, seed)
+    return source, program
 
 
 @dataclass
@@ -257,27 +265,27 @@ def fuzz_one(seed: int,
     the campaign scheduler runs at generator speed, which is what the
     coverage-vs-open-loop acceptance test measures."""
 
-    def run_body() -> Tuple[str, OracleVerdict]:
+    def run_body() -> Tuple[str, List[str], OracleVerdict]:
         fault_site("fuzz.seed")
-        source = program_for_seed(seed, gen_config)
+        source, program = checked_program_for_seed(seed, gen_config)
+        # Walked before the oracle instruments ``program`` in place.
+        features = program_features(program) if coverage else []
         if dry_run:
-            return source, OracleVerdict(classification=AGREE)
-        return source, run_oracle(source, oracle_config,
-                                  name=f"<fuzz seed={seed}>")
+            return source, features, OracleVerdict(classification=AGREE)
+        return source, features, run_oracle_checked(program, oracle_config)
 
     def body():
         if not coverage:
-            return run_body() + (None,)
+            source, _, verdict = run_body()
+            return source, verdict, None
         with collecting() as counts:
-            source, verdict = run_body()
-        sig = signature_for(counts, source=source,
-                            classification=verdict.classification)
-        return source, verdict, sig
+            source, features, verdict = run_body()
+        return source, verdict, fold_signature(counts, features,
+                                               verdict.classification)
 
     def crash_outcome(detail: str) -> SeedOutcome:
         verdict = OracleVerdict(classification=CRASH, crash_detail=detail)
-        sig = (signature_for({}, classification=CRASH)
-               if coverage else None)
+        sig = fold_signature({}, (), CRASH) if coverage else None
         return SeedOutcome(seed=seed, classification=CRASH, verdict=verdict,
                            source="", signature=sig)
 

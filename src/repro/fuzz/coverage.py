@@ -9,10 +9,10 @@ deterministic **coverage signature**: the union of
   :mod:`repro.util.probe`, collected inside the seed body thread),
 * **static-analysis probes** — driver/call-graph path counters
   (``drv:*`` / ``cg:*``),
-* **structural source features** — a parse-and-walk of the final source
-  (collective × region context, OpenMP nesting pairs, guard shapes, call
-  shapes; :func:`source_features`), which also covers *mutants*, whose
-  bodies never re-ran the generator,
+* **structural source features** — a walk of the final program's checked
+  AST (collective × region context, OpenMP nesting pairs, guard shapes,
+  call shapes; :func:`program_features`), which also covers *mutants*,
+  whose bodies never re-ran the generator,
 * the **oracle class** reached (``oracle:agree`` etc.).
 
 Counters are AFL-style log2-bucketed (:func:`repro.util.probe.bucket`)
@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..minilang import ast_nodes as A
 from ..minilang.parser import parse_program
@@ -118,11 +118,18 @@ def probe_features(counts: Dict[str, int]) -> List[str]:
 def signature_for(counts: Dict[str, int],
                   source: Optional[str] = None,
                   classification: Optional[str] = None) -> CoverageSignature:
-    """Fold probe counters, structural source features and the oracle
-    class into one signature."""
+    """Fold probe counters, the structural features of ``source`` and the
+    oracle class into one signature (:func:`fold_signature`)."""
+    features = source_features(source) if source is not None else ()
+    return fold_signature(counts, features, classification)
+
+
+def fold_signature(counts: Dict[str, int], features: Iterable[str],
+                   classification: Optional[str] = None) -> CoverageSignature:
+    """Fold probe counters, structural features (:func:`program_features`)
+    and the oracle class into one signature."""
     feats: Set[str] = set(probe_features(counts))
-    if source is not None:
-        feats.update(source_features(source))
+    feats.update(features)
     if classification is not None:
         feats.add("oracle:" + classification)
     return CoverageSignature(features=tuple(sorted(feats)))
@@ -133,17 +140,23 @@ def signature_for(counts: Dict[str, int],
 # ---------------------------------------------------------------------------
 
 def source_features(source: str) -> List[str]:
-    """Parse ``source`` and walk it into structural coverage features.
-
-    This is the half of the signature that works for *any* program text —
-    mutants in particular, which never re-ran the instrumented generator.
+    """Parse ``source`` and walk it (:func:`program_features`).
     Unparseable sources collapse to a single feature (the parse failure is
     itself one behaviour class)."""
     try:
         program = parse_program(source, "<coverage>")
     except Exception:  # noqa: BLE001 - one bucket for all parse failures
         return ["src:unparsed"]
+    return program_features(program)
 
+
+def program_features(program: A.Program) -> List[str]:
+    """Walk a parsed program into structural coverage features.
+
+    This is the half of the signature that works for *any* program —
+    mutants in particular, which never re-ran the instrumented generator.
+    The fuzz seed body walks the checked AST before the oracle instruments
+    it."""
     feats: Set[str] = set()
     counts: Dict[str, int] = {}
 
@@ -354,12 +367,14 @@ __all__ = [
     "decode_mutant",
     "energy_for",
     "finding_fingerprint_for",
+    "fold_signature",
     "is_mutant_seed",
     "mutant_seed",
     "mutation_rounds",
     "mutation_seed",
     "normalize_finding",
     "probe_features",
+    "program_features",
     "signature_for",
     "source_features",
 ]

@@ -25,6 +25,9 @@ skipped deterministically).
 Every generated program is re-parsed and semantically checked before it is
 returned; a failure there is a *generator bug* and raises
 :class:`GeneratorError` (the fuzz campaign classifies it as a crash).
+``generate_checked`` and ``mutate_checked`` return that checked AST with
+the text, so the fuzz seed body never parses the same text twice; the
+text-only ``generate_program`` and ``mutate`` are front ends over them.
 """
 
 from __future__ import annotations
@@ -350,16 +353,23 @@ def build_program(seed: int, config: GenConfig = GenConfig()) -> A.Program:
 
 
 def generate_program(seed: int, config: GenConfig = GenConfig()) -> str:
-    """Deterministic well-formed program text for ``seed``.
+    """Deterministic well-formed program text for ``seed``."""
+    return generate_checked(seed, config)[0]
+
+
+def generate_checked(seed: int, config: GenConfig = GenConfig()
+                     ) -> Tuple[str, A.Program]:
+    """The program text for ``seed`` and its parsed, semantically checked
+    AST.
 
     Raises :class:`GeneratorError` when the emitted text does not re-parse
     and semantically check cleanly (a grammar bug, not a fuzz finding)."""
     source = pretty(build_program(seed, config))
-    _well_formed_or_raise(source, f"seed {seed}")
-    return source
+    return source, _checked(source, f"seed {seed}")
 
 
-def _well_formed_or_raise(source: str, what: str) -> None:
+def _checked(source: str, what: str) -> A.Program:
+    """The round-trip guard: parse and semantically check ``source``."""
     try:
         program = parse_program(source, what)
     except Exception as exc:  # noqa: BLE001 - reported as a generator bug
@@ -368,14 +378,7 @@ def _well_formed_or_raise(source: str, what: str) -> None:
     if errors:
         raise GeneratorError(f"{what}: generated program is ill-formed: "
                              + "; ".join(str(e) for e in errors))
-
-
-def _is_well_formed(source: str) -> bool:
-    try:
-        _well_formed_or_raise(source, "<mutant>")
-    except GeneratorError:
-        return False
-    return True
+    return program
 
 
 # ---------------------------------------------------------------------------
@@ -482,39 +485,53 @@ def mutate(source: str, seed: int, rounds: int = 1) -> str:
     ``rounds=1`` is byte-identical to the historical single-round mutator —
     the checked-in corpus and the every-``MUTANT_STRIDE``-th-seed contract
     depend on that."""
-    out = source
-    for round_no in range(max(1, rounds)):
-        step_seed = seed if round_no == 0 else seed * 1_000_003 + round_no
-        nxt = _mutate_once(out, step_seed)
-        if nxt == out:
-            break
-        out = nxt
-    return out
-
-
-def _mutate_once(source: str, seed: int) -> str:
-    rng = random.Random(seed)
     try:
-        base = parse_program(source, "<mutate>")
+        program = parse_program(source, "<mutate>")
     except Exception:  # noqa: BLE001 - not a valid subject
         return source
-    sites = _mutation_sites(base)
+    return mutate_checked(source, program, seed, rounds)[0]
+
+
+def mutate_checked(source: str, program: A.Program, seed: int,
+                   rounds: int = 1) -> Tuple[str, A.Program]:
+    """:func:`mutate` over ``source`` and its parsed ``program``.
+
+    Returns the mutant and its checked AST (the guard's parse of the
+    mutant text), or ``source`` and an unmutated AST of it.  ``program`` is
+    consumed: mutations are applied to it in place."""
+    for round_no in range(max(1, rounds)):
+        step_seed = seed if round_no == 0 else seed * 1_000_003 + round_no
+        nxt, program = _mutate_once(source, program, step_seed)
+        if nxt == source:
+            break
+        source = nxt
+    return source, program
+
+
+def _mutate_once(source: str, program: A.Program,
+                 seed: int) -> Tuple[str, A.Program]:
+    rng = random.Random(seed)
+    sites = _mutation_sites(program)
     if not sites:
-        return source
+        return source, program
     start = rng.randrange(len(sites))
     for offset in range(len(sites)):
-        # Re-parse per attempt: mutations are applied in place.
-        program = parse_program(source, "<mutate>")
+        if offset:
+            # The rejected attempt mutated ``program`` in place.
+            program = parse_program(source, "<mutate>")
+            sites = _mutation_sites(program)
         attempt_rng = random.Random(seed * 1_000_003 + offset)
-        fresh = _mutation_sites(program)
-        if len(fresh) != len(sites):  # defensive; walks are deterministic
-            return source
-        kind, node = fresh[(start + offset) % len(fresh)]
+        kind, node = sites[(start + offset) % len(sites)]
         pending: List[Tuple[A.Stmt, A.Stmt]] = []
         _apply_mutation(kind, node, attempt_rng, pending)
         _splice(program, pending)
         mutant = pretty(program)
-        if mutant != source and _is_well_formed(mutant):
-            probe("mut:" + kind)
-            return mutant
-    return source
+        if mutant == source:
+            continue
+        try:
+            checked = _checked(mutant, "<mutant>")
+        except GeneratorError:
+            continue
+        probe("mut:" + kind)
+        return mutant, checked
+    return source, parse_program(source, "<mutate>")

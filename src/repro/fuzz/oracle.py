@@ -1,16 +1,16 @@
 """Differential oracle: static verdicts vs. deterministic dynamic runs.
 
-For one program source, the oracle collects every verdict source the
-system has:
+For one parsed, semantically checked program, the oracle collects every
+verdict source the system has:
 
 * **static, interprocedural** — ``analyze_program(interprocedural=True)``
   (context propagation + expression-call points);
 * **static, intraprocedural** — the paper's per-function mode;
 * **dynamic, raw** — one deterministic scheduled run of the original
   program (structural deadlock detection, no wall-clock timeouts);
-* **dynamic, instrumented** — the same run of the selectively
-  instrumented program (CC / thread-check verdicts fire *before* the
-  deadlock);
+* **dynamic, instrumented** — the same default-schedule run of the
+  selectively instrumented program (CC / thread-check verdicts fire
+  *before* the deadlock);
 * **dynamic, explored** — a bounded-preemption DPOR sweep (race-reversal
   backtracking + sleep sets, see :mod:`repro.explore.dpor`) of thread
   interleavings of the instrumented program, catching schedule-sensitive
@@ -33,6 +33,13 @@ and classifies their agreement:
     supposedly well-formed input, an analysis exception, or an
     interpreter bug surfacing as a bare ``ValidationError``).
 
+Each job runs once.  :func:`run_oracle_checked` takes the AST the fuzz
+generator already checked (:func:`run_oracle` is its front end for program
+text) and instruments it in place after the raw run.  The sweep's first
+schedule is the default one (its empty prefix leaves every choice to
+:class:`~repro.explore.DefaultStrategy`), so it doubles as the
+instrumented run; only ``explore_runs == 0`` runs that schedule on its own.
+
 Every dynamic run is scheduled (virtual clock), so the whole oracle is
 deterministic: same source ⇒ same :class:`OracleVerdict`, across
 processes.
@@ -46,6 +53,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core import analyze_program, instrument_program
 from ..explore import DefaultStrategy, ExploreConfig, explore_config, run_scheduled
 from ..explore.trace import verdict_line
+from ..minilang import ast_nodes as A
 from ..minilang.parser import parse_program
 from ..minilang.semantics import check_program
 from ..mpi.thread_levels import ThreadLevel
@@ -177,12 +185,10 @@ def _diag_codes(diags) -> Tuple[str, ...]:
 def run_oracle(source: str,
                config: OracleConfig = OracleConfig(),
                name: str = "<fuzz>") -> OracleVerdict:
-    """Run every verdict source over ``source`` and classify the agreement.
+    """Parse and check ``source``, then :func:`run_oracle_checked` it.
 
-    Never raises for program-level problems: anything unexpected comes back
-    as a ``crash`` verdict with ``crash_detail`` naming the phase."""
-    fault_site("fuzz.oracle")
-    # -- front end -----------------------------------------------------------
+    A text that does not parse or semantically check comes back as a
+    ``crash`` verdict naming the phase."""
     try:
         program = parse_program(source, name)
         issues = check_program(program)
@@ -193,7 +199,18 @@ def run_oracle(source: str,
     if errors:
         return OracleVerdict(classification=CRASH,
                              crash_detail=f"semantic: {errors[0]}")
+    return run_oracle_checked(program, config)
 
+
+def run_oracle_checked(program: A.Program,
+                       config: OracleConfig = OracleConfig()) -> OracleVerdict:
+    """Run every verdict source over a parsed, semantically checked
+    ``program`` and classify the agreement.
+
+    ``program`` is instrumented in place once the raw run is done with it.
+    Never raises for program-level problems: anything unexpected comes back
+    as a ``crash`` verdict with ``crash_detail`` naming the phase."""
+    fault_site("fuzz.oracle")
     # -- static phase --------------------------------------------------------
     try:
         inter = analyze_program(program, interprocedural=True)
@@ -215,26 +232,31 @@ def run_oracle(source: str,
         raw_result, _ = run_scheduled(program, run_cfg, DefaultStrategy())
         verdict.raw_verdict = verdict_line(raw_result)
 
-        instrumented, _report = instrument_program(inter)
+        instrumented, _report = instrument_program(inter, in_place=True)
         inst_cfg = ExploreConfig(nprocs=config.nprocs,
                                  num_threads=config.num_threads,
                                  thread_level=config.thread_level,
                                  instrument=True)
-        inst_result, _ = run_scheduled(instrumented, inst_cfg,
-                                       DefaultStrategy(),
-                                       group_kinds=inter.group_kinds)
-        verdict.instrumented_verdict = verdict_line(inst_result)
-
         if config.explore_runs > 0:
             report = explore_config(
                 instrumented, inst_cfg, strategy="dpor",
                 runs=config.explore_runs,
                 preemptions=config.explore_preemptions,
                 group_kinds=inter.group_kinds, minimize=False)
+            # The sweep's first schedule (prefix ``()``) is the default one;
+            # failures are listed in schedule order.
+            failures = report.failures
+            if failures and failures[0].index == 1:
+                verdict.instrumented_verdict = failures[0].verdict
             verdict.explored = report.schedules
             verdict.explored_failed = report.failed
             verdict.explored_classes = tuple(sorted(
                 cls for cls in report.verdict_counts if cls != "clean"))
+        else:
+            inst_result, _ = run_scheduled(instrumented, inst_cfg,
+                                           DefaultStrategy(),
+                                           group_kinds=inter.group_kinds)
+            verdict.instrumented_verdict = verdict_line(inst_result)
     except Exception as exc:  # noqa: BLE001
         verdict.classification = CRASH
         verdict.crash_detail = f"dynamic: {exc!r}"

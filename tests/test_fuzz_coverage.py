@@ -3,8 +3,10 @@ cross-process), the energy/mutation-queue schedule, finding dedupe,
 campaign-state v2, and the two campaign-driver regressions (resumed
 elapsed accounting, zombie-thread quarantine)."""
 
+import gc
 import json
 import os
+import statistics
 import subprocess
 import sys
 import threading
@@ -254,20 +256,26 @@ def test_coverage_overhead_gate():
     """The exported ``derived.fuzz_coverage_overhead`` contract: with the
     real oracle in the loop, coverage feedback must stay ≤ 1.5× the
     open-loop campaign on the same seed budget (it is a scheduling tax,
-    not a second oracle)."""
+    not a second oracle).  The GC is parked and the ratio is the median
+    over interleaved pairs, so one slow campaign cannot decide it."""
     config = OracleConfig(explore_runs=2)
 
-    def best_of(coverage):
-        best = float("inf")
-        for _ in range(3):
-            t0 = time.perf_counter()
-            run_fuzz(seeds=12, coverage=coverage, oracle_config=config)
-            best = min(best, time.perf_counter() - t0)
-        return best
+    def timed(coverage):
+        gc.collect()
+        t0 = time.perf_counter()
+        run_fuzz(seeds=12, coverage=coverage, oracle_config=config)
+        return time.perf_counter() - t0
 
-    open_t = best_of(False)
-    cov_t = best_of(True)
-    assert cov_t / open_t <= 1.5, (open_t, cov_t)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        pairs = [(timed(False), timed(True)) for _ in range(5)]
+    finally:
+        if enabled:
+            gc.enable()
+    ratio = statistics.median(cov_t / open_t for open_t, cov_t in pairs)
+    assert ratio <= 1.5, pairs
 
 
 def test_coverage_campaign_with_real_oracle_smoke():
@@ -311,11 +319,11 @@ def test_campaign_dedupes_duplicate_findings(monkeypatch):
     disagreement entry + a duplicate count, not two entries."""
     import repro.fuzz.campaign as campaign
 
-    def fake_oracle(source, config=None, name=""):
+    def fake_oracle(program, config=None):
         return OracleVerdict(classification=STATIC_MISS_CLS,
-                             raw_verdict=f"Deadlock[{name}]")
+                             raw_verdict=f"Deadlock[{program.filename}]")
 
-    monkeypatch.setattr(campaign, "run_oracle", fake_oracle)
+    monkeypatch.setattr(campaign, "run_oracle_checked", fake_oracle)
     report = run_fuzz(seeds=10, gen_config=NARROW, coverage=True)
     assert report.counts[STATIC_MISS_CLS] == 10
     assert len(report.disagreements) == 1
@@ -377,9 +385,17 @@ def test_checkpoint_coverage_flag_mismatch_rejected(tmp_path):
 def test_kill_and_resume_matches_uninterrupted_tally_and_elapsed(tmp_path):
     ck = str(tmp_path / "ck.json")
     full = run_fuzz(seeds=40, gen_config=NARROW, coverage=True, dry_run=True)
-    part = run_fuzz(seeds=40, gen_config=NARROW, coverage=True, dry_run=True,
-                    checkpoint=ck, budget=0.03)
-    assert part.budget_hit and part.completed < 40
+    # Killed as the 21st seed body starts, mid-wave.  Not by wall clock: a
+    # host fast enough finishes every seed inside any small budget.
+    install_plan(FaultPlan.parse("fuzz.seed:21=keyboard"))
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_fuzz(seeds=40, gen_config=NARROW, coverage=True,
+                     dry_run=True, checkpoint=ck)
+    finally:
+        clear_plan()
+    part = load_checkpoint(ck, seeds=40, base_seed=0, gen_config=NARROW)
+    assert part.completed == 20
     resumed = run_fuzz(seeds=40, gen_config=NARROW, coverage=True,
                        dry_run=True, checkpoint=ck, resume=True)
     assert resumed.completed == full.completed == 40
