@@ -69,7 +69,7 @@ def test_exec_time_by_scheme(benchmark, scheme):
 
     def run():
         return run_program(program, nprocs=2, num_threads=2,
-                           group_kinds=analysis.group_kinds, timeout=10.0)
+                           group_kinds=analysis.group_kinds)
 
     result = benchmark(run)
     assert result.ok, result.error

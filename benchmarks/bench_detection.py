@@ -23,7 +23,7 @@ def test_detection_latency_instrumented(benchmark, name):
     def detect():
         return run_program(program, nprocs=case.nprocs,
                            num_threads=case.num_threads,
-                           group_kinds=analysis.group_kinds, timeout=6.0)
+                           group_kinds=analysis.group_kinds)
 
     result = benchmark(detect)
     assert result.error is not None
@@ -41,7 +41,7 @@ def test_detection_latency_raw(benchmark, name):
 
     def detect():
         return run_program(program, nprocs=case.nprocs,
-                           num_threads=case.num_threads, timeout=6.0)
+                           num_threads=case.num_threads)
 
     result = benchmark(detect)
     assert result.error is not None

@@ -58,7 +58,7 @@ def test_exec_time_looped_collectives(benchmark, variant):
 
     def run():
         return run_program(program, nprocs=2, num_threads=2,
-                           group_kinds=kinds, timeout=10.0)
+                           group_kinds=kinds)
 
     result = benchmark(run)
     assert result.ok, result.error
@@ -73,7 +73,7 @@ def test_exec_time_verified_program(benchmark, variant):
 
     def run():
         return run_program(program, nprocs=2, num_threads=2,
-                           group_kinds=analysis.group_kinds, timeout=10.0)
+                           group_kinds=analysis.group_kinds)
 
     result = benchmark(run)
     assert result.ok

@@ -1,6 +1,6 @@
 """Scale benchmark — analysis walltime vs. program size, per engine config.
 
-Sweeps the synthetic size ladder of ``repro.bench.scale`` through four
+Sweeps the synthetic size ladder of ``repro.bench.scale`` through three
 configurations of the analysis engine:
 
 * ``cold``     — fresh engine per run, caching off: the pre-engine baseline
@@ -8,9 +8,7 @@ configurations of the analysis engine:
 * ``warm``     — shared engine re-analyzing the same loaded program: the
   batch-server steady state (identity fast path, all hits);
 * ``reparse``  — shared engine, but every round re-parses the source: hits
-  are served by remapping cached artifacts onto the new AST;
-* ``parallel`` — caching off, per-function phases fanned out to worker
-  processes (``jobs=2``).
+  are served by remapping cached artifacts onto the new AST.
 
 ``test_warm_speedup_threshold`` is the regression gate for the PR's claim:
 warm-cache batch analysis must be at least 5x faster than cold sequential at
@@ -86,15 +84,6 @@ def test_scale_warm_reparse(benchmark, sources, programs, size):
     )
     assert result.functions
     assert engine.stats.remaps > 0
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_scale_parallel(benchmark, programs, size):
-    with AnalysisEngine(jobs=2, cache=False) as engine:
-        benchmark.extra_info["size"] = size
-        benchmark.extra_info["config"] = "parallel"
-        result = benchmark(lambda: engine.analyze(programs[size]))
-        assert result.functions
 
 
 # -- interprocedural call-tree series ----------------------------------------------

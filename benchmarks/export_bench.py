@@ -4,7 +4,10 @@
 Runs ``benchmarks/bench_scale.py``, ``benchmarks/bench_explore.py`` and
 ``benchmarks/bench_fuzz.py`` under pytest-benchmark, then compacts the raw
 report into a small, diff-friendly JSON checked into the repository so the
-performance trajectory is tracked PR over PR::
+performance trajectory is tracked PR over PR.  Every series records its
+median and interquartile range (robust to the GC pauses and scheduler
+hiccups that made means and standard deviations unreadable), and every
+derived ratio and rate is computed from medians::
 
     PYTHONPATH=src python benchmarks/export_bench.py [-o BENCH_scale.json]
 
@@ -15,18 +18,18 @@ The compact schema::
       "python": "3.11.7",
       "benchmarks": [
         {"test": "test_scale_cold[XL]", "size": "XL", "config": "cold",
-         "mean_s": 0.08, "stddev_s": 0.002, "rounds": 10},
+         "median_s": 0.08, "iqr_s": 0.002, "rounds": 10},
         ...
       ],
       "derived": {
-        "warm_speedup": {"XL": 39.5, ...},     # cold mean / warm mean
+        "warm_speedup": {"XL": 39.5, ...},     # cold median / warm median
         "dominates_depth_ratio": 1.1,          # deepest / shallowest query
         "schedules_per_sec": {"explore_dfs": 410.2, ...},  # exploration rate
         "decisions_per_sec": {"explore_decisions": 9000.1},  # sched overhead
         "dpor_reduction": 90.5,                # DFS tree size / dpor runs
         "effective_schedules_per_sec": 8000.2, # DFS tree size / dpor time
         "fuzz_programs_per_sec": {"fuzz_oracle": 40.1, ...},  # oracle rate
-        "interproc_overhead": {"D32": 1.6, ...},  # interproc / intraproc mean
+        "interproc_overhead": {"D32": 1.6, ...},  # interproc / intraproc median
         "project_edit_speedup": {"P100": 8.0},  # cold project / one-file edit
         "project_assembly_speedup": 1.7         # edit @P1000 / edit @P100
       }
@@ -79,31 +82,31 @@ def compact(raw: dict) -> dict:
             "test": bench.get("name"),
             "size": extra.get("size", extra.get("depth")),
             "config": extra.get("config"),
-            "mean_s": round(stats.get("mean", 0.0), 9),
-            "stddev_s": round(stats.get("stddev", 0.0), 9),
+            "median_s": round(stats.get("median", 0.0), 9),
+            "iqr_s": round(stats.get("iqr", 0.0), 9),
             "rounds": stats.get("rounds"),
         }
         benchmarks.append(entry)
-        by_config.setdefault(entry["config"], {})[entry["size"]] = entry["mean_s"]
+        by_config.setdefault(entry["config"], {})[entry["size"]] = entry["median_s"]
         schedules = extra.get("schedules")
-        if schedules and entry["mean_s"] > 0:
+        if schedules and entry["median_s"] > 0:
             schedule_rates[entry["config"]] = round(
-                schedules / entry["mean_s"], 1)
+                schedules / entry["median_s"], 1)
         dfs_equivalent = extra.get("dfs_equivalent_schedules")
         if dfs_equivalent and schedules:
             derived_dpor["dpor_reduction"] = round(
                 dfs_equivalent / schedules, 1)
-            if entry["mean_s"] > 0:
+            if entry["median_s"] > 0:
                 derived_dpor["effective_schedules_per_sec"] = round(
-                    dfs_equivalent / entry["mean_s"], 1)
+                    dfs_equivalent / entry["median_s"], 1)
         decisions = extra.get("decisions")
-        if decisions and entry["mean_s"] > 0:
+        if decisions and entry["median_s"] > 0:
             decision_rates[entry["config"]] = round(
-                decisions / entry["mean_s"], 1)
+                decisions / entry["median_s"], 1)
         programs = extra.get("programs")
-        if programs and entry["mean_s"] > 0:
+        if programs and entry["median_s"] > 0:
             fuzz_rates[entry["config"]] = round(
-                programs / entry["mean_s"], 1)
+                programs / entry["median_s"], 1)
         if (extra.get("distinct_findings") is not None and programs
                 and entry["config"] == "fuzz_campaign_coverage"):
             findings_per_kseed[entry["config"]] = round(

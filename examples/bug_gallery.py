@@ -23,9 +23,9 @@ def main() -> None:
         instrumented, _ = instrument_program(analysis)
         inst = run_program(instrumented, nprocs=case.nprocs,
                            num_threads=case.num_threads,
-                           group_kinds=analysis.group_kinds, timeout=6.0)
+                           group_kinds=analysis.group_kinds)
         raw = run_program(program, nprocs=case.nprocs,
-                          num_threads=case.num_threads, timeout=6.0)
+                          num_threads=case.num_threads)
 
         inst_v = f"{inst.verdict}" if inst.error else "clean"
         if inst.error:

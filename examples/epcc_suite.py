@@ -25,7 +25,7 @@ def main() -> None:
           f"(multithreaded: {analysis.diagnostics.count(ErrorCode.COLLECTIVE_MULTITHREADED)})")
     instrumented, _ = instrument_program(analysis)
     result = run_program(instrumented, nprocs=2, num_threads=2,
-                         group_kinds=analysis.group_kinds, timeout=60.0)
+                         group_kinds=analysis.group_kinds)
     print(f"safe suite run: {result.verdict or 'clean'} "
           f"({result.cc_calls} CC checks passed)")
     assert result.ok, result.error
@@ -48,7 +48,7 @@ void main() {
     print(analysis.diagnostics.render())
     instrumented, _ = instrument_program(analysis)
     result = run_program(instrumented, nprocs=2, num_threads=4,
-                         group_kinds=analysis.group_kinds, timeout=8.0)
+                         group_kinds=analysis.group_kinds)
     print(f"unsafe kernel run: {result.verdict} (detected by {result.detected_by})")
     print(f"  {result.error}")
 

@@ -31,7 +31,7 @@ def main() -> None:
           f"({report.total} checks inserted)")
 
     result = run_program(instrumented, nprocs=2, num_threads=2,
-                         group_kinds=analysis.group_kinds, timeout=60.0)
+                         group_kinds=analysis.group_kinds)
     print(f"\nrun verdict: {result.verdict or 'clean'}")
     assert result.ok, result.error
     print(f"CC checks executed: {result.cc_calls} — all passed")

@@ -57,12 +57,12 @@ def main() -> None:
 
     print("=== 3a. instrumented run (2 ranks) " + "=" * 28)
     result = run_program(instrumented, nprocs=2, num_threads=4,
-                         group_kinds=analysis.group_kinds, timeout=8.0)
+                         group_kinds=analysis.group_kinds)
     print(f"verdict: {result.verdict} (detected by {result.detected_by})")
     print(f"  {result.error}\n")
 
     print("=== 3b. raw run (what the machine sees) " + "=" * 23)
-    raw = run_program(program, nprocs=2, num_threads=4, timeout=8.0)
+    raw = run_program(program, nprocs=2, num_threads=4)
     print(f"verdict: {raw.verdict} (detected by {raw.detected_by})")
     print(f"  {raw.error}")
 

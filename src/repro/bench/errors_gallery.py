@@ -11,7 +11,7 @@ membership instead of equality.
 
 Cases that additionally set ``schedule_sensitive=True`` are the exploration
 seeds: their bug only manifests under *specific* interleavings, so a single
-run — threaded or default-scheduled — may legitimately come out clean.
+run on the default schedule may legitimately come out clean.
 They are excluded from the correct/erroneous helpers (a bounded number of
 retries proves nothing either way) and exercised by ``parcoach explore``
 and ``tests/test_explore.py`` instead, which sweep the schedule space
@@ -49,7 +49,7 @@ class ErrorCase:
     nprocs: int = 2
     num_threads: int = 2
     #: Bug manifests only under specific interleavings: validated by
-    #: schedule exploration, not by repeated free-running runs.
+    #: schedule exploration, not by repeated default runs.
     schedule_sensitive: bool = False
     #: Bug is only visible to the interprocedural layer (context
     #: propagation / expression-call points): the intraprocedural mode

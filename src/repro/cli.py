@@ -3,7 +3,7 @@
 Subcommands::
 
     parcoach analyze FILE [--precision paper|counting] [--initial-context W]
-                          [--jobs N] [--no-interprocedural]
+                          [--no-interprocedural]
         run the static analysis, print the warning report (exit 1 if
         warnings).  Interprocedural context propagation is on by default:
         calling-context parallelism words flow over the call graph from the
@@ -18,15 +18,18 @@ Subcommands::
         collective summary (always/conditionally/never executes each
         collective), recursion markers and call sites (expression-level
         calls marked ``expr``); ``--dot`` emits Graphviz instead
-    parcoach batch FILE [FILE ...] [--precision P] [--jobs N] [--repeat R]
+    parcoach batch FILE [FILE ...] [--precision P] [--repeat R]
                         [--no-cache] [--stats] [--no-interprocedural]
-        analyze many files through one memoized AnalysisEngine (with a
-        persistent worker pool when --jobs > 1); one summary line per file,
-        cache statistics at the end (exit 1 if any warnings)
+        analyze many files through one memoized AnalysisEngine; one
+        summary line per file, cache statistics at the end (exit 1 if any
+        warnings)
     parcoach instrument FILE [-o OUT]
         emit the instrumented source
     parcoach run FILE [-np N] [-nt T] [--instrument] [--thread-level L]
-        execute under the simulator, print outputs and the verdict
+        execute under the simulator on its default deterministic schedule
+        (the one ``explore`` runs first), print outputs and the verdict; a
+        deadlock is reported the moment every thread blocks, naming each
+        thread's wait
     parcoach explore FILE [--strategy dfs|dpor|random] [--preemptions K]
                           [--runs N] [--jobs N] [--budget SECS]
                           [--replay TRACE] [-np LIST] [-nt LIST]
@@ -63,7 +66,7 @@ Subcommands::
         coverage signatures schedule an AFL-style mutation queue and
         findings dedupe by fingerprint (see docs/fuzzing.md).
         Every finding reproduces alone via ``fuzz --seeds 1 --seed S``.
-    parcoach serve [--jobs N] [--precision P] [--no-interprocedural]
+    parcoach serve [--precision P] [--no-interprocedural]
                    [--initial-context W] [--deadline-ms MS]
         persistent incremental analysis session: a line protocol on stdin
         (``analyze PATH`` / ``stats`` / ``ping`` / ``quit``, optionally
@@ -121,13 +124,13 @@ Exit-code contract (uniform across subcommands)::
     2   internal or usage errors: unparseable or semantically invalid
         input, unknown function, replay divergence, fuzzer crash class
 
-Performance knobs: ``--jobs N`` fans independent per-function phases out to
-``N`` worker processes (identical output, useful on many-function programs);
-``batch`` keeps a per-function analysis cache across files and repeats, so
-structurally identical functions are analyzed once (see
-``benchmarks/bench_scale.py`` for the measured effect;
-``benchmarks/bench_explore.py`` tracks schedules/sec for ``explore``,
-``benchmarks/bench_fuzz.py`` programs/sec for ``fuzz``).
+Performance knobs: ``batch`` keeps a per-function analysis cache across
+files and repeats, so structurally identical functions are analyzed once
+(see ``benchmarks/bench_scale.py`` for the measured effect).  ``explore
+--jobs N`` and ``fuzz --jobs N`` fan schedules and seeds out to ``N``
+worker processes with identical output (``benchmarks/bench_explore.py``
+tracks schedules/sec for ``explore``, ``benchmarks/bench_fuzz.py``
+programs/sec for ``fuzz``).  Static analysis runs in one process.
 """
 
 from __future__ import annotations
@@ -192,14 +195,10 @@ def _initial_context(args, program):
 def _cmd_analyze(args) -> int:
     program, source = _load(args.file, want_source=True)
     initial, entry_context = _initial_context(args, program)
-    kwargs = dict(initial_words=initial, precision=args.precision,
-                  interprocedural=args.interprocedural,
-                  entry_context=entry_context)
-    if args.jobs > 1:
-        with AnalysisEngine(jobs=args.jobs, cache=False) as engine:
-            analysis = engine.analyze(program, **kwargs)
-    else:
-        analysis = analyze_program(program, **kwargs)
+    analysis = analyze_program(program, initial_words=initial,
+                               precision=args.precision,
+                               interprocedural=args.interprocedural,
+                               entry_context=entry_context)
     if args.json:
         from .core.report import render_json, report_from_analysis
         print(render_json(report_from_analysis(
@@ -248,35 +247,31 @@ def _cmd_callgraph(args) -> int:
 
 def _cmd_batch(args) -> int:
     any_warnings = False
-    with AnalysisEngine(jobs=args.jobs, cache=not args.no_cache) as engine:
-        for _ in range(max(1, args.repeat)):
-            for path in args.files:
-                program = _load(path)
-                analysis = engine.analyze(
-                    program, precision=args.precision,
-                    interprocedural=args.interprocedural)
-                n = len(analysis.diagnostics)
-                any_warnings = any_warnings or n > 0
-                flagged = len(analysis.flagged_functions)
-                print(f"{path}: {len(analysis.functions)} functions, "
-                      f"{flagged} flagged, {n} warnings"
-                      + ("" if analysis.verified else " [NOT VERIFIED]"))
-        if args.stats:
-            info = engine.cache_info()
-            print(f"engine: {info['programs']} programs, {info['functions']} "
-                  f"function analyses, {info['hits']} cache hits "
-                  f"({info['lazy_hits']} lazy, {info['remaps']} remapped, "
-                  f"{info['deferred_remaps']} deferred), "
-                  f"{info['misses']} misses, hit rate {info['hit_rate']:.1%}",
-                  file=sys.stderr)
-            print(f"engine: {info['evictions']} evictions, "
-                  f"{info['dependency_invalidations']} invalidated by "
-                  f"dependency, {info['remap_fallbacks']} remap fallbacks",
-                  file=sys.stderr)
-            print(f"engine: {info['pool_failures']} pool failures, "
-                  f"{info['pool_respawns']} pool respawns, "
-                  f"{info['degraded_serial']} degraded to serial",
-                  file=sys.stderr)
+    engine = AnalysisEngine(cache=not args.no_cache)
+    for _ in range(max(1, args.repeat)):
+        for path in args.files:
+            program = _load(path)
+            analysis = engine.analyze(
+                program, precision=args.precision,
+                interprocedural=args.interprocedural)
+            n = len(analysis.diagnostics)
+            any_warnings = any_warnings or n > 0
+            flagged = len(analysis.flagged_functions)
+            print(f"{path}: {len(analysis.functions)} functions, "
+                  f"{flagged} flagged, {n} warnings"
+                  + ("" if analysis.verified else " [NOT VERIFIED]"))
+    if args.stats:
+        info = engine.cache_info()
+        print(f"engine: {info['programs']} programs, {info['functions']} "
+              f"function analyses, {info['hits']} cache hits "
+              f"({info['lazy_hits']} lazy, {info['remaps']} remapped, "
+              f"{info['deferred_remaps']} deferred), "
+              f"{info['misses']} misses, hit rate {info['hit_rate']:.1%}",
+              file=sys.stderr)
+        print(f"engine: {info['evictions']} evictions, "
+              f"{info['dependency_invalidations']} invalidated by "
+              f"dependency, {info['remap_fallbacks']} remap fallbacks",
+              file=sys.stderr)
     return 1 if any_warnings else 0
 
 
@@ -305,8 +300,7 @@ def _cmd_run(args) -> int:
         group_kinds = analysis.group_kinds
     level = ThreadLevel[args.thread_level.upper()]
     result = run_program(program, nprocs=args.np, num_threads=args.nt,
-                         thread_level=level, group_kinds=group_kinds,
-                         timeout=args.timeout)
+                         thread_level=level, group_kinds=group_kinds)
     for rank in sorted(result.outputs):
         for line in result.outputs[rank]:
             print(f"[rank {rank}] {line}")
@@ -480,7 +474,7 @@ def _session_from_args(args):
 
     entry_context = (parse_word(args.initial_context)
                      if args.initial_context else EMPTY)
-    return AnalysisSession(jobs=args.jobs, precision=args.precision,
+    return AnalysisSession(precision=args.precision,
                            interprocedural=args.interprocedural,
                            entry_context=entry_context)
 
@@ -506,8 +500,7 @@ def _project_session_from_args(args):
     entry_context = (parse_word(args.initial_context)
                      if args.initial_context else None)
     return ProjectSession(
-        args.dir, files=args.file or None, jobs=args.jobs,
-        precision=args.precision, interprocedural=args.interprocedural,
+        args.dir, files=args.file or None, precision=args.precision, interprocedural=args.interprocedural,
         entry_context=entry_context,
         store=False if args.no_store else None)
 
@@ -633,8 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial-context", default="",
                    help="initial parallelism word, e.g. 'P1' (paper's "
                         "option); seeds the entry functions interprocedurally")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes for per-function phases (default 1)")
     p.add_argument("--interprocedural", default=True,
                    action=argparse.BooleanOptionalAction,
                    help="propagate calling-context words over the call "
@@ -662,9 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="analyze many files with a shared memoized engine")
     p.add_argument("files", nargs="+", metavar="FILE")
     p.add_argument("--precision", choices=("paper", "counting"), default="paper")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes for cache misses (default 1; the "
-                        "pool persists across files)")
     p.add_argument("--repeat", type=int, default=1, metavar="R",
                    help="analyze the file list R times (cache warm-up demo)")
     p.add_argument("--no-cache", action="store_true",
@@ -693,7 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="analyze + instrument before running")
     p.add_argument("--thread-level", default="multiple",
                    choices=[l.name.lower() for l in ThreadLevel])
-    p.add_argument("--timeout", type=float, default=10.0)
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser(
@@ -789,8 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
     def _session_flags(p) -> None:
         p.add_argument("--precision", choices=("paper", "counting"),
                        default="paper")
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes for cache misses (default 1)")
         p.add_argument("--interprocedural", default=True,
                        action=argparse.BooleanOptionalAction,
                        help="propagate calling-context words over the call "

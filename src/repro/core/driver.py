@@ -27,13 +27,13 @@ while leaving fully verified call trees untouched — the property Figure 1's
 
 The module is split so the batch engine (:mod:`repro.core.engine`) can reuse
 the pieces: :func:`_analyze_function` is the pure per-function pipeline (no
-shared state — safe to run in a process pool), :func:`build_plan` computes
+shared state), :func:`build_plan` computes
 the interprocedural plan, :func:`_merge_artifacts` folds per-context
 artifacts together, ``_assemble`` is the program-level synthesis, and
 :func:`analyze_program` wires everything together for the classic one-shot
-call.  For memoized / parallel batch analysis use
-:class:`repro.core.engine.AnalysisEngine` (or ``parcoach analyze --jobs`` /
-``parcoach batch`` from the CLI).
+call.  For memoized batch analysis use
+:class:`repro.core.engine.AnalysisEngine` (or ``parcoach batch`` from the
+CLI).
 """
 
 from __future__ import annotations
@@ -268,7 +268,7 @@ def update_plan(prev: InterproceduralPlan,
 
 
 # ---------------------------------------------------------------------------
-# Per-function pipeline (pure — no shared state, process-pool friendly)
+# Per-function pipeline (pure — no shared state)
 # ---------------------------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Memoized + parallel batch analysis engine.
+"""Memoized batch analysis engine.
 
 Batch workloads (the errors gallery, the EPCC suite, `parcoach batch`, the
 compile pipeline run once per mode) re-analyze structurally identical
@@ -20,11 +20,6 @@ functions over and over.  :class:`AnalysisEngine` removes that redundancy:
   identity hit (``stats.lazy_hits`` counts deferred hits, ``stats.remaps``
   counts remaps actually materialized).
 
-* **Parallel fan-out** — the per-function phases are independent, so cache
-  misses can be analyzed in a process pool (``jobs > 1``).  Results are
-  merged back in program order, which keeps diagnostics, check-group
-  numbering, and the instrumentation plan byte-identical to a serial run.
-
 Caveats (by design):
 
 * Analyzed ASTs are treated as immutable.  The one sanctioned in-place
@@ -41,17 +36,12 @@ Caveats (by design):
 from __future__ import annotations
 
 import hashlib
-import pickle
-import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..minilang import ast_nodes as A
 from ..util.faultinject import fault_site
-from ..util.resilience import Deadline, RetryPolicy
+from ..util.resilience import Deadline
 from ..parallelism import EMPTY, Word, WordInfo
 from ..parallelism.word import P, S
 from .concurrency import ConcurrencyResult
@@ -133,17 +123,6 @@ class EngineStats:
     #: condensation rebuild (an edge changed SCC membership or the function
     #: set changed).
     graph_rebuilds: int = 0
-    #: Functions analyzed in worker processes.
-    parallel_tasks: int = 0
-    #: Process-pool infrastructure failures (BrokenProcessPool, a dead or
-    #: hung worker, an unpicklable payload) — each one previously fell back
-    #: silently; now counted and surfaced by ``batch --stats``.
-    pool_failures: int = 0
-    #: Pools respawned after a failure (bounded retry with backoff).
-    pool_respawns: int = 0
-    #: Analyze calls that gave up on the pool entirely and degraded to the
-    #: serial path after the respawn budget was exhausted.
-    degraded_serial: int = 0
     #: Functions whose cached artifacts were shifted in place by a
     #: line-offset patch (:meth:`AnalysisEngine.patch_function_lines`)
     #: instead of being re-analyzed.
@@ -180,10 +159,6 @@ class EngineStats:
             "assembly_reuses": self.assembly_reuses,
             "edges_recomputed": self.edges_recomputed,
             "graph_rebuilds": self.graph_rebuilds,
-            "parallel_tasks": self.parallel_tasks,
-            "pool_failures": self.pool_failures,
-            "pool_respawns": self.pool_respawns,
-            "degraded_serial": self.degraded_serial,
             "line_patches": self.line_patches,
             "store_hits": self.store_hits,
             "store_misses": self.store_misses,
@@ -198,9 +173,7 @@ class EngineStats:
             "programs", "functions", "hits", "misses", "lazy_hits", "remaps",
             "remap_fallbacks", "evictions", "dependency_invalidations",
             "assembly_reuses", "edges_recomputed", "graph_rebuilds",
-            "parallel_tasks", "pool_failures", "pool_respawns",
-            "degraded_serial", "line_patches", "store_hits", "store_misses",
-            "store_writes",
+            "line_patches", "store_hits", "store_misses", "store_writes",
         ) if f in data}
         return cls(**kwargs)
 
@@ -429,53 +402,24 @@ class AnalyzeRecord:
         return tuple(seen)
 
 
-def _analyze_function_task(payload) -> FunctionArtifacts:
-    """Process-pool entry point (top-level so it pickles)."""
-    (func, func_names, collective_funcs, word, precision, call_stmts,
-     extra_points) = payload
-    return _analyze_function(func, func_names, collective_funcs, word,
-                             precision, call_stmts, None, extra_points)
-
-
 class AnalysisEngine:
     """Stateful batch front end over :func:`repro.core.driver.analyze_program`.
 
     Parameters
     ----------
-    jobs:
-        Worker processes for cache-miss fan-out.  ``1`` (default) analyzes
-        in-process; ``N > 1`` spins up a process pool per :meth:`analyze`
-        call when at least two functions missed the cache.  Results are
-        deterministic regardless of ``jobs``.
     cache:
         Disable to make the engine a plain driver (no fingerprinting cost);
         :func:`analyze_program` uses exactly that configuration.
-    task_timeout:
-        Per-task wall-clock deadline (seconds) for pooled analyses.  A task
-        that does not finish in time counts as a pool failure: the pool is
-        torn down (a hung worker cannot be reasoned with) and the engine
-        retries / degrades per the respawn policy.  ``None`` (default)
-        keeps the old unbounded behaviour.
     """
 
-    #: Respawn budget after pool failures: attempts = 1 initial try + 2
-    #: respawns, with deterministic exponential backoff between them.
-    POOL_RETRY = RetryPolicy(attempts=3, base_delay=0.05, max_delay=1.0)
-
-    def __init__(self, jobs: int = 1, cache: bool = True,
-                 task_timeout: Optional[float] = None,
-                 store=None) -> None:
-        self.jobs = max(1, int(jobs))
+    def __init__(self, cache: bool = True, store=None) -> None:
         self.cache_enabled = bool(cache)
-        self.task_timeout = task_timeout
         #: Optional shared on-disk artifact store (duck-typed:
         #: ``load(key) -> (FunctionArtifacts, uid_at_pos) | None`` and
         #: ``save(key, artifacts, uid_at_pos)``, see
         #: :class:`repro.project.store.ShardedStore`).  In-memory misses
         #: probe it; fresh analyses write through.
         self.store = store
-        #: Injectable backoff sleep (tests replace it to run instantly).
-        self._sleep = time.sleep
         self.stats = EngineStats()
         #: Per-function record of the most recent :meth:`analyze` call.
         self.last = AnalyzeRecord()
@@ -493,31 +437,6 @@ class AnalysisEngine:
         #: re-indexing a program that reuses FuncDef objects (the session
         #: layer's incremental re-parse) costs lookups, not tree walks.
         self._func_index: Dict[int, tuple] = {}
-        #: Persistent worker pool, created lazily on the first jobs>1 fan-out
-        #: and reused across analyze() calls (spawn cost amortized).
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    # -- worker pool -----------------------------------------------------------
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-        return self._pool
-
-    def close(self) -> None:
-        """Shut the persistent worker pool down (no-op when none was ever
-        created).  The engine stays usable — a later ``jobs>1`` analyze
-        lazily spawns a fresh pool."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-
-    def __enter__(self) -> "AnalysisEngine":
-        return self
-
-    def __exit__(self, *_exc) -> bool:
-        self.close()
-        return False
 
     # -- cache management ------------------------------------------------------
 
@@ -762,9 +681,8 @@ class AnalysisEngine:
         scope: Optional[set] = None,
         scope_funcs: Optional[List[A.FuncDef]] = None,
     ) -> ProgramAnalysis:
-        """Drop-in replacement for :func:`analyze_program` with memoization
-        and optional parallel fan-out.  Same signature, same rendered
-        output.  ``plan`` short-circuits the interprocedural plan
+        """Drop-in replacement for :func:`analyze_program` with memoization.
+        Same signature, same rendered output.  ``plan`` short-circuits the interprocedural plan
         computation — the session layer passes the incrementally updated
         plan it already built for its dependency diff.  ``deadline`` is
         checked cooperatively before each cache-miss analysis (cached work
@@ -935,78 +853,18 @@ class AnalysisEngine:
                 uid_at_pos=tuple(n.uid for n in art.func.walk())))
         return art
 
-    def _pool_map(self, payloads,
-                  deadline: Optional[Deadline]) -> Optional[List[FunctionArtifacts]]:
-        """Fan ``payloads`` out to the worker pool with bounded
-        respawn-on-failure.
-
-        Pool *infrastructure* failures (BrokenProcessPool, no fork/spawn,
-        unpicklable payload, a task blowing its ``task_timeout``) are
-        counted, the pool is torn down, and — per :data:`POOL_RETRY` — a
-        fresh pool is spawned after a deterministic backoff.  When the
-        respawn budget is exhausted, returns ``None`` and the caller
-        degrades to the serial path (``stats.degraded_serial``).  Genuine
-        analysis errors raised *by* a worker's task are NOT caught — they
-        propagate exactly as in a serial run."""
-        policy = self.POOL_RETRY
-        for attempt in range(1, policy.attempts + 1):
-            try:
-                fault_site("engine.pool.submit")
-                pool = self._ensure_pool()
-                if self.task_timeout is None:
-                    return list(pool.map(_analyze_function_task, payloads))
-                futures = [pool.submit(_analyze_function_task, p)
-                           for p in payloads]
-                return [f.result(timeout=self.task_timeout) for f in futures]
-            except (BrokenProcessPool, OSError, pickle.PicklingError,
-                    FutureTimeoutError):
-                self.stats.pool_failures += 1
-                if self._pool is not None:
-                    self._pool.shutdown(wait=False, cancel_futures=True)
-                    self._pool = None
-                if attempt < policy.attempts:
-                    self.stats.pool_respawns += 1
-                    self._sleep(policy.delay(attempt))
-        self.stats.degraded_serial += 1
-        return None
-
     def _run_pending(self, pending, func_names, collective_funcs,
                      precision, artifacts,
                      deadline: Optional[Deadline] = None) -> None:
-        """Analyze the cache misses — in the persistent process pool when
-        profitable."""
-        pooled = [p for p in pending if p[4] is None]
-        use_pool = self.jobs > 1 and len(pooled) > 1
-        results: Dict[Tuple[int, Word], FunctionArtifacts] = {}
-        if use_pool:
-            if deadline is not None:
-                deadline.check("engine.pool.submit")
-            payloads = [
-                (func, func_names, collective_funcs, word, precision,
-                 call_stmts, extra)
-                for func, _key, word, call_stmts, _pre, extra in pooled
-            ]
-            arts = self._pool_map(payloads, deadline)
-            if arts is not None:
-                for (func, _key, word, *_rest), art in zip(pooled, arts):
-                    results[(id(func), word)] = art
-                self.stats.parallel_tasks += len(results)
-
+        """Analyze the cache misses, in program order, and store them."""
         uid_seqs: Dict[int, Tuple[int, ...]] = {}
         for func, key, word, call_stmts, prebuilt, extra in pending:
-            art = results.get((id(func), word))
-            if art is None:
-                if deadline is not None:
-                    deadline.check("engine.task")
-                fault_site("engine.task")
-                art = _analyze_function(func, func_names, collective_funcs,
-                                        word, precision, call_stmts, prebuilt,
-                                        extra)
-            else:
-                # Workers return a pickled copy of the AST; re-anchor the
-                # artifacts on the caller's objects (uids are preserved by
-                # pickling, so every uid-keyed map stays valid).
-                art.func = func
+            if deadline is not None:
+                deadline.check("engine.task")
+            fault_site("engine.task")
+            art = _analyze_function(func, func_names, collective_funcs,
+                                    word, precision, call_stmts, prebuilt,
+                                    extra)
             artifacts[(func.name, word)] = art
             if self.cache_enabled and key is not None:
                 seq = uid_seqs.get(id(art.func))

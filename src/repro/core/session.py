@@ -300,11 +300,10 @@ class AnalysisSession:
     #: diagnostic, not a log).
     MAX_FAILURES = 8
 
-    def __init__(self, jobs: int = 1, precision: str = "paper",
+    def __init__(self, precision: str = "paper",
                  interprocedural: bool = True,
                  entry_context: Word = EMPTY) -> None:
-        self.jobs = jobs
-        self.engine = AnalysisEngine(jobs=jobs)
+        self.engine = AnalysisEngine()
         self.precision = precision
         self.interprocedural = interprocedural
         self.entry_context = entry_context
@@ -328,13 +327,13 @@ class AnalysisSession:
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        self.engine.close()
+        """Nothing to release — the session holds only memory.  With the
+        context-manager protocol it lets callers scope a session."""
 
     def __enter__(self) -> "AnalysisSession":
         return self
 
     def __exit__(self, *_exc) -> bool:
-        self.close()
         return False
 
     def stats(self) -> Dict[str, object]:
@@ -375,13 +374,9 @@ class AnalysisSession:
 
     def rebuild(self) -> None:
         """Last-resort self-heal: throw the whole warm state away — a fresh
-        engine (the old pool is shut down) and no per-file state.  The
-        session object itself survives, so the serve loop keeps running."""
-        try:
-            self.engine.close()
-        except Exception:
-            pass  # a wedged pool must not block the rebuild
-        self.engine = AnalysisEngine(jobs=self.jobs)
+        engine and no per-file state.  The session object itself survives,
+        so the serve loop keeps running."""
+        self.engine = AnalysisEngine()
         self._files.clear()
         self._checked.clear()
 

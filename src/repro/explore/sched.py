@@ -1,11 +1,12 @@
 """The cooperative scheduler — deterministic execution of the simulator.
 
-Installed as an :class:`~repro.runtime.schedpoint.ExecutionHooks` on an
-:class:`~repro.runtime.simmpi.world.MpiWorld`, it serializes every logical
-thread of the run (rank main threads and all OpenMP team workers) onto a
-single token: exactly one thread executes at a time, and control changes
-hands only at SchedPoint hooks — entering a collective/recv/send, claiming
-a ``single``, team barriers, check enters, blocking waits, thread exits.
+Every :class:`~repro.runtime.simmpi.world.MpiWorld` runs under one (built
+with :class:`~repro.explore.strategies.DefaultStrategy` when the caller
+installs none).  It serializes every logical thread of the run (rank main
+threads and all OpenMP team workers) onto a single token: exactly one
+thread executes at a time, and control changes hands only at SchedPoints
+— entering a collective/recv/send, claiming a ``single``, team barriers,
+check enters, blocking waits, thread exits.
 A run is therefore *fully determined* by the sequence of answers the
 installed :class:`~repro.explore.strategies.Strategy` gives at branching
 decisions, which the scheduler records for trace replay.
@@ -43,11 +44,13 @@ its team's workers unwinding, and they still append decisions and events.
 :meth:`await_detached` lets the world wait for that moment, so the logs
 are complete and stable once ``run_program`` returns.
 
-Time is virtual — one tick per scheduling operation — and deadlock
-detection is structural: the moment a decision finds no runnable thread
-while some are blocked, the run aborts *immediately* with the full wait-for
-state (every blocked thread's self-description), with no wall-clock
-timeout involved.
+Time is virtual — one tick per scheduling step — and deadlock detection
+is structural: the moment a decision finds no runnable thread while some
+are blocked, the run aborts *immediately* with the full wait-for state
+(every blocked thread's self-description), with no wall-clock timeout
+involved.  A livelock (threads that keep stepping without ever finishing)
+ends when the clock passes :data:`DEFAULT_STEP_BUDGET`; the one place the
+clock advances checks it.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from bisect import bisect_left, insort
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..runtime.errors import DeadlockError
-from ..runtime.schedpoint import ExecutionHooks, SchedPoint
+from ..runtime.schedpoint import SchedPoint
 from ..util.brepr import bounded_repr
 from .footprint import Footprint, footprint_to_list, point_footprint
 from .strategies import Decision, DefaultStrategy, Strategy
@@ -70,6 +73,11 @@ _RUNNING = "running"
 _BLOCKED = "blocked"
 
 _EMPTY_FP: Footprint = frozenset()
+
+#: Scheduling steps one run may take.  Deadlocks end runs structurally
+#: long before this; only a livelock reaches it.  The examples, benchmarks
+#: and tests stay below 2,100 steps per run.
+DEFAULT_STEP_BUDGET = 1_000_000
 
 
 class _Logical:
@@ -96,16 +104,12 @@ class _Logical:
         self.obs = 0
 
 
-class Scheduler(ExecutionHooks):
+class Scheduler:
     """One run's cooperative schedule: strategy in, decision log out."""
 
-    cooperative = True
-
     def __init__(self, strategy: Optional[Strategy] = None,
-                 wall_guard: float = 120.0,
                  fingerprint_from: Optional[int] = None) -> None:
         self.strategy = strategy or DefaultStrategy()
-        self.wall_guard = wall_guard
         #: First decision index to hash the state at; None hashes none.
         self.fingerprint_from = fingerprint_from
         self._lock = threading.RLock()
@@ -118,7 +122,7 @@ class Scheduler(ExecutionHooks):
         self._current: Optional[str] = None
         self._started = False
         self._world = None
-        self._vtime = 0.0
+        self._vtime = 0
         #: Branching decisions, in order — the run's schedule trace.
         self.decisions: List[Decision] = []
         #: Executed segments, in order: ``(thread, footprint)``.
@@ -135,20 +139,14 @@ class Scheduler(ExecutionHooks):
         #: Wait-for description when structural deadlock was detected.
         self.deadlock_state: Optional[str] = None
 
-    # -- time ----------------------------------------------------------------
-
-    def clock(self) -> float:
-        return self._vtime
-
-    def join_timeout(self, timeout: float) -> float:
-        return self.wall_guard
-
     # -- logical-thread lifecycle -------------------------------------------
 
     def _me(self) -> Optional[str]:
         return getattr(self._tls, "name", None)
 
     def child_names(self, size: int) -> List[Optional[str]]:
+        """Deterministic names for a team's worker threads (index = tid;
+        entry 0 is the master and always ``None``)."""
         parent = self._me()
         with self._lock:
             seq = self._spawn_counts.get(parent, 0)
@@ -156,6 +154,8 @@ class Scheduler(ExecutionHooks):
         return [None] + [f"{parent}/{seq}.{tid}" for tid in range(1, size)]
 
     def register(self, names: Sequence[Optional[str]]) -> None:
+        """The spawning thread announces logical threads ``names`` (``None``
+        entries skipped) as runnable before handing them to carriers."""
         with self._lock:
             for name in names:
                 if name is not None:
@@ -163,6 +163,8 @@ class Scheduler(ExecutionHooks):
                     insort(self._ready_list, name)
 
     def attach(self, name: Optional[str]) -> None:
+        """First call of a logical thread on its carrier: bind ``name`` to
+        the calling OS thread and park until scheduled."""
         self._tls.name = name
         self._threads[name].token.acquire()  # parked until first scheduled
 
@@ -186,6 +188,9 @@ class Scheduler(ExecutionHooks):
                 self._detached.set()
 
     def await_detached(self, timeout: Optional[float]) -> bool:
+        """Block until every logical thread has detached — the end of the
+        run, which may come after the rank threads return (a team's
+        workers still unwinding an abort).  False on timeout."""
         return self._detached.wait(timeout)
 
     def start(self, world) -> None:
@@ -250,15 +255,15 @@ class Scheduler(ExecutionHooks):
             candidates = self._ready_locked(include=me)
             chosen = self._choose_locked(kind, detail, me, candidates, world)
             if chosen == me:
-                self._vtime += 1
+                self._tick_locked(world)
                 return
             self._mark_ready_locked(lt)
-            self._grant_locked(chosen)
+            self._grant_locked(world, chosen)
         lt.token.acquire()
 
     def wait(self, world, cond, describe="", predicate=None):
         me = self._me()
-        if me is None:  # not a scheduled thread (defensive): threaded wait
+        if me is None:  # a plain OS thread, not a logical one: poll
             cond.wait(0.05)
             return
         lt = self._threads[me]
@@ -365,12 +370,29 @@ class Scheduler(ExecutionHooks):
         blob = repr((parts, world_state)).encode("utf-8", "replace")
         return hashlib.sha256(blob).hexdigest()[:16]
 
-    def _grant_locked(self, name: str) -> None:
+    def _tick_locked(self, world) -> None:
+        """Advance the virtual clock one step; past the step budget the run
+        is a livelock and aborts (once — the unwinding steps on)."""
+        self._vtime += 1
+        if self._vtime > DEFAULT_STEP_BUDGET and not world.aborted.is_set():
+            running = sorted(n for n, lt in self._threads.items()
+                             if lt.state != _BLOCKED)
+            blocked = "; ".join(self._threads[n].describe or n
+                                for n in sorted(self._threads)
+                                if self._threads[n].state == _BLOCKED)
+            world.abort(DeadlockError(
+                f"livelock: step budget of {DEFAULT_STEP_BUDGET:,} "
+                f"scheduling steps exhausted — running: "
+                f"{', '.join(running) or 'none'}; blocked: "
+                f"{blocked or 'none'}"
+            ))
+
+    def _grant_locked(self, world, name: str) -> None:
         lt = self._threads[name]
         lt.state = _RUNNING
         self._ready_remove_locked(name)
         self._current = name
-        self._vtime += 1
+        self._tick_locked(world)
         lt.token.release()
 
     def _schedule_next_locked(self, world, kind: str, detail: str) -> None:
@@ -394,4 +416,4 @@ class Scheduler(ExecutionHooks):
             if not ready:
                 return
         chosen = self._choose_locked(kind, detail, None, ready, world)
-        self._grant_locked(chosen)
+        self._grant_locked(world, chosen)

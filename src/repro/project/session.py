@@ -243,12 +243,11 @@ class ProjectSession:
     _CHECKED_LIMIT = 65536
 
     def __init__(self, root: str, files: Optional[List[str]] = None,
-                 jobs: int = 1, precision: str = "paper",
+                 precision: str = "paper",
                  interprocedural: bool = True,
                  entry_context: Optional[Word] = None,
                  store: Optional[bool] = None) -> None:
         self.manifest: ProjectManifest = load_manifest(root, files)
-        self.jobs = jobs
         self.precision = precision
         self.interprocedural = interprocedural
         if entry_context is None:
@@ -260,7 +259,7 @@ class ProjectSession:
         self.store: Optional[ShardedStore] = (
             ShardedStore(self.manifest.store_path)
             if use_store and self.manifest.store_path is not None else None)
-        self.engine = AnalysisEngine(jobs=jobs, store=self.store)
+        self.engine = AnalysisEngine(store=self.store)
 
         self.updates = 0
         self.no_op_updates = 0
@@ -327,13 +326,14 @@ class ProjectSession:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        self.engine.close()
+        """Nothing to release — the session holds memory and writes the
+        store through.  With the context-manager protocol it lets callers
+        scope a session."""
 
     def __enter__(self) -> "ProjectSession":
         return self
 
     def __exit__(self, *_exc) -> bool:
-        self.close()
         return False
 
     def stats(self) -> Dict[str, object]:
@@ -386,11 +386,7 @@ class ProjectSession:
     def rebuild(self) -> None:
         """Last-resort self-heal: fresh engine (still store-backed), no
         per-file state.  Open files are re-read by the next update."""
-        try:
-            self.engine.close()
-        except Exception:
-            pass  # a wedged pool must not block the rebuild
-        self.engine = AnalysisEngine(jobs=self.jobs, store=self.store)
+        self.engine = AnalysisEngine(store=self.store)
         self._files.clear()
         self._checked.clear()
         self._program = None

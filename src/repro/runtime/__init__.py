@@ -14,14 +14,12 @@ from .errors import (
 )
 from .interp import Interpreter
 from .run import run_program
-from .schedpoint import ExecutionHooks, SchedPoint, ThreadedHooks
+from .schedpoint import SchedPoint
 from .simmpi import MpiProcess, MpiWorld, RunResult
 from .simomp import Team
 
 __all__ = [
-    "ExecutionHooks",
     "SchedPoint",
-    "ThreadedHooks",
     "CheckState",
     "AbortedError",
     "CollectiveMismatchError",

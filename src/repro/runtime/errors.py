@@ -61,7 +61,8 @@ class ThreadLevelError(ValidationError):
 
 class DeadlockError(ValidationError):
     """The simulated machine deadlocked (mismatched collectives without
-    instrumentation, a rank exiting while others wait, timeout...)."""
+    instrumentation, a rank exiting while others wait, every thread
+    blocked, a livelock past the step budget, a stalled run...)."""
 
     detected_by = "simulator"
 

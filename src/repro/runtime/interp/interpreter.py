@@ -71,23 +71,22 @@ class Interpreter:
         self.checks = check_state or CheckState(proc)
         self.num_threads = num_threads
         self.funcs = {f.name: f for f in program.funcs}
-        # Shared-variable access tracking for schedule exploration: under a
-        # cooperative scheduler, reads/writes of cells visible to a team of
-        # >1 threads feed the running segment's footprint (and the state
-        # fingerprint).  Objects (cells, arrays) are labeled lazily in
-        # first-access order — deterministic within one scheduled run, which
-        # is the only scope footprints are ever compared in.
-        self._track = bool(getattr(self.world.hooks, "cooperative", False))
+        # Shared-variable access tracking for schedule exploration: reads
+        # and writes of cells visible to a team of >1 threads feed the
+        # running segment's footprint (and the state fingerprint).  Objects
+        # (cells, arrays) are labeled lazily in first-access order —
+        # deterministic within one scheduled run, which is the only scope
+        # footprints are ever compared in.
         self._labels: Dict[int, str] = {}
         self._label_objs: List[tuple] = []  # (label, obj) — also keeps refs
-        if self._track:
-            self.world.register_fingerprint_provider(
-                f"interp:r{proc.rank}", self._shared_state)
+        self.world.register_fingerprint_provider(
+            f"interp:r{proc.rank}", self._shared_state)
 
     # -- shared-access tracking ----------------------------------------------
 
-    def _tracking(self, ctx: ExecCtx) -> bool:
-        return self._track and ctx.team is not None and ctx.team.size > 1
+    @staticmethod
+    def _tracking(ctx: ExecCtx) -> bool:
+        return ctx.team is not None and ctx.team.size > 1
 
     def _label(self, obj: object, name: str) -> str:
         key = id(obj)

@@ -1,8 +1,9 @@
 """High-level execution façade: run a minilang program under the simulator.
 
-``run_program`` is what the examples, tests and benchmarks use: it wires an
-:class:`MpiWorld`, one interpreter per rank, and the check state (fed with
-the analysis' check-group kinds when an instrumented program is run).
+``run_program`` is what the CLI, the examples, the tests and the benchmarks
+use: it wires an :class:`MpiWorld`, one interpreter per rank, and the check
+state (fed with the analysis' check-group kinds when an instrumented
+program is run).
 """
 
 from __future__ import annotations
@@ -13,17 +14,7 @@ from ..minilang import ast_nodes as A
 from ..mpi.thread_levels import ThreadLevel
 from .checks import CheckState
 from .interp.interpreter import Interpreter
-from .schedpoint import ExecutionHooks
 from .simmpi.world import MpiWorld, RunResult
-
-#: Wall-clock seconds before a blocked wait is declared deadlocked when the
-#: caller does not thread an explicit budget through.
-DEFAULT_TIMEOUT = 10.0
-
-#: Virtual-clock budget (scheduling steps) under a cooperative scheduler —
-#: real deadlocks are detected structurally and immediately there; the step
-#: budget only catches livelocks that keep yielding forever.
-DEFAULT_STEP_BUDGET = 1_000_000.0
 
 
 def run_program(
@@ -33,10 +24,14 @@ def run_program(
     thread_level: ThreadLevel = ThreadLevel.MULTIPLE,
     group_kinds: Optional[Dict[int, str]] = None,
     entry: str = "main",
-    timeout: Optional[float] = None,
-    scheduler: Optional[ExecutionHooks] = None,
+    scheduler=None,
 ) -> RunResult:
     """Execute ``program`` on ``nprocs`` simulated ranks.
+
+    Every run is cooperative and deterministic: one logical thread runs at
+    a time, a deadlock is reported the instant every logical thread blocks
+    (naming each one's wait), and a livelock ends at the scheduler's step
+    budget (``repro.explore.sched.DEFAULT_STEP_BUDGET``).
 
     Parameters
     ----------
@@ -50,21 +45,12 @@ def run_program(
     group_kinds:
         ``ProgramAnalysis.group_kinds`` when running instrumented code —
         selects the error type the ENTER counters raise.
-    timeout:
-        Deadlock budget.  Wall-clock seconds in threaded mode (default
-        ``DEFAULT_TIMEOUT``); under a scheduler the clock is *virtual*
-        (one tick per scheduling decision), deadlocks are reported the
-        instant every logical thread blocks, and the default budget is the
-        large ``DEFAULT_STEP_BUDGET`` livelock guard.
     scheduler:
-        A cooperative scheduler from :mod:`repro.explore` — installs
-        deterministic one-thread-at-a-time execution with trace recording.
-        ``None`` (default) keeps normal threaded execution.
+        A :class:`repro.explore.Scheduler` to run under — exploration
+        installs one with its own strategy and reads its decision log
+        afterwards.  ``None`` (default) runs the default schedule.
     """
-    if timeout is None:
-        timeout = DEFAULT_STEP_BUDGET if scheduler is not None else DEFAULT_TIMEOUT
-    world = MpiWorld(nprocs, thread_level=thread_level, timeout=timeout,
-                     hooks=scheduler)
+    world = MpiWorld(nprocs, thread_level=thread_level, scheduler=scheduler)
 
     def target(proc):
         checks = CheckState(proc, group_kinds)

@@ -13,9 +13,9 @@ real machine:
   are the collective colors, every rank receives ``(min, max)`` and the
   caller turns disagreement into a clean :class:`CollectiveMismatchError`.
 
-Blocking goes through the world's SchedPoint hooks: threaded runs wait on
-the condition (woken by arrivals, releases, finishes, and abort), scheduled
-runs block cooperatively with an exact wait-for description.
+Blocking goes through the world's SchedPoint calls: a waiting rank parks
+cooperatively with an exact wait-for description until an arrival, a
+release, a finish or an abort wakes it.
 
 Data semantics of each collective live in :mod:`.ops`.
 """
@@ -51,11 +51,10 @@ class CollectiveEngine:
                    payload: Any) -> Any:
         """Execute one collective round for ``rank``; blocks until matched."""
         self.world.yield_point(SchedPoint.COLLECTIVE, f"{op_name}@r{rank}")
-        deadline = self.world.clock() + self.world.timeout
         with self.cond:
             # Wait for the previous round's release phase to finish.
             while self._releasing:
-                self._wait(deadline, f"rank {rank} awaiting round release",
+                self._wait(f"rank {rank} awaiting round release",
                            lambda: not self._releasing)
             self._check_alive_peers()
             if rank in self.arrivals:
@@ -66,8 +65,7 @@ class CollectiveEngine:
                 self._complete_round()
             else:
                 while not self._releasing:
-                    self._wait(deadline,
-                               f"rank {rank} in {op_name} (round {self.round_no})",
+                    self._wait(f"rank {rank} in {op_name} (round {self.round_no})",
                                lambda: self._releasing)
                     self._check_alive_peers()
             assert self._result is not None
@@ -109,16 +107,8 @@ class CollectiveEngine:
 
     # -- internals -----------------------------------------------------------------
 
-    def _wait(self, deadline: float, describe: str, predicate) -> None:
+    def _wait(self, describe: str, predicate) -> None:
         self.world.check_abort()
-        if self.world.clock() > deadline:
-            ops_desc = ", ".join(
-                f"rank {r} in {v[0]}" for r, v in sorted(self.arrivals.items())
-            )
-            self.world.abort(DeadlockError(
-                f"deadlock: collective round timed out ({ops_desc or 'empty round'})"
-            ))
-            self.world.check_abort()
         self.world.wait(self.cond, describe, predicate)
 
     def _check_alive_peers(self) -> None:

@@ -2,7 +2,7 @@
 
 Send is buffered (never blocks); Recv blocks until a matching
 ``(source, tag)`` message exists — woken by sends and abort through the
-world's SchedPoint hooks.  Wildcards: ``source=-1`` (any source), ``tag=-1``
+world's SchedPoint calls.  Wildcards: ``source=-1`` (any source), ``tag=-1``
 (any tag), mirroring ``MPI_ANY_SOURCE``/``MPI_ANY_TAG``.
 """
 
@@ -12,7 +12,6 @@ import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 from ...util.brepr import bounded_repr
-from ..errors import DeadlockError
 from ..schedpoint import SchedPoint
 
 
@@ -45,7 +44,6 @@ class Mailbox:
 
     def recv(self, dest: int, source: int, tag: int) -> Any:
         self.world.yield_point(SchedPoint.RECV, f"r{dest}<-{source}")
-        deadline = self.world.clock() + self.world.timeout
         with self.cond:
             while True:
                 index = self._match(dest, source, tag)
@@ -54,12 +52,6 @@ class Mailbox:
                     self.world.note_observation(("recv", src, t, value))
                     return value
                 self.world.check_abort()
-                if self.world.clock() > deadline:
-                    self.world.abort(DeadlockError(
-                        f"deadlock: rank {dest} blocked in MPI_Recv"
-                        f"(source={source}, tag={tag}) with no matching send"
-                    ))
-                    self.world.check_abort()
                 self.world.wait(
                     self.cond,
                     f"rank {dest} in MPI_Recv(source={source}, tag={tag})",

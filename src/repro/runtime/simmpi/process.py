@@ -19,18 +19,13 @@ import threading
 from typing import Any, Dict, List, Optional
 
 from ...mpi.thread_levels import LEVEL_FROM_INT, ThreadLevel
-from ..errors import (
-    ConcurrentCollectiveError,
-    DeadlockError,
-    MpiRuntimeError,
-    ThreadLevelError,
-)
+from ..errors import ConcurrentCollectiveError, MpiRuntimeError, ThreadLevelError
 from ..schedpoint import SchedPoint
 
 
 class CriticalSection:
     """A named ``omp critical`` lock that blocks through the world's
-    SchedPoint hooks, so contention is schedulable (and deadlock-reportable)
+    SchedPoint calls, so contention is schedulable (and deadlock-reportable)
     instead of an opaque OS-level block."""
 
     def __init__(self, world: "MpiWorld", rank: int, name: str) -> None:  # noqa: F821
@@ -43,16 +38,9 @@ class CriticalSection:
     def __enter__(self) -> "CriticalSection":
         self.world.yield_point(SchedPoint.CRITICAL,
                                f"r{self.rank}:{self.name}")
-        deadline = self.world.clock() + self.world.timeout
         with self.cond:
             while self._held:
                 self.world.check_abort()
-                if self.world.clock() > deadline:
-                    self.world.abort(DeadlockError(
-                        f"critical({self.name}) never released on rank "
-                        f"{self.rank}"
-                    ))
-                    self.world.check_abort()
                 self.world.wait(
                     self.cond,
                     f"rank {self.rank} waiting for critical({self.name})",

@@ -8,17 +8,19 @@ anywhere aborts the world (all blocked waits unwind via
 while peers wait in a collective is detected as a deadlock by the
 engines.
 
-Every blocking decision point delegates to the world's
-:class:`~repro.runtime.schedpoint.ExecutionHooks` (see ``schedpoint.py``):
-the default is free-running OS threads with condition notification; when a
-cooperative scheduler from :mod:`repro.explore` is installed instead, the
-run is deterministic, time is virtual, and deadlocks are detected
-structurally the moment every logical thread is blocked.
+Every blocking decision point delegates to the world's cooperative
+scheduler (see ``schedpoint.py``): ``repro.explore.Scheduler`` with
+``DefaultStrategy`` unless the caller installs one.  Runs are therefore
+deterministic, time is virtual, and deadlocks are detected structurally
+the moment every logical thread is blocked.  One wall-clock guard,
+:data:`WALL_GUARD`, bounds a whole run.  Deadlocks and livelocks end on
+the virtual clock long before it; the guard catches what that clock
+cannot see, a thread that keeps the token without ever reaching a
+decision point (a yield-free spin).
 """
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -28,10 +30,14 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ...mpi.thread_levels import ThreadLevel
 from ..carrier import spawn
 from ..errors import AbortedError, DeadlockError, ValidationError
-from ..schedpoint import THREADED_HOOKS, ExecutionHooks
 from .engine import CollectiveEngine
 from .mailbox import Mailbox
 from .process import MpiProcess
+
+#: Wall-clock seconds one run may take before it is declared stalled.  A
+#: run that has not ended by then is aborted and gets as long again to
+#: unwind.
+WALL_GUARD = 120.0
 
 
 @dataclass
@@ -68,51 +74,51 @@ class RunResult:
 
 
 class MpiWorld:
+    """``nprocs`` simulated ranks run by one cooperative scheduler:
+    ``scheduler`` (a :class:`repro.explore.Scheduler`), or a fresh one on
+    ``DefaultStrategy`` when it is ``None``."""
+
     def __init__(self, nprocs: int, thread_level: ThreadLevel = ThreadLevel.MULTIPLE,
-                 timeout: float = 20.0, hooks: Optional[ExecutionHooks] = None) -> None:
+                 scheduler=None) -> None:
         if nprocs < 1:
             raise ValueError("need at least one rank")
+        if scheduler is None:
+            from ...explore.sched import Scheduler
+            scheduler = Scheduler()
         self.nprocs = nprocs
         self.thread_level = thread_level
-        self.timeout = timeout
-        self.hooks = hooks if hooks is not None else THREADED_HOOKS
-        self.clock = self.hooks.clock
+        self.scheduler = scheduler
         self._abort_lock = threading.Lock()
         self.abort_error: Optional[ValidationError] = None
         self.aborted = threading.Event()
-        self._wait_conds: Set[threading.Condition] = set()
         self._fingerprint_providers: Dict[str, Callable[[], object]] = {}
         self.finished_ranks: Set[int] = set()
         self.engine = CollectiveEngine(self, list(range(nprocs)))
         self.mailbox = Mailbox(self)
         self.procs = [MpiProcess(self, rank) for rank in range(nprocs)]
 
-    # -- hook façade ---------------------------------------------------------------
+    # -- scheduler façade --------------------------------------------------------
 
     def yield_point(self, kind: str, detail: str = "") -> None:
-        self.hooks.yield_point(self, kind, detail)
+        self.scheduler.yield_point(self, kind, detail)
 
     def wait(self, cond: threading.Condition, describe: str = "",
              predicate=None) -> None:
         """Block on ``cond`` (held by the caller) until its state may have
         changed; callers loop on their own condition."""
-        self.hooks.wait(self, cond, describe, predicate)
+        self.scheduler.wait(self, cond, describe, predicate)
 
     def notify(self, cond: threading.Condition) -> None:
         """State guarded by ``cond`` (held by the caller) changed."""
-        self.hooks.notify(self, cond)
+        self.scheduler.notify(self, cond)
 
     def note_access(self, obj: str, mode: str = "w") -> None:
         """The running thread touched shared object ``obj`` (footprints)."""
-        self.hooks.note_access(obj, mode)
+        self.scheduler.note_access(obj, mode)
 
     def note_observation(self, value) -> None:
         """The running thread observed ``value`` (state fingerprints)."""
-        self.hooks.note_observation(value)
-
-    def register_wait_cond(self, cond: threading.Condition) -> None:
-        with self._abort_lock:
-            self._wait_conds.add(cond)
+        self.scheduler.note_observation(value)
 
     # -- state fingerprinting ------------------------------------------------------
 
@@ -141,23 +147,13 @@ class MpiWorld:
     # -- abort protocol -----------------------------------------------------------
 
     def abort(self, error: ValidationError) -> None:
-        """Record the first verdict and wake every blocked wait."""
+        """Record the first verdict and make every blocked thread runnable,
+        so it unwinds."""
         with self._abort_lock:
             if self.abort_error is None:
                 self.abort_error = error
-            conds = list(self._wait_conds)
         self.aborted.set()
-        self.hooks.on_abort(self)
-        for cond in conds:
-            # Best-effort: an RLock held by *this* thread re-enters fine; one
-            # held by another thread is skipped — its owner is either about
-            # to wait (and re-checks the abort flag first) or already
-            # waiting with the fallback timeout as a bound.
-            if cond.acquire(blocking=False):
-                try:
-                    cond.notify_all()
-                finally:
-                    cond.release()
+        self.scheduler.on_abort(self)
 
     def check_abort(self) -> None:
         if self.aborted.is_set():
@@ -169,10 +165,10 @@ class MpiWorld:
         """Run ``target(proc)`` on every rank; collect the verdict."""
         result = RunResult(nprocs=self.nprocs)
         start = time.perf_counter()
-        hooks = self.hooks
+        scheduler = self.scheduler
 
         def runner(proc: MpiProcess, name: str) -> None:
-            hooks.attach(name)
+            scheduler.attach(name)
             try:
                 proc.main_thread = threading.current_thread()
                 result.returns[proc.rank] = target(proc)
@@ -189,23 +185,20 @@ class MpiWorld:
             finally:
                 self.finished_ranks.add(proc.rank)
                 self.engine.on_proc_finished(proc.rank)
-                hooks.detach()
+                scheduler.detach()
 
         names = [f"r{proc.rank}" for proc in self.procs]
-        hooks.register(names)
+        scheduler.register(names)
         ranks_done = [spawn(partial(runner, proc, name))
                       for proc, name in zip(self.procs, names)]
-        hooks.start(self)
-        guard = hooks.join_timeout(self.timeout)
-        if not math.isfinite(guard):
-            guard = None
-        ended = [done.acquire(timeout=-1 if guard is None else guard)
-                 for done in ranks_done]
-        stalled = not all(ended) or not hooks.await_detached(guard)
-        if stalled and self.abort_error is None:
-            self.abort(DeadlockError(
-                "run stalled: thread(s) still running past the join guard"
-            ))
+        scheduler.start(self)
+        if not self._settle(ranks_done, time.monotonic() + WALL_GUARD):
+            if self.abort_error is None:
+                self.abort(DeadlockError(
+                    f"run stalled: logical thread(s) still running past "
+                    f"the {WALL_GUARD:g} s wall guard"
+                ))
+            self._settle(ranks_done, time.monotonic() + WALL_GUARD)
 
         result.error = self.abort_error
         result.elapsed = time.perf_counter() - start
@@ -215,3 +208,16 @@ class MpiWorld:
             result.cc_calls += proc.cc_calls
             result.enter_checks += proc.enter_checks
         return result
+
+    def _settle(self, ranks_done: List, deadline: float) -> bool:
+        """Wait until every rank task has ended and every logical thread
+        has detached, or until ``deadline``; True when the run is over.
+        Locks acquired here leave ``ranks_done``, so a second call waits
+        only for the rest."""
+        while ranks_done:
+            if not ranks_done[0].acquire(
+                    timeout=max(0.0, deadline - time.monotonic())):
+                return False
+            ranks_done.pop(0)
+        return self.scheduler.await_detached(
+            max(0.0, deadline - time.monotonic()))

@@ -10,13 +10,12 @@ requires).  Teams nest freely — a worker encountering another ``parallel``
 creates a sub-team, which is the perfectly nested model the paper assumes.
 
 All blocking (barriers, the master's join) goes through the world's
-SchedPoint hooks: condition-notified under real threads, cooperative and
-fully deterministic under an installed scheduler — where workers get
-deterministic hierarchical names so a run is reproducible from its schedule
-choice sequence alone.  The master registers the workers with the hooks
-before spawning them, and the join waits on the workers' completion count
-alone: a worker's carrier outlives its task, so there is no OS thread to
-join.
+SchedPoint calls, so it is cooperative and fully deterministic; workers
+get deterministic hierarchical names, so a run is reproducible from its
+schedule choice sequence alone.  The master registers the workers with the
+scheduler before spawning them, and the join waits on the workers'
+completion count alone: a worker's carrier outlives its task, so there is
+no OS thread to join.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
 from ..carrier import spawn
-from ..errors import AbortedError, DeadlockError, ValidationError
+from ..errors import AbortedError, ValidationError
 from ..schedpoint import SchedPoint
 
 
@@ -57,9 +56,9 @@ class Team:
             if self.size == 1:
                 self._run_guarded(body, 0)
                 return
-            hooks = self.world.hooks
-            names = hooks.child_names(self.size)
-            hooks.register(names)
+            scheduler = self.world.scheduler
+            names = scheduler.child_names(self.size)
+            scheduler.register(names)
             for tid in range(1, self.size):
                 spawn(partial(self._worker_main, body, tid, names[tid]))
             self._run_guarded(body, 0)
@@ -69,23 +68,20 @@ class Team:
 
     def _worker_main(self, body: Callable[[int], None], tid: int,
                      name: Optional[str]) -> None:
-        hooks = self.world.hooks
-        hooks.attach(name)
+        scheduler = self.world.scheduler
+        scheduler.attach(name)
         try:
             self._run_guarded(body, tid)
         finally:
             with self._done_cond:
                 self._done += 1
                 self.world.notify(self._done_cond)
-            hooks.detach()
+            scheduler.detach()
 
     def _join_workers(self, workers: int) -> None:
-        deadline = self.world.clock() + self.world.timeout * 2
         with self._done_cond:
             while self._done < workers:
                 self.world.check_abort()
-                if self.world.clock() > deadline:
-                    break  # fall through to the abort check
                 self.world.wait(
                     self._done_cond,
                     f"rank {self.proc.rank} master joining its team",
@@ -121,12 +117,12 @@ class Team:
     # -- barrier --------------------------------------------------------------------
 
     def barrier(self) -> None:
-        """Team barrier with abort notification and hang detection."""
+        """Team barrier; a thread that never arrives leaves the others
+        blocked, which the scheduler reports as a deadlock."""
         if self.size == 1:
             self.world.check_abort()
             return
         self.world.yield_point(SchedPoint.OMP_BARRIER, f"r{self.proc.rank}")
-        deadline = self.world.clock() + self.world.timeout
         with self._bar_cond:
             gen = self._bar_gen
             self._bar_count += 1
@@ -137,13 +133,6 @@ class Team:
                 return
             while self._bar_gen == gen:
                 self.world.check_abort()
-                if self.world.clock() > deadline:
-                    self.world.abort(DeadlockError(
-                        f"OpenMP barrier timed out on rank {self.proc.rank} "
-                        f"({self._bar_count}/{self.size} threads arrived) — "
-                        f"some thread never reaches the barrier"
-                    ))
-                    self.world.check_abort()
                 self.world.wait(
                     self._bar_cond,
                     f"rank {self.proc.rank} in omp barrier "

@@ -3,8 +3,8 @@
 * :func:`repro.util.ddmin.ddmin` — the greedy delta-debugging core shared
   by schedule-trace minimization (:mod:`repro.explore.minimize`) and
   fuzzer counterexample reduction (:mod:`repro.fuzz.reduce`).
-* :mod:`repro.util.resilience` — deadlines, bounded deterministic retry
-  with backoff, structured failure records.
+* :mod:`repro.util.resilience` — deadlines and structured failure
+  records.
 * :mod:`repro.util.faultinject` — the deterministic fault-injection
   registry behind ``PARCOACH_FAULTS`` (named sites, hit counts).
 * :mod:`repro.util.probe` — thread-local analysis-path probes, the
@@ -17,7 +17,7 @@ from .brepr import bounded_repr
 from .ddmin import ddmin
 from .faultinject import FaultPlan, InjectedFault, fault_site
 from .probe import bucket, collecting, probe, probes_active
-from .resilience import Deadline, DeadlineExceeded, Failure, RetryPolicy, retry
+from .resilience import Deadline, DeadlineExceeded, Failure
 
 __all__ = [
     "Deadline",
@@ -25,7 +25,6 @@ __all__ = [
     "Failure",
     "FaultPlan",
     "InjectedFault",
-    "RetryPolicy",
     "bounded_repr",
     "bucket",
     "collecting",
@@ -33,5 +32,4 @@ __all__ = [
     "fault_site",
     "probe",
     "probes_active",
-    "retry",
 ]

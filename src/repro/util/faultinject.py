@@ -6,7 +6,7 @@ the resilience layer is guarded by a named **fault site** — a single
 :func:`fault_site` call at the exact point where the fault class can
 occur in production.  A :class:`FaultPlan` maps ``(site, hit)`` pairs to
 fault kinds, so a test (or the ``chaos-smoke`` CI job) can say
-"the *third* engine pool submit breaks", run the workload, and get the
+"the *third* session analyze fails", run the workload, and get the
 same failure on every machine, byte for byte.
 
 Plan syntax (the ``PARCOACH_FAULTS`` environment variable, or
@@ -14,7 +14,7 @@ Plan syntax (the ``PARCOACH_FAULTS`` environment variable, or
 
     site[:hit]=kind[,site[:hit]=kind ...]
 
-    PARCOACH_FAULTS="engine.pool.submit:3=broken_pool,session.read_file:1=oserror"
+    PARCOACH_FAULTS="session.analyze:3=exception,session.read_file:1=oserror"
 
 ``hit`` is 1-based and defaults to 1: the fault fires on exactly that
 invocation of the site and never again (hit counters are per-plan and
@@ -56,7 +56,6 @@ HANG_SECONDS = 30.0
 
 #: The registered fault sites (keep ``docs/resilience.md`` in sync).
 SITES = frozenset({
-    "engine.pool.submit",   # before each process-pool fan-out attempt
     "engine.task",          # before each serial cache-miss analysis
     "session.read_file",    # after a session re-reads a file (payload: text)
     "session.parse_chunk",  # before an incremental chunk parse

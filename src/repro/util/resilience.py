@@ -1,22 +1,15 @@
-"""Deadlines, bounded deterministic retry, and structured failure records.
+"""Deadlines and structured failure records.
 
-Every long-running subsystem (``parcoach serve``/``watch``, the engine's
-process pool, fuzz campaigns) routes its fault handling through this
-module, so recovery behaviour is uniform and — because the clock and the
-sleep function are injectable everywhere — byte-deterministically
-testable.  Three pieces:
+The long-running subsystems (``parcoach serve``/``watch`` and ``project
+serve``) route their fault handling through this module, so recovery
+behaviour is uniform and — because the clock is injectable —
+byte-deterministically testable.  Two pieces:
 
 * :class:`Deadline` — a monotonic per-request time budget.  Work that can
   take unbounded time calls :meth:`Deadline.check` at its phase
   boundaries; expiry raises :class:`DeadlineExceeded` naming the site
   that noticed, which callers convert into a ``timeout`` report and a
   graceful-degradation retry (see ``docs/resilience.md``).
-
-* :class:`RetryPolicy` / :func:`retry` — bounded retry with exponential
-  backoff and **no jitter**: the delay sequence is a pure function of the
-  policy (``base_delay * multiplier**k`` capped at ``max_delay``), so a
-  test injecting a fake ``sleep`` observes the exact same schedule every
-  run.  ``KeyboardInterrupt``/``SystemExit`` are never retried.
 
 * :class:`Failure` — a structured record of one caught exception (site,
   attempt, type, message, traceback digest) suitable for embedding in a
@@ -30,7 +23,7 @@ import hashlib
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable
 
 
 class DeadlineExceeded(Exception):
@@ -116,58 +109,8 @@ class Failure:
         }
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded exponential backoff, jitter-free by design (determinism is
-    a feature: the whole recovery schedule replays identically)."""
-
-    attempts: int = 3
-    base_delay: float = 0.05
-    multiplier: float = 2.0
-    max_delay: float = 2.0
-    retry_on: Tuple[type, ...] = (Exception,)
-
-    def delay(self, failure_count: int) -> float:
-        """Backoff before the next attempt, after ``failure_count`` (>= 1)
-        failures so far."""
-        return min(self.max_delay,
-                   self.base_delay * self.multiplier ** (failure_count - 1))
-
-
-def retry(fn: Callable[[], object],
-          policy: RetryPolicy = RetryPolicy(),
-          *,
-          site: str = "",
-          sleep: Callable[[float], None] = time.sleep,
-          deadline: Optional[Deadline] = None,
-          failures: Optional[List[Failure]] = None) -> object:
-    """Call ``fn`` up to ``policy.attempts`` times with deterministic
-    backoff between failures.
-
-    Each caught exception is appended to ``failures`` (when given) as a
-    :class:`Failure`.  The final failure re-raises; a ``deadline`` that
-    expires between attempts also re-raises immediately — no point
-    sleeping toward an already-lost budget."""
-    last: Optional[BaseException] = None
-    for attempt in range(1, policy.attempts + 1):
-        try:
-            return fn()
-        except policy.retry_on as exc:  # noqa: PERF203 - retry loop
-            last = exc
-            if failures is not None:
-                failures.append(Failure.from_exception(site, attempt, exc))
-            if attempt == policy.attempts:
-                raise
-            if deadline is not None and deadline.expired:
-                raise
-            sleep(policy.delay(attempt))
-    raise last  # pragma: no cover - unreachable (loop always returns/raises)
-
-
 __all__ = [
     "Deadline",
     "DeadlineExceeded",
     "Failure",
-    "RetryPolicy",
-    "retry",
 ]

@@ -14,7 +14,7 @@ def analyze_source(src: str, **kwargs):
 
 
 def run_source(src: str, nprocs: int = 2, num_threads: int = 2,
-               instrument: bool = False, timeout: float = 8.0, **kwargs):
+               instrument: bool = False, **kwargs):
     """parse (+ optionally analyze & instrument) + run."""
     program = parse_program(src)
     group_kinds = None
@@ -23,7 +23,7 @@ def run_source(src: str, nprocs: int = 2, num_threads: int = 2,
         program, _ = instrument_program(analysis)
         group_kinds = analysis.group_kinds
     return run_program(program, nprocs=nprocs, num_threads=num_threads,
-                       group_kinds=group_kinds, timeout=timeout, **kwargs)
+                       group_kinds=group_kinds, **kwargs)
 
 
 @pytest.fixture

@@ -93,7 +93,7 @@ def test_small_nas_program_runs_to_completion():
 
     src = make_sp_mz(zones=2, steps=2)
     prog = parse_program(src)
-    result = run_program(prog, nprocs=2, num_threads=2, timeout=30.0)
+    result = run_program(prog, nprocs=2, num_threads=2)
     assert result.ok, result.error
     assert any("verification" in line for line in result.outputs[0])
 
@@ -104,7 +104,7 @@ def test_small_hera_program_runs_to_completion():
 
     src = make_hera(levels=2, steps=2, n=16, physics_modules=2)
     prog = parse_program(src)
-    result = run_program(prog, nprocs=2, num_threads=2, timeout=30.0)
+    result = run_program(prog, nprocs=2, num_threads=2)
     assert result.ok, result.error
     assert any("final time" in line for line in result.outputs[0])
 
@@ -121,6 +121,6 @@ def test_instrumented_hera_runs_clean():
     assert not analysis.verified
     program, _ = instrument_program(analysis)
     result = run_program(program, nprocs=2, num_threads=2,
-                         group_kinds=analysis.group_kinds, timeout=30.0)
+                         group_kinds=analysis.group_kinds)
     assert result.ok, result.error
     assert result.cc_calls > 0

@@ -12,8 +12,8 @@ from repro.runtime import (
 )
 
 
-def run_world(nprocs, fn, timeout=3.0):
-    world = MpiWorld(nprocs, thread_level=ThreadLevel.MULTIPLE, timeout=timeout)
+def run_world(nprocs, fn):
+    world = MpiWorld(nprocs, thread_level=ThreadLevel.MULTIPLE)
     return world.run(fn)
 
 

@@ -24,6 +24,21 @@ void main() {
 """
 
 
+RECV_DEADLOCK = """
+void main() {
+    MPI_Init();
+    int r = MPI_Comm_rank();
+    int x = 0;
+    if (r == 0) {
+        MPI_Recv(x, 1, 0);
+    } else {
+        MPI_Recv(x, 0, 0);
+    }
+    MPI_Finalize();
+}
+"""
+
+
 @pytest.fixture
 def buggy_file(tmp_path):
     path = tmp_path / "buggy.mh"
@@ -99,7 +114,7 @@ def test_run_buggy_instrumented_reports_cc(buggy_file, capsys):
 
 
 def test_run_buggy_raw_deadlocks(buggy_file, capsys):
-    rc = main(["run", buggy_file, "-np", "2", "--timeout", "4"])
+    rc = main(["run", buggy_file, "-np", "2"])
     assert rc == 1
     assert "DeadlockError" in capsys.readouterr().err
 
@@ -234,3 +249,17 @@ def test_bad_input_prints_no_traceback(kind, tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"{path}{message}")
+
+
+def test_run_reports_a_recv_deadlock_naming_both_waits(tmp_path):
+    path = tmp_path / "recv_deadlock.mh"
+    path.write_text(RECV_DEADLOCK)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "run", str(path), "-np", "2"],
+        capture_output=True, text=True, timeout=5,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 1
+    assert "verdict: DeadlockError" in proc.stderr
+    assert "rank 0 in MPI_Recv(source=1, tag=0)" in proc.stderr
+    assert "rank 1 in MPI_Recv(source=0, tag=0)" in proc.stderr

@@ -21,7 +21,7 @@ def _run_case(case, instrument: bool):
         group_kinds = analysis.group_kinds
     result = run_program(program, nprocs=case.nprocs,
                          num_threads=case.num_threads,
-                         group_kinds=group_kinds, timeout=6.0)
+                         group_kinds=group_kinds)
     return analysis, result
 
 

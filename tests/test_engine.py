@@ -1,5 +1,5 @@
-"""AnalysisEngine tests: cache correctness, remapping, invalidation,
-parallel determinism, and key discrimination."""
+"""AnalysisEngine tests: cache correctness, remapping, invalidation, and
+key discrimination."""
 
 import pytest
 
@@ -111,19 +111,6 @@ def test_cache_key_tracks_collective_call_graph():
     assert a_dirty.collective_funcs == {"run", "helper"}
 
 
-def test_parallel_engine_matches_serial():
-    src = scale_suite()["S"]
-    p = parse_program(src, "s.mc")
-    serial = analyze_program(p)
-    with AnalysisEngine(jobs=2, cache=False) as engine:
-        parallel = engine.analyze(p)
-        assert engine.stats.parallel_tasks == len(p.funcs)
-    assert _diag_tuples(parallel) == _diag_tuples(serial)
-    assert render_report(parallel, verbose=True) == render_report(serial, verbose=True)
-    assert pretty(instrument_program(parallel)[0]) == \
-        pretty(instrument_program(serial)[0])
-
-
 def test_clear_cache_and_stats():
     src = CASES["clean_masteronly"].source
     p = parse_program(src, "x.mc")
@@ -160,68 +147,6 @@ def test_engine_matches_driver_on_prebuilt_cfgs():
     via_cache = engine.analyze(p, cfgs=middle.cfgs)
     assert via_cache.function("main").cfg is middle.cfgs["main"][0]
     assert _diag_tuples(own) == _diag_tuples(via_cache) == _diag_tuples(ref)
-
-
-# ---------------------------------------------------------------------------
-# Lifecycle edges: close() idempotence, analyze-after-close, pool persistence
-# ---------------------------------------------------------------------------
-
-
-def test_close_is_idempotent_and_safe_without_pool():
-    engine = AnalysisEngine()  # jobs=1: no pool is ever created
-    engine.close()
-    engine.close()  # second close is a no-op, not an error
-    with AnalysisEngine(jobs=2) as engine:
-        pass  # context exit closes a pool that was never spawned
-    engine.close()  # and closing again after __exit__ still works
-
-
-def test_analyze_after_close_respawns_pool():
-    src = scale_suite()["S"]
-    p = parse_program(src, "s.mc")
-    serial = analyze_program(p)
-    engine = AnalysisEngine(jobs=2, cache=False)
-    try:
-        first = engine.analyze(p)
-        pool = engine._pool
-        assert pool is not None
-        engine.close()
-        assert engine._pool is None
-        # The engine stays usable: a later jobs>1 analyze lazily spawns a
-        # fresh pool and produces identical output.
-        second = engine.analyze(p)
-        assert engine._pool is not None
-        assert engine._pool is not pool
-        assert _diag_tuples(first) == _diag_tuples(second) == _diag_tuples(serial)
-    finally:
-        engine.close()
-
-
-def test_persistent_pool_reused_across_analyze_calls():
-    src = scale_suite()["S"]
-    p1 = parse_program(src, "one.mc")
-    p2 = parse_program(src, "two.mc")
-    with AnalysisEngine(jobs=2, cache=False) as engine:
-        engine.analyze(p1)
-        pool = engine._pool
-        assert pool is not None
-        tasks_after_first = engine.stats.parallel_tasks
-        engine.analyze(p2)
-        assert engine._pool is pool  # same pool object: no respawn per call
-        assert engine.stats.parallel_tasks == 2 * tasks_after_first
-    assert engine._pool is None  # context manager shut it down
-
-
-def test_cached_engine_skips_pool_when_everything_hits():
-    src = scale_suite()["S"]
-    p = parse_program(src, "s.mc")
-    with AnalysisEngine(jobs=2, cache=True) as engine:
-        engine.analyze(p)
-        misses = engine.stats.misses
-        assert misses == len(p.funcs)
-        engine.analyze(p)  # identity fast path: zero new pool tasks
-        assert engine.stats.misses == misses
-        assert engine.stats.parallel_tasks == misses
 
 
 # -- lazy remap (fingerprint-native incremental analysis) ---------------------------

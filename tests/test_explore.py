@@ -4,11 +4,13 @@ exploration of the seeded interleaving-dependent gallery bugs, trace
 minimization, and the ``parcoach explore`` CLI."""
 
 import json
+import threading
 
 import pytest
 
 from repro import analyze_program, instrument_program, parse_program
 from repro.bench.errors_gallery import CASES, schedule_sensitive_cases
+from repro.explore import sched
 from repro.explore import (
     Decision,
     DefaultStrategy,
@@ -118,6 +120,35 @@ def test_collective_deadlock_detected_without_wall_timeout():
     result, _ = run_scheduled(program, CFG22)
     assert isinstance(result.error, DeadlockError)
     assert result.elapsed < 2.0
+
+
+def test_livelock_ends_at_the_step_budget(monkeypatch):
+    """Every rank keeps entering collectives, so no wait ever blocks for
+    long; the run's one step budget still ends it."""
+    src = """
+void main() {
+    MPI_Init_thread(0);
+    int i = 0;
+    while (i >= 0) {
+        MPI_Barrier();
+        i = i + 1;
+    }
+}
+"""
+    monkeypatch.setattr(sched, "DEFAULT_STEP_BUDGET", 5000)
+    program = parse_program(src, "livelock")
+    results = []
+    runner = threading.Thread(
+        target=lambda: results.append(run_scheduled(program, CFG22)[0]),
+        daemon=True)
+    runner.start()
+    runner.join(30)
+    assert not runner.is_alive(), "the step budget did not end the livelock"
+    error = results[0].error
+    assert isinstance(error, DeadlockError)
+    message = str(error)
+    assert "step budget of 5,000 scheduling steps exhausted" in message
+    assert "running: " in message and "blocked: " in message
 
 
 # -- trace record / replay ----------------------------------------------------------

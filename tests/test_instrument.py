@@ -154,8 +154,8 @@ void main() {
     analysis = analyze_program(parse_program(src))
     assert not analysis.verified  # loop warning (conservative)
     program, _ = instrument_program(analysis)
-    raw = run_program(parse_program(src), nprocs=2, timeout=5.0)
-    inst = run_program(program, nprocs=2, group_kinds=analysis.group_kinds, timeout=5.0)
+    raw = run_program(parse_program(src), nprocs=2)
+    inst = run_program(program, nprocs=2, group_kinds=analysis.group_kinds)
     assert raw.ok and inst.ok
     assert raw.outputs == inst.outputs
     assert inst.cc_calls > 0

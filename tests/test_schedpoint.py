@@ -1,18 +1,20 @@
-"""Threaded-mode SchedPoint behavior: blocked waits are *notified* (on
-state change and on abort) instead of busy-polling, with only a coarse
-fallback timeout as a safety net."""
+"""SchedPoint behavior of a world's default scheduler: an abort or a
+matching send wakes a blocked wait, critical sections exclude, and one
+wall-clock guard bounds a run that never reaches a scheduling step."""
 
 import time
 
+from repro import parse_program
+from repro.explore import Scheduler
 from repro.mpi.thread_levels import ThreadLevel
-from repro.runtime import MpiWorld, ValidationError
+from repro.runtime import DeadlockError, MpiWorld, ValidationError, run_program
+from repro.runtime.simmpi import world as world_module
 from repro.runtime.simmpi.process import CriticalSection
 
 
 def test_abort_wakes_a_blocked_collective_promptly():
-    """rank 0 blocks in a collective round with a *long* deadline; rank 1
-    errors after 0.3 s.  The abort must wake rank 0 by notification — well
-    before the 30 s deadline that the old poll loop relied on."""
+    """rank 0 blocks in a collective round; rank 1 errors after 0.3 s.
+    The abort must make rank 0 runnable at once, so the run ends promptly."""
     def body(proc):
         if proc.rank == 0:
             proc.collective("MPI_Barrier", (), None)
@@ -20,7 +22,7 @@ def test_abort_wakes_a_blocked_collective_promptly():
             time.sleep(0.3)
             raise ValidationError("boom")
 
-    world = MpiWorld(2, timeout=30.0)
+    world = MpiWorld(2)
     start = time.perf_counter()
     result = world.run(body)
     elapsed = time.perf_counter() - start
@@ -35,7 +37,7 @@ def test_abort_wakes_a_blocked_recv_promptly():
         time.sleep(0.3)
         raise ValidationError("p2p abort")
 
-    world = MpiWorld(2, timeout=30.0)
+    world = MpiWorld(2)
     start = time.perf_counter()
     result = world.run(body)
     assert result.error is not None
@@ -50,7 +52,7 @@ def test_send_wakes_matching_recv():
             return None
         return proc.recv(0, 3)
 
-    world = MpiWorld(2, timeout=30.0)
+    world = MpiWorld(2)
     result = world.run(body)
     assert result.ok
     assert result.returns[1] == "late"
@@ -75,14 +77,14 @@ def test_critical_section_is_mutually_exclusive_threaded():
             t.join()
         return counts
 
-    world = MpiWorld(1, timeout=5.0)
+    world = MpiWorld(1)
     result = world.run(body)
     assert result.ok
     assert result.returns[0] == [0, 1, 2, 3]  # strictly serialized
 
 
 def test_critical_lock_returns_same_section_per_name():
-    world = MpiWorld(1, thread_level=ThreadLevel.MULTIPLE, timeout=2.0)
+    world = MpiWorld(1, thread_level=ThreadLevel.MULTIPLE)
     proc = world.procs[0]
     assert proc.critical_lock("a") is proc.critical_lock("a")
     assert proc.critical_lock("a") is not proc.critical_lock("b")
@@ -94,6 +96,28 @@ def test_run_result_carries_engine_history():
         proc.collective("MPI_Barrier", (), None)
         proc.collective("MPI_Allreduce", ("sum",), proc.rank)
 
-    world = MpiWorld(2, timeout=5.0)
+    world = MpiWorld(2)
     result = world.run(body)
     assert [op for op, _ in result.history] == ["MPI_Barrier", "MPI_Allreduce"]
+
+
+def test_one_wall_guard_bounds_a_yield_free_spin(monkeypatch):
+    """Rank 0 spins without a scheduling step and keeps the token; the run
+    is declared stalled after one guard, not one guard per rank, and every
+    logical thread has unwound when it returns."""
+    monkeypatch.setattr(world_module, "WALL_GUARD", 0.5)
+    program = parse_program("""
+void main() {
+    int i = 0;
+    while (i >= 0) {
+        i = i + 1;
+    }
+}
+""", "spin")
+    scheduler = Scheduler()
+    start = time.perf_counter()
+    result = run_program(program, nprocs=4, scheduler=scheduler)
+    assert time.perf_counter() - start < 1.5
+    assert isinstance(result.error, DeadlockError)
+    assert "run stalled" in str(result.error)
+    assert scheduler.await_detached(0)  # no logical thread still attached

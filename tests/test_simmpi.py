@@ -8,8 +8,8 @@ from repro.runtime import DeadlockError, MpiWorld
 from repro.runtime.simmpi import ops
 
 
-def run_world(nprocs, fn, thread_level=ThreadLevel.MULTIPLE, timeout=3.0):
-    world = MpiWorld(nprocs, thread_level=thread_level, timeout=timeout)
+def run_world(nprocs, fn, thread_level=ThreadLevel.MULTIPLE):
+    world = MpiWorld(nprocs, thread_level=thread_level)
     return world.run(fn)
 
 
@@ -142,7 +142,7 @@ def test_engine_history_records_rounds():
         proc.collective("MPI_Barrier", (), None)
         proc.collective("MPI_Allreduce", ("sum",), 1)
 
-    world = MpiWorld(2, timeout=3.0)
+    world = MpiWorld(2)
     world.run(body)
     assert [h[0] for h in world.engine.history] == ["MPI_Barrier", "MPI_Allreduce"]
 
@@ -179,7 +179,7 @@ def test_recv_without_send_deadlocks():
             return proc.recv(0, 9)
         return None
 
-    result = run_world(2, body, timeout=1.0)
+    result = run_world(2, body)
     assert isinstance(result.error, DeadlockError)
 
 
@@ -202,6 +202,6 @@ def test_init_thread_caps_at_world_level():
         granted = proc.init_thread(3)
         return granted
 
-    world = MpiWorld(1, thread_level=ThreadLevel.SERIALIZED, timeout=2.0)
+    world = MpiWorld(1, thread_level=ThreadLevel.SERIALIZED)
     result = world.run(body)
     assert result.returns[0] == ThreadLevel.SERIALIZED.value

@@ -9,8 +9,8 @@ from repro.runtime import DeadlockError, MpiWorld
 from repro.runtime.simomp import Team
 
 
-def with_world(fn, timeout=3.0):
-    world = MpiWorld(1, thread_level=ThreadLevel.MULTIPLE, timeout=timeout)
+def with_world(fn):
+    world = MpiWorld(1, thread_level=ThreadLevel.MULTIPLE)
     return world.run(fn)
 
 
@@ -128,7 +128,7 @@ def test_barrier_timeout_when_thread_never_arrives():
 
         team.run(tbody)
 
-    result = with_world(body, timeout=0.5)
+    result = with_world(body)
     assert isinstance(result.error, DeadlockError)
     assert "barrier" in str(result.error).lower()
 
@@ -146,7 +146,7 @@ def test_validation_error_in_worker_aborts_world():
 
         team.run(tbody)
 
-    result = with_world(body, timeout=1.0)
+    result = with_world(body)
     assert result.error is not None
     assert "boom" in str(result.error)
 
