@@ -1,12 +1,14 @@
 """Incremental-session benchmark — one-function-edit re-analysis vs cold.
 
-Measures the tentpole claim of the fingerprint-native refactor: a
-:class:`repro.core.session.AnalysisSession` re-analyzing a program after a
-one-function edit must cost work proportional to the edit, not the program.
+Measures the tentpole claim of the fingerprint-native refactor: the
+``parcoach serve`` session (:class:`repro.project.FileSession`, one
+one-file project per path) re-analyzing a program after a one-function edit
+must cost work proportional to the edit, not the program.  Each update
+re-reads the file; the file is written before the timed region.
 
-* ``session_cold`` — a fresh session's first ``update_source`` (full parse,
-  full analysis, full report): what a one-shot ``parcoach analyze`` pays,
-  plus the session bookkeeping.
+* ``session_cold`` — a fresh session's first ``update`` (full parse, full
+  analysis, full report): what a one-shot ``parcoach analyze`` pays, plus
+  the session bookkeeping.
 * ``session_edit`` — a warm session folding in a one-function, line-count
   preserving edit: chunked re-parse of the edited function only, fingerprint
   diff, dependency-aware plan update, one cache miss, delta report.
@@ -24,7 +26,7 @@ import time
 import pytest
 
 from repro.bench.scale import SCALE_SIZES, scale_suite
-from repro.core.session import AnalysisSession
+from repro.project import FileSession
 
 SIZES = tuple(SCALE_SIZES)
 LARGEST = SIZES[-1]
@@ -55,31 +57,39 @@ def sources():
 
 
 @pytest.mark.parametrize("size", SIZES)
-def test_session_cold(benchmark, sources, size):
-    src = sources[size]
+def test_session_cold(benchmark, sources, size, tmp_path):
+    path = tmp_path / f"{size}.mc"
+    path.write_text(sources[size])
     benchmark.extra_info["size"] = size
     benchmark.extra_info["config"] = "session_cold"
 
     def cold():
-        with AnalysisSession() as session:
-            return session.update_source(f"{size}.mc", src)
+        with FileSession() as session:
+            return session.update(str(path))
 
     delta = benchmark(cold)
     assert delta.seq == 1 and not delta.no_op
 
 
 @pytest.mark.parametrize("size", SIZES)
-def test_session_one_function_edit(benchmark, sources, size):
+def test_session_one_function_edit(benchmark, sources, size, tmp_path):
     src = sources[size]
+    path = tmp_path / f"{size}.mc"
     variants = itertools.cycle(
         edit_one_function(src, size, v) for v in _VALUES)
     benchmark.extra_info["size"] = size
     benchmark.extra_info["config"] = "session_edit"
-    with AnalysisSession() as session:
-        session.update_source(f"{size}.mc", src)
+
+    def write_next():
+        path.write_text(next(variants))
+        return (), {}
+
+    with FileSession() as session:
+        path.write_text(src)
+        session.update(str(path))
         delta = benchmark.pedantic(
-            lambda text: session.update_source(f"{size}.mc", text),
-            setup=lambda: ((next(variants),), {}),
+            lambda: session.update(str(path)),
+            setup=write_next,
             rounds=5,
         )
     # The measured rounds really were incremental: exactly the edited
@@ -95,23 +105,26 @@ def _timed(fn) -> float:
     return time.perf_counter() - t0
 
 
-def test_incremental_speedup_threshold(sources):
+def test_incremental_speedup_threshold(sources, tmp_path):
     """Regression gate: a one-function edit to the largest synthetic
     program must re-analyze at least 5x faster than a cold session."""
     src = sources[LARGEST]
+    path = tmp_path / "xl.mc"
+    path.write_text(src)
     cold = min(
-        _timed(lambda: AnalysisSession().update_source("xl.mc", src))
+        _timed(lambda: FileSession().update(str(path)))
         for _ in range(2)
     )
-    with AnalysisSession() as session:
-        session.update_source("xl.mc", src)
+    with FileSession() as session:
+        session.update(str(path))
         edits = [edit_one_function(src, LARGEST, v) for v in _VALUES[:4]]
-        incremental = min(
-            _timed(lambda text=text: session.update_source("xl.mc", text))
-            for text in edits
-        )
-        delta = session.update_source(
-            "xl.mc", edit_one_function(src, LARGEST, "23.0"))
+        timings = []
+        for text in edits:
+            path.write_text(text)
+            timings.append(_timed(lambda: session.update(str(path))))
+        incremental = min(timings)
+        path.write_text(edit_one_function(src, LARGEST, "23.0"))
+        delta = session.update(str(path))
         assert delta.reanalyzed == (_edit_target(LARGEST),)
     speedup = cold / incremental
     assert speedup >= 5.0, (

@@ -71,16 +71,18 @@ Subcommands::
         persistent incremental analysis session: a line protocol on stdin
         (``analyze PATH`` / ``stats`` / ``ping`` / ``quit``, optionally
         prefixed ``@ID`` to echo a request id), one Report IR JSON
-        document per line on stdout.  Edits are diffed by per-function
-        structural fingerprint; only changed functions (plus their
-        call-graph dependents whose summaries/contexts moved) re-analyze,
-        and only changed findings are re-emitted.  The loop is
-        crash-isolated and self-healing (``docs/resilience.md``);
-        ``--deadline-ms`` arms a per-request budget with graceful
-        degradation on expiry.
+        document per line on stdout.  Each PATH is served as a one-file
+        project, by the same session and loop as ``project serve``.  Edits
+        are diffed by per-function structural fingerprint; only changed
+        functions (plus their call-graph dependents whose
+        summaries/contexts moved) re-analyze, functions a line insertion
+        only moved are patched in place, and only changed findings are
+        re-emitted.  The loop is crash-isolated and self-healing
+        (``docs/resilience.md``); ``--deadline-ms`` arms a per-request
+        budget with graceful degradation on expiry.
     parcoach watch FILE [--interval SECS] [--max-updates N]
         analyze FILE now, then poll it and re-emit a delta report on every
-        content change
+        content change and on the first good update after an error
     parcoach project analyze DIR [--file PATH ...] [--json] [--no-store]
         one-shot whole-project analysis: the manifest (``parcoach.toml``,
         an explicit ``--file`` list, or a recursive ``*.mc``/``*.mini``
@@ -470,24 +472,24 @@ def _cmd_fuzz(args) -> int:
 
 
 def _session_from_args(args):
-    from .core.session import AnalysisSession
+    from .project import FileSession
 
     entry_context = (parse_word(args.initial_context)
                      if args.initial_context else EMPTY)
-    return AnalysisSession(precision=args.precision,
-                           interprocedural=args.interprocedural,
-                           entry_context=entry_context)
+    return FileSession(precision=args.precision,
+                       interprocedural=args.interprocedural,
+                       entry_context=entry_context)
 
 
 def _cmd_serve(args) -> int:
-    from .core.session import run_serve
+    from .project import run_serve
 
     with _session_from_args(args) as session:
         return run_serve(session, deadline_ms=args.deadline_ms)
 
 
 def _cmd_watch(args) -> int:
-    from .core.session import run_watch
+    from .project import run_watch
 
     with _session_from_args(args) as session:
         return run_watch(session, args.file, interval=args.interval,
@@ -539,11 +541,11 @@ def _cmd_project_analyze(args) -> int:
 
 def _cmd_project_serve(args) -> int:
     from .core.session import SessionError
-    from .project import ManifestError, run_project_serve
+    from .project import ManifestError, run_serve
 
     try:
         with _project_session_from_args(args) as session:
-            return run_project_serve(session, deadline_ms=args.deadline_ms)
+            return run_serve(session, deadline_ms=args.deadline_ms)
     except (ManifestError, SessionError) as exc:
         messages = (exc.messages if isinstance(exc, SessionError)
                     else [str(exc)])
@@ -794,9 +796,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "session counters, 'ping' emits a liveness report, "
                     "'quit' exits.  Any command may be prefixed '@ID' — the "
                     "id is echoed back as a request_id key on its "
-                    "responses.  Edits are diffed by per-function "
-                    "structural fingerprint; unchanged functions are never "
-                    "re-analyzed.  The loop is crash-isolated: unexpected "
+                    "responses.  Each PATH is served as a one-file "
+                    "project (the 'project serve' session and loop).  "
+                    "Edits are diffed by per-function structural "
+                    "fingerprint; unchanged functions are never "
+                    "re-analyzed, and functions a line insertion only "
+                    "moved are patched in place (listed as 'patched').  "
+                    "The loop is crash-isolated: unexpected "
                     "errors self-heal (see docs/resilience.md) and answer "
                     "with an internal-error report instead of exiting.")
     _session_flags(p)
@@ -808,7 +814,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "watch",
-        help="watch one file and re-emit a delta report on every change")
+        help="watch one file and re-emit a delta report on every change "
+             "(and on the first good update after an error)")
     p.add_argument("file")
     p.add_argument("--interval", type=float, default=0.5, metavar="SECS",
                    help="poll interval (default 0.5s)")

@@ -515,14 +515,19 @@ class AnalysisEngine:
         all line-addressed artifact state — collective sites, CFG block
         lines, diagnostic source refs and conditional lines — is shifted in
         lock-step.  The on-disk store is *not* patched: its entries stay
-        content-addressed to the lines they were analyzed at."""
+        content-addressed to the lines they were analyzed at.
+
+        An entry anchored on another tree (an earlier parse, or the same
+        function served from another file over this engine) keeps that
+        tree as it is: the tree may still be live elsewhere, and a reparse
+        hit reads only the entry's artifacts and uid sequence, never its
+        anchor's lines."""
         if delta == 0:
             return 0
         old_fp = self._fingerprint_for(func)
         A.shift_lines(func, delta)
         new_fp = ast_fingerprint(func)
         self._identity[id(func)] = (func, _version(func), new_fp)
-        patched_trees = {id(func)}
         patched_arts: set = set()
         moved = 0
         for key in list(self._by_fp.get(old_fp, ())):
@@ -531,12 +536,6 @@ class AnalysisEngine:
             art = entry.artifacts
             if id(art) not in patched_arts:
                 patched_arts.add(id(art))
-                if id(art.func) not in patched_trees:
-                    # Cached tree from an earlier parse: shift it too, so
-                    # the entry's fingerprint keeps describing its tree.
-                    patched_trees.add(id(art.func))
-                    A.shift_lines(art.func, delta)
-                    self._identity.pop(id(art.func), None)
                 _shift_artifact_lines(art, delta)
             new_key: _Key = (new_fp,) + key[1:]
             entry.key = new_key
@@ -546,6 +545,17 @@ class AnalysisEngine:
         return moved
 
     # -- analysis --------------------------------------------------------------
+
+    def forget_functions(self, funcs) -> None:
+        """Drop the id-keyed memo entries of functions that are no longer
+        live (a session calls this when an update replaces or removes
+        them), so the memos track the live program instead of growing
+        with every edit until their caps."""
+        for memo in (self._identity, self._func_index):
+            for func in funcs:
+                entry = memo.get(id(func))
+                if entry is not None and entry[0] is func:
+                    del memo[id(func)]
 
     def _fingerprint_for(self, func: A.FuncDef) -> str:
         version = _version(func)

@@ -1,9 +1,9 @@
-"""Project-scale analysis service — ``parcoach project``.
+"""The incremental analysis service — ``parcoach project``, ``serve`` and
+``watch``.
 
-Lifts the single-file :class:`~repro.core.session.AnalysisSession` to a
-whole project: a manifest (``parcoach.toml`` or an explicit file list)
-declares the source files and entry points, a :class:`ProjectSession` folds
-every file into **one merged program** fed to one shared
+A manifest (``parcoach.toml`` or an explicit file list) declares a
+project's source files and entry points, and a :class:`ProjectSession`
+folds every file into **one merged program** fed to one shared
 :class:`~repro.core.engine.AnalysisEngine`, so the cross-file call graph,
 calling-context propagation and collective summaries fall out of the
 existing interprocedural machinery — witness call chains span file
@@ -11,16 +11,23 @@ boundaries.  Insert-a-line edits take the **line-offset patch** path
 (:meth:`~repro.core.engine.AnalysisEngine.patch_function_lines`): cached
 line-addressed artifacts are shifted instead of re-analyzed.  Artifacts are
 shared between parallel sessions through a sharded on-disk store
-(:class:`~repro.project.store.ShardedStore`).  Protocol and manifest
+(:class:`~repro.project.store.ShardedStore`).
+
+The single-file daemons run on the same session: :class:`FileSession`
+analyzes each path ``parcoach serve`` or ``watch`` is given as a one-file
+project, and :func:`run_serve` is the one serve loop of both ``serve`` and
+``project serve`` (:mod:`repro.project.serve`).  Protocol and manifest
 format: ``docs/project-protocol.md``.
 """
 
 from .manifest import MANIFEST_NAME, ManifestError, ProjectManifest, load_manifest
-from .session import ProjectSession, ProjectUpdate, run_project_serve
+from .serve import FileSession, run_serve, run_watch
+from .session import ProjectSession, ProjectUpdate
 from .store import ANALYSIS_VERSION, STORE_FORMAT, ShardedStore, store_generation
 
 __all__ = [
     "ANALYSIS_VERSION",
+    "FileSession",
     "MANIFEST_NAME",
     "ManifestError",
     "ProjectManifest",
@@ -29,6 +36,7 @@ __all__ = [
     "STORE_FORMAT",
     "ShardedStore",
     "load_manifest",
-    "run_project_serve",
+    "run_serve",
+    "run_watch",
     "store_generation",
 ]

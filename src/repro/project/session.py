@@ -1,17 +1,23 @@
-"""The multi-file incremental session — ``parcoach project serve``.
+"""The incremental session behind every analysis daemon.
 
-A :class:`ProjectSession` lifts :class:`~repro.core.session.AnalysisSession`
-from one file to a project.  Every open file contributes its functions to
-**one merged program** fed to one shared engine, so the call graph,
+A :class:`ProjectSession` serves ``parcoach project serve`` directly, and
+``parcoach serve`` / ``watch`` analyze each requested path as a one-file
+project (:mod:`repro.project.serve`).  Every open file contributes its
+functions to **one merged program** fed to one engine, so the call graph,
 calling-context propagation and collective summaries are cross-file by
 construction: a rank-guarded collective in ``helper()`` defined in
 ``util.mc`` is flagged at the call in ``main.mc`` with a witness chain
 spanning both files — exactly the finding a per-file ``parcoach analyze``
 of either file cannot produce.
 
-Incrementality mirrors the single-file session (chunk reuse, fingerprint
-diff, reverse-call-graph dependent closure, SCC-skipping summaries) with
-three project-only additions:
+Each update re-reads the requested files and splits them into top-level
+function chunks (:func:`~repro.core.session.split_chunks`).  An unchanged
+chunk reuses its ``FuncDef`` object, so the engine serves it through the
+identity fast path; only edited chunks are re-parsed.  Per-function
+fingerprints are diffed against the previous version, the changed
+functions' artifacts are evicted, and their reverse-call-graph closure
+(the *dependents*) is what may re-analyze.  Three more mechanisms keep an
+update proportional to the edit:
 
 * **Line-offset patching** — a chunk whose text is unchanged but whose
   start line moved (a line inserted/deleted above it) is *patched*, not
@@ -43,16 +49,17 @@ three project-only additions:
   (:class:`~repro.project.store.ShardedStore`), so parallel sessions on one
   machine share warm artifacts.
 
-Findings are file-qualified: every finding carries the defining ``file`` of
-its function plus ``call_path_files`` aligned with the witness chain, and
-the finding fingerprint covers both.  Protocol details:
-``docs/project-protocol.md``.
+Project findings are file-qualified: every finding carries the defining
+``file`` of its function plus ``call_path_files`` aligned with the witness
+chain, and the finding fingerprint covers both (a one-file project leaves
+findings unqualified, with the fingerprints ``analyze --json`` gives).
+The current state records the mode it was analyzed in, and no update
+reuses a state analyzed in another mode, so a degraded answer never
+sticks.  Protocol details: ``docs/project-protocol.md``.
 """
 
 from __future__ import annotations
 
-import sys
-import time
 from collections import ChainMap, OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
@@ -62,7 +69,7 @@ from ..minilang.semantics import Checker
 from ..mpi.thread_levels import ThreadLevel
 from ..parallelism import EMPTY, Word, format_word, parse_word
 from ..util.faultinject import fault_site
-from ..util.resilience import Deadline, DeadlineExceeded, Failure
+from ..util.resilience import Deadline, ResilienceCounters
 from ..core.callgraph import (
     CallGraph,
     ContextMap,
@@ -82,12 +89,11 @@ from ..core.report import (
     canonical_region_ids,
     diagnostic_finding,
     finding_fingerprint,
-    render_json,
     report_from_analysis,
 )
 from ..core.session import SessionError, _parse_chunk, split_chunks
 from ..core.sites import ProgramIndex, index_function, index_program
-from .manifest import ManifestError, ProjectManifest, load_manifest
+from .manifest import ProjectManifest, load_manifest
 from .store import ShardedStore
 
 
@@ -118,8 +124,34 @@ class ProjectUpdate:
     findings_added: Tuple[dict, ...]
     findings_removed: Tuple[str, ...]
     findings_total: int
-    #: Project-flavoured Report IR document for this delta.
+    #: Report IR document for this delta (see :meth:`document`).
     report: dict = field(repr=False, default_factory=dict)
+
+    def document(self, tool: str, source: Optional[dict],
+                 **extra: Any) -> dict:
+        """This delta as a Report IR document: only the findings that
+        appeared, plus the incremental bookkeeping a consumer of the stream
+        needs to rebuild the full picture.  ``patched`` is listed when
+        non-empty; ``extra`` adds tool-specific ``incremental`` keys."""
+        incremental: Dict[str, Any] = {
+            "no_op": self.no_op,
+            "full_parse": self.full_parse,
+            "changed": list(self.changed),
+            "removed": list(self.removed),
+            "dependents": list(self.dependents),
+            "reanalyzed": list(self.reanalyzed),
+            "invalidated_entries": self.invalidated_entries,
+            "findings_added": len(self.findings_added),
+            "findings_removed": list(self.findings_removed),
+            "findings_total": self.findings_total,
+        }
+        if self.patched:
+            incremental["patched"] = list(self.patched)
+        incremental.update(extra)
+        return build_report(
+            tool, source=source, findings=list(self.findings_added),
+            verdict="findings" if self.findings_total else "clean",
+            summary={"update": self.seq, "incremental": incremental})
 
 
 @dataclass
@@ -228,17 +260,22 @@ def _thread_level_finding(name: str, art,
     ))
 
 
-class ProjectSession:
+class ProjectSession(ResilienceCounters):
     """A long-lived incremental session over every file of one project.
 
     ``update_file`` / ``close_file`` / ``update_all`` are the API: each
     folds the current on-disk text into the merged program and returns a
     :class:`ProjectUpdate`.  Construction resolves the manifest
     (``parcoach.toml`` or an explicit file list) but reads no sources; the
-    first update does.
+    first update does.  ``engine`` shares one engine between sessions.
+
+    With ``one_file=True``, ``root`` is the path of a single file and the
+    session presents itself as that file: the manifest is built from the
+    path alone (no ``parcoach.toml`` is read, no store is written),
+    findings stay unqualified (the fingerprints ``analyze --json`` gives),
+    and the merged program carries the file's name.
     """
 
-    MAX_FAILURES = 8
     #: LRU bound for the checked-function memo (id(func) -> func).
     _CHECKED_LIMIT = 65536
 
@@ -246,8 +283,16 @@ class ProjectSession:
                  precision: str = "paper",
                  interprocedural: bool = True,
                  entry_context: Optional[Word] = None,
-                 store: Optional[bool] = None) -> None:
-        self.manifest: ProjectManifest = load_manifest(root, files)
+                 store: Optional[bool] = None, *,
+                 engine: Optional[AnalysisEngine] = None,
+                 one_file: bool = False) -> None:
+        super().__init__()
+        self.manifest: ProjectManifest = (
+            ProjectManifest(root="", files=(root,)) if one_file
+            else load_manifest(root, files))
+        self._qualified = not one_file
+        #: Name of the merged program (what a text report prints).
+        self._program_name = root if one_file else f"<project:{root}>"
         self.precision = precision
         self.interprocedural = interprocedural
         if entry_context is None:
@@ -259,18 +304,14 @@ class ProjectSession:
         self.store: Optional[ShardedStore] = (
             ShardedStore(self.manifest.store_path)
             if use_store and self.manifest.store_path is not None else None)
-        self.engine = AnalysisEngine(store=self.store)
+        self.engine = (engine if engine is not None
+                       else AnalysisEngine(store=self.store))
 
         self.updates = 0
         self.no_op_updates = 0
         self.fast_updates = 0
         self.full_updates = 0
         self.context_reuses = 0
-        self.recoveries = 0
-        self.rebuilds = 0
-        self.timeouts = 0
-        self.degraded = 0
-        self.failures: List[Failure] = []
 
         #: rel -> True for files that *should* be loaded (opened, not
         #: closed).  Files in here but missing from ``_files`` (after a
@@ -278,6 +319,10 @@ class ProjectSession:
         self._open: Dict[str, bool] = {}
         self._files: Dict[str, _ProjectFile] = {}
         self._program: Optional[A.Program] = None
+        #: Whether the current state was analyzed interprocedurally (None
+        #: before the first update): the no-op shortcuts reuse a state only
+        #: for an update asking for the same mode.
+        self._interproc: Optional[bool] = None
         self._fingerprints: Dict[str, str] = {}
         self._func_file: Dict[str, str] = {}
         self._callers: Dict[str, Tuple[str, ...]] = {}
@@ -346,11 +391,7 @@ class ProjectSession:
                 "fast_updates": self.fast_updates,
                 "full_updates": self.full_updates,
                 "context_reuses": self.context_reuses,
-                "recoveries": self.recoveries,
-                "rebuilds": self.rebuilds,
-                "timeouts": self.timeouts,
-                "degraded": self.degraded,
-                "failures": [f.as_dict() for f in self.failures],
+                **self.resilience_stats(),
             },
             "project": {
                 "root": self.manifest.root,
@@ -365,13 +406,6 @@ class ProjectSession:
         }
 
     # -- self-healing --------------------------------------------------------
-
-    def record_failure(self, site: str, exc: BaseException,
-                       attempt: int = 1) -> Failure:
-        failure = Failure.from_exception(site, attempt, exc)
-        self.failures.append(failure)
-        del self.failures[:-self.MAX_FAILURES]
-        return failure
 
     def recover_file(self, rel: str) -> None:
         """Targeted self-heal: forget one file's state and evict its
@@ -390,6 +424,7 @@ class ProjectSession:
         self._files.clear()
         self._checked.clear()
         self._program = None
+        self._interproc = None
         self._fingerprints = {}
         self._func_file = {}
         self._callers = {}
@@ -408,6 +443,11 @@ class ProjectSession:
 
     # -- per-file parsing ----------------------------------------------------
 
+    def source(self, rel: str) -> Optional[str]:
+        """The text of ``rel`` as of the last successful update."""
+        state = self._files.get(rel)
+        return state.source if state is not None else None
+
     def _read(self, rel: str) -> str:
         path = self.manifest.abspath(rel)
         try:
@@ -421,7 +461,9 @@ class ProjectSession:
         """Split ``rel``'s text into chunks and classify each against the
         previous version: identical (reuse the ``FuncDef`` object), shifted
         (same text at a new start line — queue a line-offset patch), or
-        edited (re-parse).  Any anomaly falls back to a full parse."""
+        edited (re-parse).  Any anomaly falls back to a full parse.  A
+        shift is measured from the function's current line, so patches a
+        failed update already applied are never applied twice."""
         prev = self._files.get(rel)
         if prev is not None and prev.source == source:
             return _ParsedFile(rel=rel, source=source, funcs=prev.funcs,
@@ -430,27 +472,27 @@ class ProjectSession:
         chunks = split_chunks(source)
         if chunks is None:
             return self._full_parse_file(rel, source)
-        #: digest -> previous (start_line, func) candidates for patching.
-        movable: Dict[str, List[Tuple[int, A.FuncDef]]] = {}
+        #: digest -> previous functions with that text, for patching.
+        movable: Dict[str, List[A.FuncDef]] = {}
         if prev is not None and prev.chunks is not None:
-            for (digest, line), func in prev.chunks.items():
-                movable.setdefault(digest, []).append((line, func))
+            for (digest, _line), func in prev.chunks.items():
+                movable.setdefault(digest, []).append(func)
         funcs: List[A.FuncDef] = []
         chunk_map: Dict[Tuple[str, int], A.FuncDef] = {}
         patches: List[Tuple[A.FuncDef, int]] = []
         for chunk in chunks:
             digest, start_line = chunk.key
             func = None
-            for i, (old_line, candidate) in enumerate(movable.get(digest, ())):
-                if old_line == start_line:
+            for i, candidate in enumerate(movable.get(digest, ())):
+                if candidate.line == start_line:
                     func = candidate  # identical chunk: plain reuse
                     del movable[digest][i]
                     break
             else:
                 candidates = movable.get(digest)
                 if candidates:
-                    old_line, func = candidates.pop(0)
-                    patches.append((func, start_line - old_line))
+                    func = candidates.pop(0)
+                    patches.append((func, start_line - func.line))
             if func is None:
                 func = _parse_chunk(chunk, rel)
                 if func is None:
@@ -612,6 +654,7 @@ class ProjectSession:
         had_state = prev_program is not None
 
         no_text_change = (had_state and not closed
+                          and self._interproc == interproc
                           and all(not p.changed_text for p in parsed.values()))
         if no_text_change:
             self.seq += 1
@@ -670,7 +713,7 @@ class ProjectSession:
             program = prev_program  # keep the engine's program memo warm
         else:
             program = A.Program(funcs=funcs,
-                                filename=f"<project:{self.manifest.root}>",
+                                filename=self._program_name,
                                 line=1)
         self._check(program, file_of)
 
@@ -696,11 +739,14 @@ class ProjectSession:
         removed = tuple(n for n in prev_fps if n not in fingerprints)
 
         if (had_state and not changed and not removed and not patched
-                and func_file == self._func_file):
+                and func_file == self._func_file
+                and self._interproc == interproc):
             # Whitespace/comment-only edits inside chunks: nothing moved.
             # (A rename keeps every fingerprint but changes func_file — it
             # must fall through so findings re-qualify to the new file.)
-            self._commit_files(parsed, closed)
+            replaced = self._commit_files(parsed, closed)
+            self._forget(replaced, {id(f) for f in prev_program.funcs}
+                         | {id(f) for p in parsed.values() for f in p.funcs})
             self.seq += 1
             self.no_op_updates += 1
             return self._make_update(tuple(sorted(parsed)), no_op=True,
@@ -777,12 +823,16 @@ class ProjectSession:
         report = report_from_analysis(analysis, source_path=None,
                                       source_text=None, tool="project")
         report["source"] = {"file": self.manifest.root}
-        _qualify_findings(report["findings"], func_file)
+        self._qualify(report["findings"], func_file)
         new_findings = {f["fingerprint"]: f for f in report["findings"]}
 
         # Commit.
-        self._commit_files(parsed, closed)
+        replaced = self._commit_files(parsed, closed)
+        if prev_program is not None:
+            replaced.extend(prev_program.funcs)
+        self._forget(replaced, {id(f) for f in program.funcs})
         self._program = program
+        self._interproc = interproc
         self._fingerprints = fingerprints
         self._func_file = func_file
         self._callers = callers
@@ -869,7 +919,7 @@ class ProjectSession:
                 start, end = self._file_span[rel]
                 funcs[start:end] = touched[rel].funcs
             program = A.Program(funcs=funcs,
-                                filename=f"<project:{self.manifest.root}>",
+                                filename=self._program_name,
                                 line=1)
         else:
             program = prev_program
@@ -923,7 +973,9 @@ class ProjectSession:
         full_parse = any(p.full_parse for p in parsed.values())
         if not reparsed_pairs and not patched and not changed:
             # Same objects everywhere: nothing to maintain.
-            self._commit_files(parsed, set())
+            replaced = self._commit_files(parsed, set())
+            self._forget(replaced, {id(f) for p in touched.values()
+                                    for f in p.funcs})
             self.seq += 1
             self.no_op_updates += 1
             return self._make_update(tuple(sorted(parsed)), no_op=True,
@@ -1046,10 +1098,11 @@ class ProjectSession:
                                             changed_positions=reparsed_pos)
 
         # Scope: exactly the functions whose merged artifacts could differ
-        # — new bodies, shifted lines, a changed cache-key ingredient
-        # (collective callees, expression-call tokens), or a changed
-        # context word set / witness chain.
-        scope: Set[str] = set(reparsed) | set(patched)
+        # — new bodies, shifted lines (or a fingerprint a failed update's
+        # patch already moved), a changed cache-key ingredient (collective
+        # callees, expression-call tokens), or a changed context word set /
+        # witness chain.
+        scope: Set[str] = set(reparsed) | set(patched) | set(changed)
         for n in flips:
             scope.update(e.caller for e in graph.callers.get(n, ()))
         for n in plan_dirty:
@@ -1119,8 +1172,8 @@ class ProjectSession:
                         for d in (list(art.monothread.diagnostics)
                                   + list(art.concurrency.diagnostics)
                                   + list(art.sequence.diagnostics))]
+            self._qualify(findings, func_file)
             for f in findings:
-                _qualify_finding(f, func_file)
                 new_scope_findings[f["fingerprint"]] = f
             if findings:
                 base_put[name] = tuple(findings)
@@ -1128,7 +1181,7 @@ class ProjectSession:
                 base_del.append(name)
             tl = _thread_level_finding(name, art, requested)
             if tl is not None:
-                _qualify_finding(tl, func_file)
+                self._qualify([tl], func_file)
                 thread_put[name] = tl
                 new_scope_findings[tl["fingerprint"]] = tl
             elif name in cache.thread:
@@ -1179,7 +1232,10 @@ class ProjectSession:
                      if fp not in new_scope_findings)
 
         # Commit — every mutation below is a small per-name delta.
-        self._commit_files(parsed, set())
+        replaced = self._commit_files(parsed, set())
+        replaced.extend(old for old, _new in reparsed_pairs)
+        self._forget(replaced, {id(f) for p in touched.values()
+                                for f in p.funcs})
         self._program = program
         self._fingerprints.update(fp_new)
         if patch.rebuilt:
@@ -1305,18 +1361,56 @@ class ProjectSession:
                             source={"file": self.manifest.root},
                             findings=findings, summary=summary)
 
+    def _qualify(self, findings: List[dict],
+                 func_file: Dict[str, str]) -> None:
+        """File-qualify findings in place: the defining file of each
+        finding's function, the files along the witness call chain, and a
+        fingerprint recomputed over both (so the same diagnostic in two
+        files can never collide).  A one-file session leaves them as the
+        analysis rendered them."""
+        if not self._qualified:
+            return
+        for finding in findings:
+            finding["file"] = func_file.get(finding.get("function", ""), "")
+            chain = finding.get("call_path", [])
+            finding["call_path_files"] = [func_file.get(n, "")
+                                          for n in chain]
+            del finding["fingerprint"]
+            finding["fingerprint"] = finding_fingerprint(finding)
+
     def _commit_files(self, parsed: Dict[str, _ParsedFile],
-                      closed: Set[str]) -> None:
+                      closed: Set[str]) -> List[A.FuncDef]:
+        """Install the parsed files' states; returns the functions of the
+        states they replaced (closed files included)."""
+        replaced: List[A.FuncDef] = []
         for rel in closed:
-            self._files.pop(rel, None)
+            state = self._files.pop(rel, None)
+            if state is not None:
+                replaced.extend(state.funcs)
         for rel, p in parsed.items():
             prev = self._files.get(rel)
             if prev is not None and not p.changed_text:
                 continue  # same text, same objects: keep the cached state
+            if prev is not None:
+                replaced.extend(prev.funcs)
             self._files[rel] = _ProjectFile(
                 rel=rel, source=p.source, funcs=p.funcs, chunks=p.chunks,
                 names=tuple(f.name for f in p.funcs),
                 sigs=self._signature_map(p.funcs))
+        return replaced
+
+    def _forget(self, replaced: List[A.FuncDef], live: Set[int]) -> None:
+        """Drop the id-keyed memo entries (engine identity and index memos,
+        the checked-function memo) of replaced functions whose ids are not
+        in ``live``: the memos then hold live functions only."""
+        dead = [f for f in replaced if id(f) not in live]
+        if not dead:
+            return
+        self.engine.forget_functions(dead)
+        checked = self._checked
+        for func in dead:
+            if checked.get(id(func)) is func:
+                del checked[id(func)]
 
     def _make_update(self, files: Tuple[str, ...], no_op: bool,
                      full_parse: bool,
@@ -1335,276 +1429,13 @@ class ProjectSession:
             invalidated_entries=invalidated, findings_added=added,
             findings_removed=gone, findings_total=len(self._findings),
         )
-        delta.report = build_report(
-            "project",
-            source={"file": self.manifest.root},
-            findings=list(delta.findings_added),
-            verdict="findings" if delta.findings_total else "clean",
-            summary={
-                "update": delta.seq,
-                "incremental": {
-                    "no_op": delta.no_op,
-                    "full_parse": delta.full_parse,
-                    "files": list(delta.files),
-                    "changed": list(delta.changed),
-                    "removed": list(delta.removed),
-                    "patched": list(delta.patched),
-                    "dependents": list(delta.dependents),
-                    "reanalyzed": list(delta.reanalyzed),
-                    "invalidated_entries": delta.invalidated_entries,
-                    "findings_added": len(delta.findings_added),
-                    "findings_removed": list(delta.findings_removed),
-                    "findings_total": delta.findings_total,
-                },
-            },
-        )
+        delta.report = delta.document(
+            "project", {"file": self.manifest.root},
+            files=list(files), patched=list(patched))
         return delta
-
-
-def _qualify_finding(finding: dict, func_file: Dict[str, str]) -> None:
-    finding["file"] = func_file.get(finding.get("function", ""), "")
-    chain = finding.get("call_path", [])
-    finding["call_path_files"] = [func_file.get(n, "") for n in chain]
-    del finding["fingerprint"]
-    finding["fingerprint"] = finding_fingerprint(finding)
-
-
-def _qualify_findings(findings: List[dict],
-                      func_file: Dict[str, str]) -> None:
-    """File-qualify findings in place: the defining file of the finding's
-    function, the files along the witness call chain, and a fingerprint
-    recomputed over both (so the same diagnostic in two files can never
-    collide)."""
-    for finding in findings:
-        _qualify_finding(finding, func_file)
-
-
-# ---------------------------------------------------------------------------
-# serve front end
-# ---------------------------------------------------------------------------
-
-
-def _error_report(root: str, path: Optional[str],
-                  messages: List[str]) -> dict:
-    return build_report("project", source={"file": path or root},
-                        findings=[], verdict="error",
-                        summary={"errors": list(messages)})
-
-
-def _timeout_report(root: str, exc: DeadlineExceeded,
-                    deadline_ms: float) -> dict:
-    return build_report(
-        "project", source={"file": root}, findings=[], verdict="error",
-        summary={
-            "errors": [str(exc)],
-            "timeout": {
-                "deadline_ms": deadline_ms,
-                "site": exc.site,
-                "elapsed_ms": round(exc.elapsed * 1000.0, 1),
-            },
-        })
-
-
-def _internal_error_report(root: str, failure: Failure,
-                           request: str) -> dict:
-    return build_report(
-        "project", source={"file": root}, findings=[], verdict="error",
-        summary={
-            "errors": [f"internal error: {failure.error_type}: "
-                       f"{failure.message}"],
-            "failure": failure.as_dict(),
-            "request": request,
-        })
-
-
-def run_project_serve(session: ProjectSession, stdin=None, stdout=None,
-                      deadline_ms: Optional[float] = None,
-                      clock=time.monotonic) -> int:
-    """The ``parcoach project serve`` loop — same line protocol and
-    resilience contract as ``parcoach serve``, at project scope.
-
-    Commands (any may be prefixed ``@ID``; the id is echoed back as
-    ``request_id``)::
-
-        open REL       (re)read REL (relative to the project root), fold it
-                       into the merged program, emit the delta report
-        edit REL       alias of open (an editor's didChange)
-        close REL      drop REL from the project, emit the delta report
-        rename OLD NEW atomic move: fold NEW in and drop OLD in one update
-                       (fingerprints survive; findings re-qualify to NEW)
-        analyze        (re)read every project file, emit the delta report
-        stats          engine + session + project counters
-        ping           liveness (never analyzes)
-        quit           exit 0 (EOF does the same)
-
-    Crash isolation, the self-heal ladder (recover the offending file →
-    rebuild the session → internal-error report) and the ``deadline_ms``
-    degradation ladder (timeout report → no-interprocedural retry → cold
-    recover) mirror :func:`repro.core.session.run_serve`."""
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
-    root = session.manifest.root
-
-    def respond(doc: dict, request_id: Optional[str]) -> None:
-        if request_id is not None:
-            doc = dict(doc)
-            doc["request_id"] = request_id
-        payload = render_json(doc)
-        try:
-            written = fault_site("serve.emit", payload)
-            if written != payload:
-                raise OSError("short write on response stream")
-            stdout.write(payload)
-            stdout.flush()
-            return
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            session.record_failure("serve.emit", exc)
-            session.recoveries += 1
-        stdout.write(payload)
-        stdout.flush()
-
-    def run_update(rel: Optional[str], deadline: Optional[Deadline],
-                   interprocedural: Optional[bool] = None,
-                   closing: bool = False,
-                   rename_to: Optional[str] = None) -> ProjectUpdate:
-        if rename_to is not None:
-            return session.rename_file(rel, rename_to, deadline=deadline,
-                                       interprocedural=interprocedural)
-        if closing:
-            return session.close_file(rel, deadline=deadline,
-                                      interprocedural=interprocedural)
-        if rel is None:
-            return session.update_all(deadline=deadline,
-                                      interprocedural=interprocedural)
-        return session.update_file(rel, deadline=deadline,
-                                   interprocedural=interprocedural)
-
-    def update_with_deadline(rel: Optional[str], request_id: Optional[str],
-                             closing: bool,
-                             rename_to: Optional[str]) -> None:
-        if deadline_ms is None:
-            respond(run_update(rel, None, closing=closing,
-                               rename_to=rename_to).report, request_id)
-            return
-        try:
-            delta = run_update(rel, Deadline.after_ms(deadline_ms, clock),
-                               closing=closing, rename_to=rename_to)
-        except DeadlineExceeded as exc:
-            session.timeouts += 1
-            session.record_failure(exc.site or "deadline", exc)
-            respond(_timeout_report(root, exc, deadline_ms), request_id)
-            try:
-                delta = run_update(rel, Deadline.after_ms(deadline_ms, clock),
-                                   interprocedural=False, closing=closing,
-                                   rename_to=rename_to)
-            except DeadlineExceeded as exc2:
-                session.record_failure(exc2.site or "deadline", exc2, 2)
-                if rel is not None:
-                    session.recover_file(rel)
-                delta = run_update(rel, None, interprocedural=False,
-                                   closing=closing, rename_to=rename_to)
-            session.degraded += 1
-        respond(delta.report, request_id)
-
-    def handle(rel: Optional[str], request_id: Optional[str],
-               request: str, closing: bool = False,
-               rename_to: Optional[str] = None) -> None:
-        for attempt in (1, 2, 3):
-            try:
-                update_with_deadline(rel, request_id, closing, rename_to)
-                return
-            except (SessionError, ManifestError) as exc:
-                messages = (exc.messages if isinstance(exc, SessionError)
-                            else [str(exc)])
-                path = exc.path if isinstance(exc, SessionError) else rel
-                respond(_error_report(root, path, messages), request_id)
-                return
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as exc:
-                failure = session.record_failure("serve.analyze", exc,
-                                                 attempt)
-                if attempt == 1:
-                    if rel is not None:
-                        session.recover_file(rel)
-                    session.recoveries += 1
-                elif attempt == 2:
-                    session.rebuild()
-                    session.rebuilds += 1
-                else:
-                    respond(_internal_error_report(root, failure, request),
-                            request_id)
-                    return
-
-    try:
-        for raw in stdin:
-            line = raw.strip()
-            if not line:
-                continue
-            request_id: Optional[str] = None
-            if line.startswith("@"):
-                head, _, rest = line.partition(" ")
-                request_id = head[1:]
-                line = rest.strip()
-                if not line:
-                    respond(_error_report(
-                        root, None, ["empty command after request id"]),
-                        request_id)
-                    continue
-            parts = line.split(None, 1)
-            command = parts[0]
-            if command == "quit":
-                break
-            if command == "ping":
-                respond(build_report(
-                    "project", source={"file": root}, findings=[],
-                    verdict="clean",
-                    summary={"ping": {
-                        "ok": True,
-                        "files": len(session._files),
-                        "updates": session.updates,
-                        "recoveries": session.recoveries,
-                        "rebuilds": session.rebuilds,
-                    }}), request_id)
-                continue
-            if command == "stats":
-                respond(build_report("project", source={"file": root},
-                                     findings=[], verdict="clean",
-                                     summary={"stats": session.stats()}),
-                        request_id)
-                continue
-            if command in ("open", "edit", "close"):
-                if len(parts) != 2:
-                    respond(_error_report(
-                        root, None, [f"usage: {command} PATH"]), request_id)
-                    continue
-                handle(parts[1], request_id, line,
-                       closing=(command == "close"))
-                continue
-            if command == "rename":
-                operands = parts[1].split() if len(parts) == 2 else []
-                if len(operands) != 2:
-                    respond(_error_report(
-                        root, None, ["usage: rename OLD NEW"]), request_id)
-                    continue
-                handle(operands[0], request_id, line, rename_to=operands[1])
-                continue
-            if command == "analyze":
-                handle(None, request_id, line)
-                continue
-            respond(_error_report(
-                root, None,
-                [f"unknown command {command!r} (expected open/edit/close/"
-                 f"rename/analyze/stats/ping/quit)"]), request_id)
-    except KeyboardInterrupt:
-        return 0
-    return 0
 
 
 __all__ = [
     "ProjectSession",
     "ProjectUpdate",
-    "run_project_serve",
 ]

@@ -1,9 +1,9 @@
-"""Deadlines and structured failure records.
+"""Deadlines, structured failure records and resilience counters.
 
 The long-running subsystems (``parcoach serve``/``watch`` and ``project
 serve``) route their fault handling through this module, so recovery
 behaviour is uniform and — because the clock is injectable —
-byte-deterministically testable.  Two pieces:
+byte-deterministically testable.  Three pieces:
 
 * :class:`Deadline` — a monotonic per-request time budget.  Work that can
   take unbounded time calls :meth:`Deadline.check` at its phase
@@ -15,6 +15,10 @@ byte-deterministically testable.  Two pieces:
   attempt, type, message, traceback digest) suitable for embedding in a
   Report IR summary: the digest is content-addressed, the full traceback
   never leaks into the byte-stable output.
+
+* :class:`ResilienceCounters` — the counters every serve daemon keeps
+  (``recoveries``, ``rebuilds``, ``timeouts``, ``degraded``) and its
+  bounded ``failures`` trail, surfaced by the ``stats`` command.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import hashlib
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Dict, List
 
 
 class DeadlineExceeded(Exception):
@@ -109,8 +113,41 @@ class Failure:
         }
 
 
+class ResilienceCounters:
+    """What the serve loop's self-heal and deadline ladders did: requests
+    healed by a targeted ``recover_file``, full ``rebuild``s, deadline
+    expiries, requests answered by a degraded analysis, and the most
+    recent failures (bounded: the trail is diagnostic, not a log)."""
+
+    MAX_FAILURES = 8
+
+    def __init__(self) -> None:
+        self.recoveries = 0
+        self.rebuilds = 0
+        self.timeouts = 0
+        self.degraded = 0
+        self.failures: List[Failure] = []
+
+    def record_failure(self, site: str, exc: BaseException,
+                       attempt: int = 1) -> Failure:
+        failure = Failure.from_exception(site, attempt, exc)
+        self.failures.append(failure)
+        del self.failures[:-self.MAX_FAILURES]
+        return failure
+
+    def resilience_stats(self) -> Dict[str, object]:
+        return {
+            "recoveries": self.recoveries,
+            "rebuilds": self.rebuilds,
+            "timeouts": self.timeouts,
+            "degraded": self.degraded,
+            "failures": [f.as_dict() for f in self.failures],
+        }
+
+
 __all__ = [
     "Deadline",
     "DeadlineExceeded",
     "Failure",
+    "ResilienceCounters",
 ]

@@ -19,8 +19,8 @@ from repro.project import (
     ProjectSession,
     ShardedStore,
     load_manifest,
-    run_project_serve,
 )
+from repro.project import run_serve as run_project_serve
 
 UTIL = """int bump(int v) {
     MPI_Barrier();

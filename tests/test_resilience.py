@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.engine import EngineStats
 from repro.core.report import validate_report
-from repro.core.session import AnalysisSession, run_serve, run_watch
+from repro.project import FileSession, run_serve, run_watch
 from repro.fuzz.campaign import (
     fuzz_one,
     load_checkpoint,
@@ -217,7 +217,7 @@ def test_serve_survives_injected_fault_at_every_site(tmp_path, site):
     plan = FaultPlan.parse(f"{site}:1=exception")
     install_plan(plan)
     out = io.StringIO()
-    with AnalysisSession() as session:
+    with FileSession() as session:
         code = run_serve(session, stdin=_serve_script(path_a, path_b),
                          stdout=out)
         recoveries = session.recoveries
@@ -236,7 +236,7 @@ def test_serve_double_fault_escalates_to_rebuild(tmp_path):
     install_plan(FaultPlan.parse(
         "session.analyze:1=exception,session.analyze:2=exception"))
     out = io.StringIO()
-    with AnalysisSession() as session:
+    with FileSession() as session:
         code = run_serve(session, stdin=iter([f"analyze {path}\n"]),
                          stdout=out)
         assert session.recoveries == 1
@@ -253,7 +253,7 @@ def test_serve_triple_fault_answers_internal_error_and_keeps_serving(tmp_path):
         "session.analyze:1=exception,session.analyze:2=exception,"
         "session.analyze:3=exception"))
     out = io.StringIO()
-    with AnalysisSession() as session:
+    with FileSession() as session:
         code = run_serve(
             session,
             stdin=iter([f"analyze {path}\n", f"analyze {path}\n", "quit\n"]),
@@ -275,7 +275,7 @@ def test_serve_truncated_read_is_a_session_error_report(tmp_path):
     path.write_text(BASE)
     install_plan(FaultPlan.parse("session.read_file:1=truncate"))
     out = io.StringIO()
-    with AnalysisSession() as session:
+    with FileSession() as session:
         code = run_serve(session, stdin=iter([f"analyze {path}\n", "quit\n"]),
                          stdout=out)
     assert code == 0
@@ -289,7 +289,7 @@ def test_serve_emit_fault_still_writes_exactly_one_line(tmp_path):
     path.write_text(BASE)
     install_plan(FaultPlan.parse("serve.emit:1=truncate"))
     out = io.StringIO()
-    with AnalysisSession() as session:
+    with FileSession() as session:
         code = run_serve(session, stdin=iter([f"analyze {path}\n", "quit\n"]),
                          stdout=out)
         assert session.recoveries == 1
@@ -304,7 +304,7 @@ def test_serve_keyboard_interrupt_mid_request_exits_zero(tmp_path):
     path.write_text(BASE)
     install_plan(FaultPlan.parse("session.read_file:1=keyboard"))
     out = io.StringIO()
-    with AnalysisSession() as session:
+    with FileSession() as session:
         code = run_serve(session, stdin=iter([f"analyze {path}\n"]),
                          stdout=out)
     assert code == 0
@@ -318,7 +318,7 @@ def test_watch_keyboard_interrupt_inside_update_returns_zero(tmp_path):
     path.write_text(BASE)
     install_plan(FaultPlan.parse("session.read_file:1=keyboard"))
     out = io.StringIO()
-    with AnalysisSession() as session:
+    with FileSession() as session:
         code = run_watch(session, str(path), interval=0,
                          stdout=out, sleep=lambda _s: None)
     assert code == 0
@@ -330,7 +330,7 @@ def test_watch_self_heals_unexpected_exception(tmp_path):
     path.write_text(BASE)
     install_plan(FaultPlan.parse("session.analyze:1=exception"))
     out = io.StringIO()
-    with AnalysisSession() as session:
+    with FileSession() as session:
         code = run_watch(session, str(path), interval=0, max_updates=2,
                          stdout=out, sleep=lambda _s: None)
         assert session.recoveries == 1

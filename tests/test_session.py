@@ -10,14 +10,9 @@ import pytest
 
 from repro.core import analyze_program, render_report
 from repro.core.report import validate_report
-from repro.core.session import (
-    AnalysisSession,
-    SessionError,
-    run_serve,
-    run_watch,
-    split_chunks,
-)
+from repro.core.session import SessionError, split_chunks
 from repro.minilang.parser import parse_program
+from repro.project import FileSession, run_serve, run_watch
 
 
 BASE = """
@@ -41,6 +36,12 @@ void main() {
 def _replace(src: str, old: str, new: str) -> str:
     assert old in src, old
     return src.replace(old, new)
+
+
+def _update(session, path, source: str):
+    """Write ``source`` to ``path`` and fold it into ``session``."""
+    path.write_text(source)
+    return session.update(str(path))
 
 
 # -- chunk splitting ----------------------------------------------------------------
@@ -75,15 +76,16 @@ def test_split_chunks_rejects_unbalanced():
     assert split_chunks("void main() { /* never closed") is None
 
 
-def test_chunk_parse_matches_full_parse_byte_for_byte():
+def test_chunk_parse_matches_full_parse_byte_for_byte(tmp_path):
     """The assembled incremental program must render exactly like a
     full-parse analysis (lines and all)."""
-    session = AnalysisSession()
-    session.update_source("p.mc", BASE)
+    session = FileSession()
+    path = tmp_path / "p.mc"
+    _update(session, path, BASE)
     edited = _replace(BASE, "return v + 1;", "return v + 2;")
-    session.update_source("p.mc", edited)
-    incremental = session._files["p.mc"].program
-    full = parse_program(edited, "p.mc")
+    _update(session, path, edited)
+    incremental = session._files[str(path)]._program
+    full = parse_program(edited, str(path))
     assert (render_report(analyze_program(incremental), verbose=True)
             == render_report(analyze_program(full), verbose=True))
 
@@ -91,33 +93,33 @@ def test_chunk_parse_matches_full_parse_byte_for_byte():
 # -- fingerprint diffing ------------------------------------------------------------
 
 
-def test_first_update_analyzes_everything():
-    session = AnalysisSession()
-    delta = session.update_source("p.mc", BASE)
+def test_first_update_analyzes_everything(tmp_path):
+    session = FileSession()
+    delta = _update(session, tmp_path / "p.mc", BASE)
     assert delta.seq == 1
     assert set(delta.changed) == {"helper", "worker", "main"}
     assert delta.reanalyzed == ("helper", "worker", "main")
     assert not delta.no_op
 
 
-def test_identical_source_is_no_op():
-    session = AnalysisSession()
-    session.update_source("p.mc", BASE)
-    delta = session.update_source("p.mc", BASE)
+def test_identical_source_is_no_op(tmp_path):
+    session = FileSession()
+    _update(session, tmp_path / "p.mc", BASE)
+    delta = _update(session, tmp_path / "p.mc", BASE)
     assert delta.no_op
     assert delta.changed == () and delta.reanalyzed == ()
     assert delta.seq == 2
 
 
-def test_whitespace_edit_invalidates_nothing():
+def test_whitespace_edit_invalidates_nothing(tmp_path):
     """Same-line whitespace is invisible to the structural fingerprint
     (columns are excluded): nothing re-analyzes, nothing is evicted."""
-    session = AnalysisSession()
-    session.update_source("p.mc", BASE)
+    session = FileSession()
+    _update(session, tmp_path / "p.mc", BASE)
     evictions = session.engine.stats.evictions
     misses = session.engine.stats.misses
-    delta = session.update_source(
-        "p.mc", _replace(BASE, "int x = 0;", "int  x  =  0;"))
+    delta = _update(session, tmp_path / "p.mc",
+                    _replace(BASE, "int x = 0;", "int  x  =  0;"))
     assert delta.no_op
     assert delta.changed == () and delta.removed == ()
     assert delta.reanalyzed == ()
@@ -125,16 +127,16 @@ def test_whitespace_edit_invalidates_nothing():
     assert session.engine.stats.evictions == evictions
     assert session.engine.stats.misses == misses
     # The next real edit still works off the new source text.
-    delta = session.update_source(
-        "p.mc", _replace(BASE, "int x = 0;", "int  x  =  7;"))
+    delta = _update(session, tmp_path / "p.mc",
+                    _replace(BASE, "int x = 0;", "int  x  =  7;"))
     assert delta.changed == ("worker",)
 
 
-def test_one_function_edit_reanalyzes_only_it():
-    session = AnalysisSession()
-    session.update_source("p.mc", BASE)
-    delta = session.update_source(
-        "p.mc", _replace(BASE, "return v + 1;", "return v + 3;"))
+def test_one_function_edit_reanalyzes_only_it(tmp_path):
+    session = FileSession()
+    _update(session, tmp_path / "p.mc", BASE)
+    delta = _update(session, tmp_path / "p.mc",
+                    _replace(BASE, "return v + 1;", "return v + 3;"))
     assert delta.changed == ("helper",)
     # helper's summary did not change (still no collectives), so the
     # dependents are only *candidates* — nothing else actually re-ran.
@@ -143,37 +145,37 @@ def test_one_function_edit_reanalyzes_only_it():
     assert delta.invalidated_entries == 1
 
 
-def test_callee_summary_change_dirties_transitive_callers():
+def test_callee_summary_change_dirties_transitive_callers(tmp_path):
     """Adding a collective to a leaf helper changes the collective call
     graph, so the whole caller chain re-analyzes — and the new findings
     carry through."""
-    session = AnalysisSession()
-    session.update_source("p.mc", BASE)
+    session = FileSession()
+    _update(session, tmp_path / "p.mc", BASE)
     # Same-line edit: later functions keep their lines (and thus their
     # fingerprints) — only the dependency propagation dirties them.
     edited = _replace(BASE, "return v + 1;", "MPI_Barrier(); return v + 1;")
-    delta = session.update_source("p.mc", edited)
+    delta = _update(session, tmp_path / "p.mc", edited)
     assert delta.changed == ("helper",)
     assert set(delta.dependents) == {"worker", "main"}
     assert set(delta.reanalyzed) == {"helper", "worker", "main"}
     assert session.engine.stats.dependency_invalidations >= 2
 
 
-def test_renamed_function_moves_fingerprint():
-    session = AnalysisSession()
-    session.update_source("p.mc", BASE)
+def test_renamed_function_moves_fingerprint(tmp_path):
+    session = FileSession()
+    _update(session, tmp_path / "p.mc", BASE)
     edited = (BASE.replace("int helper(", "int assist(")
               .replace("helper(x)", "assist(x)"))
-    delta = session.update_source("p.mc", edited)
+    delta = _update(session, tmp_path / "p.mc", edited)
     assert "assist" in delta.changed
     assert delta.removed == ("helper",)
     # The caller's call target changed, so it re-analyzed too.
     assert "worker" in delta.reanalyzed
 
 
-def test_deleted_function_mid_session():
-    session = AnalysisSession()
-    session.update_source("p.mc", BASE)
+def test_deleted_function_mid_session(tmp_path):
+    session = FileSession()
+    _update(session, tmp_path / "p.mc", BASE)
     edited = """
 void worker() {
     int x = 0;
@@ -185,58 +187,60 @@ void main() {
     MPI_Finalize();
 }
 """
-    delta = session.update_source("p.mc", edited)
+    delta = _update(session, tmp_path / "p.mc", edited)
     assert delta.removed == ("helper",)
     assert "worker" in delta.changed
     assert "helper" not in delta.reanalyzed
     # The session's view matches a fresh one-shot analysis.
-    state = session._files["p.mc"]
-    assert set(state.fingerprints) == {"worker", "main"}
+    project = session._files[str(tmp_path / "p.mc")]
+    assert set(project._fingerprints) == {"worker", "main"}
 
 
-def test_parse_error_preserves_state():
-    session = AnalysisSession()
-    session.update_source("p.mc", BASE)
+def test_parse_error_preserves_state(tmp_path):
+    session = FileSession()
+    _update(session, tmp_path / "p.mc", BASE)
     with pytest.raises(SessionError):
-        session.update_source("p.mc", BASE + "\nvoid broken( {")
+        _update(session, tmp_path / "p.mc", BASE + "\nvoid broken( {")
     # Previous version still current; a good edit diffs against it.
-    delta = session.update_source(
-        "p.mc", _replace(BASE, "return v + 1;", "return v + 9;"))
+    delta = _update(session, tmp_path / "p.mc",
+                    _replace(BASE, "return v + 1;", "return v + 9;"))
     assert delta.changed == ("helper",)
 
 
-def test_semantic_error_preserves_state():
-    session = AnalysisSession()
-    session.update_source("p.mc", BASE)
+def test_semantic_error_preserves_state(tmp_path):
+    session = FileSession()
+    _update(session, tmp_path / "p.mc", BASE)
     bad = _replace(BASE, "int x = 0;", "int x = y;")  # undeclared variable
     with pytest.raises(SessionError):
-        session.update_source("p.mc", bad)
-    assert session._files["p.mc"].source == BASE
+        _update(session, tmp_path / "p.mc", bad)
+    path = str(tmp_path / "p.mc")
+    assert session._files[path].source(path) == BASE
 
 
-def test_signature_edit_rechecks_unchanged_callers():
+def test_signature_edit_rechecks_unchanged_callers(tmp_path):
     """Editing only a callee's signature must re-check its (textually
     unchanged) callers: worker still calls helper(x) with one argument."""
-    session = AnalysisSession()
-    session.update_source("p.mc", BASE)
+    session = FileSession()
+    _update(session, tmp_path / "p.mc", BASE)
     bad = _replace(BASE, "int helper(int v)", "int helper(int v, int w)")
     with pytest.raises(SessionError) as exc:
-        session.update_source("p.mc", bad)
+        _update(session, tmp_path / "p.mc", bad)
     assert any("helper" in m for m in exc.value.messages)
-    assert session._files["p.mc"].source == BASE
+    path = str(tmp_path / "p.mc")
+    assert session._files[path].source(path) == BASE
 
 
-def test_intraproc_session_applies_initial_context_everywhere():
+def test_intraproc_session_applies_initial_context_everywhere(tmp_path):
     """--no-interprocedural sessions mirror the CLI: the initial context
     word applies to every function directly."""
     from repro.parallelism import parse_word
 
     src = "void main() {\n    MPI_Barrier();\n}\n"
     word = parse_word("P1")
-    plain = AnalysisSession(interprocedural=False)
-    assert plain.update_source("p.mc", src).findings_total == 0
-    seeded = AnalysisSession(interprocedural=False, entry_context=word)
-    delta = seeded.update_source("p.mc", src)
+    plain = FileSession(interprocedural=False)
+    assert _update(plain, tmp_path / "p.mc", src).findings_total == 0
+    seeded = FileSession(interprocedural=False, entry_context=word)
+    delta = _update(seeded, tmp_path / "p.mc", src)
     reference = analyze_program(
         parse_program(src, "p.mc"), interprocedural=False,
         initial_words={"main": word})
@@ -258,39 +262,39 @@ void main() {
 """
 
 
-def test_finding_deltas_track_introduced_and_fixed_bugs():
-    session = AnalysisSession()
+def test_finding_deltas_track_introduced_and_fixed_bugs(tmp_path):
+    session = FileSession()
     clean = _replace(GUARDED, "if (rank == 0) {\n        MPI_Barrier();\n    }",
                      "MPI_Barrier();")
-    d1 = session.update_source("p.mc", clean)
+    d1 = _update(session, tmp_path / "p.mc", clean)
     assert d1.findings_total == 0
     assert d1.report["verdict"] == "clean"
 
-    d2 = session.update_source("p.mc", GUARDED)
+    d2 = _update(session, tmp_path / "p.mc", GUARDED)
     assert d2.findings_total == 1
     assert len(d2.findings_added) == 1
     assert d2.findings_removed == ()
     assert d2.report["verdict"] == "findings"
 
-    d3 = session.update_source("p.mc", clean)
+    d3 = _update(session, tmp_path / "p.mc", clean)
     assert d3.findings_total == 0
     assert d3.findings_added == ()
     assert len(d3.findings_removed) == 1
     assert d3.findings_removed[0] == d2.findings_added[0]["fingerprint"]
 
 
-def test_delta_reports_validate_against_schema():
-    session = AnalysisSession()
+def test_delta_reports_validate_against_schema(tmp_path):
+    session = FileSession()
     for source in (BASE, GUARDED,
                    _replace(BASE, "return v + 1;", "return v + 4;")):
-        delta = session.update_source("p.mc", source)
+        delta = _update(session, tmp_path / "p.mc", source)
         assert validate_report(delta.report) == [], delta.report
 
 
-def test_session_matches_oneshot_across_edit_sequence():
+def test_session_matches_oneshot_across_edit_sequence(tmp_path):
     """Whatever the session serves must equal a from-scratch analysis of
     the same text — for every step of an edit war."""
-    session = AnalysisSession()
+    session = FileSession()
     steps = [
         BASE,
         _replace(BASE, "return v + 1;", "MPI_Barrier();\n    return v + 1;"),
@@ -299,8 +303,8 @@ def test_session_matches_oneshot_across_edit_sequence():
         BASE,  # identical: no-op
     ]
     for source in steps:
-        session.update_source("p.mc", source)
-        state = session._files["p.mc"]
+        _update(session, tmp_path / "p.mc", source)
+        state = session._files[str(tmp_path / "p.mc")]
         fresh = analyze_program(parse_program(source, "p.mc"))
         assert (sorted(f["fingerprint"] for f in state.report["findings"])
                 == sorted(f["fingerprint"] for f in
@@ -317,7 +321,7 @@ def test_serve_protocol(tmp_path):
     commands = io.StringIO(
         f"analyze {path}\nstats\nanalyze {path}\nbogus\nquit\n")
     out = io.StringIO()
-    with AnalysisSession() as session:
+    with FileSession() as session:
         code = run_serve(session, stdin=commands, stdout=out)
     assert code == 0
     lines = [json.loads(line) for line in out.getvalue().splitlines()]
@@ -335,7 +339,7 @@ def test_serve_emits_only_changed_findings(tmp_path):
     path.write_text(GUARDED)
     commands = io.StringIO(f"analyze {path}\nanalyze {path}\nquit\n")
     out = io.StringIO()
-    with AnalysisSession() as session:
+    with FileSession() as session:
         run_serve(session, stdin=commands, stdout=out)
     first, second = [json.loads(line) for line in out.getvalue().splitlines()]
     assert len(first["findings"]) == 1
@@ -352,7 +356,7 @@ def test_serve_survives_broken_file(tmp_path):
         f"analyze {path}\nanalyze {tmp_path / 'missing.mc'}\n"
         f"analyze {path}\nquit\n")
     out = io.StringIO()
-    with AnalysisSession() as session:
+    with FileSession() as session:
         code = run_serve(session, stdin=commands, stdout=out)
     assert code == 0
     lines = [json.loads(line) for line in out.getvalue().splitlines()]
@@ -371,7 +375,7 @@ def test_watch_reacts_to_edits(tmp_path):
 
     editor = threading.Thread(target=edit_soon)
     editor.start()
-    with AnalysisSession() as session:
+    with FileSession() as session:
         code = run_watch(session, str(path), interval=0.05, max_updates=2,
                          stdout=out)
     editor.join()
@@ -385,13 +389,13 @@ def test_watch_reacts_to_edits(tmp_path):
 # -- engine counters ----------------------------------------------------------------
 
 
-def test_stats_round_trip_through_json():
+def test_stats_round_trip_through_json(tmp_path):
     from repro.core.engine import EngineStats
 
-    session = AnalysisSession()
-    session.update_source("p.mc", BASE)
-    session.update_source(
-        "p.mc", _replace(BASE, "return v + 1;", "return v + 2;"))
+    session = FileSession()
+    _update(session, tmp_path / "p.mc", BASE)
+    _update(session, tmp_path / "p.mc",
+            _replace(BASE, "return v + 1;", "return v + 2;"))
     stats = session.engine.stats
     restored = EngineStats.from_dict(json.loads(json.dumps(stats.as_dict())))
     assert restored == stats
@@ -421,7 +425,7 @@ def test_serve_ping_and_request_id_echo(tmp_path):
     path.write_text(BASE)
     script = io.StringIO(f"ping\n@42 ping\n@a1 analyze {path}\nquit\n")
     out = io.StringIO()
-    with AnalysisSession() as session:
+    with FileSession() as session:
         code = run_serve(session, stdin=script, stdout=out)
     assert code == 0
     plain, tagged, analyzed = [json.loads(line)
@@ -438,7 +442,7 @@ def test_serve_ping_and_request_id_echo(tmp_path):
 
 def test_serve_request_id_with_empty_command_is_an_error_report():
     out = io.StringIO()
-    with AnalysisSession() as session:
+    with FileSession() as session:
         code = run_serve(session, stdin=io.StringIO("@7\nquit\n"), stdout=out)
     assert code == 0
     doc = json.loads(out.getvalue())
@@ -456,7 +460,7 @@ def test_serve_deadline_expiry_degrades_but_still_answers(tmp_path):
     # expires), then the cold no-deadline analysis that always answers.
     clock = _StepClock(step=0.06)
     out = io.StringIO()
-    with AnalysisSession() as session:
+    with FileSession() as session:
         code = run_serve(session, stdin=io.StringIO(f"analyze {path}\nquit\n"),
                          stdout=out, deadline_ms=100.0, clock=clock)
         assert session.timeouts == 1
@@ -476,7 +480,7 @@ def test_serve_generous_deadline_is_invisible(tmp_path):
     path = tmp_path / "d.mc"
     path.write_text(BASE)
     out = io.StringIO()
-    with AnalysisSession() as session:
+    with FileSession() as session:
         code = run_serve(session, stdin=io.StringIO(f"analyze {path}\nquit\n"),
                          stdout=out, deadline_ms=60000.0)
         assert session.timeouts == 0
@@ -500,7 +504,7 @@ def test_watch_dedups_errors_and_reemits_on_change(tmp_path):
         elif polls["n"] == 6:
             path.write_text(BASE)  # recovered
 
-    with AnalysisSession() as session:
+    with FileSession() as session:
         code = run_watch(session, str(path), interval=0, max_updates=3,
                          stdout=out, sleep=fake_sleep)
     assert code == 0
