@@ -162,18 +162,18 @@ def test_line_shift_in_one_file_leaves_its_twin_intact(tmp_path):
     a.write_text(TWIN)
     b.write_text(TWIN)
     shifted = "// inserted\n" + TWIN
-    grown = TWIN + "\nint extra(int v) {\n    return v;\n}\n"
     with FileSession() as session:
         session.update(str(b))  # b's trees anchor the cache entries
         session.update(str(a))
         a.write_text(shifted)
         session.update(str(a))
-        # A new function sends b down the full path, which re-renders
-        # every function of b from its (unshifted) trees.
-        b.write_text(grown)
-        session.update(str(b))
         assert _live(session, a) == _cold(a, shifted)
-        assert _live(session, b) == _cold(b, grown)
+        # b's text is unchanged, so its trees are not re-read; a mode
+        # change re-analyzes every one of them.
+        session.update(str(b), interprocedural=False)
+        assert _live(session, b) == _cold(b, TWIN, interprocedural=False)
+        session.update(str(b))
+        assert _live(session, b) == _cold(b, TWIN)
 
 
 def test_watch_reports_the_recovery(tmp_path):
