@@ -105,7 +105,8 @@ def test_project_one_file_edit(benchmark, files, tmp_path_factory):
         # The measured rounds were real one-function edits whose re-analysis
         # stayed inside the dependent closure, not the whole project.
         assert delta.changed == (EDIT_FUNC,)
-        assert 0 < len(delta.reanalyzed) < len(session._fingerprints) // 2
+        functions = session.stats()["project"]["functions"]
+        assert 0 < len(delta.reanalyzed) < functions // 2
 
 
 def test_project_one_file_edit_xxl(benchmark, files_xxl, tmp_path_factory):
@@ -132,7 +133,8 @@ def test_project_one_file_edit_xxl(benchmark, files_xxl, tmp_path_factory):
         delta = benchmark.pedantic(
             edit, setup=lambda: ((next(variants),), {}), rounds=5)
         assert delta.changed == (XXL_EDIT_FUNC,)
-        assert 0 < len(delta.reanalyzed) < len(session._fingerprints) // 2
+        functions = session.stats()["project"]["functions"]
+        assert 0 < len(delta.reanalyzed) < functions // 2
 
 
 def test_project_line_insert_patch(benchmark, files, tmp_path_factory):

@@ -743,9 +743,7 @@ def _recompute_summary(name: str, funcs: Dict[str, A.FuncDef],
 
 def collective_summaries(program: A.Program,
                          graph: Optional[CallGraph] = None,
-                         index: Optional[ProgramIndex] = None,
-                         prev: Optional[Dict[str, FunctionSummary]] = None,
-                         dirty: Optional[Set[str]] = None
+                         index: Optional[ProgramIndex] = None
                          ) -> Dict[str, FunctionSummary]:
     """Always/conditionally/never summaries for every function — fixpoint
     over the SCC DAG, callees first; cyclic SCCs iterate until stable.
@@ -753,16 +751,8 @@ def collective_summaries(program: A.Program,
     ``must`` is the union of the structural under-approximation and the CFG
     post-dominance check: a collective some path duplicates across branches
     (or runs just before an early ``return``) is still ``always`` when every
-    entry→exit path of the CFG passes a block executing it.
-
-    **Incremental mode** (the session layer): pass the previous program
-    version's ``prev`` summaries and the set of ``dirty`` function names
-    (bodies that changed, plus new functions).  An SCC is recomputed only
-    when a member is dirty or some callee's summary actually changed —
-    otherwise the previous summaries are copied.  Dirtiness therefore
-    propagates up the call graph exactly as far as summaries really change,
-    and the common one-function edit costs one SCC recomputation plus
-    O(call-graph) comparisons instead of a whole-program fixpoint.
+    entry→exit path of the CFG passes a block executing it.  The session
+    layer maintains summaries by delta instead (:func:`update_summaries`).
     """
     if index is None:
         index = index_program(program)
@@ -771,7 +761,6 @@ def collective_summaries(program: A.Program,
     funcs = {f.name: f for f in program.funcs}
     names = set(funcs)
     summaries: Dict[str, FunctionSummary] = {n: FunctionSummary() for n in names}
-    incremental = prev is not None and dirty is not None
     #: Lazily built per function — only when the structural rule left some
     #: may-collective conditional (most functions never need their CFG here).
     cfg_facts: Dict[str, _CfgFacts] = {}
@@ -782,18 +771,6 @@ def collective_summaries(program: A.Program,
 
     for scc in graph.sccs:  # reverse topological: callees already final
         members = list(scc)
-        if (incremental and not any(m in dirty for m in members)
-                and all(m in prev for m in members)):
-            scc_set = set(members)
-            extern = {e.callee for m in members for e in graph.edges[m]
-                      if e.callee in names and e.callee not in scc_set}
-            if all(c in prev
-                   and summaries[c].collectives == prev[c].collectives
-                   for c in extern):
-                # Clean SCC with unchanged callee summaries: copy through.
-                for m in members:
-                    summaries[m].collectives = dict(prev[m].collectives)
-                continue
         if len(members) == 1 and members[0] not in graph.recursive:
             # Non-recursive singleton: the callees are final, so one pass
             # is the fixpoint — no confirmation round needed.
@@ -828,9 +805,9 @@ def update_summaries(program: A.Program, graph: CallGraph,
     names, then walk *up* the caller DAG exactly as far as summaries really
     change — O(dirty + changed-summary ancestors), not O(program).
 
-    Unlike the incremental mode of :func:`collective_summaries` (which still
-    visits every SCC to decide clean/dirty), this never touches an SCC that
-    cannot be affected.  Recomputed members get *fresh*
+    It never touches an SCC that cannot be affected; from empty ``prev``
+    summaries it computes every SCC once, as :func:`collective_summaries`
+    does.  Recomputed members get *fresh*
     :class:`FunctionSummary` objects (``prev`` is never mutated); cyclic
     SCCs restart from the optimistic bottom so the least fixpoint matches a
     cold run byte for byte.  Returns ``(summaries, changed_names)`` where

@@ -192,10 +192,7 @@ def build_plan(program: A.Program, index: ProgramIndex,
     """Call graph + context propagation + summaries + expression-call
     sequence points for one program.
 
-    The three whole-program passes can be supplied precomputed — the
-    session layer builds the summaries incrementally (previous summaries +
-    dirty set) and reuses this function only for the expression-call
-    sequence-point tail."""
+    The three whole-program passes can be supplied precomputed."""
     if graph is None:
         graph = build_call_graph(program, index)
     if contexts is None:
@@ -203,54 +200,32 @@ def build_plan(program: A.Program, index: ProgramIndex,
                                       entry_context=entry_context)
     if summaries is None:
         summaries = collective_summaries(program, graph, index)
-    extra_points: Dict[str, Tuple[ExtraPoint, ...]] = {}
-    extra_tokens: Dict[str, Tuple[Tuple[int, str], ...]] = {}
-    for name in graph.order:
-        points: List[ExtraPoint] = []
-        token: List[Tuple[int, str]] = []
-        for edge in graph.edges[name]:
-            if not edge.expression:
-                continue  # statement calls already have a CALL block
-            if not summaries[edge.callee].collectives:
-                continue
-            points.append((edge.anchor_uids, f"call:{edge.callee}"))
-            token.append((edge.anchor_pos, f"call:{edge.callee}"))
-        if points:
-            extra_points[name] = tuple(points)
-            extra_tokens[name] = tuple(sorted(token))
-    return InterproceduralPlan(graph=graph, contexts=contexts,
-                               summaries=summaries,
-                               extra_points=extra_points,
-                               extra_tokens=extra_tokens)
+    return update_plan(None, graph, contexts, summaries, graph.order, ())
 
 
-def update_plan(prev: InterproceduralPlan,
+def update_plan(prev: Optional[InterproceduralPlan],
                 graph: CallGraph,
                 contexts: ContextMap,
                 summaries: Dict[str, FunctionSummary],
-                dirty: Set[str],
-                removed: Set[str]) -> InterproceduralPlan:
-    """Delta version of :func:`build_plan`'s expression-call sequence-point
-    tail: recompute the extra points only for ``dirty`` functions (changed
-    bodies plus callers of functions whose collective summary flipped) and
-    drop ``removed`` ones; everything else is carried over from ``prev``.
-    The whole-program passes (graph / contexts / summaries) are supplied
-    already updated by the session layer."""
-    extra_points = dict(prev.extra_points)
-    extra_tokens = dict(prev.extra_tokens)
+                dirty,
+                removed) -> InterproceduralPlan:
+    """The expression-call sequence points of :func:`build_plan`, by delta:
+    recompute them only for ``dirty`` functions (changed bodies plus
+    callers of functions whose collective summary flipped) and drop
+    ``removed`` ones; everything else is carried over from ``prev`` (none:
+    every function must be dirty).  The whole-program passes (graph /
+    contexts / summaries) are supplied already updated."""
+    extra_points = dict(prev.extra_points) if prev is not None else {}
+    extra_tokens = dict(prev.extra_tokens) if prev is not None else {}
     for name in removed:
         extra_points.pop(name, None)
         extra_tokens.pop(name, None)
     for name in dirty:
-        if name not in graph.edges:
-            extra_points.pop(name, None)
-            extra_tokens.pop(name, None)
-            continue
         points: List[ExtraPoint] = []
         token: List[Tuple[int, str]] = []
-        for edge in graph.edges[name]:
+        for edge in graph.edges.get(name, ()):
             if not edge.expression:
-                continue
+                continue  # statement calls already have a CALL block
             if not summaries[edge.callee].collectives:
                 continue
             points.append((edge.anchor_uids, f"call:{edge.callee}"))
@@ -469,6 +444,34 @@ def _merge_artifacts(
 # ---------------------------------------------------------------------------
 
 
+def thread_level_diagnostic(name: str, art,
+                            requested: Optional[ThreadLevel]
+                            ) -> Optional[Diagnostic]:
+    """The THREAD_LEVEL diagnostic of one function's (merged) artifacts, or
+    None when the program requests no checkable level or the function needs
+    no more than it."""
+    if requested is None:
+        return None
+    needed = art.monothread.max_required_level
+    if not needed > requested:
+        return None
+    offenders = tuple(
+        SourceRef(site.name, site.line)
+        for site in art.sites
+        if art.monothread.required_levels.get(site.uid,
+                                              ThreadLevel.SINGLE) > requested
+    )
+    return Diagnostic(
+        code=ErrorCode.THREAD_LEVEL,
+        function=name,
+        message=(
+            f"collectives require {needed.mpi_name} but the program "
+            f"requests only {requested.mpi_name}"
+        ),
+        collectives=offenders,
+    )
+
+
 def _assemble(
     program: A.Program,
     index: ProgramIndex,
@@ -526,24 +529,10 @@ def _assemble(
         functions[func.name] = fa
 
     # Thread-level comparison against the requested level.
-    if requested is not None:
-        for name, fa in functions.items():
-            needed = fa.monothread.max_required_level
-            if needed > requested:
-                offenders = tuple(
-                    SourceRef(site.name, site.line)
-                    for site in fa.sites
-                    if fa.monothread.required_levels.get(site.uid, ThreadLevel.SINGLE) > requested
-                )
-                diagnostics.add(Diagnostic(
-                    code=ErrorCode.THREAD_LEVEL,
-                    function=name,
-                    message=(
-                        f"collectives require {needed.mpi_name} but the program "
-                        f"requests only {requested.mpi_name}"
-                    ),
-                    collectives=offenders,
-                ))
+    for name, fa in functions.items():
+        diag = thread_level_diagnostic(name, fa, requested)
+        if diag is not None:
+            diagnostics.add(diag)
 
     # Selective instrumentation plan.
     flagged = {n for n, fa in functions.items() if fa.flagged}

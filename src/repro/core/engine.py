@@ -590,79 +590,48 @@ class AnalysisEngine:
         _evict_oldest(self._programs, _PROGRAM_MEMO_LIMIT)
         return memo
 
-    def update_program_facts(self, prev_program: A.Program,
+    def update_program_facts(self, prev: _ProgramMemo,
                              program: A.Program, changed, removed,
-                             collective_funcs=None,
-                             index=None,
+                             collective_funcs: set, index: ProgramIndex,
+                             func_names: set,
                              changed_positions=None) -> _ProgramMemo:
-        """Derive ``program``'s facts memo from ``prev_program``'s by delta:
-        only functions named in ``changed`` have new bodies, ``removed``
-        names are gone, everything else reuses the previous program's
-        :class:`~repro.minilang.ast_nodes.FuncDef` objects (so their index
-        entries hit the per-function memo instead of re-walking trees).
+        """Derive ``program``'s facts memo from ``prev`` (the previous
+        program's) by delta: the caller supplies the new index, collective
+        functions and name set; only functions named in ``changed`` have new
+        bodies and ``removed`` names are gone.
 
-        ``collective_funcs`` short-circuits the collective reachability
-        fixpoint — the session layer maintains the set incrementally from
-        its summaries — and ``index`` short-circuits re-indexing when the
-        caller already holds the new program's index.
-        ``changed_positions`` (``[(pos, func), ...]``) names the exact
-        positions in ``program.funcs`` holding new objects, turning the
-        version splice into O(changed) list patching instead of an
-        O(program) zip.  The requested thread
-        level is only re-derived when a touched function mentions
-        ``MPI_Init``/``MPI_Init_thread`` before or after the edit.  Falls
-        back to :meth:`_program_facts` when there is no valid memo for
-        ``prev_program``."""
-        memo = self._programs.get(id(prev_program))
-        if memo is None or memo.program is not prev_program:
-            facts = self._program_facts(program)
-            if collective_funcs is not None:
-                facts.collective_funcs = collective_funcs
-            return facts
-        if index is None:
-            index = index_program(program, memo=self._func_index)
-            _evict_oldest(self._func_index, _IDENTITY_MEMO_LIMIT)
+        The requested thread level is re-derived only when a changed or
+        removed function mentions ``MPI_Init``/``MPI_Init_thread`` before or
+        after the update (the index keeps program order, so the first call
+        still wins).  ``changed_positions`` (``[(pos, func), ...]``) names
+        the exact positions of new objects in an unchanged-length function
+        list, so the versions are spliced in O(changed); without it they
+        are recomputed.  The memo is the caller's to keep and to pass as
+        ``analyze(facts=...)``; the program memo table does not hold it."""
         funcs = tuple(program.funcs)
 
         def mentions_init(calls) -> bool:
             return any(c.name in ("MPI_Init", "MPI_Init_thread")
                        for c in calls or ())
 
-        requested = memo.requested
+        requested = prev.requested
         for name in set(changed) | set(removed):
-            if (mentions_init(memo.index.calls.get(name))
+            if (mentions_init(prev.index.calls.get(name))
                     or mentions_init(index.calls.get(name))):
                 requested = _find_requested_level(index)
                 break
-        if collective_funcs is None:
-            collective_funcs = collective_call_graph(program, index)
-        if (not removed and len(funcs) == len(memo.funcs)
-                and all(n in memo.func_names for n in changed)):
-            # Same name set, positionally aligned: splice versions (only
-            # changed positions hold new objects) and share the name set.
-            if changed_positions is not None:
-                spliced = list(memo.versions)
-                for pos, func in changed_positions:
-                    spliced[pos] = _version(func)
-                versions = tuple(spliced)
-            else:
-                versions = tuple(v if a is b else _version(b)
-                                 for a, b, v in zip(memo.funcs, funcs,
-                                                    memo.versions))
-            func_names = memo.func_names
+        if changed_positions is not None:
+            spliced = list(prev.versions)
+            for pos, func in changed_positions:
+                spliced[pos] = _version(func)
+            versions = tuple(spliced)
         else:
             versions = tuple(_version(f) for f in funcs)
-            func_names = {f.name for f in funcs}
-        fresh = _ProgramMemo(
-            program=program, funcs=funcs,
-            versions=versions, index=index,
-            collective_funcs=collective_funcs,
-            func_names=func_names,
+        return _ProgramMemo(
+            program=program, funcs=funcs, versions=versions, index=index,
+            collective_funcs=collective_funcs, func_names=func_names,
             requested=requested,
         )
-        self._programs[id(program)] = fresh
-        _evict_oldest(self._programs, _PROGRAM_MEMO_LIMIT)
-        return fresh
 
     def _plan_for(self, memo: _ProgramMemo, program: A.Program,
                   initial_words: Dict[str, Word],
@@ -688,8 +657,7 @@ class AnalysisEngine:
         plan: Optional[InterproceduralPlan] = None,
         deadline: Optional[Deadline] = None,
         facts: Optional[_ProgramMemo] = None,
-        scope: Optional[set] = None,
-        scope_funcs: Optional[List[A.FuncDef]] = None,
+        scope: Optional[List[A.FuncDef]] = None,
     ) -> ProgramAnalysis:
         """Drop-in replacement for :func:`analyze_program` with memoization.
         Same signature, same rendered output.  ``plan`` short-circuits the interprocedural plan
@@ -711,11 +679,10 @@ class AnalysisEngine:
         ``facts`` injects a program-facts memo the caller maintained by
         delta (:meth:`update_program_facts`), skipping the validity check.
         ``scope`` restricts the per-function loop — cache probing, miss
-        analysis, stats — to the named functions; a scoped result cannot be
-        forced into a whole-program analysis (``force`` raises
-        ``RuntimeError``), only its ``merge_one`` hook may be used.
-        ``scope_funcs`` optionally supplies the scope's function objects
-        directly, skipping the O(program) filter over ``program.funcs``."""
+        analysis, stats — to the given functions of ``program``, in that
+        order; a scoped result cannot be forced into a whole-program
+        analysis (``force`` raises ``RuntimeError``), only its ``merge_one``
+        hook may be used."""
         initial_words = initial_words or {}
         self.stats.programs += 1
         self.last = record = AnalyzeRecord()
@@ -732,13 +699,7 @@ class AnalysisEngine:
         #: (func, key, word, call_stmts, prebuilt, extra) per cache miss.
         pending: List[tuple] = []
         func_words: Dict[str, Tuple[Word, ...]] = {}
-        if scope is None:
-            scoped_funcs = program.funcs
-        elif scope_funcs is not None:
-            scoped_funcs = scope_funcs
-        else:
-            scoped_funcs = [f for f in program.funcs if f.name in scope]
-        for func in scoped_funcs:
+        for func in (program.funcs if scope is None else scope):
             self.stats.functions += 1
             call_stmts = index.call_stmts.get(func.name)
             prebuilt = cfgs.get(func.name) if cfgs is not None else None

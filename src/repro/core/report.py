@@ -33,25 +33,13 @@ def analysis_summary(analysis: ProgramAnalysis,
     through :func:`canonical_region_ids` so the summary is stable across
     re-parses (the Report IR uses this; the human verbose report keeps the
     raw region ids, which are real AST uids)."""
-    fmt = ((lambda w: canonical_region_ids(format_word(w))) if canonical
-           else format_word)
-    per_function = {}
-    for name, fa in analysis.functions.items():
-        per_function[name] = {
-            "blocks": len(fa.cfg),
-            "collectives": fa.n_collectives,
-            "sites": len(fa.sites),
-            "flagged": fa.flagged,
-            "instrumented": fa.instrumented,
-            "multithreaded_sites": len(fa.monothread.multithreaded_sites),
-            "concurrent_pairs": len(fa.concurrency.concurrent_pairs),
-            "mismatch_conditionals": len(fa.sequence.conditionals),
-            "required_level": fa.monothread.max_required_level.mpi_name,
-            "contexts": [fmt(w) for w in fa.context_words],
-        }
-        if analysis.summaries is not None:
-            per_function[name]["collective_summary"] = dict(
-                analysis.summaries[name].collectives)
+    summaries = analysis.summaries
+    per_function = {
+        name: function_entry(
+            fa, fa.context_words, fa.instrumented,
+            summaries[name] if summaries is not None else None, canonical)
+        for name, fa in analysis.functions.items()
+    }
     warnings_by_code = {
         code.value: analysis.diagnostics.count(code) for code in ErrorCode
     }
@@ -69,6 +57,31 @@ def analysis_summary(analysis: ProgramAnalysis,
         "precision": analysis.precision,
         "interprocedural": analysis.interprocedural,
     }
+
+
+def function_entry(art, context_words, instrumented: bool,
+                   summary=None, canonical: bool = True) -> Dict[str, Any]:
+    """One ``summary.functions`` entry from a function's merged artifacts:
+    the counts, the flags, the context words (canonical or raw, see
+    :func:`analysis_summary`) and, in interprocedural mode, its collective
+    ``summary``."""
+    fmt = ((lambda w: canonical_region_ids(format_word(w))) if canonical
+           else format_word)
+    entry = {
+        "blocks": len(art.cfg),
+        "collectives": sum(1 for s in art.sites if s.kind == "collective"),
+        "sites": len(art.sites),
+        "flagged": art.flagged,
+        "instrumented": instrumented,
+        "multithreaded_sites": len(art.monothread.multithreaded_sites),
+        "concurrent_pairs": len(art.concurrency.concurrent_pairs),
+        "mismatch_conditionals": len(art.sequence.conditionals),
+        "required_level": art.monothread.max_required_level.mpi_name,
+        "contexts": [fmt(w) for w in context_words],
+    }
+    if summary is not None:
+        entry["collective_summary"] = dict(summary.collectives)
+    return entry
 
 
 def render_report(analysis: ProgramAnalysis, verbose: bool = False) -> str:

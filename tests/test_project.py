@@ -4,6 +4,7 @@ patching, the sharded artifact store, and the ``project serve`` front end."""
 import io
 import json
 import os
+import shutil
 
 import pytest
 
@@ -239,6 +240,120 @@ def test_file_rename_keeps_findings(project):
     assert delta.findings_total == len(fp_after)
 
 
+def test_rejected_close_keeps_the_file_open(project):
+    with ProjectSession(project) as session:
+        session.update_all()
+        with pytest.raises(SessionError):
+            session.close_file("util.mc")  # main still calls bump
+        assert "util.mc" in session.stats()["project"]["open_files"]
+        _write(project, "main.mc", MAIN.replace("int x = 0;", "int x = 1;"))
+        delta = session.update_file("main.mc")
+    assert delta.changed == ("main",)
+    assert delta.findings_total == 1
+
+
+def test_rejected_rename_or_open_leaves_analyze_working(project):
+    with ProjectSession(project) as session:
+        session.update_all()
+        with pytest.raises(SessionError):
+            session.rename_file("util.mc", "nope.mc")  # nope.mc is absent
+        with pytest.raises(SessionError):
+            session.update_file("missing.mc")
+        delta = session.update_all()
+        assert session.stats()["project"]["open_files"] == ["main.mc",
+                                                            "util.mc"]
+    assert delta.files == ("main.mc", "util.mc")
+    assert delta.findings_total == 1
+
+
+def test_analyze_after_closing_every_file_reads_nothing(project):
+    with ProjectSession(project) as session:
+        session.update_all()
+        session.close_file("main.mc")
+        session.close_file("util.mc")
+        delta = session.update_all()
+        assert session.report["findings"] == []
+    assert delta.files == ()
+    assert delta.findings_total == 0
+
+
+def test_function_shadowing_a_builtin_gains_its_callers(tmp_path):
+    """A user function named like a builtin takes over the calls an
+    unchanged file already makes: opening it re-derives their edges."""
+    from repro.core.report import render_json
+
+    _write(tmp_path, "main.mc",
+           MAIN.replace("x = bump(x);", "x = abs(x);")
+           .replace("    x = plain(x);\n", ""))
+    abs_mc = "int abs(int v) {\n    MPI_Barrier();\n    return v;\n}\n"
+    with ProjectSession(str(tmp_path), store=False) as session:
+        session.update_all()
+        assert session.report["findings"] == []
+        _write(tmp_path, "abs.mc", abs_mc)
+        session.update_file("abs.mc")
+        warm = render_json(session.report)
+    with ProjectSession(str(tmp_path), store=False) as cold:
+        cold.update_all()
+        assert [f["call_path"] for f in cold.report["findings"]] == [
+            ["main", "abs"]]
+        assert render_json(cold.report) == warm
+
+
+_HASH_SEED_SCRIPT = """
+import sys
+from repro.bench import make_project, write_project
+from repro.core.report import render_json
+from repro.project import ProjectSession
+
+root, util, main = sys.argv[1], sys.argv[2], sys.argv[3]
+files = make_project(n_files=10)
+write_project(files, root + "/chain")
+write_project({"util.mc": util, "main.mc": main}, root + "/helpers")
+with ProjectSession(root + "/chain", store=False) as session:
+    session.update_all()
+    for rel, old, new in (("m002.mc", "v += 2;", "v += 7;"),
+                          ("m006.mc", "v += 6;", "v += 8;")):
+        with open(root + "/chain/" + rel, "w") as handle:
+            handle.write(files[rel].replace(old, new, 1))
+    print(render_json(session.update_all().report), end="")
+with ProjectSession(root + "/helpers", store=False) as session:
+    session.update_all()
+    with open(root + "/helpers/util.mc", "w") as handle:
+        handle.write(util.replace("    MPI_Barrier();\\n", ""))
+    print(render_json(session.update_file("util.mc").report), end="")
+"""
+
+
+def test_delta_documents_do_not_depend_on_the_hash_seed(tmp_path):
+    """The dependents walk and the removed fingerprints keep one order in
+    every process, whatever ``PYTHONHASHSEED`` says."""
+    import subprocess
+    import sys
+
+    util = UTIL.replace("int plain(int v) {\n",
+                        "int plain(int v) {\n    MPI_Barrier();\n")
+    main = MAIN.replace("        x = bump(x);\n",
+                        "        x = bump(x);\n        x = plain(x);\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    outputs = set()
+    for seed in range(4):
+        # One project path for every seed: paths appear in the documents.
+        root = tmp_path / "run"
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT, str(root), util, main],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+        shutil.rmtree(root)
+    assert len(outputs) == 1
+    first, second = (json.loads(line)
+                     for line in outputs.pop().splitlines())
+    assert len(first["summary"]["incremental"]["dependents"]) > 1
+    assert len(second["summary"]["incremental"]["findings_removed"]) == 2
+
+
 def test_duplicate_function_across_files_names_both_files(project):
     _write(project, "dup.mc", "int plain(int v) { return v; }\n")
     with ProjectSession(project) as session:
@@ -449,7 +564,7 @@ def test_generated_project_acceptance(tmp_path):
         # a strict subset of the project.
         assert reanalyzed <= ({f"m{i}_f0" for i in range(51)} | {"main"})
         assert "bug_helper" not in reanalyzed
-        assert len(reanalyzed) < 60 < len(session._fingerprints)
+        assert len(reanalyzed) < 60 < session.stats()["project"]["functions"]
     # Per-file analysis of the bug's two files provably misses it.
     helpers = parse_program(files["helpers.mc"], "helpers.mc")
     from repro import analyze_program
@@ -487,22 +602,6 @@ def test_fast_update_report_byte_identical_to_cold(tmp_path):
     assert warm_bytes == cold_bytes
 
 
-def test_checked_memo_is_lru_not_fifo(project):
-    """The semantic-check memo must evict by recency: a function object
-    probed on every update stays resident however many new objects pass
-    through."""
-    with ProjectSession(project, store=False) as session:
-        session._CHECKED_LIMIT = 4
-        hot, *rest = [object() for _ in range(8)]
-        session._note_checked([hot])
-        for cold_obj in rest:
-            assert session._checked_probe(hot)      # keeps `hot` recent
-            session._note_checked([cold_obj])
-        assert len(session._checked) == 4
-        assert session._checked_probe(hot)          # survived 7 insertions
-        assert not session._checked_probe(rest[0])  # FIFO victim was oldest
-
-
 def test_collective_funcs_tracks_callgraph_fixpoint(tmp_path):
     """The session's incrementally maintained collective-function set (fed
     by summary emptiness flips on the fast path) must equal the from-scratch
@@ -514,24 +613,24 @@ def test_collective_funcs_tracks_callgraph_fixpoint(tmp_path):
     write_project(files, root)
     with ProjectSession(root, store=False) as session:
         session.update_all()
-        assert session._collective_funcs == collective_call_graph(
-            session._program)
+        assert session._record.facts.collective_funcs == collective_call_graph(
+            session._record.program)
         # Cut the f0 chain at m50: m0_f0 … m50_f0 all lose collective
         # reachability (the Allreduce sits in the last file's leaves).
         cut = files["m050.mc"].replace("v = m51_f0(v);", "v += 1;", 1)
         _write(root, "m050.mc", cut)
         delta = session.update_file("m050.mc")
         assert delta.changed == ("m50_f0",)
-        expected = collective_call_graph(session._program)
-        assert session._collective_funcs == expected
-        assert "m50_f0" not in session._collective_funcs
-        assert "m49_f0" not in session._collective_funcs
+        expected = collective_call_graph(session._record.program)
+        assert session._record.facts.collective_funcs == expected
+        assert "m50_f0" not in session._record.facts.collective_funcs
+        assert "m49_f0" not in session._record.facts.collective_funcs
         # Restore the call: everything flips back.
         _write(root, "m050.mc", files["m050.mc"])
         session.update_file("m050.mc")
-        assert session._collective_funcs == collective_call_graph(
-            session._program)
-        assert "m49_f0" in session._collective_funcs
+        assert session._record.facts.collective_funcs == collective_call_graph(
+            session._record.program)
+        assert "m49_f0" in session._record.facts.collective_funcs
 
 
 def test_recursive_and_expression_collectives_fixpoint(tmp_path):
@@ -563,8 +662,8 @@ def test_recursive_and_expression_collectives_fixpoint(tmp_path):
     root = str(tmp_path)
     with ProjectSession(root, store=False) as session:
         session.update_all()
-        expected = collective_call_graph(session._program)
-        assert session._collective_funcs == expected
+        expected = collective_call_graph(session._record.program)
+        assert session._record.facts.collective_funcs == expected
         assert {"spin", "wrap", "main"} <= expected
         assert "dead" not in expected
         # Drop the barrier out of the recursive cycle: the whole chain
@@ -575,8 +674,8 @@ def test_recursive_and_expression_collectives_fixpoint(tmp_path):
                "    return v;\n"
                "}\n")
         session.update_file("rec.mc")
-        expected = collective_call_graph(session._program)
-        assert session._collective_funcs == expected
+        expected = collective_call_graph(session._record.program)
+        assert session._record.facts.collective_funcs == expected
         assert "spin" not in expected and "wrap" not in expected
 
 
@@ -716,7 +815,7 @@ def test_serve_xxl_edit_rename_close_sublinear(tmp_path):
     with ProjectSession(root, store=False) as session:
         run_project_serve(session, stdin=io.StringIO("@1 analyze\nquit\n"),
                           stdout=out)
-        total_funcs = len(session._fingerprints)
+        total_funcs = session.stats()["project"]["functions"]
         assert total_funcs > 2000
         misses = session.engine.stats.misses
 

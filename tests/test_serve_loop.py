@@ -205,14 +205,14 @@ def test_watch_reports_the_recovery(tmp_path):
 
 def test_memos_hold_live_functions_only(tmp_path):
     """Every commit drops the memo entries of the functions it replaced:
-    the engine's identity and index memos and the session's
-    checked-function memo track the live program, not the edit count."""
+    the engine's identity and index memos track the live program, not
+    the edit count."""
     files = make_project(n_files=12)
     root = str(tmp_path / "proj")
     write_project(files, root)
     with ProjectSession(root, store=False) as session:
         session.update_all()
-        live = len(session._program.funcs)
+        live = len(session._record.program.funcs)
         for step in range(30):
             rel = f"m{step % 12:03d}.mc"
             text = files[rel].replace(f"v += {step % 12};",
@@ -227,8 +227,7 @@ def test_memos_hold_live_functions_only(tmp_path):
             session.update_file(rel)
             path.write_text(files[rel])
             session.update_file(rel)
-        assert len(session._program.funcs) == live
+        assert len(session._record.program.funcs) == live
         engine = session.engine
         assert len(engine._identity) <= live
         assert len(engine._func_index) <= live
-        assert len(session._checked) <= live

@@ -84,7 +84,7 @@ def test_chunk_parse_matches_full_parse_byte_for_byte(tmp_path):
     _update(session, path, BASE)
     edited = _replace(BASE, "return v + 1;", "return v + 2;")
     _update(session, path, edited)
-    incremental = session._files[str(path)]._program
+    incremental = session._files[str(path)]._record.program
     full = parse_program(edited, str(path))
     assert (render_report(analyze_program(incremental), verbose=True)
             == render_report(analyze_program(full), verbose=True))
@@ -193,7 +193,7 @@ void main() {
     assert "helper" not in delta.reanalyzed
     # The session's view matches a fresh one-shot analysis.
     project = session._files[str(tmp_path / "p.mc")]
-    assert set(project._fingerprints) == {"worker", "main"}
+    assert set(project._record.fingerprints) == {"worker", "main"}
 
 
 def test_parse_error_preserves_state(tmp_path):
