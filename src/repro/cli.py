@@ -38,8 +38,8 @@ Subcommands::
         deterministic schedule exploration: run the program under many
         thread interleavings per (nprocs, num_threads, thread_level)
         configuration — exhaustive DFS with a preemption bound, dynamic
-        partial-order reduction (``dpor``: sleep sets + race reversal +
-        state fingerprints, same verdicts in far fewer schedules; see
+        partial-order reduction (``dpor``: wakeup sequences + sleep sets,
+        one schedule per trace, same verdicts in far fewer schedules; see
         ``docs/explore.md``), or seeded-random sampling — and summarize
         the verdict of every interleaving ("mismatch in 3/120
         schedules").  The first failing schedule is delta-debugged and

@@ -4,8 +4,8 @@ The dynamic-side subsystem: a cooperative :class:`Scheduler` serializes
 every logical thread of a simulated run onto one token (so a run is fully
 determined by its schedule choice sequence), traces record/replay those
 choices as compact JSON, and exploration strategies (bounded-preemption
-DFS, dynamic partial-order reduction with sleep sets and state
-fingerprints, seeded random sampling with duplicate resampling) sweep the
+DFS, dynamic partial-order reduction with wakeup sequences and sleep
+sets, seeded random sampling with duplicate resampling) sweep the
 interleaving space per ``(nprocs, num_threads, thread_level)``
 configuration — with greedy delta-debugging of any failing schedule.
 Surfaced as ``parcoach explore``.

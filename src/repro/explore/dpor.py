@@ -1,52 +1,73 @@
-"""Dynamic partial-order reduction over recorded schedule trees.
+"""Dynamic partial-order reduction that runs each trace once.
 
 :func:`~repro.explore.strategies.dfs_prefixes` expands *every* untried
 sibling at every branching decision — most of which are commutative
-permutations of independent steps that provably reach the same state.
-:class:`DporStrategy` replaces that blind expansion with three classic
-prunings driven by the scheduler's recorded event footprints
-(:mod:`repro.explore.footprint`):
+permutations of independent steps that reach the same state.
+:class:`DporStrategy` aims at one schedule per Mazurkiewicz trace
+instead, with the source sets and wakeup sequences of Abdulla, Aronis,
+Jonsson and Sagonas, "Optimal dynamic partial order reduction" (POPL
+2014), over the scheduler's recorded event footprints
+(:mod:`repro.explore.footprint`).  A trace is the run's steps up to its
+abort (the verdict is fixed there), so steps of other threads that the
+abort cut off count as much as the ones it let through.
 
-* **race reversal** (Flanagan/Godefroid backtrack sets): after each run,
-  every pair of conflicting steps by different threads is a detected race;
-  the decision that scheduled the *earlier* step gets a backtrack entry for
-  the *later* step's thread (or, when that thread is not schedulable there,
-  conservatively for every alternative).  Only backtrack entries are
-  explored — an alternative no race asks for commutes into a schedule the
-  sweep already has.  :func:`race_pairs` finds the races in one pass over
-  the run's events, indexing earlier accesses by shared object;
-* **sleep sets**: after exploring choice ``c`` at a node, ``c`` is put to
-  sleep in every sibling subtree and stays asleep until some executed step
-  conflicts with its next step — schedules that begin with a sleeping
-  thread are permutations of already-explored ones;
-* **state fingerprinting** (optional): when the scheduler hashes the
-  quiescent state at a decision, a node whose fingerprint was already
-  visited with a sleep set no larger than the current one is not expanded
-  at all — its subtree was explored from the earlier visit.  Expansion
-  reads a run's hashes only from the end of its forced prefix (earlier
-  states repeat the parent run's) up to its abort, so the scheduler takes
-  them only there (``Scheduler(fingerprint_from=len(prefix))``).
+* **Dependence.**  Two steps of different threads depend when their
+  footprints :func:`conflicts`; when either aborts the run (it cuts the
+  other's step off); and when one blocked its thread and the other woke
+  it — in the other order the thread would not have blocked — unless the
+  two are the same symmetric step (both parties' arrivals look alike, so
+  swapping them changes nothing a footprint shows).
+* **Happens-before** is the transitive closure, over one run, of that
+  dependence, program order, and the step after which a thread became
+  runnable (the step that registered a team worker or woke a blocked
+  thread) before its next step.  Each thread the abort found ready adds
+  one unknown (wildcard) step after the abort.
+* **Races** are dependent pairs ``(e, e')`` of different threads that no
+  third step orders, where ``e`` did not make ``e'``'s thread runnable.
+  A race is reversed by the wakeup sequence ``notdep(e).e'`` — the steps
+  between ``e`` and ``e'`` that do not happen after ``e``, then ``e'`` —
+  queued at the last branching decision at or before ``e``, even when
+  ``e`` itself ran without a decision.  It is dropped when a thread that
+  was explored, queued or asleep there is a *weak initial* of it (its
+  first step commutes to the front: that branch holds the trace); when
+  its first thread cannot run there; and, counted, when it needs more
+  preemptions than the bound allows.
+* **Sleep sets.**  A queued branch sleeps every branch explored or queued
+  before it at its decision, and everything asleep there, each with the
+  footprint of its next step; a sleeper wakes at the first executed step
+  that depends on it.  A remembered step that blocked counts its
+  symmetric arrivals as writes, since any other access of those objects
+  may change whether it blocks.
 
-The driver enumerates prefixes in FIFO (breadth-first) wave order and all
-pruning state lives in the driver, so executing a wave's runs on worker
-processes (``explore --jobs N``) yields *byte-identical* results to the
-serial sweep: expansion order, run order and counts never depend on how
-many workers raced through a wave.
+A run (:class:`GuidedRun`) is forced through its node's prefix and
+wakeup sequence; then it continues with the default schedule, except that
+it never schedules a sleeping thread while another one can run within the
+preemption bound.  From the abort on it is the plain default, and the
+driver neither branches there nor reads those steps.  No state is hashed:
+every branch a run takes before its abort is recorded at its decision, and
+a queued branch is new at its decision, so no schedule runs twice.
 
-Aborted runs stop expanding at the abort decision: once the verdict is
-fixed (first abort wins), later decisions only reorder the unwinding.
+The driver enumerates nodes in FIFO (breadth-first) wave order and all
+exploration state lives in the driver, so executing a wave's runs on
+worker processes (``explore --jobs N``) yields *byte-identical* results to
+the serial sweep: expansion order, run order and counts never depend on
+how many workers raced through a wave.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
-from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
+from dataclasses import dataclass
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
-from .footprint import Footprint, conflicts, is_wildcard, modes_conflict
-from .strategies import Decision, preemption_counts
+from .footprint import (WILDCARD, Footprint, conflicts, is_wildcard,
+                        modes_conflict)
+from .strategies import Decision, Strategy, preemption_counts
+
+#: One executed (or expected) step: ``(thread, footprint)``.
+Step = Tuple[str, Footprint]
 
 
 @dataclass
@@ -54,10 +75,10 @@ class RunRecord:
     """Everything DPOR needs from one executed run (picklable)."""
 
     decisions: List[Decision]
-    events: List[Tuple[str, Footprint]]
+    events: List[Step]
     event_index: List[int]          # per decision: first event after it
-    fingerprints: List[Optional[str]]
     abort_decision: Optional[int]
+    ready_at_abort: Tuple[str, ...] = ()
 
     @classmethod
     def from_scheduler(cls, scheduler) -> "RunRecord":
@@ -65,8 +86,8 @@ class RunRecord:
             decisions=list(scheduler.decisions),
             events=list(scheduler.events),
             event_index=list(scheduler.decision_event_index),
-            fingerprints=list(scheduler.state_fingerprints),
             abort_decision=scheduler.abort_decision,
+            ready_at_abort=scheduler.ready_at_abort,
         )
 
 
@@ -75,11 +96,10 @@ class DporStats:
     """Why the reduced tree is smaller than the raw one."""
 
     runs: int = 0
-    expanded: int = 0           # children actually pushed
-    sleep_skips: int = 0        # siblings skipped: thread was asleep
-    independent_skips: int = 0  # siblings skipped: no race requires them
-    fingerprint_prunes: int = 0  # nodes cut: state already visited
-    bound_skips: int = 0        # siblings skipped: preemption bound
+    expanded: int = 0           # wakeup sequences queued as new runs
+    sleep_skips: int = 0        # reversals a sleeping thread already covers
+    independent_skips: int = 0  # reversals an explored branch already covers
+    bound_skips: int = 0        # reversals past the preemption bound
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -87,23 +107,21 @@ class DporStats:
             "expanded": self.expanded,
             "sleep_skips": self.sleep_skips,
             "independent_skips": self.independent_skips,
-            "fingerprint_prunes": self.fingerprint_prunes,
             "bound_skips": self.bound_skips,
         }
 
 
-def race_pairs(events: Sequence[Tuple[str, Footprint]]
-               ) -> Iterator[Tuple[int, int]]:
-    """Every race of a run: the pairs ``(j, k)``, ``j < k``, of events by
-    different threads whose footprints :func:`conflicts`, ordered by ``k``
-    then ``j``.
+def race_pairs(events: Sequence[Step]) -> Iterator[Tuple[int, int]]:
+    """Every conflicting pair of a run: the pairs ``(j, k)``, ``j < k``, of
+    events by different threads whose footprints :func:`conflicts`,
+    ordered by ``k`` then ``j``.
 
     One pass over the events.  Earlier accesses are indexed by shared
     object, so an event is only tested against earlier events of other
     threads that touch one of its objects (under
     :func:`~repro.explore.footprint.modes_conflict`), plus every earlier
-    wildcard event; a wildcard event races every earlier non-empty event
-    of another thread."""
+    wildcard event; a wildcard event conflicts with every earlier
+    non-empty event of another thread."""
     by_obj: Dict[str, List[Tuple[int, str, str]]] = {}
     wild: List[Tuple[int, str]] = []
     busy: List[Tuple[int, str]] = []
@@ -127,18 +145,147 @@ def race_pairs(events: Sequence[Tuple[str, Footprint]]
             yield j, k
 
 
-@dataclass
-class _Node:
+_ABORT = ("abort", "w")
+
+
+def depends(a: Footprint, b: Footprint) -> bool:
+    """Steps of two threads that do not commute: conflicting footprints,
+    or either aborts the run — the abort cuts off the other's step."""
+    return _ABORT in a or _ABORT in b or conflicts(a, b)
+
+
+def wake(sleep: Dict[str, Footprint], thread: str, fp: Footprint) -> bool:
+    """Executed step ``(thread, fp)``: ``thread`` is awake, and so is every
+    sleeper whose next step depends on it.  True when any woke."""
+    woken = [u for u, fu in sleep.items() if u == thread or depends(fu, fp)]
+    for u in woken:
+        del sleep[u]
+    return bool(woken)
+
+
+def _weak_initial(thread: str, next_fp: Footprint,
+                  wakeup: Sequence[Step]) -> bool:
+    """True when ``thread`` can go first in ``wakeup`` without changing its
+    trace: its first step there commutes with every step before it, or,
+    when it has none there, its next step ``next_fp`` commutes with all."""
+    fp = next((f for t, f in wakeup if t == thread), next_fp)
+    for t, f in wakeup:
+        if t == thread:
+            return True
+        if depends(f, fp):
+            return False
+    return True
+
+
+class Node(NamedTuple):
+    """One queued run: forced ``prefix`` choices, then the ``wakeup``
+    steps, with ``sleep`` — ``(thread, next footprint)`` pairs — asleep
+    from the wakeup's first step on."""
+
     prefix: Tuple[str, ...]
-    sleep: FrozenSet[str] = frozenset()
+    wakeup: Tuple[Step, ...] = ()
+    sleep: Tuple[Step, ...] = ()
+
+
+class GuidedRun(Strategy):
+    """Schedules one DPOR run (see the module docstring).
+
+    The wakeup sequence is followed as a trace: at each decision the first
+    of its threads whose next step commutes with every step before it is
+    chosen, and each executed step (forced ones too, read off the
+    scheduler's event log) is matched and removed the same way.  A step
+    the sequence cannot absorb, or a choice past the preemption bound,
+    ends it; the run goes on sleep-aware."""
+
+    name = "dpor"
+
+    def __init__(self, scheduler, node: Node, preemption_bound: int) -> None:
+        self.scheduler = scheduler
+        self.prefix = node.prefix
+        self.wakeup = list(node.wakeup)
+        self.sleep = dict(node.sleep)
+        self.preemption_bound = preemption_bound
+        self.spent = 0
+        self._seen: Optional[int] = None
+
+    def choose(self, index, candidates, current, point):
+        voluntary = current is not None and current in candidates
+        default = current if voluntary else candidates[0]
+        if index < len(self.prefix):
+            chosen = self.prefix[index]
+        elif not (self.wakeup or self.sleep) \
+                or self.scheduler.abort_decision is not None:
+            chosen = default
+        else:
+            self._absorb()
+            affordable = not voluntary or self.spent < self.preemption_bound
+            chosen = self._next_wakeup(candidates, current, affordable)
+            if chosen is None:
+                chosen = default
+                if default in self.sleep:
+                    chosen = next(
+                        (c for c in candidates if c not in self.sleep
+                         and (affordable or c == current)), default)
+        if voluntary and chosen != current:
+            self.spent += 1
+        return chosen
+
+    def _absorb(self) -> None:
+        events = self.scheduler.events
+        if self._seen is None:
+            self._seen = len(events)  # the sleep set starts here
+        for thread, fp in events[self._seen:]:
+            wake(self.sleep, thread, fp)
+            if not self.wakeup:
+                continue
+            for j, (t, f) in enumerate(self.wakeup):
+                if t == thread:
+                    del self.wakeup[j]
+                    break
+                if depends(f, fp):
+                    self.wakeup = []
+                    break
+            else:
+                self.wakeup = []
+        self._seen = len(events)
+
+    def _next_wakeup(self, candidates, current, affordable) -> Optional[str]:
+        earlier: List[Footprint] = []
+        seen = set()
+        for t, fp in self.wakeup:
+            if t not in seen:
+                seen.add(t)
+                if (t in candidates and (affordable or t == current)
+                        and not any(depends(f, fp) for f in earlier)):
+                    return t
+            earlier.append(fp)
+        self.wakeup = []
+        return None
+
+
+class _Point:
+    """A branching decision of the explored tree: the sleep set in effect
+    there and its branches, in the order they were explored or queued.
+    ``step`` is the footprint of the step that leads here from the parent
+    decision."""
+
+    __slots__ = ("sleep", "step", "branches")
+
+    def __init__(self, step: Footprint) -> None:
+        self.sleep: Optional[Dict[str, Footprint]] = None
+        self.step = step
+        self.branches: Dict[str, "_Point"] = {}
+
+    def next_steps(self) -> Iterator[Tuple[str, Footprint]]:
+        return ((u, child.step) for u, child in self.branches.items())
 
 
 class DporStrategy:
     """Driver for the reduced enumeration; see the module docstring.
 
     ``explore(execute_wave, max_runs, wave_size)`` pulls up to ``wave_size``
-    pending prefixes per iteration, hands them to ``execute_wave`` (which
-    runs each — serially or on a pool — and returns their
+    queued :class:`Node` s per iteration, hands them to ``execute_wave``
+    (which runs each — serially or on a pool — and returns their
     :class:`RunRecord` s *in order*, ``None`` for a run that could not be
     executed), then expands each record in FIFO order.  Yields the run
     count after every wave.
@@ -146,30 +293,29 @@ class DporStrategy:
 
     name = "dpor"
 
-    def __init__(self, preemption_bound: int = 2,
-                 use_fingerprints: bool = True) -> None:
+    def __init__(self, preemption_bound: int = 2) -> None:
         self.preemption_bound = preemption_bound
-        self.use_fingerprints = use_fingerprints
         self.stats = DporStats()
-        #: fingerprint -> smallest sleep set it was ever expanded with.
-        self._visited: Dict[str, FrozenSet[str]] = {}
-        #: every prefix ever scheduled — two runs may detect the same race.
-        self._pushed: set = {()}
+        #: The explored tree's first branching decision.
+        self._root = _Point(frozenset())
+        self._root.sleep = {}
+        #: Footprint -> its blocked-step form (see ``_expand``).
+        self._blocking: Dict[Footprint, Footprint] = {}
 
     # -- enumeration ----------------------------------------------------------
 
     def explore(
         self,
-        execute_wave: Callable[[List[List[str]]], Sequence[Optional[RunRecord]]],
+        execute_wave: Callable[[List[Node]], Sequence[Optional[RunRecord]]],
         max_runs: int,
         wave_size: int = 1,
     ):
-        frontier = deque([_Node(())])
+        frontier = deque([Node(())])
         while frontier and self.stats.runs < max_runs:
             take = min(len(frontier), max(1, wave_size),
                        max_runs - self.stats.runs)
             nodes = [frontier.popleft() for _ in range(take)]
-            records = execute_wave([list(n.prefix) for n in nodes])
+            records = execute_wave(nodes)
             for node, record in zip(nodes, records):
                 self.stats.runs += 1
                 if record is not None:
@@ -178,143 +324,164 @@ class DporStrategy:
 
     # -- expansion ------------------------------------------------------------
 
-    def _expand(self, node: _Node, record: RunRecord, frontier: deque) -> None:
+    def _expand(self, node: Node, record: RunRecord, frontier: deque) -> None:
         decisions = record.decisions
         events = record.events
         eb = record.event_index
-        start = len(node.prefix)
         limit = len(decisions)
         if record.abort_decision is not None:
-            # The verdict is already fixed; deeper decisions only permute
-            # the unwinding of the abort.
             limit = min(limit, record.abort_decision)
-        choices = [d.chosen for d in decisions]
+        cut = eb[limit] if limit < len(eb) else len(events)
+        start = len(node.prefix)
+        choices = tuple(d.chosen for d in decisions)
+
+        # The runnable threads at the point before each step (none past
+        # the abort: its decisions only unwind it).
+        decision_at = {eb[i]: decisions[i] for i in range(limit)}
+        runnable = [decision_at[k].runnable if k in decision_at
+                    else (events[k][0],) for k in range(cut)] + [()]
+
+        # The run's decisions: the sleep set in effect at each from its
+        # node on (the node's, woken by every step since) and the branch
+        # taken, as executed (a queued wakeup may only have known its first
+        # step as a wildcard).  A step that blocked read the
+        # synchronization state any other access of its objects changes,
+        # so a branch or sleeper remembers its symmetric arrivals as writes.
+        sleep = dict(node.sleep)
+        shared = None  # the last sleep set stored, while unchanged
+        q = eb[start] if start < limit else cut
+        path: List[_Point] = []
+        point = self._root
+        for i in range(limit):
+            if i >= start:
+                while q < eb[i]:
+                    if sleep and wake(sleep, *events[q]):
+                        shared = None
+                    q += 1
+                if point.sleep is None:
+                    if shared is None:
+                        shared = dict(sleep)
+                    point.sleep = shared
+                k = eb[i]
+                fp = events[k][1]
+                if k + 1 < cut and choices[i] not in runnable[k + 1]:
+                    fp = self._blocking.get(fp) or self._blocking.setdefault(
+                        fp, frozenset((obj, "w" if mode.startswith("c:")
+                                       else mode) for obj, mode in fp))
+                child = point.branches.get(choices[i])
+                if child is None:
+                    child = point.branches[choices[i]] = _Point(fp)
+                child.step = fp
+            path.append(point)
+            point = point.branches[choices[i]]
+
+        # Happens-before over the steps up to the abort, then one unknown
+        # (wildcard) step per thread the abort found ready: the abort cut
+        # that step off.  ``past[k]`` has bit ``j`` set when step ``j``
+        # happens before (or is) step ``k``.
+        steps = events[:cut] + [(t, WILDCARD) for t in record.ready_at_abort]
+        depends_on: Dict[int, List[int]] = {}
+        for j, k in race_pairs(steps):
+            if j < cut:
+                depends_on.setdefault(k, []).append(j)
+        past: List[int] = []
+        enabler: List[int] = []
+        previous: List[int] = []
+        ready: Dict[str, int] = {}
+        last: Dict[str, int] = {}
+        for k, (t, fp) in enumerate(steps):
+            after = depends_on.setdefault(k, [])
+            if k < cut:
+                ready = {u: ready.get(u, k - 1) for u in runnable[k]}
+                en = ready.pop(t)
+                if _ABORT in fp:
+                    # The abort cuts off every other thread's next step.
+                    after += [j for u, j in last.items() if u != t]
+                for u in runnable[k + 1]:
+                    if u != t and u not in ready and u in last \
+                            and steps[last[u]][1] != fp:
+                        # Step k woke u, which blocked after its last step:
+                        # the two depend (in the other order u would not
+                        # have blocked), unless they are the same step.
+                        after.append(last[u])
+            else:
+                en = ready.get(t, cut - 1)
+            before = last.get(t, -1)
+            mask = 1 << k
+            for p in after + [before, en]:
+                if p >= 0:
+                    mask |= past[p]
+            past.append(mask)
+            enabler.append(en)
+            previous.append(before)
+            if k < cut:
+                last[t] = k
+
+        # Races whose later step is new in this run: the earlier steps
+        # repeat the run that queued it, which reversed their races.
         spent = preemption_counts(decisions)
+        for k in range(eb[start] if start < limit else cut, len(steps)):
+            candidates = depends_on[k]
+            preds = candidates + [p for p in (previous[k], enabler[k])
+                                  if p >= 0]
+            latest: Dict[str, int] = {}
+            for j in candidates:
+                latest[steps[j][0]] = max(j, latest.get(steps[j][0], -1))
+            for j in sorted(latest.values()):
+                bit = 1 << j
+                if enabler[k] == j or any(
+                        p != j and past[p] & bit for p in preds):
+                    continue  # not reversible, or ordered by a third step
+                self._reverse(j, k, steps, past, runnable, path, eb,
+                              decisions, choices, spent, frontier)
 
-        positions: Dict[str, List[int]] = {}
-        for k, (thread, _) in enumerate(events):
-            positions.setdefault(thread, []).append(k)
-
-        def next_event(thread: str, k: int):
-            """Thread's first recorded event at index >= k, or None."""
-            idxs = positions.get(thread)
-            if idxs:
-                j = bisect_left(idxs, k)
-                if j < len(idxs):
-                    return events[idxs[j]][1], idxs[j]
-            return None
-
-        # -- race detection (Flanagan/Godefroid) ------------------------------
-        # Every pair of conflicting steps by different threads is a race the
-        # sweep must try to reverse: revisit the decision that scheduled the
-        # earlier step with the later step's thread instead.  A reordering
-        # no race asks for commutes into this very schedule — skip it.
-        dec_of_event = {eb[i]: i for i in range(min(limit, len(eb)))}
-        backtrack: Dict[int, set] = {}
-        for j, k in race_pairs(events):
-            i = dec_of_event.get(j)
-            if i is None:
-                continue
-            d = decisions[i]
-            alts = [a for a in d.runnable if a != d.chosen]
-            if not alts:
-                continue
-            # The racing thread itself when schedulable there; otherwise
-            # conservatively every alternative ("add all enabled").
-            tk = events[k][0]
-            targets = [tk] if tk in alts else alts
-            backtrack.setdefault(i, set()).update(targets)
-
-        def push(i: int, alt: str, child_sleep) -> None:
-            prefix = tuple(choices[:i]) + (alt,)
-            if prefix in self._pushed:
-                return
-            self._pushed.add(prefix)
-            frontier.append(_Node(prefix, frozenset(child_sleep)))
-            self.stats.expanded += 1
-
-        def cost_ok(i: int, alt: str) -> bool:
-            d = decisions[i]
-            voluntary = d.current is not None and d.current in d.runnable
-            return spent[i] + (1 if voluntary and alt != d.current else 0) \
-                <= self.preemption_bound
-
-        # Races whose earlier step sits inside the inherited prefix: the
-        # parent could not have seen them (the later step may exist only in
-        # this branch), so push them from here; ``_pushed`` dedupes the many
-        # runs that re-detect the same race.
-        for i in sorted(b for b in backtrack if b < start):
-            for alt in sorted(backtrack[i]):
-                if cost_ok(i, alt):
-                    push(i, alt, set())
-                else:
-                    self.stats.bound_skips += 1
-
-        sleep = set(node.sleep)
-
-        def advance(k: int) -> None:
-            """Executed step ``events[k]`` — wake every sleeper whose next
-            step it conflicts with (a sleeper with no recorded next step is
-            conservatively woken)."""
-            thread, fp = events[k]
-            sleep.discard(thread)
-            for u in list(sleep):
-                info = next_event(u, k)
-                if info is None or conflicts(info[0], fp):
-                    sleep.discard(u)
-
-        # node.sleep is the sleep set in effect right after the prefix's
-        # last forced choice executed its step; advance it over everything
-        # that ran since (including non-branching segments).
-        q = eb[start - 1] + 1 if start > 0 else 0
-
-        for i in range(start, limit):
-            while q < eb[i]:
-                advance(q)
-                q += 1
-            d = decisions[i]
-
-            if self.use_fingerprints:
-                fp = record.fingerprints[i] if i < len(record.fingerprints) \
-                    else None
-                if fp is not None:
-                    prev = self._visited.get(fp)
-                    here = frozenset(sleep)
-                    if prev is not None and prev <= here:
-                        # This state was already expanded with at least as
-                        # much freedom — the whole subtree is covered.
-                        self.stats.fingerprint_prunes += 1
-                        return
-                    self._visited[fp] = prev & here if prev is not None \
-                        else here
-
-            wanted = backtrack.get(i, ())
-            pushed_here: List[str] = []
-            for alt in d.runnable:
-                if alt == d.chosen:
-                    continue
-                if alt not in wanted:
-                    self.stats.independent_skips += 1
-                    continue
-                if alt in sleep:
-                    self.stats.sleep_skips += 1
-                    continue
-                if not cost_ok(i, alt):
-                    self.stats.bound_skips += 1
-                    continue
-                info = next_event(alt, eb[i])
-                child_sleep = set()
-                if info is not None:
-                    alt_fp = info[0]
-                    # Transitions already explored from this node (the run's
-                    # own choice plus earlier-pushed siblings) go to sleep in
-                    # this child — unless their step conflicts with alt's.
-                    for u in sleep | {d.chosen} | set(pushed_here):
-                        if u == alt:
-                            continue
-                        uinfo = next_event(u, eb[i])
-                        if uinfo is not None and \
-                                not conflicts(uinfo[0], alt_fp):
-                            child_sleep.add(u)
-                push(i, alt, child_sleep)
-                pushed_here.append(alt)
+    def _reverse(self, j, k, steps, past, runnable, path, eb, decisions,
+                 choices, spent, frontier) -> None:
+        """Queue ``notdep(e).e'`` for the race of steps ``j`` and ``k`` at
+        the last branching decision at or before ``j``."""
+        i = bisect_right(eb, j) - 1
+        if i < 0:
+            return
+        order = [f for f in range(j + 1, k) if not past[f] >> j & 1]
+        order.append(k)
+        first = steps[order[0]][0]
+        point = path[i]
+        # Most reversals start with a thread already explored, queued or
+        # asleep at the decision: its subtree holds the trace.
+        if first in point.branches:
+            self.stats.independent_skips += 1
+            return
+        if first in point.sleep:
+            self.stats.sleep_skips += 1
+            return
+        d = decisions[i]
+        if first not in d.runnable:
+            return
+        wakeup = tuple(steps[f] for f in order)
+        current = d.current if d.current in d.runnable else None
+        cost = spent[i]
+        for f in order:
+            t = steps[f][0]
+            if current is not None and t != current:
+                cost += 1
+            current = t if f + 1 < len(runnable) and t in runnable[f + 1] \
+                else None
+        if cost > self.preemption_bound:
+            self.stats.bound_skips += 1
+            return
+        # The earlier step's thread never goes first: its step races e'.
+        tj = steps[j][0]
+        if any(u != tj and _weak_initial(u, fu, wakeup)
+               for u, fu in point.next_steps()):
+            self.stats.independent_skips += 1
+            return
+        if any(u != tj and _weak_initial(u, fu, wakeup)
+               for u, fu in point.sleep.items()):
+            self.stats.sleep_skips += 1
+            return
+        asleep = dict(point.sleep)
+        asleep.update(point.next_steps())
+        queued = Node(choices[:i], wakeup, tuple(sorted(asleep.items())))
+        frontier.append(queued)
+        point.branches[first] = _Point(wakeup[0][1])
+        self.stats.expanded += 1

@@ -9,9 +9,9 @@ The first failing schedule is delta-debugged into a minimized trace.
 a recorded (or minimized) trace and reports whether it reproduced the
 recorded verdict byte for byte.
 
-The ``dpor`` strategy accepts ``jobs > 1``: waves of pending prefixes fan
-out to a process pool (the same pool/ordered-merge idiom the fuzz campaign
-uses) while all pruning state stays in the driver, so the report is
+The ``dpor`` strategy accepts ``jobs > 1``: waves of queued runs fan out
+to a process pool (the same pool/ordered-merge idiom the fuzz campaign
+uses) while all exploration state stays in the driver, so the report is
 byte-identical to the serial sweep.  ``budget`` caps any strategy's wall
 clock; the report is then a clean partial summary with
 ``budget_exhausted`` set.
@@ -30,7 +30,7 @@ from ..minilang import ast_nodes as A
 from ..mpi.thread_levels import ThreadLevel
 from ..runtime.run import run_program
 from ..runtime.simmpi.world import RunResult
-from .dpor import DporStrategy, RunRecord
+from .dpor import DporStrategy, GuidedRun, Node, RunRecord
 from .minimize import ddmin
 from .sched import Scheduler
 from .strategies import (
@@ -125,8 +125,8 @@ class ConfigReport:
             s = self.dpor_stats
             line += (f"\n  dpor: pushed {s['expanded']}, skipped "
                      f"{s['independent_skips']} independent + "
-                     f"{s['sleep_skips']} sleeping, "
-                     f"{s['fingerprint_prunes']} state prunes")
+                     f"{s['sleep_skips']} sleeping + "
+                     f"{s['bound_skips']} past the bound")
         if self.failures:
             first = self.failures[0]
             line += (f"\n  first failure at schedule #{first.index}: "
@@ -141,14 +141,11 @@ class ConfigReport:
 def _run_with_scheduler(
     program: A.Program,
     config: ExploreConfig,
-    strategy,
+    scheduler: Scheduler,
     group_kinds: Optional[Dict[int, str]],
     strategy_info: Optional[Dict[str, object]],
     mode: str,
-    fingerprint_from: Optional[int],
 ) -> Tuple[RunResult, ScheduleTrace, Scheduler]:
-    scheduler = Scheduler(strategy or DefaultStrategy(),
-                          fingerprint_from=fingerprint_from)
     result = run_program(
         program,
         nprocs=config.nprocs,
@@ -173,7 +170,8 @@ def run_scheduled(
 ) -> Tuple[RunResult, ScheduleTrace]:
     """Execute one deterministic scheduled run; return result + its trace."""
     result, trace, _ = _run_with_scheduler(
-        program, config, strategy, group_kinds, strategy_info, mode, None)
+        program, config, Scheduler(strategy or DefaultStrategy()),
+        group_kinds, strategy_info, mode)
     return result, trace
 
 
@@ -223,19 +221,18 @@ def _minimize_failure(program, config, group_kinds, outcome: ScheduleOutcome,
     # Keep exactly the choices the minimized schedule actually consumed.
     trace.choices = trace.choices[:len(minimal)]
     trace.step_footprints = trace.step_footprints[:len(minimal)]
-    trace.state_fingerprints = trace.state_fingerprints[:len(minimal)]
     return trace, replays
 
 
 def _dpor_worker(payload) -> Tuple[ScheduleTrace, RunRecord]:
-    """Pool entry: execute one forced-prefix run, ship trace + record back.
-    States are hashed only past the forced prefix: those before it repeat
-    the states of the run the prefix was taken from."""
-    program, config, group_kinds, prefix, preemptions, fingerprints = payload
-    _, trace, scheduler = _run_with_scheduler(
-        program, config, ScriptedStrategy(prefix), group_kinds,
-        {"name": "dpor", "prefix": len(prefix), "preemptions": preemptions},
-        "full", len(prefix) if fingerprints else None)
+    """Pool entry: execute one queued DPOR node, ship trace + record back."""
+    program, config, group_kinds, node, preemptions = payload
+    scheduler = Scheduler()
+    scheduler.strategy = GuidedRun(scheduler, node, preemptions)
+    _, trace, _ = _run_with_scheduler(
+        program, config, scheduler, group_kinds,
+        {"name": "dpor", "prefix": len(node.prefix),
+         "preemptions": preemptions}, "full")
     return trace, RunRecord.from_scheduler(scheduler)
 
 
@@ -252,7 +249,6 @@ def explore_config(
     max_failures: int = 25,
     jobs: int = 1,
     budget: Optional[float] = None,
-    fingerprints: bool = True,
     collect_schedules: bool = False,
 ) -> ConfigReport:
     """Explore one configuration's schedule space."""
@@ -279,12 +275,14 @@ def explore_config(
 
     if strategy == "dfs":
         def run_fn(prefix: List[str]):
-            result, trace = run_scheduled(
-                program, config, ScriptedStrategy(prefix), group_kinds,
-                strategy_info={"name": "dfs", "prefix": len(prefix),
-                               "preemptions": preemptions})
+            _, trace, scheduler = _run_with_scheduler(
+                program, config, Scheduler(ScriptedStrategy(prefix)),
+                group_kinds, {"name": "dfs", "prefix": len(prefix),
+                              "preemptions": preemptions}, "full")
             note(trace)
-            return trace.choices
+            # Past the abort the verdict is fixed: decisions there only
+            # reorder the unwinding, so the tree does not branch on them.
+            return trace.choices[:scheduler.abort_decision]
 
         for _ in dfs_prefixes(run_fn, max_runs=runs,
                               preemption_bound=preemptions):
@@ -293,7 +291,7 @@ def explore_config(
                 break
     elif strategy == "dpor":
         _explore_dpor(program, config, group_kinds, runs, preemptions,
-                      jobs, fingerprints, note, out_of_time, report)
+                      jobs, note, out_of_time, report)
     elif strategy == "random":
         seen: set = set()
         for slot in range(runs):
@@ -330,18 +328,16 @@ def explore_config(
 
 
 def _explore_dpor(program, config, group_kinds, runs, preemptions, jobs,
-                  fingerprints, note, out_of_time, report) -> None:
+                  note, out_of_time, report) -> None:
     """DPOR sweep, optionally fanning waves out to a process pool.
 
-    Workers only *execute* runs; every expansion/pruning decision happens
-    here, in FIFO wave order, so output is byte-identical for any ``jobs``.
+    Workers only *execute* runs; every expansion decision happens here, in
+    FIFO wave order, so output is byte-identical for any ``jobs``.
     """
-    driver = DporStrategy(preemption_bound=preemptions,
-                          use_fingerprints=fingerprints)
+    driver = DporStrategy(preemption_bound=preemptions)
 
-    def run_serial(prefix: List[str]) -> Tuple[ScheduleTrace, RunRecord]:
-        return _dpor_worker((program, config, group_kinds, prefix,
-                             preemptions, fingerprints))
+    def run_serial(node: Node) -> Tuple[ScheduleTrace, RunRecord]:
+        return _dpor_worker((program, config, group_kinds, node, preemptions))
 
     pool: Optional[ProcessPoolExecutor] = None
     pool_broken = False
@@ -351,19 +347,19 @@ def _explore_dpor(program, config, group_kinds, runs, preemptions, jobs,
         except OSError:
             pool = None
 
-    def execute_wave(prefixes: List[List[str]]):
+    def execute_wave(nodes: List[Node]):
         nonlocal pool, pool_broken
         pairs: Optional[List[Tuple[ScheduleTrace, RunRecord]]] = None
-        if pool is not None and not pool_broken and len(prefixes) > 1:
-            payloads = [(program, config, group_kinds, p, preemptions,
-                         fingerprints) for p in prefixes]
+        if pool is not None and not pool_broken and len(nodes) > 1:
+            payloads = [(program, config, group_kinds, n, preemptions)
+                        for n in nodes]
             try:
                 pairs = list(pool.map(_dpor_worker, payloads))
             except (BrokenProcessPool, OSError):
                 pool_broken = True  # sandboxed: finish serially
                 pairs = None
         if pairs is None:
-            pairs = [run_serial(p) for p in prefixes]
+            pairs = [run_serial(n) for n in nodes]
         for trace, _ in pairs:
             note(trace)
         return [record for _, record in pairs]

@@ -32,6 +32,7 @@ in the shared-variable accesses observed at runtime (see
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import FrozenSet, Iterable, Tuple
 
 from ..runtime.schedpoint import SchedPoint
@@ -47,8 +48,10 @@ WILDCARD: Footprint = frozenset({("*", "w")})
 _CLAIM_RE = re.compile(r"^(r\d+)t\d+(u\d+)$")
 
 
+@lru_cache(maxsize=4096)
 def point_footprint(point: str) -> Footprint:
-    """Base footprint of one SchedPoint, from its ``kind:detail`` string."""
+    """Base footprint of one SchedPoint, from its ``kind:detail`` string
+    (cached: a run parks at the same few points over and over)."""
     kind, _, detail = point.partition(":")
     if kind == SchedPoint.COLLECTIVE:
         # "MPI_Bcast@r0" — one communicator object; same-op arrivals are

@@ -24,11 +24,8 @@ every shared-state access the runtime reported via :meth:`note_access`
 while the segment ran.  ``decision_event_index[i]`` maps decision ``i`` to
 the index of the first event executed after it, so
 ``events[decision_event_index[i]]`` is exactly the step taken by the chosen
-thread.  With ``fingerprint_from=n`` each branching decision from index
-``n`` on additionally hashes the quiescent global state (thread positions +
-observation hashes, mailbox contents, collective-round state, shared cells)
-so drivers can prune revisited states — until the run aborts: decisions
-after that only reorder the unwinding, and no driver reads their hashes.
+thread.  Partial-order reduction works from these footprints alone; no
+state is hashed.
 
 Logical threads run on carriers (reused OS threads, see
 :mod:`repro.runtime.carrier`).  The spawning thread — the world's caller
@@ -56,16 +53,13 @@ clock advances checks it.
 from __future__ import annotations
 
 import _thread
-import hashlib
 import threading
-import zlib
 from bisect import bisect_left, insort
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..runtime.errors import DeadlockError
 from ..runtime.schedpoint import SchedPoint
-from ..util.brepr import bounded_repr
-from .footprint import Footprint, footprint_to_list, point_footprint
+from .footprint import Footprint, point_footprint
 from .strategies import Decision, DefaultStrategy, Strategy
 
 _READY = "ready"
@@ -82,7 +76,7 @@ DEFAULT_STEP_BUDGET = 1_000_000
 
 class _Logical:
     __slots__ = ("name", "state", "token", "cond", "predicate", "describe",
-                 "pending_fp", "accesses", "obs")
+                 "pending_fp", "accesses")
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -97,21 +91,13 @@ class _Logical:
         self.pending_fp: Footprint = _EMPTY_FP
         #: Shared-state accesses reported while the current segment runs.
         self.accesses: Set[Tuple[str, str]] = set()
-        #: Rolling hash of everything this thread has observed (shared
-        #: reads, collective/recv results, claim outcomes) — a sound proxy
-        #: for its local state, since thread locals are a deterministic
-        #: function of the observation sequence.
-        self.obs = 0
 
 
 class Scheduler:
     """One run's cooperative schedule: strategy in, decision log out."""
 
-    def __init__(self, strategy: Optional[Strategy] = None,
-                 fingerprint_from: Optional[int] = None) -> None:
+    def __init__(self, strategy: Optional[Strategy] = None) -> None:
         self.strategy = strategy or DefaultStrategy()
-        #: First decision index to hash the state at; None hashes none.
-        self.fingerprint_from = fingerprint_from
         self._lock = threading.RLock()
         self._threads: Dict[str, _Logical] = {}
         #: Set when the last logical thread detaches: the run is over.
@@ -130,12 +116,12 @@ class Scheduler:
         #: ``decision_event_index[i]`` = index into :attr:`events` of the
         #: first event executed after decision ``i``.
         self.decision_event_index: List[int] = []
-        #: Per-decision state fingerprint (None outside the hashed window:
-        #: before ``fingerprint_from`` and from the abort on).
-        self.state_fingerprints: List[Optional[str]] = []
         #: Decision count at the moment the run aborted, if it did —
         #: decisions past this index only reorder the unwinding.
         self.abort_decision: Optional[int] = None
+        #: Threads that were ready (not running, not blocked) when the run
+        #: aborted: the abort cut off the step each was about to take.
+        self.ready_at_abort: Tuple[str, ...] = ()
         #: Wait-for description when structural deadlock was detected.
         self.deadlock_state: Optional[str] = None
 
@@ -203,6 +189,7 @@ class Scheduler:
         with self._lock:
             if self.abort_decision is None:
                 self.abort_decision = len(self.decisions)
+                self.ready_at_abort = tuple(self._ready_list)
             me = self._me()
             aborter = self._threads.get(me) if me is not None else None
             if aborter is not None:
@@ -215,7 +202,7 @@ class Scheduler:
                     lt.predicate = None
                     self._mark_ready_locked(lt)
 
-    # -- footprint / observation hooks ----------------------------------------
+    # -- footprint hook ---------------------------------------------------------
 
     def note_access(self, obj: str, mode: str = "w") -> None:
         """The running segment touched shared object ``obj`` (mode r/w)."""
@@ -225,20 +212,6 @@ class Scheduler:
         lt = self._threads.get(me)
         if lt is not None:
             lt.accesses.add((obj, mode))
-
-    def note_observation(self, value: object) -> None:
-        """The running thread observed ``value`` (shared read, collective or
-        recv result, claim outcome) — folds into its local-state hash."""
-        me = self._me()
-        if me is None:
-            return
-        lt = self._threads.get(me)
-        if lt is not None:
-            # bounded_repr: a fuzzed ``x = x * x`` loop mints ints past
-            # CPython's 4300-digit str limit; plain repr would kill the
-            # rank thread mid-observation (found by the fuzz campaign).
-            lt.obs = zlib.crc32(
-                bounded_repr(value).encode("utf-8", "replace"), lt.obs)
 
     # -- decision points ------------------------------------------------------
 
@@ -253,7 +226,7 @@ class Scheduler:
             # it first) begins by executing this point's operation.
             self._close_segment_locked(lt, point_footprint(point))
             candidates = self._ready_locked(include=me)
-            chosen = self._choose_locked(kind, detail, me, candidates, world)
+            chosen = self._choose_locked(kind, detail, me, candidates)
             if chosen == me:
                 self._tick_locked(world)
                 return
@@ -331,7 +304,7 @@ class Scheduler:
         return names
 
     def _choose_locked(self, kind: str, detail: str, current: Optional[str],
-                       candidates: List[str], world=None) -> str:
+                       candidates: List[str]) -> str:
         point = f"{kind}:{detail}" if detail else kind
         if len(candidates) == 1:
             return candidates[0]
@@ -340,35 +313,9 @@ class Scheduler:
         if chosen not in candidates:
             chosen = candidates[0]
         self.decision_event_index.append(len(self.events))
-        hashed = (self.fingerprint_from is not None
-                  and index >= self.fingerprint_from
-                  and self.abort_decision is None and world is not None)
-        self.state_fingerprints.append(
-            self._fingerprint_locked(world) if hashed else None)
         self.decisions.append(Decision(index, point, current,
                                        tuple(candidates), chosen))
         return chosen
-
-    def _fingerprint_locked(self, world) -> str:
-        """Canonical hash of the quiescent state at a branching decision.
-
-        All logical threads are parked here (single token), so the state is
-        fully described by: each thread's park position (pending footprint +
-        blocked/ready + wait description) and observation hash, plus the
-        world's shared state (mailbox queues, collective-round progress,
-        shared interpreter cells, finished ranks) as reported by
-        ``world.fingerprint_state()``.
-        """
-        parts = []
-        for name in sorted(self._threads):
-            lt = self._threads[name]
-            parts.append((name, lt.state,
-                          lt.describe if lt.state == _BLOCKED else "",
-                          lt.obs, footprint_to_list(lt.pending_fp)))
-        state = getattr(world, "fingerprint_state", None)
-        world_state = state() if state is not None else "?"
-        blob = repr((parts, world_state)).encode("utf-8", "replace")
-        return hashlib.sha256(blob).hexdigest()[:16]
 
     def _tick_locked(self, world) -> None:
         """Advance the virtual clock one step; past the step budget the run
@@ -415,5 +362,5 @@ class Scheduler:
             ready = self._ready_locked()
             if not ready:
                 return
-        chosen = self._choose_locked(kind, detail, None, ready, world)
+        chosen = self._choose_locked(kind, detail, None, ready)
         self._grant_locked(world, chosen)

@@ -125,11 +125,12 @@ def dfs_prefixes(
     """Systematic DFS over the schedule tree.
 
     ``run_fn(prefix)`` must execute one run whose first branching decisions
-    are forced to ``prefix`` and return the full decision log.  Yields the
-    number of runs executed so far after each run.  Each feasible schedule
-    (within the preemption bound) is executed at most once: alternatives are
-    only expanded at decision indices at or past the forced prefix, so the
-    prefix tree *is* the schedule tree.
+    are forced to ``prefix`` and return its decision log up to where the
+    tree stops branching (``explore_config`` cuts it at the run's abort).
+    Yields the number of runs executed so far after each run.  Each
+    feasible schedule (within the preemption bound) is executed at most
+    once: alternatives are only expanded at decision indices at or past the
+    forced prefix, so the prefix tree *is* the schedule tree.
     """
     stack: List[List[str]] = [[]]
     runs = 0

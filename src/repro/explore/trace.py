@@ -19,23 +19,21 @@ JSON schema (``version`` 2)::
                   "class": "DeadlockError", "detected_by": "simulator"},
       "choices": [
         {"i": 0, "p": "start", "u": null, "r": ["r0", "r1"], "c": "r1",
-         "f": ["comm/c:MPI_Bcast"], "sf": "9f86d081884c7d65"},
+         "f": ["comm/c:MPI_Bcast"]},
         ...
       ]
     }
 
 ``choices[*]``: ``i`` decision index, ``p`` schedule point (kind:detail),
 ``u`` the thread that was running (``null`` = forced switch), ``r`` the
-sorted runnable set, ``c`` the chosen thread.  Version 2 adds the pruning
-metadata that dynamic partial-order reduction works from: ``f`` is the
+sorted runnable set, ``c`` the chosen thread.  Version 2 adds ``f``, the
 access footprint of the step the chosen thread actually executed after the
 decision (canonical sorted ``object/mode`` strings, see
-:mod:`repro.explore.footprint`) and ``sf`` is the state fingerprint of the
-quiescent state at the decision (present only where the recording
-scheduler hashed it: from its ``fingerprint_from`` index until the run
-aborted).  Only ``c`` is required to replay; the
-rest make traces self-describing and drive DFS/DPOR expansion.  Version-1
-traces (no ``f``/``sf``) load and replay unchanged.  ``mode: "minimized"``
+:mod:`repro.explore.footprint`) — what dynamic partial-order reduction
+works from.  Only ``c`` is required to replay; the rest make traces
+self-describing.  Version-1 traces (no ``f``) load and replay unchanged,
+and so do version-2 traces written with the optional state-fingerprint key
+``sf`` that earlier releases recorded (it is ignored).  ``mode: "minimized"``
 marks a delta-debugged choice sequence that relies on the deterministic
 run-to-completion fallback once exhausted.
 """
@@ -76,8 +74,6 @@ class ScheduleTrace:
     #: Per choice: the executed step's footprint (sorted "object/mode"
     #: strings) or None when unknown (v1 traces, truncated runs).
     step_footprints: List[Optional[List[str]]] = field(default_factory=list)
-    #: Per choice: quiescent-state fingerprint or None.
-    state_fingerprints: List[Optional[str]] = field(default_factory=list)
 
     @property
     def choice_names(self) -> List[str]:
@@ -91,7 +87,6 @@ class ScheduleTrace:
                mode: str = "full") -> "ScheduleTrace":
         events = getattr(scheduler, "events", [])
         event_index = getattr(scheduler, "decision_event_index", [])
-        state_fps = list(getattr(scheduler, "state_fingerprints", []))
         footprints: List[Optional[List[str]]] = []
         for i in range(len(scheduler.decisions)):
             ei = event_index[i] if i < len(event_index) else None
@@ -99,7 +94,6 @@ class ScheduleTrace:
                 footprints.append(footprint_to_list(events[ei][1]))
             else:
                 footprints.append(None)
-        state_fps += [None] * (len(scheduler.decisions) - len(state_fps))
         return cls(
             config=dict(config),
             choices=list(scheduler.decisions),
@@ -109,7 +103,6 @@ class ScheduleTrace:
             mode=mode,
             strategy=dict(strategy_info or {}),
             step_footprints=footprints,
-            state_fingerprints=state_fps,
         )
 
     # -- (de)serialization ------------------------------------------------------
@@ -123,10 +116,6 @@ class ScheduleTrace:
                   if i < len(self.step_footprints) else None)
             if fp is not None:
                 entry["f"] = list(fp)
-            sf = (self.state_fingerprints[i]
-                  if i < len(self.state_fingerprints) else None)
-            if sf is not None:
-                entry["sf"] = sf
             choices.append(entry)
         return {
             "version": TRACE_VERSION,
@@ -170,7 +159,6 @@ class ScheduleTrace:
             mode=data.get("mode", "full"),
             strategy=dict(data.get("strategy", {})),
             step_footprints=[c.get("f") for c in raw_choices],
-            state_fingerprints=[c.get("sf") for c in raw_choices],
         )
 
     @classmethod

@@ -11,8 +11,8 @@ verdict source the system has:
 * **dynamic, instrumented** — the same default-schedule run of the
   selectively instrumented program (CC / thread-check verdicts fire
   *before* the deadlock);
-* **dynamic, explored** — a bounded-preemption DPOR sweep (race-reversal
-  backtracking + sleep sets, see :mod:`repro.explore.dpor`) of thread
+* **dynamic, explored** — a bounded-preemption DPOR sweep (wakeup
+  sequences + sleep sets, see :mod:`repro.explore.dpor`) of thread
   interleavings of the instrumented program, catching schedule-sensitive
   bugs the default interleaving misses at a fraction of the raw DFS cost.
 

@@ -15,12 +15,11 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ...minilang import ast_nodes as A
 from ...mpi.collectives import COLLECTIVES
-from ...util.brepr import bounded_repr
 from ..checks import CheckState
 from ..errors import MpiRuntimeError
 from ..simmpi.process import MpiProcess
 from ..simomp import Team
-from .env import Cell, Env, InterpError
+from .env import Env, InterpError
 
 _MAX_CALL_DEPTH = 200
 
@@ -73,14 +72,12 @@ class Interpreter:
         self.funcs = {f.name: f for f in program.funcs}
         # Shared-variable access tracking for schedule exploration: reads
         # and writes of cells visible to a team of >1 threads feed the
-        # running segment's footprint (and the state fingerprint).  Objects
-        # (cells, arrays) are labeled lazily in first-access order —
-        # deterministic within one scheduled run, which is the only scope
-        # footprints are ever compared in.
+        # running segment's footprint.  Objects (cells, arrays) are labeled
+        # lazily in first-access order — deterministic within one scheduled
+        # run, which is the only scope footprints are ever compared in.
         self._labels: Dict[int, str] = {}
-        self._label_objs: List[tuple] = []  # (label, obj) — also keeps refs
-        self.world.register_fingerprint_provider(
-            f"interp:r{proc.rank}", self._shared_state)
+        #: Every labeled object, kept alive so its id is never reused.
+        self._labeled: List[object] = []
 
     # -- shared-access tracking ----------------------------------------------
 
@@ -94,20 +91,8 @@ class Interpreter:
         if label is None:
             label = f"r{self.proc.rank}:{name}#{len(self._labels)}"
             self._labels[key] = label
-            self._label_objs.append((label, obj))
+            self._labeled.append(obj)
         return label
-
-    def _shared_state(self) -> tuple:
-        """Values of every tracked shared object, for state fingerprints.
-        ``bounded_repr`` digests huge integers (a fuzzed ``x = x * x``
-        loop overflows CPython's 4300-digit int→str limit and would kill
-        the rank thread mid-fingerprint) to bit length + low bits —
-        still deterministic and collision-poor."""
-        return tuple(sorted(
-            (label, bounded_repr(obj.value if isinstance(obj, Cell)
-                                 else obj))
-            for label, obj in self._label_objs
-        ))
 
     # -- entry -------------------------------------------------------------------
 
@@ -205,9 +190,6 @@ class Interpreter:
             if stmt.op == "=":
                 cell.value = value
             else:
-                if self._tracking(ctx):
-                    self.world.note_observation(
-                        ("load", target.name, cell.value))
                 cell.value = _apply_compound(stmt.op, cell.value, value)
             if self._tracking(ctx):
                 self.world.note_access(self._label(cell, target.name), "w")
@@ -223,9 +205,6 @@ class Interpreter:
             if stmt.op == "=":
                 arr[index] = value
             else:
-                if self._tracking(ctx):
-                    self.world.note_observation(
-                        ("load", target.name, index, arr[index]))
                 arr[index] = _apply_compound(stmt.op, arr[index], value)
             if self._tracking(ctx):
                 self.world.note_access(self._label(arr, target.name), "w")
@@ -360,7 +339,6 @@ class Interpreter:
             if self._tracking(ctx):
                 cell = env.cell(expr.name)
                 self.world.note_access(self._label(cell, expr.name), "r")
-                self.world.note_observation(("load", expr.name, cell.value))
                 return cell.value
             return env.get(expr.name)
         if isinstance(expr, A.ArrayRef):
@@ -375,7 +353,6 @@ class Interpreter:
             value = arr[index]
             if self._tracking(ctx):
                 self.world.note_access(self._label(arr, expr.name), "r")
-                self.world.note_observation(("load", expr.name, index, value))
             return value
         if isinstance(expr, A.UnaryOp):
             value = self.eval(expr.operand, env, ctx)

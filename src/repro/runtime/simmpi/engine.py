@@ -25,7 +25,6 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
-from ...util.brepr import bounded_repr
 from ..errors import AbortedError, DeadlockError
 from ..schedpoint import SchedPoint
 from . import ops
@@ -75,20 +74,7 @@ class CollectiveEngine:
                 self._releasing = False
                 self._result = None
                 self.world.notify(self.cond)
-            self.world.note_observation(("coll", op_name, value))
             return value
-
-    def fingerprint_state(self):
-        """Canonical round progress for state fingerprinting."""
-        return (
-            self.round_no,
-            tuple(
-                (r, v[0], bounded_repr(v[1]), bounded_repr(v[2]))
-                for r, v in sorted(self.arrivals.items())
-            ),
-            self._releasing,
-            self._release_pending,
-        )
 
     def on_proc_finished(self, rank: int) -> None:
         """Called by the world when a rank's main thread exits; wakes a round

@@ -11,7 +11,6 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
-from ...util.brepr import bounded_repr
 from ..schedpoint import SchedPoint
 
 
@@ -28,13 +27,6 @@ class Mailbox:
             self.queues.setdefault(dest, []).append((source, tag, value))
             self.world.notify(self.cond)
 
-    def fingerprint_state(self):
-        """Canonical queue contents for state fingerprinting."""
-        return tuple(
-            (dest, bounded_repr(tuple(self.queues[dest])))
-            for dest in sorted(self.queues) if self.queues[dest]
-        )
-
     def _match(self, dest: int, source: int, tag: int) -> Optional[int]:
         queue = self.queues.setdefault(dest, [])
         for i, (src, t, _value) in enumerate(queue):
@@ -48,9 +40,7 @@ class Mailbox:
             while True:
                 index = self._match(dest, source, tag)
                 if index is not None:
-                    src, t, value = self.queues[dest].pop(index)
-                    self.world.note_observation(("recv", src, t, value))
-                    return value
+                    return self.queues[dest].pop(index)[2]
                 self.world.check_abort()
                 self.world.wait(
                     self.cond,

@@ -89,15 +89,6 @@ class MpiProcess:
             with self._lock:
                 self._active_wide_teams -= 1
 
-    def fingerprint_state(self):
-        """Canonical per-rank shared state for state fingerprinting."""
-        with self._lock:
-            return (
-                self.rank, self.initialized, self.finalized, self._in_mpi,
-                self._collectives_inflight, self._active_wide_teams,
-                tuple(sorted(self.check_counters.items())),
-            )
-
     def critical_lock(self, name: str) -> CriticalSection:
         with self._critical_guard:
             return self._critical_locks.setdefault(

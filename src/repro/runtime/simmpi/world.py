@@ -91,7 +91,6 @@ class MpiWorld:
         self._abort_lock = threading.Lock()
         self.abort_error: Optional[ValidationError] = None
         self.aborted = threading.Event()
-        self._fingerprint_providers: Dict[str, Callable[[], object]] = {}
         self.finished_ranks: Set[int] = set()
         self.engine = CollectiveEngine(self, list(range(nprocs)))
         self.mailbox = Mailbox(self)
@@ -115,34 +114,6 @@ class MpiWorld:
     def note_access(self, obj: str, mode: str = "w") -> None:
         """The running thread touched shared object ``obj`` (footprints)."""
         self.scheduler.note_access(obj, mode)
-
-    def note_observation(self, value) -> None:
-        """The running thread observed ``value`` (state fingerprints)."""
-        self.scheduler.note_observation(value)
-
-    # -- state fingerprinting ------------------------------------------------------
-
-    def register_fingerprint_provider(self, key: str, provider) -> None:
-        """Register a component (e.g. a rank's interpreter) that contributes
-        shared state to :meth:`fingerprint_state`; keyed so composition
-        order never depends on thread startup order."""
-        self._fingerprint_providers[key] = provider
-
-    def fingerprint_state(self):
-        """Canonical snapshot of all world-level shared state, consumed by
-        the cooperative scheduler's per-decision state hash."""
-        providers = tuple(
-            (key, self._fingerprint_providers[key]())
-            for key in sorted(self._fingerprint_providers)
-        )
-        return (
-            tuple(sorted(self.finished_ranks)),
-            self.aborted.is_set(),
-            self.engine.fingerprint_state(),
-            self.mailbox.fingerprint_state(),
-            tuple(proc.fingerprint_state() for proc in self.procs),
-            providers,
-        )
 
     # -- abort protocol -----------------------------------------------------------
 

@@ -151,7 +151,6 @@ class Team:
             won = key not in self._claims
             if won:
                 self._claims[key] = tid
-        self.world.note_observation(("claim", construct_uid, encounter, won))
         return won
 
     def static_chunk(self, tid: int, count: int) -> range:

@@ -9,11 +9,8 @@
   registry behind ``PARCOACH_FAULTS`` (named sites, hit counts).
 * :mod:`repro.util.probe` — thread-local analysis-path probes, the
   coverage-guided fuzzer's feedback channel.
-* :func:`repro.util.brepr.bounded_repr` — big-int-safe ``repr`` for the
-  state-fingerprint and observation-hash paths.
 """
 
-from .brepr import bounded_repr
 from .ddmin import ddmin
 from .faultinject import FaultPlan, InjectedFault, fault_site
 from .probe import bucket, collecting, probe, probes_active
@@ -25,7 +22,6 @@ __all__ = [
     "Failure",
     "FaultPlan",
     "InjectedFault",
-    "bounded_repr",
     "bucket",
     "collecting",
     "ddmin",

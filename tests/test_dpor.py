@@ -7,11 +7,13 @@ sweeps over values too large for ``repr``, and runs that end only when
 every logical thread has detached."""
 
 import json
+import os
 import threading
 
 import pytest
 
 from repro import parse_program
+from repro.core import analyze_program, instrument_program
 from repro.bench.errors_gallery import (
     CASES,
     interprocedural_cases,
@@ -64,6 +66,29 @@ def test_dpor_schedules_subset_of_dfs_with_identical_verdicts(name):
     assert set(dpor.schedule_choices) <= set(dfs.schedule_choices)
     assert set(dpor.verdict_counts) == set(dfs.verdict_counts)
     assert (dpor.failed > 0) == (dfs.failed > 0)
+
+
+def test_no_sweep_runs_a_schedule_twice():
+    """The explore-dpor sweeps: the gallery raw and instrumented at nt=3,
+    ``runs=100``, ``preemptions=2``."""
+    repeats = {}
+    for name, case in CASES.items():
+        program = _program(name)
+        analysis = analyze_program(program)
+        instrumented, _ = instrument_program(analysis)
+        for mode, prog, kinds in (
+                ("raw", program, None),
+                ("instrumented", instrumented, analysis.group_kinds)):
+            config = ExploreConfig(nprocs=case.nprocs, num_threads=3,
+                                   instrument=mode == "instrumented")
+            report = explore_config(prog, config, strategy="dpor", runs=100,
+                                    preemptions=2, group_kinds=kinds,
+                                    minimize=False, collect_schedules=True)
+            choices = report.schedule_choices
+            repeats[name, mode] = len(choices) - len(set(choices))
+    assert len(repeats) == 48
+    assert sum(repeats.values()) == 0, {
+        key: n for key, n in repeats.items() if n}
 
 
 def test_dpor_reduction_on_racy_single_worker_allreduce_nt3():
@@ -151,6 +176,30 @@ def test_v2_trace_carries_footprints_and_fingerprints(tmp_path):
     assert loaded.step_footprints == trace.step_footprints
 
 
+def test_written_traces_carry_no_state_fingerprints():
+    report = _explore("racy_single_worker_allreduce", "dpor")
+    data = report.failures[0].trace.to_dict()
+    assert data["version"] == 2
+    assert not any("sf" in c for c in data["choices"])
+
+
+def test_v2_trace_with_state_fingerprints_replays():
+    """A DPOR failure trace written when traces still carried the state
+    fingerprint ``sf`` (version 2, where it was optional)."""
+    path = os.path.join(os.path.dirname(__file__), "traces",
+                        "racy_single_worker_allreduce_v2_sf.json")
+    with open(path, encoding="utf-8") as handle:
+        data = json.load(handle)
+    assert data["version"] == 2
+    assert sum("sf" in c for c in data["choices"]) == 6
+    trace = ScheduleTrace.from_dict(data)
+    result, _, divergences = replay(_program("racy_single_worker_allreduce"),
+                                    trace)
+    assert divergences == 0
+    assert verdict_line(result) == trace.verdict
+    assert trace.verdict_class == "DeadlockError"
+
+
 def test_v1_trace_replays_under_v2_reader():
     report = _explore("racy_single_worker_allreduce", "dpor")
     trace = report.failures[0].trace
@@ -214,7 +263,7 @@ def test_dpor_driver_wave_order_is_independent_of_wave_size():
             for prefix in prefixes:
                 order.append(tuple(prefix))
                 _, record = _dpor_worker(
-                    (program, config, None, prefix, 1, True))
+                    (program, config, None, prefix, 1))
                 records.append(record)
             return records
 
@@ -231,12 +280,12 @@ def test_run_record_is_picklable():
 
     program = _program("racy_single_worker_allreduce")
     config = ExploreConfig(nprocs=2, num_threads=2)
+    from repro.explore.dpor import Node
     from repro.explore.explore import _dpor_worker
-    trace, record = _dpor_worker((program, config, None, [], 1, True))
+    trace, record = _dpor_worker((program, config, None, Node(()), 1))
     blob = pickle.dumps((trace, record))
     trace2, record2 = pickle.loads(blob)
     assert record2.events == record.events
-    assert record2.fingerprints == record.fingerprints
     assert isinstance(record2, RunRecord)
 
 
@@ -259,25 +308,30 @@ _BIG_VALUE_PROGRAM = """void main() {
 """
 
 
-@pytest.mark.parametrize("op", [
-    "MPI_Bcast(x, 0);",
-    "if (r == 0) { MPI_Send(x, 1, 0); } else { MPI_Recv(x, 0, 0); }",
+@pytest.mark.parametrize("op,traces", [
+    ("MPI_Bcast(x, 0);", 19),
+    ("if (r == 0) { MPI_Send(x, 1, 0); } else { MPI_Recv(x, 0, 0); }", 9),
 ], ids=["collective-payload", "queued-message"])
-def test_dpor_sweeps_values_past_the_repr_digit_limit(op):
+def test_dpor_sweeps_values_past_the_repr_digit_limit(op, traces):
     """``x`` has 7,818 digits.  Hashing an open round's payload or a queued
     message with a plain ``repr`` raised inside a scheduling decision, lost
-    the token and hung the sweep."""
+    the token and hung the sweep.  The sweep ends by itself, one schedule
+    per trace."""
+    from reference_traces import run_key
+
     program = parse_program(_BIG_VALUE_PROGRAM % op, "big.mc")
     config = ExploreConfig(nprocs=2, num_threads=2)
     reports = []
     sweep = threading.Thread(target=lambda: reports.append(explore_config(
-        program, config, strategy="dpor", runs=20, minimize=False)),
-        daemon=True)
+        program, config, strategy="dpor", runs=20, minimize=False,
+        collect_schedules=True)), daemon=True)
     sweep.start()
     sweep.join(timeout=60)
     assert reports, "the DPOR sweep hung"
-    assert reports[0].schedules == 20
-    assert dict(reports[0].verdict_counts) == {"clean": 20}
+    assert reports[0].schedules == traces
+    assert dict(reports[0].verdict_counts) == {"clean": traces}
+    assert len({run_key(program, config, None, choices)[1]
+                for choices in reports[0].schedule_choices}) == traces
 
 
 # -- a scheduled run ends when its last logical thread detaches --------------------
@@ -308,13 +362,14 @@ def barrier_sweep():
 
 def test_run_returns_only_after_every_logical_thread_detached(barrier_sweep):
     from repro.explore.explore import _run_with_scheduler
+    from repro.explore.sched import Scheduler
 
     program, config, report = barrier_sweep
     aborted = 0
     for choices in report.schedule_choices[:30]:
         _, trace, scheduler = _run_with_scheduler(
-            program, config, ScriptedStrategy(list(choices)), None, None,
-            "full", None)
+            program, config, Scheduler(ScriptedStrategy(list(choices))),
+            None, None, "full")
         assert not scheduler._threads
         assert trace.choices == scheduler.decisions
         aborted += scheduler.abort_decision is not None

@@ -36,7 +36,6 @@ from repro.fuzz import (
     mutate,
     program_for_seed,
     run_fuzz,
-    run_oracle,
     signature_for,
     source_features,
     write_checkpoint,
@@ -491,52 +490,6 @@ def test_fresh_body_thread_lifts_stale_quarantine():
             assert idents[0] not in faultinject._quarantined
     finally:
         release_quarantine(idents[0])
-
-
-# ---------------------------------------------------------------------------
-# Campaign-found runtime bugs (the ≥5000-seed sweep, see docs/fuzzing.md)
-# ---------------------------------------------------------------------------
-
-
-def test_bounded_repr_digests_bigints_and_recurses():
-    from repro.util.brepr import bounded_repr
-    big = 1 << 20000  # well past CPython's 4300-digit int→str limit
-    with pytest.raises(ValueError):
-        str(big)
-    digest = bounded_repr(big)
-    assert digest == bounded_repr(big)  # deterministic
-    assert digest.startswith("bigint:20001:")
-    # Recurses through the composite observation records the scheduler
-    # hashes; small values keep their exact repr.
-    assert bounded_repr(("load", "x", big)) == \
-        f"('load', 'x', {digest})"
-    assert bounded_repr([1, (big,)]) == f"[1, ({digest},)]"
-    assert bounded_repr(("one",)) == "('one',)"
-    assert bounded_repr(42) == "42"
-    assert bounded_repr(True) == "True"
-
-
-def test_observation_hash_survives_bigint_shared_loads():
-    """Regression for the coverage campaign's seed-761 crash: the
-    scheduler's per-thread observation hash fed raw shared-cell values
-    through ``repr``, so a squared-x loop minting a >4300-digit int
-    killed the rank thread mid-load (timeout/internal-error crash).
-    The corpus entry ``bigint_observation_hash`` replays the reduced
-    program; here we also show the unbounded repr still fails, i.e. the
-    test would catch a regression to the old behaviour."""
-    import repro.explore.sched as sched
-    with open(os.path.join(os.path.dirname(__file__), "corpus",
-                           "bigint_observation_hash.mini"),
-              encoding="utf-8") as handle:
-        source = handle.read()
-    config = OracleConfig(explore_runs=4)
-    assert run_oracle(source, config).classification == "agree"
-    original = sched.bounded_repr
-    sched.bounded_repr = repr
-    try:
-        assert run_oracle(source, config).classification == "crash"
-    finally:
-        sched.bounded_repr = original
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,10 @@ DIGEST_SEEDS = tuple(range(40)) + tuple(
     mutant_seed(parent, slot) for parent in (5, 23) for slot in range(6))
 
 #: SHA-256 of ``_outcome_digest(DIGEST_SEEDS)``, pinned from the seed body
-#: that parsed each text three times.
-OUTCOME_DIGEST = "716a006f8b7c251b0904e074811650d96aa7e25c7b4b15e34053fe83223445cd"
+#: that parsed each text three times, and re-pinned when DPOR came to run
+#: each trace once: classifications stayed; the 12-run sweeps' explored
+#: counts moved, and so did their explored classes on seeds 17 and 30.
+OUTCOME_DIGEST = "e189fc7d0f53ae87d7577b72cd1086b3cdf6c9ee1c1aa898e11a60ac94fe837a"
 
 
 def _outcome_digest(seeds):
