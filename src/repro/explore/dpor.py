@@ -14,30 +14,47 @@ abort cut off count as much as the ones it let through.
 * **Dependence.**  Two steps of different threads depend when their
   footprints :func:`conflicts`; when either aborts the run (it cuts the
   other's step off); and when one blocked its thread and the other woke
-  it — in the other order the thread would not have blocked — unless the
-  two are the same symmetric step (both parties' arrivals look alike, so
-  swapping them changes nothing a footprint shows).
+  it — in the other order the thread would not have blocked, and the
+  other would have — unless the waking step woke several threads blocked
+  on the same step (pairwise reversals cannot pick which of them arrives
+  last without repeating traces).
 * **Happens-before** is the transitive closure, over one run, of that
   dependence, program order, and the step after which a thread became
   runnable (the step that registered a team worker or woke a blocked
   thread) before its next step.  Each thread the abort found ready adds
   one unknown (wildcard) step after the abort.
 * **Races** are dependent pairs ``(e, e')`` of different threads that no
-  third step orders, where ``e`` did not make ``e'``'s thread runnable.
-  A race is reversed by the wakeup sequence ``notdep(e).e'`` — the steps
-  between ``e`` and ``e'`` that do not happen after ``e``, then ``e'`` —
-  queued at the last branching decision at or before ``e``, even when
-  ``e`` itself ran without a decision.  It is dropped when a thread that
-  was explored, queued or asleep there is a *weak initial* of it (its
-  first step commutes to the front: that branch holds the trace); when
-  its first thread cannot run there; and, counted, when it needs more
-  preemptions than the bound allows.
+  third step orders, where ``e`` did not make ``e'``'s thread runnable;
+  a thread's earlier steps that depend on ``e'`` and are ordered only by
+  its own later ones race ``e'`` too, so a capped sweep reaches them
+  without a chain of one reversal per run.  A race is reversed by the
+  wakeup sequence ``notdep(e).e'`` — the steps between ``e`` and ``e'``
+  that do not happen after ``e``, then ``e'`` — queued at the last
+  branching decision at or before ``e``, even when ``e`` itself ran
+  without a decision.  It is dropped when a thread that was explored,
+  queued or asleep there is a *weak initial* of it (its first step
+  commutes to the front: that branch holds the trace), and when its first
+  thread cannot run there.
+* **The preemption bound.**  A sequence that needs more preemptions than
+  the bound allows is shortened to the steps ``e'`` needs; failing that,
+  when a thread was running at the decision, the same is tried for ``e'``
+  and the step that thread's run began with, at the last decision before
+  it where the running thread could not go on, since switching there is
+  free (the conservative branch of Coons, Musuvathi and McKinley,
+  "Bounded partial-order reduction", OOPSLA 2013).  What still does not
+  fit is counted in ``bound_skips``.
 * **Sleep sets.**  A queued branch sleeps every branch explored or queued
   before it at its decision, and everything asleep there, each with the
   footprint of its next step; a sleeper wakes at the first executed step
   that depends on it.  A remembered step that blocked counts its
   symmetric arrivals as writes, since any other access of those objects
-  may change whether it blocks.
+  may change whether it blocks.  Under the bound a sleeper stands for its
+  trace only while the branch that holds it can afford it: each sleeper
+  carries how many more preemptions that branch spends than the current
+  path (one to take the sleeper's step where the path took another, one
+  to leave its thread still runnable after it, less the path's own), and
+  it wakes at a decision where the preemptions spent plus that excess
+  pass the bound.
 
 A run (:class:`GuidedRun`) is forced through its node's prefix and
 wakeup sequence; then it continues with the default schedule, except that
@@ -154,10 +171,27 @@ def depends(a: Footprint, b: Footprint) -> bool:
     return _ABORT in a or _ABORT in b or conflicts(a, b)
 
 
-def wake(sleep: Dict[str, Footprint], thread: str, fp: Footprint) -> bool:
+#: A sleeper: the footprint of its next step, and how many more
+#: preemptions the branch that covers it spends than the current path.
+Sleeper = Tuple[Footprint, int]
+
+
+def wake(sleep: Dict[str, Sleeper], thread: str, fp: Footprint) -> bool:
     """Executed step ``(thread, fp)``: ``thread`` is awake, and so is every
     sleeper whose next step depends on it.  True when any woke."""
-    woken = [u for u, fu in sleep.items() if u == thread or depends(fu, fp)]
+    woken = [u for u, (fu, _) in sleep.items()
+             if u == thread or depends(fu, fp)]
+    for u in woken:
+        del sleep[u]
+    return bool(woken)
+
+
+def wake_unaffordable(sleep: Dict[str, Sleeper], spent: int,
+                      bound: int) -> bool:
+    """With ``spent`` preemptions behind the current decision, wake every
+    sleeper whose covering branch could not afford to be here.  True when
+    any woke."""
+    woken = [u for u, (_, extra) in sleep.items() if spent + extra > bound]
     for u in woken:
         del sleep[u]
     return bool(woken)
@@ -184,7 +218,7 @@ class Node(NamedTuple):
 
     prefix: Tuple[str, ...]
     wakeup: Tuple[Step, ...] = ()
-    sleep: Tuple[Step, ...] = ()
+    sleep: Tuple[Tuple[str, Footprint, int], ...] = ()
 
 
 class GuidedRun(Strategy):
@@ -203,7 +237,7 @@ class GuidedRun(Strategy):
         self.scheduler = scheduler
         self.prefix = node.prefix
         self.wakeup = list(node.wakeup)
-        self.sleep = dict(node.sleep)
+        self.sleep = {u: (fp, extra) for u, fp, extra in node.sleep}
         self.preemption_bound = preemption_bound
         self.spent = 0
         self._seen: Optional[int] = None
@@ -218,6 +252,7 @@ class GuidedRun(Strategy):
             chosen = default
         else:
             self._absorb()
+            wake_unaffordable(self.sleep, self.spent, self.preemption_bound)
             affordable = not voluntary or self.spent < self.preemption_bound
             chosen = self._next_wakeup(candidates, current, affordable)
             if chosen is None:
@@ -267,17 +302,22 @@ class _Point:
     """A branching decision of the explored tree: the sleep set in effect
     there and its branches, in the order they were explored or queued.
     ``step`` is the footprint of the step that leads here from the parent
-    decision."""
+    decision, and ``cost`` the preemptions around it: one to take it while
+    another thread could go on, one to leave its thread still runnable."""
 
-    __slots__ = ("sleep", "step", "branches")
+    __slots__ = ("sleep", "step", "cost", "branches")
 
-    def __init__(self, step: Footprint) -> None:
-        self.sleep: Optional[Dict[str, Footprint]] = None
+    def __init__(self, step: Footprint, cost: int) -> None:
+        self.sleep: Optional[Dict[str, Sleeper]] = None
         self.step = step
+        self.cost = cost
         self.branches: Dict[str, "_Point"] = {}
 
-    def next_steps(self) -> Iterator[Tuple[str, Footprint]]:
-        return ((u, child.step) for u, child in self.branches.items())
+    def sleepers(self, switch: int) -> Iterator[Tuple[str, Sleeper]]:
+        """The branches, as sleepers of a path that took ``switch``
+        preemptions to start here."""
+        return ((u, (child.step, child.cost - switch))
+                for u, child in self.branches.items())
 
 
 class DporStrategy:
@@ -297,7 +337,7 @@ class DporStrategy:
         self.preemption_bound = preemption_bound
         self.stats = DporStats()
         #: The explored tree's first branching decision.
-        self._root = _Point(frozenset())
+        self._root = _Point(frozenset(), 0)
         self._root.sleep = {}
         #: Footprint -> its blocked-step form (see ``_expand``).
         self._blocking: Dict[Footprint, Footprint] = {}
@@ -334,6 +374,8 @@ class DporStrategy:
         cut = eb[limit] if limit < len(eb) else len(events)
         start = len(node.prefix)
         choices = tuple(d.chosen for d in decisions)
+        spent = preemption_counts(decisions)
+        bound = self.preemption_bound
 
         # The runnable threads at the point before each step (none past
         # the abort: its decisions only unwind it).
@@ -347,7 +389,9 @@ class DporStrategy:
         # step as a wildcard).  A step that blocked read the
         # synchronization state any other access of its objects changes,
         # so a branch or sleeper remembers its symmetric arrivals as writes.
-        sleep = dict(node.sleep)
+        # A sleeper whose covering branch could not afford the preemptions
+        # spent to get here wakes: that branch cannot hold the trace.
+        sleep = {u: (fp, extra) for u, fp, extra in node.sleep}
         shared = None  # the last sleep set stored, while unchanged
         q = eb[start] if start < limit else cut
         path: List[_Point] = []
@@ -358,20 +402,24 @@ class DporStrategy:
                     if sleep and wake(sleep, *events[q]):
                         shared = None
                     q += 1
+                if sleep and wake_unaffordable(sleep, spent[i], bound):
+                    shared = None
                 if point.sleep is None:
                     if shared is None:
                         shared = dict(sleep)
                     point.sleep = shared
                 k = eb[i]
                 fp = events[k][1]
-                if k + 1 < cut and choices[i] not in runnable[k + 1]:
+                blocked = k + 1 < cut and choices[i] not in runnable[k + 1]
+                if blocked:
                     fp = self._blocking.get(fp) or self._blocking.setdefault(
                         fp, frozenset((obj, "w" if mode.startswith("c:")
                                        else mode) for obj, mode in fp))
+                cost = decisions[i].preemptive + (not blocked)
                 child = point.branches.get(choices[i])
                 if child is None:
-                    child = point.branches[choices[i]] = _Point(fp)
-                child.step = fp
+                    child = point.branches[choices[i]] = _Point(fp, cost)
+                child.step, child.cost = fp, cost
             path.append(point)
             point = point.branches[choices[i]]
 
@@ -397,12 +445,14 @@ class DporStrategy:
                 if _ABORT in fp:
                     # The abort cuts off every other thread's next step.
                     after += [j for u, j in last.items() if u != t]
-                for u in runnable[k + 1]:
-                    if u != t and u not in ready and u in last \
-                            and steps[last[u]][1] != fp:
+                woke = [u for u in runnable[k + 1]
+                        if u != t and u not in ready and u in last]
+                for u in woke:
+                    if len(woke) == 1 or steps[last[u]][1] != fp:
                         # Step k woke u, which blocked after its last step:
                         # the two depend (in the other order u would not
-                        # have blocked), unless they are the same step.
+                        # have blocked), unless k woke several threads
+                        # blocked on the same step.
                         after.append(last[u])
             else:
                 en = ready.get(t, cut - 1)
@@ -418,45 +468,80 @@ class DporStrategy:
                 last[t] = k
 
         # Races whose later step is new in this run: the earlier steps
-        # repeat the run that queued it, which reversed their races.
-        spent = preemption_counts(decisions)
+        # repeat the run that queued it, which reversed their races.  Each
+        # thread's last step that conflicts with e' races it unless a third
+        # step orders the two; so do the thread's earlier conflicting steps
+        # that only its own later ones order (a run cap would otherwise
+        # reach them one reversal per run, later and later).
         for k in range(eb[start] if start < limit else cut, len(steps)):
-            candidates = depends_on[k]
+            candidates = sorted(set(depends_on[k]))
             preds = candidates + [p for p in (previous[k], enabler[k])
                                   if p >= 0]
+
+            def ordered(j: int) -> bool:
+                tj = steps[j][0]
+                return enabler[k] == j or any(
+                    p != j and past[p] >> j & 1
+                    and (steps[p][0] != tj or p not in candidates)
+                    for p in preds)
+
             latest: Dict[str, int] = {}
             for j in candidates:
-                latest[steps[j][0]] = max(j, latest.get(steps[j][0], -1))
+                latest[steps[j][0]] = j
             for j in sorted(latest.values()):
-                bit = 1 << j
-                if enabler[k] == j or any(
-                        p != j and past[p] & bit for p in preds):
+                if ordered(j):
                     continue  # not reversible, or ordered by a third step
-                self._reverse(j, k, steps, past, runnable, path, eb,
-                              decisions, choices, spent, frontier)
+                tj = steps[j][0]
+                for r in [j] + [f for f in candidates if f < j
+                                and steps[f][0] == tj and not ordered(f)]:
+                    self._reverse(r, k, steps, past, runnable, path, eb,
+                                  decisions, choices, spent, frontier)
 
     def _reverse(self, j, k, steps, past, runnable, path, eb, decisions,
                  choices, spent, frontier) -> None:
         """Queue ``notdep(e).e'`` for the race of steps ``j`` and ``k`` at
-        the last branching decision at or before ``j``."""
+        the last branching decision at or before ``j`` or, past the
+        preemption bound, a shorter or a conservative sequence (see the
+        module docstring)."""
         i = bisect_right(eb, j) - 1
         if i < 0:
             return
-        order = [f for f in range(j + 1, k) if not past[f] >> j & 1]
-        order.append(k)
+        between = [f for f in range(j + 1, k) if not past[f] >> j & 1]
+        args = (steps, runnable, path, decisions, choices, spent, frontier)
+        outcome = self._queue(i, j, between + [k], *args)
+        if outcome == "bound":
+            needed = [f for f in between if past[k] >> f & 1]
+            if len(needed) < len(between):
+                outcome = self._queue(i, j, needed + [k], *args)
+        if outcome == "bound" and not _free(decisions[i]):
+            c = next((c for c in range(i - 1, -1, -1)
+                      if _free(decisions[c])), None)
+            if c is not None and not past[k] >> eb[c] & 1:
+                e = eb[c]
+                needed = [f for f in range(e + 1, k)
+                          if past[k] >> f & 1 and not past[f] >> e & 1]
+                outcome = self._queue(c, e, needed + [k], *args)
+        if outcome == "bound":
+            self.stats.bound_skips += 1
+
+    def _queue(self, i, j, order, steps, runnable, path, decisions, choices,
+               spent, frontier) -> str:
+        """Queue the wakeup sequence ``order`` (step indices) at decision
+        ``i``, whose run took step ``j``; "bound" when it needs more
+        preemptions than the bound allows."""
         first = steps[order[0]][0]
         point = path[i]
         # Most reversals start with a thread already explored, queued or
         # asleep at the decision: its subtree holds the trace.
         if first in point.branches:
             self.stats.independent_skips += 1
-            return
+            return "covered"
         if first in point.sleep:
             self.stats.sleep_skips += 1
-            return
+            return "covered"
         d = decisions[i]
         if first not in d.runnable:
-            return
+            return "covered"
         wakeup = tuple(steps[f] for f in order)
         current = d.current if d.current in d.runnable else None
         cost = spent[i]
@@ -467,21 +552,29 @@ class DporStrategy:
             current = t if f + 1 < len(runnable) and t in runnable[f + 1] \
                 else None
         if cost > self.preemption_bound:
-            self.stats.bound_skips += 1
-            return
+            return "bound"
         # The earlier step's thread never goes first: its step races e'.
         tj = steps[j][0]
-        if any(u != tj and _weak_initial(u, fu, wakeup)
-               for u, fu in point.next_steps()):
+        if any(u != tj and _weak_initial(u, child.step, wakeup)
+               for u, child in point.branches.items()):
             self.stats.independent_skips += 1
-            return
+            return "covered"
         if any(u != tj and _weak_initial(u, fu, wakeup)
-               for u, fu in point.sleep.items()):
+               for u, (fu, _) in point.sleep.items()):
             self.stats.sleep_skips += 1
-            return
+            return "covered"
+        switch = int(not _free(d) and first != d.current)  # preemptions
         asleep = dict(point.sleep)
-        asleep.update(point.next_steps())
-        queued = Node(choices[:i], wakeup, tuple(sorted(asleep.items())))
+        asleep.update(point.sleepers(switch))
+        queued = Node(choices[:i], wakeup, tuple(
+            (u, fu, extra) for u, (fu, extra) in sorted(asleep.items())))
         frontier.append(queued)
-        point.branches[first] = _Point(wakeup[0][1])
+        point.branches[first] = _Point(wakeup[0][1], switch + 1)
         self.stats.expanded += 1
+        return "queued"
+
+
+def _free(d: Decision) -> bool:
+    """True when the running thread could not go on at decision ``d``:
+    any choice there is free."""
+    return d.current is None or d.current not in d.runnable

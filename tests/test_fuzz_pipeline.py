@@ -38,9 +38,11 @@ DIGEST_SEEDS = tuple(range(40)) + tuple(
 
 #: SHA-256 of ``_outcome_digest(DIGEST_SEEDS)``, pinned from the seed body
 #: that parsed each text three times, and re-pinned when DPOR came to run
-#: each trace once: classifications stayed; the 12-run sweeps' explored
-#: counts moved, and so did their explored classes on seeds 17 and 30.
-OUTCOME_DIGEST = "e189fc7d0f53ae87d7577b72cd1086b3cdf6c9ee1c1aa898e11a60ac94fe837a"
+#: each trace once: every classification stayed, and so did every 12-run
+#: sweep's explored classes except seed 17's, which gained
+#: CollectiveMismatchError (a bounded DFS of that tree finds it at its 7th
+#: schedule); the explored counts moved.
+OUTCOME_DIGEST = "31aef1a87cdc1aca94454b7edd91bc5eb369dcf94e3b2c55b3e382e699b95f16"
 
 
 def _outcome_digest(seeds):
