@@ -1,74 +1,43 @@
 """Dynamic partial-order reduction that runs each trace once.
 
 :func:`~repro.explore.strategies.dfs_prefixes` expands *every* untried
-sibling at every branching decision — most of which are commutative
-permutations of independent steps that reach the same state.
-:class:`DporStrategy` aims at one schedule per Mazurkiewicz trace
-instead, with the source sets and wakeup sequences of Abdulla, Aronis,
-Jonsson and Sagonas, "Optimal dynamic partial order reduction" (POPL
-2014), over the scheduler's recorded event footprints
-(:mod:`repro.explore.footprint`).  A trace is the run's steps up to its
-abort (the verdict is fixed there), so steps of other threads that the
-abort cut off count as much as the ones it let through.
+sibling at every branching decision.  :class:`DporStrategy` aims at one
+schedule per Mazurkiewicz trace instead, with the source sets and wakeup
+sequences of Abdulla, Aronis, Jonsson and Sagonas, "Optimal dynamic
+partial order reduction" (POPL 2014), over the scheduler's recorded event
+footprints (:mod:`repro.explore.footprint`).  A trace is the run's steps
+up to its abort; ``docs/explore.md`` spells out each rule.
 
-* **Dependence.**  Two steps of different threads depend when their
-  footprints :func:`conflicts`; when either aborts the run (it cuts the
-  other's step off); and when one blocked its thread and the other woke
-  it — in the other order the thread would not have blocked, and the
-  other would have — unless the waking step woke several threads blocked
-  on the same step (pairwise reversals cannot pick which of them arrives
-  last without repeating traces).
-* **Happens-before** is the transitive closure, over one run, of that
-  dependence, program order, and the step after which a thread became
-  runnable (the step that registered a team worker or woke a blocked
-  thread) before its next step.  Each thread the abort found ready adds
-  one unknown (wildcard) step after the abort.
-* **Races** are dependent pairs ``(e, e')`` of different threads that no
-  third step orders, where ``e`` did not make ``e'``'s thread runnable;
-  a thread's earlier steps that depend on ``e'`` and are ordered only by
-  its own later ones race ``e'`` too, so a capped sweep reaches them
-  without a chain of one reversal per run.  A race is reversed by the
-  wakeup sequence ``notdep(e).e'`` — the steps between ``e`` and ``e'``
-  that do not happen after ``e``, then ``e'`` — queued at the last
-  branching decision at or before ``e``, even when ``e`` itself ran
-  without a decision.  It is dropped when a thread that was explored,
-  queued or asleep there is a *weak initial* of it (its first step
-  commutes to the front: that branch holds the trace), and when its first
-  thread cannot run there.
-* **The preemption bound.**  A sequence that needs more preemptions than
-  the bound allows is shortened to the steps ``e'`` needs; failing that,
-  when a thread was running at the decision, the same is tried for ``e'``
-  and the step that thread's run began with, at the last decision before
-  it where the running thread could not go on, since switching there is
-  free (the conservative branch of Coons, Musuvathi and McKinley,
-  "Bounded partial-order reduction", OOPSLA 2013).  What still does not
-  fit is counted in ``bound_skips``.
-* **Sleep sets.**  A queued branch sleeps every branch explored or queued
-  before it at its decision, and everything asleep there, each with the
-  footprint of its next step; a sleeper wakes at the first executed step
-  that depends on it.  A remembered step that blocked counts its
-  symmetric arrivals as writes, since any other access of those objects
-  may change whether it blocks.  Under the bound a sleeper stands for its
-  trace only while the branch that holds it can afford it: each sleeper
-  carries how many more preemptions that branch spends than the current
-  path (one to take the sleeper's step where the path took another, one
-  to leave its thread still runnable after it, less the path's own), and
-  it wakes at a decision where the preemptions spent plus that excess
-  pass the bound.
+* **Dependence**: conflicting footprints; either step aborts the run; one
+  blocked its thread and the other woke it, unless the waking step woke
+  several threads blocked on the same step.  **Happens-before** closes it
+  with program order and the step after which a thread became runnable;
+  each thread the abort found ready adds one wildcard step.
+* **Races** are dependent steps ``(e, e')`` of different threads that no
+  third step orders (a thread's earlier steps ordered only by its own
+  later ones included), where ``e`` did not make ``e'``'s thread
+  runnable.  The wakeup sequence ``notdep(e).e'`` is queued at the last
+  branching decision at or before ``e``, unless a thread explored, queued
+  or asleep there is a *weak initial* of it: that branch holds the trace.
+* **The preemption bound**: a sequence that does not fit is shortened to
+  the steps ``e'`` needs, then tried at the last decision before where the
+  running thread could not go on (the conservative branch of Coons,
+  Musuvathi and McKinley, "Bounded partial-order reduction", OOPSLA 2013);
+  what still does not fit counts in ``bound_skips``.
+* **Sleep sets**: a queued branch sleeps the branches explored or queued
+  before it at its decision and everything asleep there, until an
+  executed step depends on a sleeper's next step.  A sleeper also carries
+  how many more preemptions its covering branch spends than the current
+  path, and wakes where the preemptions spent plus that excess pass the
+  bound: that branch could not afford the trace.
 
-A run (:class:`GuidedRun`) is forced through its node's prefix and
-wakeup sequence; then it continues with the default schedule, except that
-it never schedules a sleeping thread while another one can run within the
-preemption bound.  From the abort on it is the plain default, and the
-driver neither branches there nor reads those steps.  No state is hashed:
-every branch a run takes before its abort is recorded at its decision, and
-a queued branch is new at its decision, so no schedule runs twice.
-
-The driver enumerates nodes in FIFO (breadth-first) wave order and all
-exploration state lives in the driver, so executing a wave's runs on
-worker processes (``explore --jobs N``) yields *byte-identical* results to
-the serial sweep: expansion order, run order and counts never depend on
-how many workers raced through a wave.
+A run (:class:`GuidedRun`) is forced through its node's prefix and wakeup
+sequence, then continues with the default schedule but never schedules a
+sleeping thread while another one fits the bound; from the abort on it is
+the plain default.  No state is hashed: every branch a run takes before
+its abort is recorded at its decision, so no schedule runs twice.  Nodes
+run in FIFO waves and every expansion happens in the driver, in push
+order, so ``explore --jobs N`` is byte-identical to the serial sweep.
 """
 
 from __future__ import annotations
@@ -171,14 +140,13 @@ def depends(a: Footprint, b: Footprint) -> bool:
     return _ABORT in a or _ABORT in b or conflicts(a, b)
 
 
-#: A sleeper: the footprint of its next step, and how many more
-#: preemptions the branch that covers it spends than the current path.
+#: A sleeper's next step, and the preemptions its branch spends over ours.
 Sleeper = Tuple[Footprint, int]
 
 
 def wake(sleep: Dict[str, Sleeper], thread: str, fp: Footprint) -> bool:
-    """Executed step ``(thread, fp)``: ``thread`` is awake, and so is every
-    sleeper whose next step depends on it.  True when any woke."""
+    """Step ``(thread, fp)`` ran: wake ``thread`` and every sleeper whose
+    next step depends on it.  True when any woke."""
     woken = [u for u, (fu, _) in sleep.items()
              if u == thread or depends(fu, fp)]
     for u in woken:
@@ -188,9 +156,8 @@ def wake(sleep: Dict[str, Sleeper], thread: str, fp: Footprint) -> bool:
 
 def wake_unaffordable(sleep: Dict[str, Sleeper], spent: int,
                       bound: int) -> bool:
-    """With ``spent`` preemptions behind the current decision, wake every
-    sleeper whose covering branch could not afford to be here.  True when
-    any woke."""
+    """Wake every sleeper whose branch cannot afford ``spent`` preemptions
+    more.  True when any woke."""
     woken = [u for u, (_, extra) in sleep.items() if spent + extra > bound]
     for u in woken:
         del sleep[u]
@@ -301,9 +268,8 @@ class GuidedRun(Strategy):
 class _Point:
     """A branching decision of the explored tree: the sleep set in effect
     there and its branches, in the order they were explored or queued.
-    ``step`` is the footprint of the step that leads here from the parent
-    decision, and ``cost`` the preemptions around it: one to take it while
-    another thread could go on, one to leave its thread still runnable."""
+    ``step`` is the footprint of the step that leads here, and ``cost`` its
+    preemptions: one to take it, one to leave its thread still runnable."""
 
     __slots__ = ("sleep", "step", "cost", "branches")
 
@@ -313,23 +279,14 @@ class _Point:
         self.cost = cost
         self.branches: Dict[str, "_Point"] = {}
 
-    def sleepers(self, switch: int) -> Iterator[Tuple[str, Sleeper]]:
-        """The branches, as sleepers of a path that took ``switch``
-        preemptions to start here."""
-        return ((u, (child.step, child.cost - switch))
-                for u, child in self.branches.items())
-
 
 class DporStrategy:
     """Driver for the reduced enumeration; see the module docstring.
 
-    ``explore(execute_wave, max_runs, wave_size)`` pulls up to ``wave_size``
-    queued :class:`Node` s per iteration, hands them to ``execute_wave``
-    (which runs each — serially or on a pool — and returns their
-    :class:`RunRecord` s *in order*, ``None`` for a run that could not be
-    executed), then expands each record in FIFO order.  Yields the run
-    count after every wave.
-    """
+    ``explore(execute_wave, max_runs, wave_size)`` hands up to ``wave_size``
+    queued :class:`Node` s to ``execute_wave``, which returns their
+    :class:`RunRecord` s in order (``None`` for a run that could not run),
+    expands each in FIFO order and yields the run count after each wave."""
 
     name = "dpor"
 
@@ -384,13 +341,10 @@ class DporStrategy:
                     else (events[k][0],) for k in range(cut)] + [()]
 
         # The run's decisions: the sleep set in effect at each from its
-        # node on (the node's, woken by every step since) and the branch
-        # taken, as executed (a queued wakeup may only have known its first
-        # step as a wildcard).  A step that blocked read the
+        # node on (the node's, woken by every step since and by the bound)
+        # and the branch taken, as executed.  A step that blocked read the
         # synchronization state any other access of its objects changes,
         # so a branch or sleeper remembers its symmetric arrivals as writes.
-        # A sleeper whose covering branch could not afford the preemptions
-        # spent to get here wakes: that branch cannot hold the trace.
         sleep = {u: (fp, extra) for u, fp, extra in node.sleep}
         shared = None  # the last sleep set stored, while unchanged
         q = eb[start] if start < limit else cut
@@ -468,11 +422,9 @@ class DporStrategy:
                 last[t] = k
 
         # Races whose later step is new in this run: the earlier steps
-        # repeat the run that queued it, which reversed their races.  Each
-        # thread's last step that conflicts with e' races it unless a third
-        # step orders the two; so do the thread's earlier conflicting steps
-        # that only its own later ones order (a run cap would otherwise
-        # reach them one reversal per run, later and later).
+        # repeat the run that queued it, which reversed their races.  A
+        # thread's steps that only its own later conflicting ones order
+        # race too: a run cap would reach them one reversal per run.
         for k in range(eb[start] if start < limit else cut, len(steps)):
             candidates = sorted(set(depends_on[k]))
             preds = candidates + [p for p in (previous[k], enabler[k])
@@ -485,15 +437,12 @@ class DporStrategy:
                     and (steps[p][0] != tj or p not in candidates)
                     for p in preds)
 
-            latest: Dict[str, int] = {}
-            for j in candidates:
-                latest[steps[j][0]] = j
+            latest = {steps[j][0]: j for j in candidates}
             for j in sorted(latest.values()):
                 if ordered(j):
                     continue  # not reversible, or ordered by a third step
-                tj = steps[j][0]
-                for r in [j] + [f for f in candidates if f < j
-                                and steps[f][0] == tj and not ordered(f)]:
+                for r in [j] + [f for f in candidates if f < j and not
+                                ordered(f) and steps[f][0] == steps[j][0]]:
                     self._reverse(r, k, steps, past, runnable, path, eb,
                                   decisions, choices, spent, frontier)
 
@@ -508,40 +457,38 @@ class DporStrategy:
             return
         between = [f for f in range(j + 1, k) if not past[f] >> j & 1]
         args = (steps, runnable, path, decisions, choices, spent, frontier)
-        outcome = self._queue(i, j, between + [k], *args)
-        if outcome == "bound":
-            needed = [f for f in between if past[k] >> f & 1]
-            if len(needed) < len(between):
-                outcome = self._queue(i, j, needed + [k], *args)
-        if outcome == "bound" and not _free(decisions[i]):
-            c = next((c for c in range(i - 1, -1, -1)
-                      if _free(decisions[c])), None)
-            if c is not None and not past[k] >> eb[c] & 1:
-                e = eb[c]
-                needed = [f for f in range(e + 1, k)
-                          if past[k] >> f & 1 and not past[f] >> e & 1]
-                outcome = self._queue(c, e, needed + [k], *args)
-        if outcome == "bound":
-            self.stats.bound_skips += 1
+        if self._queue(i, j, between + [k], *args):
+            return
+        needed = [f for f in between if past[k] >> f & 1]
+        if len(needed) < len(between) and self._queue(i, j, needed + [k],
+                                                      *args):
+            return
+        c = next((c for c in range(i - 1, -1, -1) if _free(decisions[c])),
+                 None) if not _free(decisions[i]) else None
+        if c is not None and not past[k] >> eb[c] & 1 and self._queue(
+                c, eb[c], [f for f in range(eb[c] + 1, k) if past[k] >> f & 1
+                           and not past[f] >> eb[c] & 1] + [k], *args):
+            return
+        self.stats.bound_skips += 1
 
     def _queue(self, i, j, order, steps, runnable, path, decisions, choices,
-               spent, frontier) -> str:
+               spent, frontier) -> bool:
         """Queue the wakeup sequence ``order`` (step indices) at decision
-        ``i``, whose run took step ``j``; "bound" when it needs more
-        preemptions than the bound allows."""
+        ``i``, whose run took step ``j``, unless a branch there holds it;
+        False when it needs more preemptions than the bound allows."""
         first = steps[order[0]][0]
         point = path[i]
         # Most reversals start with a thread already explored, queued or
         # asleep at the decision: its subtree holds the trace.
         if first in point.branches:
             self.stats.independent_skips += 1
-            return "covered"
+            return True
         if first in point.sleep:
             self.stats.sleep_skips += 1
-            return "covered"
+            return True
         d = decisions[i]
         if first not in d.runnable:
-            return "covered"
+            return True
         wakeup = tuple(steps[f] for f in order)
         current = d.current if d.current in d.runnable else None
         cost = spent[i]
@@ -552,26 +499,27 @@ class DporStrategy:
             current = t if f + 1 < len(runnable) and t in runnable[f + 1] \
                 else None
         if cost > self.preemption_bound:
-            return "bound"
+            return False
         # The earlier step's thread never goes first: its step races e'.
         tj = steps[j][0]
         if any(u != tj and _weak_initial(u, child.step, wakeup)
                for u, child in point.branches.items()):
             self.stats.independent_skips += 1
-            return "covered"
+            return True
         if any(u != tj and _weak_initial(u, fu, wakeup)
                for u, (fu, _) in point.sleep.items()):
             self.stats.sleep_skips += 1
-            return "covered"
+            return True
         switch = int(not _free(d) and first != d.current)  # preemptions
         asleep = dict(point.sleep)
-        asleep.update(point.sleepers(switch))
+        asleep.update((u, (child.step, child.cost - switch))
+                      for u, child in point.branches.items())
         queued = Node(choices[:i], wakeup, tuple(
             (u, fu, extra) for u, (fu, extra) in sorted(asleep.items())))
         frontier.append(queued)
         point.branches[first] = _Point(wakeup[0][1], switch + 1)
         self.stats.expanded += 1
-        return "queued"
+        return True
 
 
 def _free(d: Decision) -> bool:
