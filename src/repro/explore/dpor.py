@@ -426,23 +426,25 @@ class DporStrategy:
         # thread's steps that only its own later conflicting ones order
         # race too: a run cap would reach them one reversal per run.
         for k in range(eb[start] if start < limit else cut, len(steps)):
-            candidates = sorted(set(depends_on[k]))
+            conflicting = set(depends_on[k])
+            candidates = sorted(conflicting)
             preds = candidates + [p for p in (previous[k], enabler[k])
                                   if p >= 0]
 
             def ordered(j: int) -> bool:
-                tj = steps[j][0]
+                bit, tj = 1 << j, steps[j][0]
                 return enabler[k] == j or any(
-                    p != j and past[p] >> j & 1
-                    and (steps[p][0] != tj or p not in candidates)
+                    p > j and past[p] & bit
+                    and (p not in conflicting or steps[p][0] != tj)
                     for p in preds)
 
             latest = {steps[j][0]: j for j in candidates}
             for j in sorted(latest.values()):
                 if ordered(j):
                     continue  # not reversible, or ordered by a third step
-                for r in [j] + [f for f in candidates if f < j and not
-                                ordered(f) and steps[f][0] == steps[j][0]]:
+                tj = steps[j][0]
+                for r in [j] + [f for f in candidates if f < j and
+                                steps[f][0] == tj and not ordered(f)]:
                     self._reverse(r, k, steps, past, runnable, path, eb,
                                   decisions, choices, spent, frontier)
 
