@@ -18,18 +18,15 @@ up to its abort; ``docs/explore.md`` spells out each rule.
   later ones included), where ``e`` did not make ``e'``'s thread
   runnable.  The wakeup sequence ``notdep(e).e'`` is queued at the last
   branching decision at or before ``e``, unless a thread explored, queued
-  or asleep there is a *weak initial* of it: that branch holds the trace.
-* **The preemption bound**: a sequence that does not fit is shortened to
-  the steps ``e'`` needs, then tried at the last decision before where the
-  running thread could not go on (the conservative branch of Coons,
-  Musuvathi and McKinley, "Bounded partial-order reduction", OOPSLA 2013);
-  what still does not fit counts in ``bound_skips``.
+  or asleep there is a *weak initial* of it (that branch holds the trace),
+  or it needs more preemptions than the bound allows (``bound_skips``).
 * **Sleep sets**: a queued branch sleeps the branches explored or queued
   before it at its decision and everything asleep there, until an
   executed step depends on a sleeper's next step.  A sleeper also carries
   how many more preemptions its covering branch spends than the current
   path, and wakes where the preemptions spent plus that excess pass the
-  bound: that branch could not afford the trace.
+  bound: that branch could not afford the trace (compare Coons, Musuvathi
+  and McKinley, "Bounded partial-order reduction", OOPSLA 2013).
 
 A run (:class:`GuidedRun`) is forced through its node's prefix and wakeup
 sequence, then continues with the default schedule but never schedules a
@@ -315,8 +312,8 @@ class DporStrategy:
             records = execute_wave(nodes)
             for node, record in zip(nodes, records):
                 self.stats.runs += 1
-                if record is not None:
-                    self._expand(node, record, frontier)
+                if record is not None and self.stats.runs < max_runs:
+                    self._expand(node, record, frontier)  # else none runs
             yield self.stats.runs
 
     # -- expansion ------------------------------------------------------------
@@ -451,46 +448,25 @@ class DporStrategy:
     def _reverse(self, j, k, steps, past, runnable, path, eb, decisions,
                  choices, spent, frontier) -> None:
         """Queue ``notdep(e).e'`` for the race of steps ``j`` and ``k`` at
-        the last branching decision at or before ``j`` or, past the
-        preemption bound, a shorter or a conservative sequence (see the
-        module docstring)."""
+        the last branching decision at or before ``j``."""
         i = bisect_right(eb, j) - 1
         if i < 0:
             return
-        between = [f for f in range(j + 1, k) if not past[f] >> j & 1]
-        args = (steps, runnable, path, decisions, choices, spent, frontier)
-        if self._queue(i, j, between + [k], *args):
-            return
-        needed = [f for f in between if past[k] >> f & 1]
-        if len(needed) < len(between) and self._queue(i, j, needed + [k],
-                                                      *args):
-            return
-        c = next((c for c in range(i - 1, -1, -1) if _free(decisions[c])),
-                 None) if not _free(decisions[i]) else None
-        if c is not None and not past[k] >> eb[c] & 1 and self._queue(
-                c, eb[c], [f for f in range(eb[c] + 1, k) if past[k] >> f & 1
-                           and not past[f] >> eb[c] & 1] + [k], *args):
-            return
-        self.stats.bound_skips += 1
-
-    def _queue(self, i, j, order, steps, runnable, path, decisions, choices,
-               spent, frontier) -> bool:
-        """Queue the wakeup sequence ``order`` (step indices) at decision
-        ``i``, whose run took step ``j``, unless a branch there holds it;
-        False when it needs more preemptions than the bound allows."""
-        first = steps[order[0]][0]
-        point = path[i]
+        bit = 1 << j
+        start = next((f for f in range(j + 1, k) if not past[f] & bit), k)
+        first = steps[start][0]
+        point, d = path[i], decisions[i]
         # Most reversals start with a thread already explored, queued or
         # asleep at the decision: its subtree holds the trace.
         if first in point.branches:
             self.stats.independent_skips += 1
-            return True
+            return
         if first in point.sleep:
             self.stats.sleep_skips += 1
-            return True
-        d = decisions[i]
+            return
         if first not in d.runnable:
-            return True
+            return
+        order = [f for f in range(start, k) if not past[f] & bit] + [k]
         wakeup = tuple(steps[f] for f in order)
         current = d.current if d.current in d.runnable else None
         cost = spent[i]
@@ -501,18 +477,21 @@ class DporStrategy:
             current = t if f + 1 < len(runnable) and t in runnable[f + 1] \
                 else None
         if cost > self.preemption_bound:
-            return False
+            self.stats.bound_skips += 1
+            return
         # The earlier step's thread never goes first: its step races e'.
         tj = steps[j][0]
         if any(u != tj and _weak_initial(u, child.step, wakeup)
                for u, child in point.branches.items()):
             self.stats.independent_skips += 1
-            return True
+            return
         if any(u != tj and _weak_initial(u, fu, wakeup)
                for u, (fu, _) in point.sleep.items()):
             self.stats.sleep_skips += 1
-            return True
-        switch = int(not _free(d) and first != d.current)  # preemptions
+            return
+        # Preemptions the queued branch takes to start: the cost excess of
+        # each branch explored or queued before it, now its sleeper.
+        switch = int(d.current in d.runnable and first != d.current)
         asleep = dict(point.sleep)
         asleep.update((u, (child.step, child.cost - switch))
                       for u, child in point.branches.items())
@@ -521,10 +500,3 @@ class DporStrategy:
         frontier.append(queued)
         point.branches[first] = _Point(wakeup[0][1], switch + 1)
         self.stats.expanded += 1
-        return True
-
-
-def _free(d: Decision) -> bool:
-    """True when the running thread could not go on at decision ``d``:
-    any choice there is free."""
-    return d.current is None or d.current not in d.runnable
