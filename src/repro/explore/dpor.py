@@ -310,10 +310,13 @@ class DporStrategy:
                        max_runs - self.stats.runs)
             nodes = [frontier.popleft() for _ in range(take)]
             records = execute_wave(nodes)
-            for node, record in zip(nodes, records):
+            for left, node, record in zip(range(take - 1, -1, -1), nodes,
+                                          records):
                 self.stats.runs += 1
-                if record is not None and self.stats.runs < max_runs:
-                    self._expand(node, record, frontier)  # else none runs
+                # Nodes queued behind as many as the runs left never run.
+                if record is not None and \
+                        len(frontier) + left < max_runs - self.stats.runs:
+                    self._expand(node, record, frontier)
             yield self.stats.runs
 
     # -- expansion ------------------------------------------------------------
