@@ -4,6 +4,8 @@ PARCOACH's selectivity: only functions the static pass could not verify (and
 the collective-containing functions they reach) get checks.  The ablation
 compares inserted-check counts and execution time against ``instrument_all``
 (a MUST-style blanket scheme) on a program that is mostly verified.
+``work(n)`` in it is simulated compute (O(log n) host time), so the times
+compare the runtime with the checks each scheme executes and nothing else.
 """
 
 import pytest

@@ -4,6 +4,14 @@ instrumentation.
 Measures execution time of *correct* programs (the conservative static
 warnings make them carry checks) raw vs instrumented, and of a fully
 verified program (zero checks — instrumentation must cost exactly nothing).
+
+``work(n)`` stands for the application's compute.  It is simulated: it
+advances the calling thread's compute clock in O(log n) host time, so these
+times are the simulated runtime's and the checks' own, with no burned
+compute to dilute the checks' share.  Raw run times are therefore lower,
+and the instrumented/raw ratio of LOOPED higher, than when ``work`` stepped
+its LCG ``n`` times: the loop took 0.9 ms of LOOPED's raw run and 1.1 ms
+of VERIFIED's (medians, one CPU, GC parked, 2-vCPU x86-64, CPython 3.11).
 """
 
 import pytest

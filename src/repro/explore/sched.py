@@ -48,6 +48,14 @@ are blocked, the run aborts *immediately* with the full wait-for state
 involved.  A livelock (threads that keep stepping without ever finishing)
 ends when the clock passes :data:`DEFAULT_STEP_BUDGET`; the one place the
 clock advances checks it.
+
+Simulated compute has a second clock, one per logical thread: ``work(n)``
+advances the caller's by ``n`` units and ``MPI_Wtime`` reads it
+(:meth:`compute`).  A team worker starts at its spawner's value and
+nothing else moves it; a barrier, a collective or a join does not join
+clocks.  A thread's clock therefore depends only on its own history and
+its fork, and reads the same in every schedule of a trace, so it needs no
+footprint.
 """
 
 from __future__ import annotations
@@ -76,9 +84,9 @@ DEFAULT_STEP_BUDGET = 1_000_000
 
 class _Logical:
     __slots__ = ("name", "state", "token", "cond", "predicate", "describe",
-                 "pending_fp", "accesses")
+                 "pending_fp", "accesses", "compute")
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, compute: int = 0) -> None:
         self.name = name
         self.state = _READY
         #: Held while the thread is parked; released to grant it the token.
@@ -91,6 +99,9 @@ class _Logical:
         self.pending_fp: Footprint = _EMPTY_FP
         #: Shared-state accesses reported while the current segment runs.
         self.accesses: Set[Tuple[str, str]] = set()
+        #: Simulated compute units: the spawner's at registration plus
+        #: what this thread's own ``work`` calls added.
+        self.compute = compute
 
 
 class Scheduler:
@@ -141,11 +152,14 @@ class Scheduler:
 
     def register(self, names: Sequence[Optional[str]]) -> None:
         """The spawning thread announces logical threads ``names`` (``None``
-        entries skipped) as runnable before handing them to carriers."""
+        entries skipped) as runnable before handing them to carriers; each
+        starts its compute clock at the spawner's (0 for rank mains)."""
         with self._lock:
+            spawner = self._threads.get(self._me())
+            compute = spawner.compute if spawner is not None else 0
             for name in names:
                 if name is not None:
-                    self._threads[name] = _Logical(name)
+                    self._threads[name] = _Logical(name, compute)
                     insort(self._ready_list, name)
 
     def attach(self, name: Optional[str]) -> None:
@@ -212,6 +226,15 @@ class Scheduler:
         lt = self._threads.get(me)
         if lt is not None:
             lt.accesses.add((obj, mode))
+
+    def compute(self, units: int = 0) -> int:
+        """Advance the calling logical thread's compute clock by ``units``
+        and return it (0 on a thread that is not a logical one)."""
+        lt = self._threads.get(self._me())
+        if lt is None:
+            return 0
+        lt.compute += units
+        return lt.compute
 
     # -- decision points ------------------------------------------------------
 

@@ -44,7 +44,7 @@ EXPR_BUILTINS = {
 #: Built-in statement-level functions.
 STMT_BUILTINS = {
     "print": (0, 8),
-    "work": (1, 1),  # burns deterministic interpreter cycles
+    "work": (1, 1),  # simulated compute: advances the thread's Wtime clock
 }
 
 #: Verification functions the instrumentation pass inserts; accepted by the

@@ -3,8 +3,9 @@ visits a subset of the bounded-DFS schedules yet finds the identical
 verdict set), the headline reduction on the seeded racy gallery case, the
 byte-identical parallel frontier (``--jobs``), footprint commutativity,
 trace v1/v2 compatibility, random-strategy dedupe, the wall-clock budget,
-sweeps over values too large for ``repr``, and runs that end only when
-every logical thread has detached."""
+sweeps over values too large for ``repr``, runs that end only when
+every logical thread has detached, and simulated compute that moves no
+schedule."""
 
 import json
 import os
@@ -35,6 +36,7 @@ from repro.explore.footprint import (
     footprint_from_list,
     footprint_to_list,
 )
+from repro.runtime.interp import interpreter
 
 PROPERTY_CASES = sorted(set(schedule_sensitive_cases())
                         | set(interprocedural_cases()))
@@ -406,3 +408,77 @@ def test_dpor_jobs_matches_serial_when_runs_abort_in_parallel_regions(
     _, _, serial = barrier_sweep
     _, _, pooled = _barrier_in_parallel_sweep(jobs=2)
     assert _report_snapshot(pooled) == _report_snapshot(serial)
+
+
+# -- simulated compute moves no schedule ---------------------------------------------
+
+
+WORK_CASES = sorted(name for name, case in CASES.items()
+                    if "work(" in case.source)
+
+
+def _work_case_sweeps():
+    out = []
+    for name in WORK_CASES:
+        case = CASES[name]
+        program = _program(name)
+        analysis = analyze_program(program)
+        instrumented, _ = instrument_program(analysis)
+        for mode, prog, kinds in (
+                ("raw", program, None),
+                ("instrumented", instrumented, analysis.group_kinds)):
+            config = ExploreConfig(nprocs=case.nprocs, num_threads=3,
+                                   instrument=mode == "instrumented")
+            r = explore_config(prog, config, strategy="dpor", runs=40,
+                               preemptions=2, group_kinds=kinds,
+                               collect_schedules=True)
+            out.append((name, mode, r.schedules,
+                        sorted(r.verdict_counts.items()), r.dpor_stats,
+                        r.schedule_choices, r.summary()))
+    return out
+
+
+def test_closed_form_work_sweeps_like_the_loop(monkeypatch):
+    from reference_work import reference_work_builtin
+
+    assert len(WORK_CASES) == 5
+    shipped = _work_case_sweeps()
+    monkeypatch.setitem(interpreter._BUILTIN_IMPL, "work",
+                        reference_work_builtin)
+    assert _work_case_sweeps() == shipped
+
+
+WTIME_GUARDED_BARRIER = """
+void main() {
+    MPI_Init_thread(3);
+    int r = MPI_Comm_rank();
+    #pragma omp parallel num_threads(2)
+    {
+        #pragma omp single
+        {
+            work(r * 20000);
+            if (MPI_Wtime() > 0.001) {
+                MPI_Barrier();
+            }
+        }
+    }
+    MPI_Finalize();
+}
+"""
+
+
+def test_wtime_guarded_collective_has_one_verdict_in_every_schedule():
+    program = parse_program(WTIME_GUARDED_BARRIER, "wtime_barrier.mc")
+    config = ExploreConfig(nprocs=2, num_threads=2)
+
+    def sweep():
+        r = explore_config(program, config, strategy="dpor", runs=200,
+                           preemptions=2, minimize=False,
+                           collect_schedules=True)
+        return _report_snapshot(r)
+
+    first = sweep()
+    schedules, verdicts = first[0], first[1]
+    assert schedules > 1
+    assert list(verdicts) == ["DeadlockError"]
+    assert sweep() == first

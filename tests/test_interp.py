@@ -1,7 +1,18 @@
-"""Interpreter tests: sequential semantics, OpenMP execution, MPI wiring."""
+"""Interpreter tests: sequential semantics, OpenMP execution, MPI wiring,
+simulated compute and time."""
+
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from reference_work import reference_work
+from repro.runtime.interp.interpreter import WTIME_UNIT
 from tests.conftest import run_source
 
 
@@ -359,6 +370,134 @@ void main() {
     assert r.outputs[0] == ["2.0"]
 
 
+# -- simulated compute and time ---------------------------------------------------------
+
+_LCG_A, _LCG_C = 1103515245, 12345
+
+
+def _geometric_work(n):
+    """``work(n)`` as the geometric sum c * (a**n - 1) / (a - 1) mod 2**32,
+    an independent closed form for counts the reference loop cannot reach."""
+    if n <= 0:
+        return 0
+    powered = pow(_LCG_A, n, (_LCG_A - 1) << 32)
+    return _LCG_C * ((powered - 1) // (_LCG_A - 1)) % (1 << 32)
+
+
+def _printed_work(n):
+    return int(outputs(f"void main() {{ print(work({n})); }}",
+                       nprocs=1).outputs[0][0])
+
+
 def test_work_builtin_is_deterministic():
-    r = outputs("void main() { print(work(10) == work(10)); }")
-    assert r.outputs[0] == ["True"]
+    r = outputs("void main() { print(work(10) == work(10), work(10)); }")
+    assert r.outputs[0] == [f"True {reference_work(10)}"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=-10, max_value=20000))
+@example(0)
+@example(1)
+@example(20000)
+def test_work_equals_the_loop_it_replaces(n):
+    assert _printed_work(n) == reference_work(n) == _geometric_work(n)
+
+
+def test_work_at_counts_past_the_loop():
+    assert _printed_work(10**6) == reference_work(10**6)
+    # The LCG has full period 2**32 (c odd, a - 1 divisible by 4).
+    assert _printed_work(2**32) == 0
+    assert _printed_work(2**32 + 1) == reference_work(1)
+    assert _printed_work(2**31) == _geometric_work(2**31)
+
+
+def test_work_of_a_huge_count_returns_at_once():
+    start = time.perf_counter()
+    value = _printed_work(10**18)
+    assert time.perf_counter() - start < 1.0
+    assert value == _geometric_work(10**18)
+
+
+def test_wtime_reads_the_compute_clock():
+    r = outputs("""
+void main() {
+    MPI_Init();
+    float t0 = MPI_Wtime();
+    work(20000);
+    float t1 = MPI_Wtime();
+    work(-5);
+    print(t0, t1, MPI_Wtime() - t1);
+    MPI_Finalize();
+}
+""", nprocs=2)
+    for rank in (0, 1):
+        assert r.outputs[rank] == [f"0.0 {20000 * WTIME_UNIT} 0.0"]
+
+
+def test_wtime_past_the_float_range_reads_inf():
+    r = outputs("""
+void main() {
+    int x = 3;
+    for (int i = 0; i < 14; i += 1) { x *= x; }
+    work(x);
+    print(MPI_Wtime());
+}
+""", nprocs=1)
+    assert r.outputs[0] == ["inf"]
+
+
+def test_team_workers_start_at_the_spawner_clock_and_never_join_it():
+    r = outputs("""
+void main() {
+    MPI_Init_thread(3);
+    work(1000);
+    #pragma omp parallel num_threads(3)
+    {
+        int t = omp_get_thread_num();
+        work(t * 500);
+        #pragma omp barrier
+        #pragma omp critical
+        {
+            print(t, MPI_Wtime());
+        }
+    }
+    print(MPI_Wtime());
+    MPI_Finalize();
+}
+""", nprocs=1, num_threads=3)
+    lines = r.outputs[0]
+    assert sorted(lines[:3]) == [f"{t} {(1000 + t * 500) * WTIME_UNIT}"
+                                 for t in range(3)]
+    assert lines[3] == f"{1000 * WTIME_UNIT}"
+
+
+WTIME_PROGRAM = """
+void main() {
+    MPI_Init();
+    int r = MPI_Comm_rank();
+    print(work(1000000000000));
+    float t0 = MPI_Wtime();
+    work(r * 20000 + 7);
+    print(t0, MPI_Wtime() - t0);
+    MPI_Finalize();
+}
+"""
+
+
+def test_wtime_output_is_identical_across_runs_and_processes(tmp_path):
+    first = outputs(WTIME_PROGRAM, nprocs=2).outputs
+    assert outputs(WTIME_PROGRAM, nprocs=2).outputs == first
+    assert first[0] != first[1]
+    path = tmp_path / "wtime.mc"
+    path.write_text(WTIME_PROGRAM)
+    src = Path(__file__).resolve().parents[1] / "src"
+    runs = [subprocess.run(
+        [sys.executable, "-m", "repro.cli", "run", str(path), "-np", "2"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)}) for _ in range(2)]
+    assert [p.returncode for p in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    printed = [line for line in runs[0].stdout.splitlines()
+               if line.startswith("[rank")]
+    assert printed == [f"[rank {rank}] {line}"
+                       for rank in (0, 1) for line in first[rank]]
