@@ -39,7 +39,9 @@ module closes the gap with three whole-program passes:
   entry from the exit.  The CFG view classifies ``always`` through early
   ``return``s and branch-duplicated collectives, which demote to
   ``conditional`` under the purely structural rule; ``task`` bodies stay
-  may-only (deferred execution).  The driver uses the summaries to turn
+  may-only (deferred execution).  Each statement's calls come from the
+  program index, and the CFGs from the driver, which builds one per
+  function for every phase.  The driver uses the summaries to turn
   expression-level calls to collective-executing helpers into phase-3
   sequence points.
 """
@@ -51,7 +53,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..cfg import build_cfg
+from ..cfg import BlockKind, build_cfg
 from ..minilang import ast_nodes as A
 from ..mpi.collectives import is_collective
 from ..parallelism import EMPTY, Word, compute_words
@@ -527,128 +529,115 @@ class FunctionSummary:
     def classify(self, name: str) -> str:
         return self.collectives.get(name, NEVER)
 
-    @property
-    def may_names(self) -> Tuple[str, ...]:
-        return tuple(sorted(self.collectives))
-
     def describe(self) -> str:
         if not self.collectives:
             return "no collectives"
         return ", ".join(f"{n} [{c}]" for n, c in sorted(self.collectives.items()))
 
 
-def _summarize_block(stmts: List[A.Stmt], summaries: Dict[str, FunctionSummary],
-                     names: Set[str]) -> Tuple[Set[str], Set[str], bool]:
-    """Return ``(may, must, exits_early)`` for a statement sequence.
-
-    ``must`` is a conservative under-approximation: accumulation stops at
-    the first statement that can leave the sequence early (return / break /
-    continue), and loops contribute nothing (zero-trip possibility).
-    """
-    may: Set[str] = set()
-    must: Set[str] = set()
-    exited = False
-    for stmt in stmts:
-        s_may, s_must, s_exit = _summarize_stmt(stmt, summaries, names)
-        may |= s_may
-        if not exited:
-            must |= s_must
-        if s_exit:
-            exited = True
-    return may, must, exited
-
-
-def _calls_in_exprs(stmt: A.Stmt) -> List[A.Call]:
-    """Call nodes hanging off ``stmt``'s expression fields (not nested
-    statements) — pre-order, source order."""
-    out: List[A.Call] = []
-    stack: List[A.Node] = [
-        child for child in stmt.children() if isinstance(child, A.Expr)
-    ]
-    stack.reverse()
-    while stack:
-        node = stack.pop()
-        if isinstance(node, A.Call):
-            out.append(node)
-        stack.extend(reversed([c for c in node.children()
-                               if isinstance(c, A.Expr)]))
+def _calls_by_stmt(name: str, index: ProgramIndex) -> Dict[int, List[A.Call]]:
+    """Statement uid -> the calls in that statement's own expressions (not
+    its nested statements'), read off the index: a statement call belongs
+    to its ``ExprStmt``, an expression call to its innermost enclosing
+    statement."""
+    out: Dict[int, List[A.Call]] = {}
+    for stmt in index.call_stmts.get(name, ()):
+        out.setdefault(stmt.uid, []).append(stmt.expr)
+    for site in index.expr_calls.get(name, ()):
+        out.setdefault(site.stmt_uids[0], []).append(site.call)
     return out
 
 
-def _call_effect(call: A.Call, summaries: Dict[str, FunctionSummary],
-                 names: Set[str]) -> Tuple[Set[str], Set[str]]:
-    if is_collective(call.name):
-        return {call.name}, {call.name}
-    if call.name in names:
-        summary = summaries.get(call.name)
-        if summary is not None:
-            may = set(summary.collectives)
-            must = {n for n, c in summary.collectives.items() if c == ALWAYS}
-            return may, must
-    return set(), set()
+def _summarize(body: A.Block, summaries: Dict[str, FunctionSummary],
+               names: Set[str], calls_at: Dict[int, List[A.Call]]
+               ) -> Tuple[Set[str], Set[str]]:
+    """``(may, must)`` of a function body under the callees' ``summaries``;
+    ``calls_at`` is :func:`_calls_by_stmt`.
 
+    ``must`` is a conservative under-approximation: accumulation stops at
+    the first statement that can leave a sequence early (return / break /
+    continue), and loops contribute nothing (zero-trip possibility).
+    """
 
-def _summarize_stmt(stmt: A.Stmt, summaries: Dict[str, FunctionSummary],
-                    names: Set[str]) -> Tuple[Set[str], Set[str], bool]:
-    may: Set[str] = set()
-    must: Set[str] = set()
-    for call in _calls_in_exprs(stmt):
-        c_may, c_must = _call_effect(call, summaries, names)
-        may |= c_may
-        must |= c_must
+    def effect(call: A.Call) -> Tuple[Set[str], Set[str]]:
+        if is_collective(call.name):
+            return {call.name}, {call.name}
+        summary = summaries.get(call.name) if call.name in names else None
+        if summary is None:
+            return set(), set()
+        return (set(summary.collectives),
+                {n for n, c in summary.collectives.items() if c == ALWAYS})
 
-    if isinstance(stmt, (A.Return, A.Break, A.Continue)):
-        return may, must, True
-    if isinstance(stmt, A.Block):
-        b_may, b_must, b_exit = _summarize_block(stmt.stmts, summaries, names)
-        return may | b_may, must | b_must, b_exit
-    if isinstance(stmt, A.If):
-        t_may, t_must, t_exit = _summarize_block(stmt.then_body.stmts,
-                                                 summaries, names)
-        may |= t_may
-        if stmt.else_body is not None:
-            e_may, e_must, e_exit = _summarize_block(stmt.else_body.stmts,
-                                                     summaries, names)
-            may |= e_may
-            must |= t_must & e_must
-            return may, must, t_exit or e_exit
-        return may, must, t_exit
-    if isinstance(stmt, A.While):
-        body_may, _must, _exit = _summarize_block(stmt.body.stmts, summaries, names)
-        return may | body_may, must, False
-    if isinstance(stmt, (A.For, A.OmpFor)):
-        loop = stmt.loop if isinstance(stmt, A.OmpFor) else stmt
-        if loop.init is not None:  # runs once, before the first test
-            i_may, i_must, _exit = _summarize_stmt(loop.init, summaries, names)
-            may |= i_may
-            must |= i_must
-        if isinstance(stmt, A.OmpFor) and loop.cond is not None:
-            # The inner For is a statement child, so its condition was not
-            # picked up by the expression scan above.
-            for call in _calls_in_exprs(loop):
-                c_may, _c_must, = _call_effect(call, summaries, names)
-                may |= c_may
-        if loop.step is not None:  # zero-trip loops skip it: may only
-            s_may, _s_must, _exit = _summarize_stmt(loop.step, summaries, names)
+    def block(stmts: List[A.Stmt]) -> Tuple[Set[str], Set[str], bool]:
+        may: Set[str] = set()
+        must: Set[str] = set()
+        exited = False
+        for child in stmts:
+            s_may, s_must, s_exit = stmt(child)
             may |= s_may
-        body_may, _must, _exit = _summarize_block(loop.body.stmts, summaries, names)
-        return may | body_may, must, False
-    if isinstance(stmt, A.OmpTask):
-        # Deferred execution: counts as "may", never as "must".
-        body_may, _must, _exit = _summarize_block(stmt.body.stmts, summaries, names)
-        return may | body_may, must, False
-    if isinstance(stmt, (A.OmpParallel, A.OmpSingle, A.OmpMaster, A.OmpCritical)):
-        # Per MPI process the region body executes (by the team, one thread,
-        # or the master — all at least once per process).
-        b_may, b_must, _exit = _summarize_block(stmt.body.stmts, summaries, names)
-        return may | b_may, must | b_must, False
-    if isinstance(stmt, A.OmpSections):
-        for section in stmt.sections:
-            s_may, s_must, _exit = _summarize_block(section.stmts, summaries, names)
-            may |= s_may
-            must |= s_must
+            if not exited:
+                must |= s_must
+            if s_exit:
+                exited = True
+        return may, must, exited
+
+    def stmt(node: A.Stmt) -> Tuple[Set[str], Set[str], bool]:
+        may: Set[str] = set()
+        must: Set[str] = set()
+        for call in calls_at.get(node.uid, ()):
+            c_may, c_must = effect(call)
+            may |= c_may
+            must |= c_must
+
+        if isinstance(node, (A.Return, A.Break, A.Continue)):
+            return may, must, True
+        if isinstance(node, A.Block):
+            b_may, b_must, b_exit = block(node.stmts)
+            return may | b_may, must | b_must, b_exit
+        if isinstance(node, A.If):
+            t_may, t_must, t_exit = block(node.then_body.stmts)
+            may |= t_may
+            if node.else_body is not None:
+                e_may, e_must, e_exit = block(node.else_body.stmts)
+                may |= e_may
+                must |= t_must & e_must
+                return may, must, t_exit or e_exit
+            return may, must, t_exit
+        if isinstance(node, A.While):
+            return may | block(node.body.stmts)[0], must, False
+        if isinstance(node, (A.For, A.OmpFor)):
+            loop = node.loop if isinstance(node, A.OmpFor) else node
+            if loop.init is not None:  # runs once, before the first test
+                i_may, i_must, _exit = stmt(loop.init)
+                may |= i_may
+                must |= i_must
+            if isinstance(node, A.OmpFor):
+                # The inner For is a statement of its own: its condition's
+                # calls are filed under it, not under the OmpFor.
+                for call in calls_at.get(loop.uid, ()):
+                    may |= effect(call)[0]
+            if loop.step is not None:  # zero-trip loops skip it: may only
+                may |= stmt(loop.step)[0]
+            return may | block(loop.body.stmts)[0], must, False
+        if isinstance(node, A.OmpTask):
+            # Deferred execution: counts as "may", never as "must".
+            return may | block(node.body.stmts)[0], must, False
+        if isinstance(node, (A.OmpParallel, A.OmpSingle, A.OmpMaster,
+                             A.OmpCritical)):
+            # Per MPI process the region body executes (by the team, one
+            # thread, or the master — all at least once per process).
+            b_may, b_must, _exit = block(node.body.stmts)
+            return may | b_may, must | b_must, False
+        if isinstance(node, A.OmpSections):
+            for section in node.sections:
+                s_may, s_must, _exit = block(section.stmts)
+                may |= s_may
+                must |= s_must
+            return may, must, False
         return may, must, False
-    return may, must, False
+
+    may, must, _exit = block(body.stmts)
+    return may, must
 
 
 @dataclass
@@ -682,31 +671,33 @@ def _exit_reachable_avoiding(cfg, blocked: Set[int]) -> bool:
     return False
 
 
-def _build_cfg_facts(func: A.FuncDef, names: Set[str],
-                     index: ProgramIndex) -> _CfgFacts:
-    cfg, ast_block = build_cfg(func, names)
-    task_uids: Set[int] = set()
-    for node in func.walk():
-        if isinstance(node, A.OmpTask):
-            task_uids.update(n.uid for n in node.walk())
-    stmt_calls = {id(s.expr): s for s in index.call_stmts.get(func.name, [])}
-    expr_sites = {id(s.call): s for s in index.expr_calls.get(func.name, [])}
+def _deferred_uids(cfg) -> Set[int]:
+    """Uids of every node inside a live ``task`` (each ``OMP_TASK`` block
+    carries its ``OmpTask`` node): their execution point is unordered."""
+    return {node.uid for block in cfg.blocks.values()
+            if block.kind is BlockKind.OMP_TASK
+            for node in block.pragma.walk()}
+
+
+def _build_cfg_facts(func: A.FuncDef, names: Set[str], index: ProgramIndex,
+                     built: Optional[Tuple[object, Dict[int, int]]] = None
+                     ) -> _CfgFacts:
+    """The post-dominance check's facts of ``func``, on the caller's
+    ``(cfg, ast_block)`` when there is one."""
+    cfg, ast_block = built if built is not None else build_cfg(func, names)
+    deferred = _deferred_uids(cfg)
+    anchored = [(s.expr, (s.uid,))
+                for s in index.call_stmts.get(func.name, ())]
+    anchored += [(s.call, s.stmt_uids)
+                 for s in index.expr_calls.get(func.name, ())]
     direct: Dict[str, Set[int]] = {}
     user_calls: List[Tuple[str, int]] = []
-    for call in index.calls.get(func.name, []):
+    for call, uids in anchored:
         target = call.name
         if not (is_collective(target) or target in names):
             continue
-        if call.uid in task_uids:
-            continue  # deferred: may-only, never a must event
-        stmt = stmt_calls.get(id(call))
-        if stmt is not None:
-            uids: Tuple[int, ...] = (stmt.uid,)
-        else:
-            site = expr_sites.get(id(call))
-            if site is None:
-                continue
-            uids = site.stmt_uids
+        if call.uid in deferred:
+            continue  # may-only, never a must event
         block = next((ast_block[u] for u in uids if u in ast_block), None)
         if block is None or block not in cfg.blocks:
             continue  # dead code: the call can never execute
@@ -717,73 +708,28 @@ def _build_cfg_facts(func: A.FuncDef, names: Set[str],
     return _CfgFacts(cfg=cfg, direct=direct, user_calls=tuple(user_calls))
 
 
-def _recompute_summary(name: str, funcs: Dict[str, A.FuncDef],
-                       names: Set[str],
-                       summaries: Dict[str, FunctionSummary],
-                       index: ProgramIndex,
-                       cfg_facts: Dict[str, _CfgFacts]) -> Dict[str, str]:
-    """One summary evaluation for ``name`` given the current ``summaries``
-    of its callees: structural walk plus the CFG post-dominance upgrade."""
-    may, must, _exit = _summarize_block(funcs[name].body.stmts,
-                                        summaries, names)
-    if may - must:
-        facts = cfg_facts.get(name)
-        if facts is None:
-            facts = cfg_facts[name] = _build_cfg_facts(funcs[name], names,
-                                                       index)
-        for cname in sorted(may - must):
-            blocked = set(facts.direct.get(cname, ()))
-            for callee, block in facts.user_calls:
-                if summaries[callee].collectives.get(cname) == ALWAYS:
-                    blocked.add(block)
-            if blocked and not _exit_reachable_avoiding(facts.cfg, blocked):
-                must.add(cname)
-    return {n: (ALWAYS if n in must else CONDITIONAL) for n in sorted(may)}
-
-
 def collective_summaries(program: A.Program,
                          graph: Optional[CallGraph] = None,
-                         index: Optional[ProgramIndex] = None
+                         index: Optional[ProgramIndex] = None,
+                         cfgs: Optional[Dict[str, tuple]] = None
                          ) -> Dict[str, FunctionSummary]:
-    """Always/conditionally/never summaries for every function — fixpoint
-    over the SCC DAG, callees first; cyclic SCCs iterate until stable.
+    """Always/conditionally/never summaries for every function:
+    :func:`update_summaries` from no summaries at all, which visits every
+    SCC once, callees first (cyclic SCCs iterate until stable).
 
     ``must`` is the union of the structural under-approximation and the CFG
     post-dominance check: a collective some path duplicates across branches
     (or runs just before an early ``return``) is still ``always`` when every
-    entry→exit path of the CFG passes a block executing it.  The session
-    layer maintains summaries by delta instead (:func:`update_summaries`).
+    entry→exit path of the CFG passes a block executing it.  Each
+    statement's calls come from ``index``; ``cfgs`` (the driver's
+    ``{name: (cfg, ast_block)}``) holds the CFGs that check runs on.
     """
     if index is None:
         index = index_program(program)
     if graph is None:
         graph = build_call_graph(program, index)
-    funcs = {f.name: f for f in program.funcs}
-    names = set(funcs)
-    summaries: Dict[str, FunctionSummary] = {n: FunctionSummary() for n in names}
-    #: Lazily built per function — only when the structural rule left some
-    #: may-collective conditional (most functions never need their CFG here).
-    cfg_facts: Dict[str, _CfgFacts] = {}
-
-    def recompute(name: str) -> Dict[str, str]:
-        return _recompute_summary(name, funcs, names, summaries, index,
-                                  cfg_facts)
-
-    for scc in graph.sccs:  # reverse topological: callees already final
-        members = list(scc)
-        if len(members) == 1 and members[0] not in graph.recursive:
-            # Non-recursive singleton: the callees are final, so one pass
-            # is the fixpoint — no confirmation round needed.
-            summaries[members[0]].collectives = recompute(members[0])
-            continue
-        changed = True
-        while changed:
-            changed = False
-            for name in members:
-                new = recompute(name)
-                if new != summaries[name].collectives:
-                    summaries[name].collectives = new
-                    changed = True
+    summaries, _changed = update_summaries(program, graph, index, {}, set(),
+                                           cfgs=cfgs)
     if probes_active():
         if graph.recursive:
             probe("cg:recursive")
@@ -799,15 +745,16 @@ def update_summaries(program: A.Program, graph: CallGraph,
                      dirty: Set[str],
                      funcs: Optional[Dict[str, A.FuncDef]] = None,
                      names: Optional[Set[str]] = None,
-                     complete: bool = False
+                     complete: bool = False,
+                     cfgs: Optional[Dict[str, tuple]] = None
                      ) -> Tuple[Dict[str, FunctionSummary], Set[str]]:
     """Scoped re-summarization: recompute only the SCCs containing ``dirty``
     names, then walk *up* the caller DAG exactly as far as summaries really
     change — O(dirty + changed-summary ancestors), not O(program).
 
     It never touches an SCC that cannot be affected; from empty ``prev``
-    summaries it computes every SCC once, as :func:`collective_summaries`
-    does.  Recomputed members get *fresh*
+    summaries it computes every SCC once (:func:`collective_summaries`).
+    Recomputed members get *fresh*
     :class:`FunctionSummary` objects (``prev`` is never mutated); cyclic
     SCCs restart from the optimistic bottom so the least fixpoint matches a
     cold run byte for byte.  Returns ``(summaries, changed_names)`` where
@@ -816,7 +763,10 @@ def update_summaries(program: A.Program, graph: CallGraph,
     ``funcs`` (name -> current FuncDef) and ``names`` skip the O(program)
     map builds when the caller holds them; ``complete=True`` asserts every
     current function already has an entry in ``prev`` (no additions), which
-    replaces the per-name seeding loop with one plain dict copy.
+    replaces the per-name seeding loop with one plain dict copy.  ``cfgs``
+    (``{name: (cfg, ast_block)}``) supplies the post-dominance check's
+    CFGs; a function missing from it gets one built only when the
+    structural rule leaves one of its collectives conditional.
     """
     if funcs is None:
         funcs = {f.name: f for f in program.funcs}
@@ -833,6 +783,28 @@ def update_summaries(program: A.Program, graph: CallGraph,
         pending = {n for n in dirty if n in names}
         pending.update(n for n in names if n not in prev)
     cfg_facts: Dict[str, _CfgFacts] = {}
+
+    def recompute(name: str) -> Dict[str, str]:
+        # One evaluation given the callees' current summaries: the
+        # structural walk, then the CFG post-dominance upgrade.
+        may, must = _summarize(funcs[name].body, summaries, names,
+                               _calls_by_stmt(name, index))
+        if may - must:
+            facts = cfg_facts.get(name)
+            if facts is None:
+                facts = cfg_facts[name] = _build_cfg_facts(
+                    funcs[name], names, index,
+                    cfgs.get(name) if cfgs is not None else None)
+            for cname in sorted(may - must):
+                blocked = set(facts.direct.get(cname, ()))
+                for callee, block in facts.user_calls:
+                    if summaries[callee].collectives.get(cname) == ALWAYS:
+                        blocked.add(block)
+                if blocked and not _exit_reachable_avoiding(facts.cfg,
+                                                            blocked):
+                    must.add(cname)
+        return {n: (ALWAYS if n in must else CONDITIONAL) for n in sorted(may)}
+
     heap = sorted({graph.scc_of[n] for n in pending})
     queued = set(heap)
     changed_names: Set[str] = set()
@@ -846,9 +818,7 @@ def update_summaries(program: A.Program, graph: CallGraph,
             name = members[0]
             fresh = FunctionSummary()
             summaries[name] = fresh
-            fresh.collectives = _recompute_summary(name, funcs, names,
-                                                   summaries, index,
-                                                   cfg_facts)
+            fresh.collectives = recompute(name)
         else:
             for m in members:
                 summaries[m] = FunctionSummary()
@@ -856,8 +826,7 @@ def update_summaries(program: A.Program, graph: CallGraph,
             while iterating:
                 iterating = False
                 for m in members:
-                    new = _recompute_summary(m, funcs, names, summaries,
-                                             index, cfg_facts)
+                    new = recompute(m)
                     if new != summaries[m].collectives:
                         summaries[m].collectives = new
                         iterating = True

@@ -187,19 +187,21 @@ def build_plan(program: A.Program, index: ProgramIndex,
                entry_context: Word = EMPTY,
                graph: Optional[CallGraph] = None,
                contexts: Optional[ContextMap] = None,
-               summaries: Optional[Dict[str, FunctionSummary]] = None
+               summaries: Optional[Dict[str, FunctionSummary]] = None,
+               cfgs: Optional[Dict[str, Tuple[CFG, Dict[int, int]]]] = None
                ) -> InterproceduralPlan:
     """Call graph + context propagation + summaries + expression-call
     sequence points for one program.
 
-    The three whole-program passes can be supplied precomputed."""
+    The three whole-program passes can be supplied precomputed; ``cfgs``
+    reaches the summaries (:func:`collective_summaries`)."""
     if graph is None:
         graph = build_call_graph(program, index)
     if contexts is None:
         contexts = propagate_contexts(program, graph, seeds=initial_words,
                                       entry_context=entry_context)
     if summaries is None:
-        summaries = collective_summaries(program, graph, index)
+        summaries = collective_summaries(program, graph, index, cfgs)
     return update_plan(None, graph, contexts, summaries, graph.order, ())
 
 
@@ -596,7 +598,9 @@ def analyze_program(
     cfgs:
         Pre-built CFGs (``{name: (cfg, ast_block)}``) from the compiler's
         middle end; PARCOACH reuses them instead of rebuilding (the paper's
-        pass works directly on GCC's CFG).
+        pass works directly on GCC's CFG).  The driver builds the missing
+        ones, one per function, before any pass: the collective summaries
+        and every context's phases share them.
     interprocedural:
         Propagate calling-context words over the call graph and analyze each
         function once per distinct context (default).  ``False`` restores
@@ -610,14 +614,17 @@ def analyze_program(
     index = index_program(program)
     collective_funcs = collective_call_graph(program, index)
     func_names = {f.name for f in program.funcs}
+    given = cfgs or {}
+    cfgs = {f.name: given[f.name] if f.name in given
+            else build_cfg(f, func_names) for f in program.funcs}
     plan: Optional[InterproceduralPlan] = None
     if interprocedural:
-        plan = build_plan(program, index, initial_words, entry_context)
+        plan = build_plan(program, index, initial_words, entry_context,
+                          cfgs=cfgs)
 
     artifacts: Dict[str, FunctionArtifacts] = {}
     context_info: Dict[str, Tuple[Tuple[Word, ...], Tuple[WordInfo, ...]]] = {}
     for func in program.funcs:
-        prebuilt = cfgs.get(func.name) if cfgs is not None else None
         call_stmts = index.call_stmts.get(func.name)
         if plan is not None:
             words = plan.contexts.contexts[func.name]
@@ -630,8 +637,8 @@ def analyze_program(
             chains = {}
         parts = [
             (word, _analyze_function(func, func_names, collective_funcs,
-                                     word, precision, call_stmts, prebuilt,
-                                     extra))
+                                     word, precision, call_stmts,
+                                     cfgs[func.name], extra))
             for word in words
         ]
         merged, ctx_words, infos = _merge_artifacts(parts, chains)

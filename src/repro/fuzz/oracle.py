@@ -50,6 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..cfg import build_program_cfgs
 from ..core import analyze_program, instrument_program
 from ..explore import DefaultStrategy, ExploreConfig, explore_config, run_scheduled
 from ..explore.trace import verdict_line
@@ -213,8 +214,11 @@ def run_oracle_checked(program: A.Program,
     fault_site("fuzz.oracle")
     # -- static phase --------------------------------------------------------
     try:
-        inter = analyze_program(program, interprocedural=True)
-        intra = analyze_program(program, interprocedural=False)
+        # One CFG per function serves both modes: a CFG never changes once
+        # built, and both analyses end before instrumentation edits the AST.
+        cfgs = build_program_cfgs(program)
+        inter = analyze_program(program, interprocedural=True, cfgs=cfgs)
+        intra = analyze_program(program, interprocedural=False, cfgs=cfgs)
     except Exception as exc:  # noqa: BLE001
         return OracleVerdict(classification=CRASH,
                              crash_detail=f"static: {exc!r}")

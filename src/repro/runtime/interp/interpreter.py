@@ -430,11 +430,6 @@ class Interpreter:
 
     # -- MPI ------------------------------------------------------------------------------------
 
-    def _lvalue_name(self, expr: A.Expr, what: str) -> str:
-        if isinstance(expr, A.VarRef):
-            return expr.name
-        raise InterpError(f"{what} buffer argument must be a variable name")
-
     def _store(self, expr: A.Expr, value: Any, env: Env, ctx: ExecCtx,
                what: str) -> None:
         """Write an MPI result back through an lvalue (variable or array
@@ -632,6 +627,28 @@ def _b_work(interp: Interpreter, call: A.Call, env: Env, ctx: ExecCtx) -> int:
     return x
 
 
+def _b_sqrt(interp: Interpreter, call: A.Call, env: Env, ctx: ExecCtx) -> float:
+    """C's ``sqrt``: ``nan`` below zero, and the integer root of an int past
+    the float range (``inf`` once that root is past it too)."""
+    value = interp.eval(call.args[0], env, ctx)
+    if value < 0:
+        return math.nan
+    try:
+        return math.sqrt(value)
+    except OverflowError:
+        try:
+            return float(math.isqrt(value))
+        except OverflowError:
+            return math.inf
+
+
+def _b_mod(interp: Interpreter, call: A.Call, env: Env, ctx: ExecCtx) -> Any:
+    left, right = (interp.eval(arg, env, ctx) for arg in call.args[:2])
+    if right == 0:
+        raise InterpError("modulo by zero")
+    return left % right
+
+
 def _b_wtime(interp: Interpreter, call: A.Call, env: Env, ctx: ExecCtx) -> float:
     """The calling thread's compute clock in seconds; ``inf`` once the clock
     is past the float range (``work`` of a value grown by ``x *= x``)."""
@@ -650,8 +667,8 @@ _BUILTIN_IMPL: Dict[str, Callable] = {
     "abs": lambda i, c, e, x: abs(i.eval(c.args[0], e, x)),
     "min": lambda i, c, e, x: min(i.eval(c.args[0], e, x), i.eval(c.args[1], e, x)),
     "max": lambda i, c, e, x: max(i.eval(c.args[0], e, x), i.eval(c.args[1], e, x)),
-    "sqrt": lambda i, c, e, x: math.sqrt(i.eval(c.args[0], e, x)),
-    "mod": lambda i, c, e, x: i.eval(c.args[0], e, x) % i.eval(c.args[1], e, x),
+    "sqrt": _b_sqrt,
+    "mod": _b_mod,
     "PARCOACH_CC": lambda i, c, e, x: i.checks.cc(
         int(i.eval(c.args[0], e, x)), str(i.eval(c.args[1], e, x)),
         int(i.eval(c.args[2], e, x)),

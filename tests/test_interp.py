@@ -1,6 +1,7 @@
 """Interpreter tests: sequential semantics, OpenMP execution, MPI wiring,
 simulated compute and time."""
 
+import math
 import os
 import subprocess
 import sys
@@ -101,6 +102,50 @@ def test_division_by_zero_reported():
     result = run_source("void main() { int x = 1 / 0; }", nprocs=1)
     assert result.error is not None
     assert "division by zero" in str(result.error)
+
+
+def test_sqrt_keeps_the_values_math_sqrt_accepts():
+    r = outputs("void main() { print(sqrt(16), sqrt(2.0), sqrt(0), "
+                "sqrt(0.0 - 0.0)); }", nprocs=1)
+    assert r.outputs[0] == [" ".join(str(math.sqrt(v))
+                                     for v in (16, 2.0, 0, 0.0 - 0.0))]
+
+
+def test_sqrt_of_a_negative_is_nan():
+    r = outputs("""
+void main() {
+    int big = 0 - 1;
+    for (int i = 0; i < 1100; i += 1) { big *= 2; }
+    print(sqrt(0 - 1), sqrt(0.0 - 2.5), sqrt(big));
+}
+""", nprocs=1)
+    assert r.outputs[0] == ["nan nan nan"]
+
+
+def test_sqrt_of_an_int_past_the_float_range():
+    # 2**1100 and 10**400 overflow a float, their roots do not; the root of
+    # 3**(2**14) is past the float range too.
+    r = outputs("""
+void main() {
+    int p = 1;
+    for (int i = 0; i < 1100; i += 1) { p *= 2; }
+    int t = 1;
+    for (int i = 0; i < 400; i += 1) { t *= 10; }
+    int x = 3;
+    for (int i = 0; i < 14; i += 1) { x *= x; }
+    print(sqrt(p), sqrt(t), sqrt(x));
+}
+""", nprocs=1)
+    assert r.outputs[0] == [f"{float(2 ** 550)} 1e+200 inf"]
+
+
+def test_mod_by_zero_reported_like_the_operator():
+    errors = {str(run_source(f"void main() {{ {decl} print({expr}); }}",
+                             nprocs=1).error)
+              for decl, expr in (("int a = 5;", "a % 0"),
+                                 ("int a = 5;", "mod(a, 0)"),
+                                 ("float a = 5.0;", "mod(a, 0.0)"))}
+    assert errors == {"internal error on rank 0: InterpError('modulo by zero')"}
 
 
 # -- OpenMP execution ---------------------------------------------------------------
