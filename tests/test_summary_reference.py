@@ -145,7 +145,9 @@ MODES = {
 }
 
 #: SHA-256 of ``_analysis_digest()``, pinned at the tree whose summaries
-#: scanned every statement's expressions and built CFGs of their own.
+#: scanned every statement's expressions and built CFGs of their own
+#: (commit 238f8e7).  A change that means to move an analysis answer
+#: re-pins it and says so in CHANGES.md.
 ANALYSIS_DIGEST = "93fff132413b237cfaa7dd8c9a1ce9db9ed840f607d53a732e951debc95cd63b"
 
 
