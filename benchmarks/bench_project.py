@@ -24,8 +24,8 @@ the P1000/P100 per-edit ratio and
 ``test_project_assembly_scaling_threshold`` gates it ≤ 2x — a one-file
 edit must cost O(edit + dependents), not O(project).
 
-The shared store is disabled throughout so rounds measure engine work, not
-disk reuse.
+Sessions keep everything in memory, so every round measures engine work
+and no round reads back an earlier one's artifacts from disk.
 """
 
 import gc
@@ -79,7 +79,7 @@ def test_project_cold(benchmark, files, tmp_path_factory):
     benchmark.extra_info["config"] = "project_cold"
 
     def cold():
-        with ProjectSession(root, store=False) as session:
+        with ProjectSession(root) as session:
             return session.update_all()
 
     delta = benchmark(cold)
@@ -93,7 +93,7 @@ def test_project_one_file_edit(benchmark, files, tmp_path_factory):
         base.replace("v += 50;", value, 1) for value in _VALUES)
     benchmark.extra_info["size"] = SIZE
     benchmark.extra_info["config"] = "project_edit"
-    with ProjectSession(root, store=False) as session:
+    with ProjectSession(root) as session:
         session.update_all()
 
         def edit(text):
@@ -123,7 +123,7 @@ def test_project_one_file_edit_xxl(benchmark, files_xxl, tmp_path_factory):
                       "v += 500;\n    v += 5;", "v += 500;\n    v += 6;"))
     benchmark.extra_info["size"] = XXL_SIZE
     benchmark.extra_info["config"] = "project_edit"
-    with ProjectSession(root, store=False) as session:
+    with ProjectSession(root) as session:
         session.update_all()
 
         def edit(text):
@@ -145,7 +145,7 @@ def test_project_line_insert_patch(benchmark, files, tmp_path_factory):
     variants = itertools.cycle(("// benchmark pad line\n" + base, base))
     benchmark.extra_info["size"] = SIZE
     benchmark.extra_info["config"] = "project_patch"
-    with ProjectSession(root, store=False) as session:
+    with ProjectSession(root) as session:
         session.update_all()
         misses = session.engine.stats.misses
 
@@ -173,11 +173,11 @@ def test_project_edit_speedup_threshold(files, tmp_path_factory):
     root = _materialize(files, tmp_path_factory, "gate")
 
     def cold():
-        with ProjectSession(root, store=False) as session:
+        with ProjectSession(root) as session:
             session.update_all()
 
     cold_s = min(_timed(cold) for _ in range(2))
-    with ProjectSession(root, store=False) as session:
+    with ProjectSession(root) as session:
         session.update_all()
         edits = [files[EDIT_FILE].replace("v += 50;", value, 1)
                  for value in _VALUES[:4]]
@@ -200,7 +200,7 @@ def _min_edit_seconds(root, files, rel, token, edits=10) -> float:
     fastest — the steady-state per-edit cost."""
     base = files[rel]
     times = []
-    with ProjectSession(root, store=False) as session:
+    with ProjectSession(root) as session:
         session.update_all()
         for i in range(edits):
             text = base.replace(token, f"{token}\n    v += {i + 1};", 1)

@@ -1,10 +1,10 @@
 """Scale benchmark — analysis walltime vs. program size, per engine config.
 
 Sweeps the synthetic size ladder of ``repro.bench.scale`` through three
-configurations of the analysis engine:
+configurations:
 
-* ``cold``     — fresh engine per run, caching off: the pre-engine baseline
-  (what a one-shot ``parcoach analyze`` pays);
+* ``cold``     — the one-shot driver, ``analyze_program``: the pre-engine
+  baseline (what a one-shot ``parcoach analyze`` pays);
 * ``warm``     — shared engine re-analyzing the same loaded program: the
   batch-server steady state (identity fast path, all hits);
 * ``reparse``  — shared engine, but every round re-parses the source: hits
@@ -32,7 +32,7 @@ import pytest
 
 from repro.bench.scale import CALLTREE_SIZES, calltree_suite, SCALE_SIZES, scale_suite
 from repro.cfg import CFG, BlockKind, dominators
-from repro.core import AnalysisEngine
+from repro.core import AnalysisEngine, analyze_program
 from repro.minilang.parser import parse_program
 
 SIZES = tuple(SCALE_SIZES)
@@ -54,7 +54,7 @@ def programs(sources):
 def test_scale_cold(benchmark, programs, size):
     benchmark.extra_info["size"] = size
     benchmark.extra_info["config"] = "cold"
-    result = benchmark(lambda: AnalysisEngine(cache=False).analyze(programs[size]))
+    result = benchmark(lambda: analyze_program(programs[size]))
     assert result.functions
 
 
@@ -100,9 +100,8 @@ def test_calltree_interproc(benchmark, calltree_programs, size):
     """Full interprocedural analysis (context propagation + summaries)."""
     benchmark.extra_info["size"] = size
     benchmark.extra_info["config"] = "interproc"
-    engine = AnalysisEngine(cache=False)
-    result = benchmark(lambda: engine.analyze(calltree_programs[size],
-                                              interprocedural=True))
+    result = benchmark(lambda: analyze_program(calltree_programs[size],
+                                               interprocedural=True))
     assert result.interprocedural
     # The tree shape must actually feed the propagation: some function runs
     # under a non-empty context word.
@@ -115,9 +114,8 @@ def test_calltree_intraproc(benchmark, calltree_programs, size):
     """Per-function baseline on the same deep call tree."""
     benchmark.extra_info["size"] = size
     benchmark.extra_info["config"] = "intraproc"
-    engine = AnalysisEngine(cache=False)
-    result = benchmark(lambda: engine.analyze(calltree_programs[size],
-                                              interprocedural=False))
+    result = benchmark(lambda: analyze_program(calltree_programs[size],
+                                               interprocedural=False))
     assert not result.interprocedural
 
 
@@ -135,12 +133,11 @@ def test_calltree_warm_interproc(benchmark, calltree_programs, size):
 
 
 def test_warm_speedup_threshold(programs):
-    """Acceptance gate: warm-cache batch >= 5x faster than cold sequential
-    at the largest synthetic size."""
+    """Acceptance gate: warm-cache batch >= 5x faster than the one-shot
+    driver at the largest synthetic size."""
     program = programs[LARGEST]
     t0 = time.perf_counter()
-    cold_engine = AnalysisEngine(cache=False)
-    cold_result = cold_engine.analyze(program)
+    cold_result = analyze_program(program)
     cold = time.perf_counter() - t0
 
     warm_engine = AnalysisEngine()

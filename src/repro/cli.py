@@ -20,9 +20,9 @@ Subcommands::
         calls marked ``expr``); ``--dot`` emits Graphviz instead
     parcoach batch FILE [FILE ...] [--precision P] [--repeat R]
                         [--no-cache] [--stats] [--no-interprocedural]
-        analyze many files through one memoized AnalysisEngine; one
-        summary line per file, cache statistics at the end (exit 1 if any
-        warnings)
+        analyze many files through one memoized AnalysisEngine (each
+        file on its own with ``--no-cache``); one summary line per file,
+        cache statistics at the end (exit 1 if any warnings)
     parcoach instrument FILE [-o OUT]
         emit the instrumented source
     parcoach run FILE [-np N] [-nt T] [--instrument] [--thread-level L]
@@ -83,16 +83,15 @@ Subcommands::
     parcoach watch FILE [--interval SECS] [--max-updates N]
         analyze FILE now, then poll it and re-emit a delta report on every
         content change and on the first good update after an error
-    parcoach project analyze DIR [--file PATH ...] [--json] [--no-store]
+    parcoach project analyze DIR [--file PATH ...] [--json]
         one-shot whole-project analysis: the manifest (``parcoach.toml``,
         an explicit ``--file`` list, or a recursive ``*.mc``/``*.mini``
         scan) selects the sources, every file merges into one program, and
         the interprocedural analysis crosses file boundaries — findings
         are file-qualified and witness call chains may span files (a bug
-        invisible to per-file ``analyze`` runs).  Warm artifacts are
-        shared with concurrent sessions via the sharded store under
-        ``.parcoach/store``.
-    parcoach project serve DIR [--deadline-ms MS] [--no-store]
+        invisible to per-file ``analyze`` runs).  Nothing is written under
+        the project root.
+    parcoach project serve DIR [--deadline-ms MS]
         persistent multi-file incremental session: ``open PATH`` /
         ``edit PATH`` / ``close PATH`` / ``analyze`` / ``stats`` /
         ``ping`` / ``quit`` on stdin, one Report IR JSON line per
@@ -100,12 +99,6 @@ Subcommands::
         plus their cross-file dependent closure; whole-chunk line moves
         take the line-offset patch path (zero engine misses).  See
         ``docs/project-protocol.md``.
-    parcoach project gc DIR [--keep N]
-        prune stale artifact-store generations: the store writes into a
-        per-version directory (``g<format>-<version>``), so upgrades
-        abandon the previous generation's entries — ``gc`` reclaims them,
-        keeping the current generation (plus the ``N`` most recent stale
-        ones with ``--keep``).
     parcoach validate-report [FILE ...]
         validate Report IR documents (``-``/stdin supported; exit 2 on any
         schema or fingerprint violation)
@@ -249,11 +242,12 @@ def _cmd_callgraph(args) -> int:
 
 def _cmd_batch(args) -> int:
     any_warnings = False
-    engine = AnalysisEngine(cache=not args.no_cache)
+    engine = AnalysisEngine()
+    analyze = analyze_program if args.no_cache else engine.analyze
     for _ in range(max(1, args.repeat)):
         for path in args.files:
             program = _load(path)
-            analysis = engine.analyze(
+            analysis = analyze(
                 program, precision=args.precision,
                 interprocedural=args.interprocedural)
             n = len(analysis.diagnostics)
@@ -266,14 +260,12 @@ def _cmd_batch(args) -> int:
         info = engine.cache_info()
         print(f"engine: {info['programs']} programs, {info['functions']} "
               f"function analyses, {info['hits']} cache hits "
-              f"({info['lazy_hits']} lazy, {info['remaps']} remapped, "
-              f"{info['deferred_remaps']} deferred), "
+              f"({info['remaps']} remapped), "
               f"{info['misses']} misses, hit rate {info['hit_rate']:.1%}",
               file=sys.stderr)
         print(f"engine: {info['evictions']} evictions, "
               f"{info['dependency_invalidations']} invalidated by "
-              f"dependency, {info['remap_fallbacks']} remap fallbacks",
-              file=sys.stderr)
+              f"dependency", file=sys.stderr)
     return 1 if any_warnings else 0
 
 
@@ -502,9 +494,8 @@ def _project_session_from_args(args):
     entry_context = (parse_word(args.initial_context)
                      if args.initial_context else None)
     return ProjectSession(
-        args.dir, files=args.file or None, precision=args.precision, interprocedural=args.interprocedural,
-        entry_context=entry_context,
-        store=False if args.no_store else None)
+        args.dir, files=args.file or None, precision=args.precision,
+        interprocedural=args.interprocedural, entry_context=entry_context)
 
 
 def _cmd_project_analyze(args) -> int:
@@ -552,26 +543,6 @@ def _cmd_project_serve(args) -> int:
         for message in messages:
             print(message, file=sys.stderr)
         return 2
-
-
-def _cmd_project_gc(args) -> int:
-    from .project import ManifestError, ShardedStore, load_manifest
-
-    try:
-        manifest = load_manifest(args.dir, args.file or None)
-    except ManifestError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if manifest.store_path is None:
-        print("store disabled by manifest; nothing to collect",
-              file=sys.stderr)
-        return 0
-    store = ShardedStore(manifest.store_path)
-    gens, entries = store.gc(keep=args.keep)
-    print(f"removed {gens} stale generation(s), {entries} stored "
-          f"entries; current generation {store.generation} holds "
-          f"{store.entries()} entries")
-    return 0
 
 
 def _cmd_validate_report(args) -> int:
@@ -658,7 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeat", type=int, default=1, metavar="R",
                    help="analyze the file list R times (cache warm-up demo)")
     p.add_argument("--no-cache", action="store_true",
-                   help="disable the per-function analysis cache")
+                   help="analyze each file with the one-shot driver "
+                        "(no per-function analysis cache)")
     p.add_argument("--interprocedural", default=True,
                    action=argparse.BooleanOptionalAction,
                    help="propagate calling-context words over the call "
@@ -827,8 +799,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "project",
-        help="project-scale analysis: merged cross-file call graph, shared "
-             "artifact store, multi-file serve daemon")
+        help="project-scale analysis: merged cross-file call graph, "
+             "multi-file serve daemon")
     psub = p.add_subparsers(dest="project_command", required=True)
 
     def _project_flags(pp) -> None:
@@ -836,8 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
         pp.add_argument("--file", action="append", metavar="PATH",
                         help="analyze exactly these files (repeatable; "
                              "overrides the manifest's file set)")
-        pp.add_argument("--no-store", action="store_true",
-                        help="disable the shared on-disk artifact store")
         _session_flags(pp)
 
     pp = psub.add_parser(
@@ -846,9 +816,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Merges every project file into one program and runs "
                     "the interprocedural analysis across file boundaries; "
                     "findings are file-qualified and carry witness call "
-                    "chains that may span files.  Warm artifacts are shared "
-                    "with any concurrently running 'project serve' via the "
-                    "sharded store under .parcoach/store.")
+                    "chains that may span files.")
     _project_flags(pp)
     pp.add_argument("--json", action="store_true",
                     help="emit the versioned Report IR instead of text")
@@ -874,25 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "report, then degrade (retry without the "
                          "interprocedural plan, then cold recover)")
     pp.set_defaults(fn=_cmd_project_serve)
-
-    pp = psub.add_parser(
-        "gc",
-        help="prune stale artifact-store generations "
-             "(.parcoach/store/g<format>-<version>)",
-        description="The shared store writes into a per-version generation "
-                    "directory; upgrading the analyzer starts a fresh "
-                    "generation and leaves the old one behind.  'project "
-                    "gc' deletes every stale generation (and any "
-                    "pre-generation shard dirs), keeping the current one "
-                    "and, with --keep N, the N most recently used stale "
-                    "ones.")
-    pp.add_argument("dir", help="project root (parcoach.toml optional)")
-    pp.add_argument("--file", action="append", metavar="PATH",
-                    help="manifest override, as in 'project analyze'")
-    pp.add_argument("--keep", type=int, default=0, metavar="N",
-                    help="also keep the N most recently modified stale "
-                         "generations (default 0)")
-    pp.set_defaults(fn=_cmd_project_gc)
 
     p = sub.add_parser(
         "validate-report",

@@ -253,10 +253,10 @@ def update_plan(prev: Optional[InterproceduralPlan],
 class FunctionArtifacts:
     """Everything the per-function pipeline produces.
 
-    This is the unit the :class:`repro.core.engine.AnalysisEngine` caches and
-    ships across process boundaries; the driver re-wraps it into a fresh
-    :class:`FunctionAnalysis` per program (the check-group / instrumentation
-    fields are program-level state and must not be shared).
+    This is the unit the :class:`repro.core.engine.AnalysisEngine` caches;
+    the driver re-wraps it into a fresh :class:`FunctionAnalysis` per
+    program (the check-group / instrumentation fields are program-level
+    state and must not be shared).
     """
 
     func: A.FuncDef

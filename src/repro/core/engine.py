@@ -4,21 +4,21 @@ Batch workloads (the errors gallery, the EPCC suite, `parcoach batch`, the
 compile pipeline run once per mode) re-analyze structurally identical
 functions over and over.  :class:`AnalysisEngine` removes that redundancy:
 
-* **Memoization** — per-function artifacts are cached under a *structural
-  fingerprint* of the function AST (type/field/line-sensitive, uid- and
-  column-insensitive), plus everything else the per-function pipeline
-  depends on: the initial parallelism word, the phase-3 precision, and the
-  function's calls that resolve to user / collective functions.  Every
-  cache entry also records the cached tree's pre-order uid sequence
-  (``uid_at_pos``) — stable pre-order *positions*, not transient uids, are
-  the native key of the store: a re-parse of the same source hits the cache
-  and the uid-keyed artifact maps are rebuilt from the position sequence
-  with a single walk of the *new* tree only, and only **lazily** — the
-  remap is deferred until something actually consumes the per-uid maps
-  (rendering a report, instrumenting).  A reparse hit whose result is never
-  rendered does zero per-uid remap work and is exactly as cheap as an
-  identity hit (``stats.lazy_hits`` counts deferred hits, ``stats.remaps``
-  counts remaps actually materialized).
+* **Memoization** — per-function artifacts are cached in memory under a
+  *structural fingerprint* of the function AST (type/field/line-sensitive,
+  uid- and column-insensitive), plus everything else the per-function
+  pipeline depends on: the initial parallelism word, the phase-3 precision,
+  and the function's calls that resolve to user / collective functions.
+  Every cache entry also records the cached tree's pre-order uid sequence
+  (``uid_at_pos``): a re-parse of the same source hits the cache, and the
+  uid-keyed artifact maps are rebuilt from that position sequence with a
+  single walk of the *new* tree (``stats.remaps`` counts these).
+
+Results are computed when asked and returned whole:
+:meth:`AnalysisEngine.analyze` returns a
+:class:`~repro.core.driver.ProgramAnalysis`, and
+:meth:`AnalysisEngine.analyze_functions` the merged artifacts of the
+functions a session update scopes.
 
 Caveats (by design):
 
@@ -36,7 +36,7 @@ Caveats (by design):
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from ..minilang import ast_nodes as A
@@ -97,13 +97,8 @@ class EngineStats:
     functions: int = 0
     hits: int = 0
     misses: int = 0
-    #: Reparse hits whose per-uid remap was deferred (served as a lazy view).
-    lazy_hits: int = 0
-    #: Remaps actually materialized (a consumer touched the per-uid maps).
+    #: Reparse hits: cached artifacts transplanted onto a new tree.
     remaps: int = 0
-    #: Deferred remaps whose cache source had mutated by materialization
-    #: time; the function was re-analyzed from scratch instead.
-    remap_fallbacks: int = 0
     #: Cache entries dropped via :meth:`AnalysisEngine.invalidate_fingerprints`
     #: (the session evicts edited / renamed / deleted functions' artifacts).
     evictions: int = 0
@@ -127,55 +122,21 @@ class EngineStats:
     #: line-offset patch (:meth:`AnalysisEngine.patch_function_lines`)
     #: instead of being re-analyzed.
     line_patches: int = 0
-    #: Cache misses satisfied from the shared on-disk artifact store.
-    store_hits: int = 0
-    #: Cache misses that probed the on-disk store and found nothing.
-    store_misses: int = 0
-    #: Artifacts written through to the on-disk store.
-    store_writes: int = 0
 
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    @property
-    def deferred_remaps(self) -> int:
-        """Lazy hits whose remap was never (or not yet) materialized."""
-        return self.lazy_hits - self.remaps - self.remap_fallbacks
-
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "programs": self.programs,
-            "functions": self.functions,
-            "hits": self.hits,
-            "misses": self.misses,
-            "lazy_hits": self.lazy_hits,
-            "remaps": self.remaps,
-            "deferred_remaps": self.deferred_remaps,
-            "remap_fallbacks": self.remap_fallbacks,
-            "evictions": self.evictions,
-            "dependency_invalidations": self.dependency_invalidations,
-            "assembly_reuses": self.assembly_reuses,
-            "edges_recomputed": self.edges_recomputed,
-            "graph_rebuilds": self.graph_rebuilds,
-            "line_patches": self.line_patches,
-            "store_hits": self.store_hits,
-            "store_misses": self.store_misses,
-            "store_writes": self.store_writes,
-            "hit_rate": round(self.hit_rate, 4),
-        }
+        return {**asdict(self), "hit_rate": round(self.hit_rate, 4)}
 
     @classmethod
     def from_dict(cls, data: Dict[str, float]) -> "EngineStats":
-        """Inverse of :meth:`as_dict` (derived entries are ignored)."""
-        kwargs = {f: int(data[f]) for f in (
-            "programs", "functions", "hits", "misses", "lazy_hits", "remaps",
-            "remap_fallbacks", "evictions", "dependency_invalidations",
-            "assembly_reuses", "edges_recomputed", "graph_rebuilds",
-            "line_patches", "store_hits", "store_misses", "store_writes",
-        ) if f in data}
-        return cls(**kwargs)
+        """Inverse of :meth:`as_dict` (derived and unknown entries are
+        ignored)."""
+        return cls(**{f.name: int(data[f.name]) for f in fields(cls)
+                      if f.name in data})
 
 
 @dataclass
@@ -185,13 +146,11 @@ class _CacheEntry:
     #: instrumentation bumps the version, so a mutated cache source is
     #: detected in O(1) instead of being served as stale artifacts.
     version: int
-    key: _Key
-    #: The cached function's uids in pre-order — the content-addressed
-    #: store's native coordinate system.  A remap onto a re-parsed tree only
-    #: walks the *new* tree (equal fingerprints guarantee equal shape) and
-    #: pairs its nodes with this sequence positionally; the old tree is
-    #: never re-walked.
-    uid_at_pos: Tuple[int, ...] = ()
+    #: The cached function's uids in pre-order.  A remap onto a re-parsed
+    #: tree only walks the *new* tree (equal fingerprints guarantee equal
+    #: shape) and pairs its nodes with this sequence positionally; the old
+    #: tree is never re-walked.
+    uid_at_pos: Tuple[int, ...]
 
 
 @dataclass
@@ -259,7 +218,7 @@ def _remap_artifacts(entry: _CacheEntry,
     after all (mutated cache source): caller re-analyzes.
     """
     old = entry.artifacts
-    uid_at_pos = entry.uid_at_pos or tuple(n.uid for n in old.func.walk())
+    uid_at_pos = entry.uid_at_pos
     new_nodes = list(new_func.walk())
     if len(uid_at_pos) != len(new_nodes):
         return None
@@ -322,76 +281,13 @@ def _shift_artifact_lines(art: FunctionArtifacts, delta: int) -> None:
 
 
 @dataclass
-class _PendingRemap:
-    """A reparse cache hit whose per-uid remap has not been materialized.
-
-    Carries everything needed either to materialize the remap (the cache
-    entry + the new function) or — if the cached source mutated in the
-    meantime — to re-analyze the function from scratch."""
-
-    entry: _CacheEntry
-    func: A.FuncDef
-    word: Word
-    call_stmts: object
-    extra: object
-
-
-class LazyProgramAnalysis:
-    """Deferred :class:`~repro.core.driver.ProgramAnalysis`.
-
-    The engine returns this from :meth:`AnalysisEngine.analyze`: cache
-    lookups, plan computation and cache-miss analyses have already happened
-    eagerly, but per-context merging, program-level synthesis and — crucially
-    — the per-uid remap of reparse hits are all deferred until the first
-    attribute access (rendering a report, instrumenting, reading
-    diagnostics).  A caller that never touches the result (an incremental
-    probe, a benchmark round, a session update whose findings are diffed by
-    fingerprint) pays nothing beyond the cache lookups.
-
-    The proxy forwards every attribute, so it is a drop-in stand-in for
-    ``ProgramAnalysis`` everywhere short of ``isinstance`` checks.
-    """
-
-    __slots__ = ("_thunk", "_analysis", "merge_one")
-
-    def __init__(self, thunk, merge_one=None) -> None:
-        self._thunk = thunk
-        self._analysis = None
-        #: Per-function merge hook: ``merge_one(func) -> (artifacts,
-        #: context_words, word_infos)`` — lets the session layer assemble a
-        #: single function's merged artifacts (materializing only *its*
-        #: pending remaps) without forcing the whole program analysis.
-        self.merge_one = merge_one
-
-    @property
-    def materialized(self) -> bool:
-        """True once the underlying analysis has been forced."""
-        return self._analysis is not None
-
-    def force(self) -> ProgramAnalysis:
-        """Materialize (idempotent) and return the underlying analysis."""
-        analysis = self._analysis
-        if analysis is None:
-            analysis = self._analysis = self._thunk()
-            self._thunk = None
-        return analysis
-
-    def __getattr__(self, name: str):
-        return getattr(self.force(), name)
-
-
-@dataclass
 class AnalyzeRecord:
-    """What one :meth:`AnalysisEngine.analyze` call did, per function —
-    consumed by the session layer to report which functions were actually
-    re-analyzed vs served from the content-addressed store."""
+    """What one analysis call did, per function — consumed by the session
+    layer to report which functions were actually re-analyzed vs served
+    from the cache."""
 
     #: (function name, context word) pairs analyzed from scratch.
     missed: List[Tuple[str, Word]] = field(default_factory=list)
-    #: Function names served as deferred (lazy) reparse hits.
-    lazy: List[str] = field(default_factory=list)
-    #: Function names served by object identity (same AST, warm path).
-    identity: List[str] = field(default_factory=list)
 
     @property
     def missed_functions(self) -> Tuple[str, ...]:
@@ -403,25 +299,14 @@ class AnalyzeRecord:
 
 
 class AnalysisEngine:
-    """Stateful batch front end over :func:`repro.core.driver.analyze_program`.
+    """Memoizing front end over the driver's per-function pipeline: the
+    results of :func:`repro.core.driver.analyze_program`, with every
+    function analysis whose cache key repeats served from one in-memory
+    cache."""
 
-    Parameters
-    ----------
-    cache:
-        Disable to make the engine a plain driver (no fingerprinting cost);
-        :func:`analyze_program` uses exactly that configuration.
-    """
-
-    def __init__(self, cache: bool = True, store=None) -> None:
-        self.cache_enabled = bool(cache)
-        #: Optional shared on-disk artifact store (duck-typed:
-        #: ``load(key) -> (FunctionArtifacts, uid_at_pos) | None`` and
-        #: ``save(key, artifacts, uid_at_pos)``, see
-        #: :class:`repro.project.store.ShardedStore`).  In-memory misses
-        #: probe it; fresh analyses write through.
-        self.store = store
+    def __init__(self) -> None:
         self.stats = EngineStats()
-        #: Per-function record of the most recent :meth:`analyze` call.
+        #: Per-function record of the most recent analysis call.
         self.last = AnalyzeRecord()
         self._cache: Dict[_Key, _CacheEntry] = {}
         #: fingerprint -> set of cache keys with that fingerprint, so
@@ -433,10 +318,6 @@ class AnalysisEngine:
         self._identity: Dict[int, Tuple[A.FuncDef, int, str]] = {}
         #: id(program) -> memoized program-level facts.
         self._programs: Dict[int, _ProgramMemo] = {}
-        #: id(func) -> per-function index entry (see sites.index_program):
-        #: re-indexing a program that reuses FuncDef objects (the session
-        #: layer's incremental re-parse) costs lookups, not tree walks.
-        self._func_index: Dict[int, tuple] = {}
 
     # -- cache management ------------------------------------------------------
 
@@ -445,7 +326,6 @@ class AnalysisEngine:
         self._by_fp.clear()
         self._identity.clear()
         self._programs.clear()
-        self._func_index.clear()
 
     def _cache_put(self, key: _Key, entry: _CacheEntry) -> None:
         self._cache[key] = entry
@@ -482,29 +362,12 @@ class AnalysisEngine:
         info["entries"] = len(self._cache)
         return info
 
-    def _load_from_store(self, key: _Key) -> Optional[_CacheEntry]:
-        """Probe the shared on-disk store for ``key``; a hit is promoted
-        into the in-memory cache (anchored on the unpickled tree)."""
-        try:
-            payload = self.store.load(key)
-        except Exception:
-            payload = None  # a corrupt/racing shard read is just a miss
-        if payload is None:
-            self.stats.store_misses += 1
-            return None
-        art, uid_at_pos = payload
-        self.stats.store_hits += 1
-        entry = _CacheEntry(artifacts=art, version=_version(art.func),
-                            key=key, uid_at_pos=tuple(uid_at_pos))
-        self._cache_put(key, entry)
-        return entry
-
     # -- line-offset patching --------------------------------------------------
 
     def patch_function_lines(self, func: A.FuncDef, delta: int) -> int:
         """Shift ``func`` (in place) and every cached artifact of it by
-        ``delta`` source lines, re-keying the content-addressed store to the
-        shifted fingerprint.  Returns the number of re-keyed cache entries.
+        ``delta`` source lines, re-keying the cache to the shifted
+        fingerprint.  Returns the number of re-keyed cache entries.
 
         This is the line-offset patch pass: an edit that only moves a
         function down/up (a line inserted or deleted *above* it) changes
@@ -514,8 +377,7 @@ class AnalysisEngine:
         untouched, so every uid-keyed map and program memo stays valid) and
         all line-addressed artifact state — collective sites, CFG block
         lines, diagnostic source refs and conditional lines — is shifted in
-        lock-step.  The on-disk store is *not* patched: its entries stay
-        content-addressed to the lines they were analyzed at.
+        lock-step.
 
         An entry anchored on another tree (an earlier parse, or the same
         function served from another file over this engine) keeps that
@@ -537,9 +399,7 @@ class AnalysisEngine:
             if id(art) not in patched_arts:
                 patched_arts.add(id(art))
                 _shift_artifact_lines(art, delta)
-            new_key: _Key = (new_fp,) + key[1:]
-            entry.key = new_key
-            self._cache_put(new_key, entry)
+            self._cache_put((new_fp,) + key[1:], entry)
             moved += 1
         self.stats.line_patches += 1
         return moved
@@ -551,11 +411,10 @@ class AnalysisEngine:
         live (a session calls this when an update replaces or removes
         them), so the memos track the live program instead of growing
         with every edit until their caps."""
-        for memo in (self._identity, self._func_index):
-            for func in funcs:
-                entry = memo.get(id(func))
-                if entry is not None and entry[0] is func:
-                    del memo[id(func)]
+        for func in funcs:
+            entry = self._identity.get(id(func))
+            if entry is not None and entry[0] is func:
+                del self._identity[id(func)]
 
     def _fingerprint_for(self, func: A.FuncDef) -> str:
         version = _version(func)
@@ -578,8 +437,7 @@ class AnalysisEngine:
                 and all(a is b for a, b in zip(memo.funcs, funcs))
                 and memo.versions == versions):
             return memo
-        index = index_program(program, memo=self._func_index)
-        _evict_oldest(self._func_index, _IDENTITY_MEMO_LIMIT)
+        index = index_program(program)
         memo = _ProgramMemo(
             program=program, funcs=funcs, versions=versions, index=index,
             collective_funcs=collective_call_graph(program, index),
@@ -606,8 +464,9 @@ class AnalysisEngine:
         still wins).  ``changed_positions`` (``[(pos, func), ...]``) names
         the exact positions of new objects in an unchanged-length function
         list, so the versions are spliced in O(changed); without it they
-        are recomputed.  The memo is the caller's to keep and to pass as
-        ``analyze(facts=...)``; the program memo table does not hold it."""
+        are recomputed.  The memo is the caller's to keep and to pass to
+        :meth:`analyze_functions`; the program memo table does not hold
+        it."""
         funcs = tuple(program.funcs)
 
         def mentions_init(calls) -> bool:
@@ -651,203 +510,110 @@ class AnalysisEngine:
         initial_words: Optional[Dict[str, Word]] = None,
         precision: str = "paper",
         instrument_all: bool = False,
-        cfgs: Optional[Dict[str, tuple]] = None,
         interprocedural: bool = True,
         entry_context: Word = EMPTY,
-        plan: Optional[InterproceduralPlan] = None,
-        deadline: Optional[Deadline] = None,
-        facts: Optional[_ProgramMemo] = None,
-        scope: Optional[List[A.FuncDef]] = None,
     ) -> ProgramAnalysis:
-        """Drop-in replacement for :func:`analyze_program` with memoization.
-        Same signature, same rendered output.  ``plan`` short-circuits the interprocedural plan
-        computation — the session layer passes the incrementally updated
-        plan it already built for its dependency diff.  ``deadline`` is
-        checked cooperatively before each cache-miss analysis (cached work
-        always completes); expiry raises
-        :class:`~repro.util.resilience.DeadlineExceeded` and leaves the
-        cache consistent — everything analyzed so far stays stored.
-
-        The result is a :class:`LazyProgramAnalysis`: cache lookups and
-        cache-miss analyses happen now (so the store is filled, the stats
-        are final for hit/miss accounting, and analysis errors surface
-        here), but the per-uid remap of reparse hits plus the per-context
-        merge and program-level synthesis are deferred until the result is
-        first inspected.  A reparse hit whose result is never rendered does
-        zero per-uid remap work.
-
-        ``facts`` injects a program-facts memo the caller maintained by
-        delta (:meth:`update_program_facts`), skipping the validity check.
-        ``scope`` restricts the per-function loop — cache probing, miss
-        analysis, stats — to the given functions of ``program``, in that
-        order; a scoped result cannot be forced into a whole-program
-        analysis (``force`` raises ``RuntimeError``), only its ``merge_one``
-        hook may be used."""
+        """Memoized :func:`~repro.core.driver.analyze_program`: the same
+        parameters (no ``cfgs``) and the same result."""
         initial_words = initial_words or {}
+        memo = self._program_facts(program)
+        plan = (self._plan_for(memo, program, initial_words, entry_context)
+                if interprocedural else None)
+        results = self.analyze_functions(program.funcs, memo, plan,
+                                         initial_words, precision)
+        return _assemble(
+            program, memo.index, memo.collective_funcs,
+            {name: art for name, (art, _words, _infos) in results.items()},
+            precision, instrument_all, memo.requested, plan=plan,
+            context_info={name: (words, infos) for name, (_art, words, infos)
+                          in results.items()})
+
+    def analyze_functions(
+        self,
+        funcs: List[A.FuncDef],
+        facts: _ProgramMemo,
+        plan: Optional[InterproceduralPlan],
+        initial_words: Dict[str, Word],
+        precision: str,
+        deadline: Optional[Deadline] = None,
+    ) -> Dict[str, Tuple[FunctionArtifacts, Tuple[Word, ...],
+                         Tuple[WordInfo, ...]]]:
+        """Analyze ``funcs``, functions of the program ``facts`` describes,
+        and return ``{name: (merged artifacts, context words, word infos)}``
+        in their order.
+
+        Each function is analyzed once per context word of ``plan`` (the
+        word ``initial_words`` gives it when ``plan`` is None: the
+        intraprocedural mode), and its per-context artifacts are merged as
+        :func:`~repro.core.driver.analyze_program` merges them.  A context
+        whose cache key repeats is a hit: the cached artifacts themselves
+        when they were computed on this tree, else the artifacts remapped
+        onto it.  ``deadline`` is checked cooperatively before each miss;
+        expiry raises :class:`~repro.util.resilience.DeadlineExceeded` and
+        leaves the cache consistent — everything analyzed so far stays
+        cached."""
         self.stats.programs += 1
         self.last = record = AnalyzeRecord()
-        memo = facts if facts is not None else self._program_facts(program)
-        index, collective_funcs = memo.index, memo.collective_funcs
-        func_names = memo.func_names
-        if not interprocedural:
-            plan = None
-        elif plan is None:
-            plan = self._plan_for(memo, program, initial_words, entry_context)
-
-        #: (function name, context word) -> artifacts or a deferred remap.
-        artifacts: Dict[Tuple[str, Word], object] = {}
-        #: (func, key, word, call_stmts, prebuilt, extra) per cache miss.
-        pending: List[tuple] = []
-        func_words: Dict[str, Tuple[Word, ...]] = {}
-        for func in (program.funcs if scope is None else scope):
+        index = facts.index
+        func_names, collective_funcs = facts.func_names, facts.collective_funcs
+        results = {}
+        for func in funcs:
+            name = func.name
             self.stats.functions += 1
-            call_stmts = index.call_stmts.get(func.name)
-            prebuilt = cfgs.get(func.name) if cfgs is not None else None
             if plan is not None:
-                words = plan.contexts.contexts[func.name]
-                extra = plan.extra_points.get(func.name)
-                token = plan.extra_tokens.get(func.name, ())
-            else:
-                words = (initial_words.get(func.name, EMPTY),)
-                extra = None
-                token = ()
-            func_words[func.name] = words
-            for word in words:
-                if not self.cache_enabled or prebuilt is not None:
-                    # A caller-supplied CFG is not part of the fingerprint,
-                    # so artifacts built on it must neither be cached nor
-                    # satisfied from cache — analyze this function as-is.
-                    pending.append((func, None, word, call_stmts, prebuilt,
-                                    extra))
-                    continue
-                called_names = {c.name for c in index.calls.get(func.name, ())}
-                key: _Key = (
-                    self._fingerprint_for(func), word, precision,
-                    tuple(sorted(called_names & func_names)),
-                    tuple(sorted(called_names & collective_funcs)),
-                    token,
-                )
-                entry = self._cache.get(key)
-                if entry is not None and _version(entry.artifacts.func) == entry.version:
-                    self.stats.hits += 1
-                    if entry.artifacts.func is func:
-                        record.identity.append(func.name)
-                        artifacts[(func.name, word)] = entry.artifacts
-                    else:
-                        # Reparse hit: defer the per-uid remap — the store
-                        # is position-keyed, so nothing needs the new uids
-                        # until the result is rendered.
-                        self.stats.lazy_hits += 1
-                        record.lazy.append(func.name)
-                        artifacts[(func.name, word)] = _PendingRemap(
-                            entry=entry, func=func, word=word,
-                            call_stmts=call_stmts, extra=extra)
-                    continue
-                if entry is not None:
-                    # Stale: the cached AST was mutated after analysis.
-                    self._cache_del(key)
-                if self.store is not None:
-                    entry = self._load_from_store(key)
-                    if entry is not None:
-                        # A disk hit is a reparse hit anchored on the
-                        # unpickled tree: same lazy-remap path as a warm
-                        # in-memory reparse.
-                        self.stats.hits += 1
-                        self.stats.lazy_hits += 1
-                        record.lazy.append(func.name)
-                        artifacts[(func.name, word)] = _PendingRemap(
-                            entry=entry, func=func, word=word,
-                            call_stmts=call_stmts, extra=extra)
-                        continue
-                self.stats.misses += 1
-                record.missed.append((func.name, word))
-                pending.append((func, key, word, call_stmts, prebuilt, extra))
-
-        self._run_pending(pending, func_names, collective_funcs,
-                          precision, artifacts, deadline=deadline)
-
-        def merge_one(func: A.FuncDef):
-            words = func_words[func.name]
-            if plan is not None:
-                chains = {w: plan.contexts.chains.get((func.name, w), ())
+                words = plan.contexts.contexts[name]
+                extra = plan.extra_points.get(name)
+                token = plan.extra_tokens.get(name, ())
+                chains = {w: plan.contexts.chains.get((name, w), ())
                           for w in words}
             else:
-                chains = {}
+                words = (initial_words.get(name, EMPTY),)
+                extra, token, chains = None, (), {}
+            called = {c.name for c in index.calls.get(name, ())}
+            calls_key = (tuple(sorted(called & func_names)),
+                         tuple(sorted(called & collective_funcs)), token)
+            fp = self._fingerprint_for(func)
+            uid_at_pos: Optional[Tuple[int, ...]] = None
             parts = []
-            for w in words:
-                art = artifacts[(func.name, w)]
-                if isinstance(art, _PendingRemap):
-                    art = self._materialize(art, func_names,
-                                            collective_funcs, precision)
-                    artifacts[(func.name, w)] = art
-                parts.append((w, art))
-            return _merge_artifacts(parts, chains)
+            for word in words:
+                key: _Key = (fp, word, precision) + calls_key
+                art = self._lookup(key, func)
+                if art is not None:
+                    self.stats.hits += 1
+                else:
+                    self.stats.misses += 1
+                    record.missed.append((name, word))
+                    if deadline is not None:
+                        deadline.check("engine.task")
+                    fault_site("engine.task")
+                    art = _analyze_function(
+                        func, func_names, collective_funcs, word, precision,
+                        index.call_stmts.get(name), None, extra)
+                    if uid_at_pos is None:
+                        uid_at_pos = tuple(n.uid for n in func.walk())
+                    self._cache_put(key, _CacheEntry(
+                        artifacts=art, version=_version(func),
+                        uid_at_pos=uid_at_pos))
+                parts.append((word, art))
+            results[name] = _merge_artifacts(parts, chains)
+        return results
 
-        def materialize() -> ProgramAnalysis:
-            if scope is not None:
-                raise RuntimeError(
-                    "a scope-restricted analyze() result cannot be forced "
-                    "into a whole-program analysis; use merge_one")
-            merged: Dict[str, FunctionArtifacts] = {}
-            context_info: Dict[str, Tuple[Tuple[Word, ...],
-                                          Tuple[WordInfo, ...]]] = {}
-            for func in program.funcs:
-                merged[func.name], ctx_words, infos = merge_one(func)
-                context_info[func.name] = (ctx_words, infos)
-            return _assemble(program, index, collective_funcs, merged,
-                             precision, instrument_all, memo.requested,
-                             plan=plan, context_info=context_info)
-
-        return LazyProgramAnalysis(materialize, merge_one=merge_one)
-
-    def _materialize(self, pending: _PendingRemap, func_names, collective_funcs,
-                     precision: str) -> FunctionArtifacts:
-        """Turn a deferred reparse hit into concrete artifacts: remap the
-        cached per-uid maps onto the new AST (one walk of the new tree), or
-        — if the cached source mutated since the lookup — re-analyze.  The
-        fallback also repairs the store: the stale entry is evicted and the
-        fresh artifacts take its place (anchored on the new AST, whose
-        fingerprint is what the key matched)."""
-        entry = pending.entry
-        if _version(entry.artifacts.func) == entry.version:
-            remapped = _remap_artifacts(entry, pending.func)
+    def _lookup(self, key: _Key,
+                func: A.FuncDef) -> Optional[FunctionArtifacts]:
+        """The cached artifacts of ``key`` on ``func``'s tree, remapped when
+        they were computed on another tree; None is a miss.  An entry whose
+        tree was instrumented in place since, or whose remap fails, is
+        dropped — the miss that follows replaces it."""
+        entry = self._cache.get(key)
+        if entry is None:
+            return None
+        art = entry.artifacts
+        if _version(art.func) == entry.version:
+            if art.func is func:
+                return art
+            remapped = _remap_artifacts(entry, func)
             if remapped is not None:
                 self.stats.remaps += 1
                 return remapped
-        self.stats.remap_fallbacks += 1
-        art = _analyze_function(pending.func, func_names, collective_funcs,
-                                pending.word, precision, pending.call_stmts,
-                                None, pending.extra)
-        if self.cache_enabled and self._cache.get(entry.key) is entry:
-            self._cache_put(entry.key, _CacheEntry(
-                artifacts=art, version=_version(art.func), key=entry.key,
-                uid_at_pos=tuple(n.uid for n in art.func.walk())))
-        return art
-
-    def _run_pending(self, pending, func_names, collective_funcs,
-                     precision, artifacts,
-                     deadline: Optional[Deadline] = None) -> None:
-        """Analyze the cache misses, in program order, and store them."""
-        uid_seqs: Dict[int, Tuple[int, ...]] = {}
-        for func, key, word, call_stmts, prebuilt, extra in pending:
-            if deadline is not None:
-                deadline.check("engine.task")
-            fault_site("engine.task")
-            art = _analyze_function(func, func_names, collective_funcs,
-                                    word, precision, call_stmts, prebuilt,
-                                    extra)
-            artifacts[(func.name, word)] = art
-            if self.cache_enabled and key is not None:
-                seq = uid_seqs.get(id(art.func))
-                if seq is None:
-                    seq = tuple(n.uid for n in art.func.walk())
-                    uid_seqs[id(art.func)] = seq
-                self._cache_put(key, _CacheEntry(
-                    artifacts=art, version=_version(art.func), key=key,
-                    uid_at_pos=seq))
-                if self.store is not None:
-                    try:
-                        self.store.save(key, art, seq)
-                        self.stats.store_writes += 1
-                    except Exception:
-                        pass  # a full/readonly shard must not fail analysis
+        self._cache_del(key)
+        return None

@@ -51,18 +51,12 @@ class ProgramIndex:
     expr_calls: Dict[str, List[ExprCallSite]] = field(default_factory=dict)
 
 
-#: One per-function index memo entry: (func ref, calls, call_stmts,
-#: expr_calls).  The func reference guards against id() reuse after GC.
-_IndexEntry = Tuple[A.FuncDef, List[A.Call], List[A.ExprStmt],
-                    List[ExprCallSite]]
-
-
 def index_function(func: A.FuncDef) -> Tuple[List[A.Call], List[A.ExprStmt],
                                              List[ExprCallSite]]:
     """Index one function: every call node, the statement-level calls, and
     the expression-embedded calls with their anchor chains.  Pure per
-    function — the results only depend on the function's own AST, which is
-    what makes the per-function memo of :func:`index_program` sound."""
+    function — the results only depend on the function's own AST, so the
+    session layer indexes only the functions an update re-parsed."""
     calls: List[A.Call] = []
     stmts: List[A.ExprStmt] = []
     expr_calls: List[ExprCallSite] = []
@@ -94,28 +88,11 @@ def index_function(func: A.FuncDef) -> Tuple[List[A.Call], List[A.ExprStmt],
     return calls, stmts, expr_calls
 
 
-def index_program(program: A.Program,
-                  memo: Optional[Dict[int, _IndexEntry]] = None
-                  ) -> ProgramIndex:
-    """Index every function of ``program``.
-
-    ``memo`` (``id(func)`` → entry) makes re-indexing incremental: a
-    function object already indexed — the session layer reuses unchanged
-    ``FuncDef`` objects across re-parses — costs a dict lookup instead of a
-    tree walk.  Callers owning a memo are responsible for bounding it."""
+def index_program(program: A.Program) -> ProgramIndex:
+    """Index every function of ``program``."""
     index = ProgramIndex()
     for func in program.funcs:
-        if memo is not None:
-            entry = memo.get(id(func))
-            if entry is not None and entry[0] is func:
-                _f, calls, stmts, expr_calls = entry
-                index.calls[func.name] = calls
-                index.call_stmts[func.name] = stmts
-                index.expr_calls[func.name] = expr_calls
-                continue
         calls, stmts, expr_calls = index_function(func)
-        if memo is not None:
-            memo[id(func)] = (func, calls, stmts, expr_calls)
         index.calls[func.name] = calls
         index.call_stmts[func.name] = stmts
         index.expr_calls[func.name] = expr_calls

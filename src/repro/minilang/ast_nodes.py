@@ -330,7 +330,7 @@ def shift_lines(node: Node, delta: int) -> None:
     valid; only consumers of line-addressed state (diagnostics, collective
     sites, CFG block lines) need patching, which
     :meth:`repro.core.engine.AnalysisEngine.patch_function_lines` does in
-    lock-step with re-keying the content-addressed store."""
+    lock-step with re-keying the engine's cache."""
     if delta == 0:
         return
     for n in node.walk():

@@ -38,6 +38,8 @@ EXPR_BUILTINS = {
     "min": (2, 2),
     "max": (2, 2),
     "sqrt": (1, 1),
+    # Floor modulo, like Fortran's MODULO: mod(0 - 7, 4) is 1, while the
+    # % operator is C's remainder, (0 - 7) % 4 is -3.
     "mod": (2, 2),
 }
 

@@ -9,9 +9,8 @@ calling-context propagation and collective summaries fall out of the
 existing interprocedural machinery — witness call chains span file
 boundaries.  Insert-a-line edits take the **line-offset patch** path
 (:meth:`~repro.core.engine.AnalysisEngine.patch_function_lines`): cached
-line-addressed artifacts are shifted instead of re-analyzed.  Artifacts are
-shared between parallel sessions through a sharded on-disk store
-(:class:`~repro.project.store.ShardedStore`).
+line-addressed artifacts are shifted instead of re-analyzed.  A session
+keeps everything in memory and writes nothing under the project root.
 
 The single-file daemons run on the same session: :class:`FileSession`
 analyzes each path ``parcoach serve`` or ``watch`` is given as a one-file
@@ -23,20 +22,15 @@ format: ``docs/project-protocol.md``.
 from .manifest import MANIFEST_NAME, ManifestError, ProjectManifest, load_manifest
 from .serve import FileSession, run_serve, run_watch
 from .session import ProjectSession, ProjectUpdate
-from .store import ANALYSIS_VERSION, STORE_FORMAT, ShardedStore, store_generation
 
 __all__ = [
-    "ANALYSIS_VERSION",
     "FileSession",
     "MANIFEST_NAME",
     "ManifestError",
     "ProjectManifest",
     "ProjectSession",
     "ProjectUpdate",
-    "STORE_FORMAT",
-    "ShardedStore",
     "load_manifest",
     "run_serve",
     "run_watch",
-    "store_generation",
 ]

@@ -11,9 +11,8 @@ A project is a directory.  Its file set comes from, in priority order:
        entries = ["main"]          # entry functions for context seeding
        initial_context = ""        # parallelism word seeding the entries
 
-       [store]
-       enabled = true              # shared on-disk artifact store
-       path = ".parcoach/store"    # relative to the project root
+   Other tables are ignored, among them the ``[store]`` table older
+   manifests carry.
 
 3. a bare recursive scan of the directory for ``*.mc`` / ``*.mini``.
 
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 import fnmatch
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from ..util.faultinject import fault_site
@@ -57,8 +56,6 @@ class ProjectManifest:
     entries: Tuple[str, ...] = ()
     #: Parallelism word (unparsed text) seeding the entry functions.
     initial_context: str = ""
-    #: Shared artifact store directory (absolute), None = store disabled.
-    store_path: Optional[str] = field(default=None)
 
     def abspath(self, rel: str) -> str:
         return os.path.join(self.root, rel)
@@ -119,11 +116,6 @@ def load_manifest(root: str,
     if not os.path.isdir(root):
         raise ManifestError(f"project root {root!r} is not a directory")
 
-    entries: Tuple[str, ...] = ()
-    initial_context = ""
-    store_enabled = True
-    store_rel = os.path.join(".parcoach", "store")
-
     manifest_path = os.path.join(root, MANIFEST_NAME)
     data: dict = {}
     if os.path.isfile(manifest_path):
@@ -138,16 +130,6 @@ def load_manifest(root: str,
     initial_context = project.get("initial_context", "")
     if not isinstance(initial_context, str):
         raise ManifestError("[project] initial_context must be a string")
-
-    store = data.get("store", {})
-    if not isinstance(store, dict):
-        raise ManifestError("[store] must be a table")
-    store_enabled = store.get("enabled", True)
-    if not isinstance(store_enabled, bool):
-        raise ManifestError("[store] enabled must be a boolean")
-    store_rel = store.get("path", store_rel)
-    if not isinstance(store_rel, str):
-        raise ManifestError("[store] path must be a string")
 
     if files is not None:
         rels = []
@@ -167,10 +149,7 @@ def load_manifest(root: str,
 
     return ProjectManifest(
         root=root, files=tuple(resolved), entries=entries,
-        initial_context=initial_context,
-        store_path=(os.path.normpath(os.path.join(root, store_rel))
-                    if store_enabled else None),
-    )
+        initial_context=initial_context)
 
 
 __all__ = ["MANIFEST_NAME", "ManifestError", "ProjectManifest",

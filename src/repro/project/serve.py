@@ -90,9 +90,8 @@ def _internal_error_report(tool: str, source: Optional[dict],
 
 class FileSession(ResilienceCounters):
     """``parcoach serve`` / ``watch``: every requested path is a one-file
-    project, built from the path alone (no ``parcoach.toml`` is read, no
-    on-disk store is written), and every project shares this session's
-    engine.
+    project, built from the path alone (no ``parcoach.toml`` is read), and
+    every project shares this session's engine.
 
     :meth:`update` re-reads a path and returns its
     :class:`~repro.project.session.ProjectUpdate`, whose ``report`` is the

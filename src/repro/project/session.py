@@ -41,16 +41,14 @@ record, and a rejected update commits nothing.  The path:
   program facts are patched (:func:`~repro.core.driver.update_plan`,
   :meth:`~repro.core.engine.AnalysisEngine.update_program_facts`), and the
   engine analyzes a *scope* of exactly the functions whose artifacts could
-  differ.  Their report pieces are folded into the report cache, whose
-  lazy render is the full Report IR document.  A one-function edit costs
-  O(size of edit + dependents); the ``assembly_reuses`` /
-  ``edges_recomputed`` / ``graph_rebuilds`` engine counters surface how
-  much was skipped.
+  differ (:meth:`~repro.core.engine.AnalysisEngine.analyze_functions`).
+  Their report pieces are folded into the report cache, whose lazy render
+  is the full Report IR document.  A one-function edit costs O(size of
+  edit + dependents); the ``assembly_reuses`` / ``edges_recomputed`` /
+  ``graph_rebuilds`` engine counters surface how much was skipped.
 
-* **Shared sharded store** — cache misses probe (and fresh analyses write
-  through to) a per-project on-disk store
-  (:class:`~repro.project.store.ShardedStore`), so parallel sessions on one
-  machine share warm artifacts.
+Everything the session knows lives in memory: its engine's cache and the
+record.  Nothing is written under the project root.
 
 Project findings are file-qualified: every finding carries the defining
 ``file`` of its function plus ``call_path_files`` aligned with the witness
@@ -93,7 +91,6 @@ from ..core.report import (
 from ..core.session import SessionError, _parse_chunk, split_chunks
 from ..core.sites import ProgramIndex, collective_call_graph, index_function
 from .manifest import ProjectManifest, load_manifest
-from .store import ShardedStore
 
 
 @dataclass
@@ -266,12 +263,13 @@ class ProjectSession(ResilienceCounters):
     returns a :class:`ProjectUpdate`.  Construction resolves the manifest
     (``parcoach.toml`` or an explicit file list) but reads no sources; the
     first update does.  ``engine`` shares one engine between sessions.
+    ``store`` is accepted and ignored: the session keeps no on-disk state.
 
     With ``one_file=True``, ``root`` is the path of a single file and the
     session presents itself as that file: the manifest is built from the
-    path alone (no ``parcoach.toml`` is read, no store is written),
-    findings stay unqualified (the fingerprints ``analyze --json`` gives),
-    and the merged program carries the file's name.
+    path alone (no ``parcoach.toml`` is read), findings stay unqualified
+    (the fingerprints ``analyze --json`` gives), and the merged program
+    carries the file's name.
     """
 
     def __init__(self, root: str, files: Optional[List[str]] = None,
@@ -294,13 +292,7 @@ class ProjectSession(ResilienceCounters):
             entry_context = (parse_word(self.manifest.initial_context)
                              if self.manifest.initial_context else EMPTY)
         self.entry_context = entry_context
-        use_store = (self.manifest.store_path is not None
-                     if store is None else store)
-        self.store: Optional[ShardedStore] = (
-            ShardedStore(self.manifest.store_path)
-            if use_store and self.manifest.store_path is not None else None)
-        self.engine = (engine if engine is not None
-                       else AnalysisEngine(store=self.store))
+        self.engine = engine if engine is not None else AnalysisEngine()
 
         self.updates = 0
         self.no_op_updates = 0
@@ -350,9 +342,8 @@ class ProjectSession(ResilienceCounters):
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Nothing to release — the session holds memory and writes the
-        store through.  With the context-manager protocol it lets callers
-        scope a session."""
+        """Nothing to release — the session holds only memory.  With the
+        context-manager protocol it lets callers scope a session."""
 
     def __enter__(self) -> "ProjectSession":
         return self
@@ -378,10 +369,6 @@ class ProjectSession(ResilienceCounters):
                 "manifest_files": len(self.manifest.files),
                 "open_files": sorted(rec.open),
                 "functions": len(rec.fingerprints),
-                "store": ({"path": self.store.root,
-                           "generation": self.store.generation,
-                           "entries": self.store.entries()}
-                          if self.store is not None else None),
             },
         }
 
@@ -402,10 +389,9 @@ class ProjectSession(ResilienceCounters):
         self._record = replace(rec, stale=rec.stale | {rel})
 
     def rebuild(self) -> None:
-        """Last-resort self-heal: a fresh engine (still store-backed) and
-        the empty record over the same open files, which the next update
-        re-reads."""
-        self.engine = AnalysisEngine(store=self.store)
+        """Last-resort self-heal: a fresh engine and the empty record over
+        the same open files, which the next update re-reads."""
+        self.engine = AnalysisEngine()
         self._record = self._empty_record(self._record.open)
         self._report_doc = None
 
@@ -672,7 +658,7 @@ class ProjectSession(ResilienceCounters):
             return self._make_update(files_read, no_op=True,
                                      full_parse=full_parse)
 
-        # Line-offset patches: AST, cached artifacts and store keys shift
+        # Line-offset patches: AST, cached artifacts and cache keys shift
         # together.  A failed update shifts them back, so it commits nothing.
         applied: List[Tuple[A.FuncDef, int]] = []
         try:
@@ -798,15 +784,13 @@ class ProjectSession(ResilienceCounters):
             if deadline is not None:
                 deadline.check("session.plan")
             fault_site("session.analyze")
-            lazy = engine.analyze(
-                program,
+            merged = engine.analyze_functions(
+                scope_funcs, facts, plan,
                 initial_words=({f.name: self.entry_context
                                 for f in scope_funcs}
                                if not interproc and self.entry_context
                                else {}),
-                precision=self.precision, interprocedural=interproc,
-                entry_context=self.entry_context, plan=plan,
-                deadline=deadline, facts=facts, scope=scope_funcs)
+                precision=self.precision, deadline=deadline)
             reanalyzed = engine.last.missed_functions
             engine.stats.dependency_invalidations += sum(
                 1 for n in reanalyzed if n not in dirty)
@@ -841,7 +825,7 @@ class ProjectSession(ResilienceCounters):
             for func in scope_funcs:
                 name = func.name
                 retire(name)
-                art, words, _infos = lazy.merge_one(func)
+                art, words, _infos = merged[name]
                 entry_put[name] = function_entry(
                     art, words, False,
                     summaries[name] if summaries is not None else None)

@@ -380,24 +380,27 @@ class Interpreter:
             return bool(self.eval(expr.left, env, ctx)) or bool(self.eval(expr.right, env, ctx))
         left = self.eval(expr.left, env, ctx)
         right = self.eval(expr.right, env, ctx)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise InterpError("division by zero")
-            if isinstance(left, int) and isinstance(right, int):
-                return _c_idiv(left, right)
-            return left / right
-        if op == "%":
-            if right == 0:
-                raise InterpError("modulo by zero")
-            if isinstance(left, int) and isinstance(right, int):
-                return _c_imod(left, right)
-            return math.fmod(left, right)
+        try:
+            if op == "+":
+                return left + right
+            if op == "-":
+                return left - right
+            if op == "*":
+                return left * right
+            if op == "/":
+                if right == 0:
+                    raise InterpError("division by zero")
+                if isinstance(left, int) and isinstance(right, int):
+                    return _c_idiv(left, right)
+                return left / right
+            if op == "%":
+                if right == 0:
+                    raise InterpError("modulo by zero")
+                if isinstance(left, int) and isinstance(right, int):
+                    return _c_imod(left, right)
+                return _c_double_arith(op, left, right)
+        except OverflowError:
+            return _c_double_arith(op, left, right)
         if op == "==":
             return left == right
         if op == "!=":
@@ -557,19 +560,47 @@ def _default(type_name: str) -> Any:
 
 
 def _apply_compound(op: str, old: Any, value: Any) -> Any:
-    if op == "+=":
-        return old + value
-    if op == "-=":
-        return old - value
-    if op == "*=":
-        return old * value
-    if op == "/=":
-        if value == 0:
-            raise InterpError("division by zero")
-        if isinstance(old, int) and isinstance(value, int):
-            return _c_idiv(old, value)
-        return old / value
+    try:
+        if op == "+=":
+            return old + value
+        if op == "-=":
+            return old - value
+        if op == "*=":
+            return old * value
+        if op == "/=":
+            if value == 0:
+                raise InterpError("division by zero")
+            if isinstance(old, int) and isinstance(value, int):
+                return _c_idiv(old, value)
+            return old / value
+    except OverflowError:
+        return _c_double_arith(op[0], old, value)
     raise InterpError(f"unknown compound op {op}")
+
+
+def _c_double(value: Any) -> float:
+    """``value`` as C converts it to ``double``: an int past the float
+    range is ±inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _c_double_arith(op: str, left: Any, right: Any) -> float:
+    """``left op right`` in C's ``double`` arithmetic: an int past the float
+    range is ±inf (Python raises on meeting a float), and ``fmod`` of an
+    infinity is ``nan`` (``math.fmod`` raises)."""
+    left, right = _c_double(left), _c_double(right)
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    if op == "/":
+        return left / right
+    return math.fmod(left, right) if math.isfinite(left) else math.nan
 
 
 def _c_idiv(left: int, right: int) -> int:
@@ -643,10 +674,18 @@ def _b_sqrt(interp: Interpreter, call: A.Call, env: Env, ctx: ExecCtx) -> float:
 
 
 def _b_mod(interp: Interpreter, call: A.Call, env: Env, ctx: ExecCtx) -> Any:
+    """Floor modulo, like Fortran's ``MODULO``: the result takes the
+    divisor's sign, so ``mod(0 - 7, 4)`` is 1 where C's ``(0 - 7) % 4`` is
+    -3.  HERA and NAS-MZ index arrays with ``mod(i, n)``, and floor modulo
+    keeps a negative ``i`` in range.  An int past the float range meets a
+    float as ±inf, as in the operators."""
     left, right = (interp.eval(arg, env, ctx) for arg in call.args[:2])
     if right == 0:
         raise InterpError("modulo by zero")
-    return left % right
+    try:
+        return left % right
+    except OverflowError:
+        return _c_double(left) % _c_double(right)
 
 
 def _b_wtime(interp: Interpreter, call: A.Call, env: Env, ctx: ExecCtx) -> float:

@@ -60,12 +60,11 @@ SITES = frozenset({
     "session.read_file",    # after a session re-reads a file (payload: text)
     "session.parse_chunk",  # before an incremental chunk parse
     "session.analyze",      # before the engine analyze of an update
-    "store.evict",          # before fingerprint eviction from the store
+    "store.evict",          # before fingerprint eviction from the engine cache
     "serve.emit",           # before a serve/watch response line is written
     "fuzz.seed",            # inside one fuzz seed's oracle body
     "fuzz.oracle",          # at the start of each differential-oracle run
     "project.manifest_read",  # after a project manifest is read (payload: text)
-    "project.shard_lock",   # before a shard lock is taken for a store write
     "project.patch",        # before a line-offset patch of one function
 })
 

@@ -139,6 +139,40 @@ void main() {
     assert r.outputs[0] == [f"{float(2 ** 550)} 1e+200 inf"]
 
 
+def test_mod_is_floor_modulo_and_percent_is_c_remainder():
+    # mod takes the divisor's sign (Fortran's MODULO); % the dividend's.
+    r = outputs("void main() { print(mod(-7, 4), mod(7, -4), -7 % 4); }",
+                nprocs=1)
+    assert r.outputs[0] == ["1 -1 -3"]
+
+
+@pytest.mark.parametrize("stmt, printed", [
+    ("print(x * 0.5);", "inf"),
+    ("print(0.5 + x);", "inf"),
+    ("print(0.5 - x);", "-inf"),
+    ("print(x / 2.0, 2.0 / x);", "inf 0.0"),
+    ("print(x % 2.5, 2.5 % x);", "nan 2.5"),
+    ("float f = x * 1.0; print(f % 2.0);", "nan"),
+    ("float y = 2.0; y *= x; print(y);", "inf"),
+    ("float y = 2.0; y += x; print(y);", "inf"),
+    ("float y = 2.0; y -= x; print(y);", "-inf"),
+    ("float y = 2.0; y /= x; print(y);", "0.0"),
+    ("print(mod(x, 2.5), mod(2.5, x));", "nan 2.5"),
+], ids=["mul", "add", "sub", "div", "fmod", "fmod-inf", "mul-assign",
+        "add-assign", "sub-assign", "div-assign", "mod"])
+def test_float_arithmetic_on_an_int_past_the_float_range(stmt, printed):
+    # x = 3**(2**14) is past the float range: as in C, it meets a float as
+    # inf, and fmod of an infinity is nan.
+    r = outputs(f"""
+void main() {{
+    int x = 3;
+    for (int i = 0; i < 14; i += 1) {{ x *= x; }}
+    {stmt}
+}}
+""", nprocs=1)
+    assert r.outputs[0] == [printed]
+
+
 def test_mod_by_zero_reported_like_the_operator():
     errors = {str(run_source(f"void main() {{ {decl} print({expr}); }}",
                              nprocs=1).error)

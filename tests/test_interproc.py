@@ -319,11 +319,11 @@ def test_engine_reparse_hits_with_canonical_contexts():
     engine = AnalysisEngine()
     a1 = engine.analyze(p1)
     a2 = engine.analyze(p2)
-    assert engine.stats.lazy_hits == 3  # deferred — nothing rendered yet
+    assert engine.stats.remaps == 3  # remapped onto p2 when served
     assert engine.stats.misses == 3
     assert [d.render() for d in a1.diagnostics] == \
         [d.render() for d in a2.diagnostics]
-    assert engine.stats.remaps == 3  # materialized by the renders above
+    assert engine.stats.remaps == 3  # rendering remaps nothing more
 
 
 def test_engine_no_stale_hits_across_entry_contexts():

@@ -1,5 +1,5 @@
 """Project layer: manifests, the merged cross-file session, line-offset
-patching, the sharded artifact store, and the ``project serve`` front end."""
+patching, and the ``project serve`` front end."""
 
 import io
 import json
@@ -18,7 +18,6 @@ from repro.util.faultinject import clear_plan
 from repro.project import (
     ManifestError,
     ProjectSession,
-    ShardedStore,
     load_manifest,
 )
 from repro.project import run_serve as run_project_serve
@@ -75,7 +74,6 @@ def test_manifest_bare_scan_sorted(project):
     manifest = load_manifest(project)
     assert manifest.files == ("main.mc", os.path.join("sub", "extra.mini"),
                               "util.mc")
-    assert manifest.store_path is not None
 
 
 def test_manifest_toml_roots_entries_and_store(project):
@@ -94,7 +92,6 @@ enabled = false
     assert manifest.files == ("main.mc", "util.mc")
     assert manifest.entries == ("main",)
     assert manifest.initial_context == "P1"
-    assert manifest.store_path is None
 
 
 def test_manifest_explicit_files_override(project):
@@ -286,13 +283,13 @@ def test_function_shadowing_a_builtin_gains_its_callers(tmp_path):
            MAIN.replace("x = bump(x);", "x = abs(x);")
            .replace("    x = plain(x);\n", ""))
     abs_mc = "int abs(int v) {\n    MPI_Barrier();\n    return v;\n}\n"
-    with ProjectSession(str(tmp_path), store=False) as session:
+    with ProjectSession(str(tmp_path)) as session:
         session.update_all()
         assert session.report["findings"] == []
         _write(tmp_path, "abs.mc", abs_mc)
         session.update_file("abs.mc")
         warm = render_json(session.report)
-    with ProjectSession(str(tmp_path), store=False) as cold:
+    with ProjectSession(str(tmp_path)) as cold:
         cold.update_all()
         assert [f["call_path"] for f in cold.report["findings"]] == [
             ["main", "abs"]]
@@ -309,14 +306,14 @@ root, util, main = sys.argv[1], sys.argv[2], sys.argv[3]
 files = make_project(n_files=10)
 write_project(files, root + "/chain")
 write_project({"util.mc": util, "main.mc": main}, root + "/helpers")
-with ProjectSession(root + "/chain", store=False) as session:
+with ProjectSession(root + "/chain") as session:
     session.update_all()
     for rel, old, new in (("m002.mc", "v += 2;", "v += 7;"),
                           ("m006.mc", "v += 6;", "v += 8;")):
         with open(root + "/chain/" + rel, "w") as handle:
             handle.write(files[rel].replace(old, new, 1))
     print(render_json(session.update_all().report), end="")
-with ProjectSession(root + "/helpers", store=False) as session:
+with ProjectSession(root + "/helpers") as session:
     session.update_all()
     with open(root + "/helpers/util.mc", "w") as handle:
         handle.write(util.replace("    MPI_Barrier();\\n", ""))
@@ -415,121 +412,23 @@ def test_between_chunk_whitespace_is_no_op(project):
     assert delta.reanalyzed == ()
 
 
-# -- the sharded store --------------------------------------------------------------
+# -- no on-disk state -------------------------------------------------------------
 
 
-def test_store_roundtrip_and_corruption_is_a_miss(tmp_path):
-    store = ShardedStore(str(tmp_path / "store"))
-    key = ("ab" * 32, (), "paper", (), (), ())
-    assert store.load(key) is None
-    store.save(key, {"fake": "artifacts"}, (1, 2, 3))
-    assert store.load(key) == ({"fake": "artifacts"}, (1, 2, 3))
-    assert store.entries() == 1
-    # Entries live inside the current generation directory.
-    shard = os.path.join(store.root, store.generation, key[0][:2])
-    assert os.path.isdir(shard)
-    # Torn/corrupt entries read as misses, never raise.
-    for name in os.listdir(shard):
-        if name.endswith(".pkl"):
-            with open(os.path.join(shard, name), "wb") as handle:
-                handle.write(b"\x80garbage")
-    assert store.load(key) is None
-
-
-def test_store_stale_version_entry_is_a_miss_and_reclaimed(tmp_path):
-    import pickle
-
-    from repro.project import ANALYSIS_VERSION, STORE_FORMAT
-
-    store = ShardedStore(str(tmp_path / "store"))
-    key = ("cd" * 32, (), "paper", (), (), ())
-    store.save(key, {"v": 1}, (7,))
-    path = store._path(key)
-    # Rewrite the entry as if an *older* analyzer had produced it: same
-    # location, stale ANALYSIS_VERSION stamp.
-    with open(path, "wb") as handle:
-        pickle.dump((STORE_FORMAT, ANALYSIS_VERSION - 1, {"v": 0}, (7,)),
-                    handle)
-    assert store.load(key) is None          # never served
-    assert not os.path.exists(path)         # reclaimed on sight
-    # A pre-generation 3-tuple payload is equally a miss.
-    store.save(key, {"v": 2}, (7,))
-    with open(path, "wb") as handle:
-        pickle.dump((STORE_FORMAT, {"v": 0}, (7,)), handle)
-    assert store.load(key) is None
-
-
-def test_store_gc_prunes_stale_generations(tmp_path):
-    store = ShardedStore(str(tmp_path / "store"))
-    key = ("ef" * 32, (), "paper", (), (), ())
-    store.save(key, {"keep": True}, ())
-    # A stale generation and a legacy pre-generation shard dir, each with
-    # one entry.
-    for stale_dir in ("g0-9", "ab"):
-        shard = os.path.join(store.root, stale_dir)
-        if stale_dir != "ab":
-            shard = os.path.join(shard, "ab")
-        os.makedirs(shard)
-        with open(os.path.join(shard, "x.pkl"), "wb") as handle:
-            handle.write(b"old")
-    assert set(store.generations()) == {"legacy", "g0-9", store.generation}
-    gens, entries = store.gc()
-    assert (gens, entries) == (2, 2)
-    assert os.listdir(store.root) == [store.generation]
-    assert store.load(key) == ({"keep": True}, ())
-    # keep=N retains the most recent stale generations.
-    os.makedirs(os.path.join(store.root, "g0-8"))
-    os.makedirs(os.path.join(store.root, "g0-9"))
-    gens, _entries = store.gc(keep=1)
-    assert gens == 1
-    assert sorted(os.listdir(store.root)) == sorted(
-        ["g0-9", store.generation])
-
-
-def test_cli_project_gc(tmp_path, capsys):
-    _write(tmp_path, "clean.mc", "void main() { MPI_Barrier(); }\n")
-    root = str(tmp_path)
-    assert main(["project", "analyze", root]) == 0
-    capsys.readouterr()
-    store_root = os.path.join(root, ".parcoach", "store")
-    os.makedirs(os.path.join(store_root, "g0-9", "ab"))
-    with open(os.path.join(store_root, "g0-9", "ab", "x.pkl"), "wb") as h:
-        h.write(b"old")
-    assert main(["project", "gc", root]) == 0
-    out = capsys.readouterr().out
-    assert "removed 1 stale generation(s)" in out
-    assert not os.path.exists(os.path.join(store_root, "g0-9"))
-    from repro.project import store_generation
-    assert os.path.isdir(os.path.join(store_root, store_generation()))
-
-
-def test_parallel_sessions_share_warm_artifacts(project):
-    with ProjectSession(project) as first:
-        first.update_all()
-        assert first.engine.stats.misses > 0
-        assert first.engine.stats.store_writes > 0
-    with ProjectSession(project) as second:
-        second.update_all()
-        stats = second.engine.stats
-        assert stats.misses == 0
-        assert stats.store_hits > 0
-        assert second.report["findings"]
-    # Identical findings from warm artifacts.
-    with ProjectSession(project, store=False) as cold:
-        cold.update_all()
-        assert cold.engine.stats.misses > 0
-        with ProjectSession(project) as warm:
-            warm.update_all()
-            assert ({f["fingerprint"] for f in warm.report["findings"]}
-                    == {f["fingerprint"] for f in cold.report["findings"]})
-
-
-def test_store_disabled_by_flag(project):
-    with ProjectSession(project, store=False) as session:
-        session.update_all()
-        assert session.store is None
-        assert session.engine.stats.store_writes == 0
-    assert not os.path.isdir(os.path.join(project, ".parcoach"))
+def test_leftover_store_table_is_ignored_and_nothing_is_written(project):
+    """A manifest that still enables the old on-disk store loads, and a
+    session writes nothing under the project root."""
+    _write(project, "parcoach.toml",
+           "[project]\nentries = [\"main\"]\n\n"
+           "[store]\nenabled = true\npath = \".parcoach/store\"\n")
+    manifest = load_manifest(project)
+    assert manifest.files == ("main.mc", "util.mc")
+    assert manifest.entries == ("main",)
+    with ProjectSession(project) as session:
+        delta = session.update_all()
+        assert delta.findings_total == 1
+        assert "store" not in session.stats()["project"]
+    assert not os.path.exists(os.path.join(project, ".parcoach"))
 
 
 # -- the 100-file acceptance project ------------------------------------------------
@@ -586,7 +485,7 @@ def test_fast_update_report_byte_identical_to_cold(tmp_path):
     files = make_project(n_files=100)
     root = str(tmp_path / "proj")
     write_project(files, root)
-    with ProjectSession(root, store=False) as session:
+    with ProjectSession(root) as session:
         session.update_all()
         for i in (1, 2, 3):
             edited = files["m050.mc"].replace(
@@ -596,7 +495,7 @@ def test_fast_update_report_byte_identical_to_cold(tmp_path):
             assert delta.changed == ("m50_f0",)
         assert session.fast_updates >= 1
         warm_bytes = render_json(session.report)
-    with ProjectSession(root, store=False) as cold:
+    with ProjectSession(root) as cold:
         cold.update_all()
         cold_bytes = render_json(cold.report)
     assert warm_bytes == cold_bytes
@@ -611,7 +510,7 @@ def test_collective_funcs_tracks_callgraph_fixpoint(tmp_path):
     files = make_project(n_files=100)
     root = str(tmp_path / "proj")
     write_project(files, root)
-    with ProjectSession(root, store=False) as session:
+    with ProjectSession(root) as session:
         session.update_all()
         assert session._record.facts.collective_funcs == collective_call_graph(
             session._record.program)
@@ -660,7 +559,7 @@ def test_recursive_and_expression_collectives_fixpoint(tmp_path):
            "    MPI_Finalize();\n"
            "}\n")
     root = str(tmp_path)
-    with ProjectSession(root, store=False) as session:
+    with ProjectSession(root) as session:
         session.update_all()
         expected = collective_call_graph(session._record.program)
         assert session._record.facts.collective_funcs == expected
@@ -758,16 +657,6 @@ def test_serve_manifest_fault_is_an_error_not_a_crash(project, monkeypatch):
         pass
 
 
-def test_serve_shard_lock_fault_does_not_fail_analysis(project, monkeypatch):
-    monkeypatch.setenv("PARCOACH_FAULTS", "project.shard_lock:1=oserror")
-    clear_plan()
-    with ProjectSession(project) as session:
-        delta = session.update_all()
-        assert delta.findings_total == 1
-        # One write was sacrificed, the rest went through.
-        assert session.engine.stats.store_writes < session.engine.stats.misses
-
-
 def test_patch_fault_self_heals_in_serve(project, monkeypatch):
     with ProjectSession(project) as session:
         out = io.StringIO()
@@ -812,7 +701,7 @@ def test_serve_xxl_edit_rename_close_sublinear(tmp_path):
     write_project(files, root)
     _write(root, "solo.mc", "int solo(int v) { return v; }\n")
     out = io.StringIO()
-    with ProjectSession(root, store=False) as session:
+    with ProjectSession(root) as session:
         run_project_serve(session, stdin=io.StringIO("@1 analyze\nquit\n"),
                           stdout=out)
         total_funcs = session.stats()["project"]["functions"]
@@ -882,5 +771,5 @@ def test_cli_project_analyze_text_and_json(project, capsys):
 
 def test_cli_project_analyze_clean_and_errors(tmp_path, capsys):
     _write(tmp_path, "ok.mc", "int f(int v) { return v; }\n")
-    assert main(["project", "analyze", str(tmp_path), "--no-store"]) == 0
+    assert main(["project", "analyze", str(tmp_path)]) == 0
     assert main(["project", "analyze", str(tmp_path / "missing")]) == 2

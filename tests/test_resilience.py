@@ -9,7 +9,6 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.core.engine import EngineStats
 from repro.core.report import validate_report
 from repro.project import FileSession, run_serve, run_watch
 from repro.fuzz.campaign import (
@@ -167,20 +166,6 @@ def test_plan_loads_lazily_from_environment(monkeypatch):
     clear_plan()  # allow a fresh environment read
     plan = active_plan()
     assert plan is not None and plan.rules["store.evict"][7] == "oserror"
-
-
-def test_engine_stats_round_trip_with_resilience_counters():
-    stats = EngineStats(store_hits=3, store_misses=2, store_writes=1)
-    doc = json.loads(json.dumps(stats.as_dict()))
-    restored = EngineStats.from_dict(doc)
-    assert restored.store_hits == 3
-    assert restored.store_misses == 2
-    assert restored.store_writes == 1
-    # Old documents (without these counters) still load: they default to 0.
-    for key in ("store_hits", "store_misses", "store_writes"):
-        doc.pop(key)
-    legacy = EngineStats.from_dict(doc)
-    assert legacy.store_hits == 0
 
 
 # -- the serve chaos gate: every site, one at a time --------------------------------

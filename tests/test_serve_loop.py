@@ -70,7 +70,7 @@ def _daemon(kind, tmp_path, name, text):
     root.mkdir()
     path = root / name
     path.write_text(text)
-    return ProjectSession(str(root), store=False), f"open {name}", path
+    return ProjectSession(str(root)), f"open {name}", path
 
 
 def _live(session, path):
@@ -205,12 +205,12 @@ def test_watch_reports_the_recovery(tmp_path):
 
 def test_memos_hold_live_functions_only(tmp_path):
     """Every commit drops the memo entries of the functions it replaced:
-    the engine's identity and index memos track the live program, not
-    the edit count."""
+    the engine's identity memo tracks the live program, not the edit
+    count."""
     files = make_project(n_files=12)
     root = str(tmp_path / "proj")
     write_project(files, root)
-    with ProjectSession(root, store=False) as session:
+    with ProjectSession(root) as session:
         session.update_all()
         live = len(session._record.program.funcs)
         for step in range(30):
@@ -230,4 +230,3 @@ def test_memos_hold_live_functions_only(tmp_path):
         assert len(session._record.program.funcs) == live
         engine = session.engine
         assert len(engine._identity) <= live
-        assert len(engine._func_index) <= live

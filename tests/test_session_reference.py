@@ -88,7 +88,7 @@ class Tree:
 def run_script(root: str, seed: int, steps: int = 100):
     rng = random.Random(seed)
     tree = Tree(root)
-    session = ProjectSession(root, store=False)
+    session = ProjectSession(root)
     interprocedural = True
     closed = []
     extra = 0
