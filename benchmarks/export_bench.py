@@ -22,7 +22,6 @@ The compact schema::
         ...
       ],
       "derived": {
-        "warm_speedup": {"XL": 39.5, ...},     # cold median / warm median
         "dominates_depth_ratio": 1.1,          # deepest / shallowest query
         "schedules_per_sec": {"explore_dfs": 410.2, ...},  # exploration rate
         "decisions_per_sec": {"explore_decisions": 9000.1},  # sched overhead
@@ -113,14 +112,6 @@ def compact(raw: dict) -> dict:
                 extra["distinct_findings"] * 1000.0 / programs, 2)
 
     derived: dict = {}
-    cold = by_config.get("cold", {})
-    warm = by_config.get("warm", {})
-    speedups = {
-        size: round(cold[size] / warm[size], 2)
-        for size in cold if size in warm and warm[size] > 0
-    }
-    if speedups:
-        derived["warm_speedup"] = speedups
     dom = by_config.get("dominates", {})
     if len(dom) >= 2:
         depths = sorted(dom)

@@ -18,11 +18,9 @@ Subcommands::
         collective summary (always/conditionally/never executes each
         collective), recursion markers and call sites (expression-level
         calls marked ``expr``); ``--dot`` emits Graphviz instead
-    parcoach batch FILE [FILE ...] [--precision P] [--repeat R]
-                        [--no-cache] [--stats] [--no-interprocedural]
-        analyze many files through one memoized AnalysisEngine (each
-        file on its own with ``--no-cache``); one summary line per file,
-        cache statistics at the end (exit 1 if any warnings)
+    parcoach batch FILE [FILE ...] [--precision P] [--no-interprocedural]
+        analyze each file in turn, as ``analyze`` does; one summary line
+        per file (exit 1 if any warnings)
     parcoach instrument FILE [-o OUT]
         emit the instrumented source
     parcoach run FILE [-np N] [-nt T] [--instrument] [--thread-level L]
@@ -119,13 +117,15 @@ Exit-code contract (uniform across subcommands)::
     2   internal or usage errors: unparseable or semantically invalid
         input, unknown function, replay divergence, fuzzer crash class
 
-Performance knobs: ``batch`` keeps a per-function analysis cache across
-files and repeats, so structurally identical functions are analyzed once
-(see ``benchmarks/bench_scale.py`` for the measured effect).  ``explore
---jobs N`` and ``fuzz --jobs N`` fan schedules and seeds out to ``N``
-worker processes with identical output (``benchmarks/bench_explore.py``
-tracks schedules/sec for ``explore``, ``benchmarks/bench_fuzz.py``
-programs/sec for ``fuzz``).  Static analysis runs in one process.
+Performance knobs: ``serve``, ``watch`` and ``project serve`` keep a
+per-function analysis cache across requests, so an edit re-analyzes only
+the functions it changed (``benchmarks/bench_incremental.py`` and
+``benchmarks/bench_project.py`` measure it); ``analyze`` and ``batch``
+analyze each file cold.  ``explore --jobs N`` and ``fuzz --jobs N`` fan
+schedules and seeds out to ``N`` worker processes with identical output
+(``benchmarks/bench_explore.py`` tracks schedules/sec for ``explore``,
+``benchmarks/bench_fuzz.py`` programs/sec for ``fuzz``).  Static analysis
+runs in one process.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ import sys
 from typing import List, Optional
 
 from .cfg import to_dot
-from .core import AnalysisEngine, analyze_program, instrument_program, render_report
+from .core import analyze_program, instrument_program, render_report
 from .core.callgraph import callgraph_to_dot
 from .core.driver import build_plan
 from .core.sites import index_program
@@ -242,30 +242,15 @@ def _cmd_callgraph(args) -> int:
 
 def _cmd_batch(args) -> int:
     any_warnings = False
-    engine = AnalysisEngine()
-    analyze = analyze_program if args.no_cache else engine.analyze
-    for _ in range(max(1, args.repeat)):
-        for path in args.files:
-            program = _load(path)
-            analysis = analyze(
-                program, precision=args.precision,
-                interprocedural=args.interprocedural)
-            n = len(analysis.diagnostics)
-            any_warnings = any_warnings or n > 0
-            flagged = len(analysis.flagged_functions)
-            print(f"{path}: {len(analysis.functions)} functions, "
-                  f"{flagged} flagged, {n} warnings"
-                  + ("" if analysis.verified else " [NOT VERIFIED]"))
-    if args.stats:
-        info = engine.cache_info()
-        print(f"engine: {info['programs']} programs, {info['functions']} "
-              f"function analyses, {info['hits']} cache hits "
-              f"({info['remaps']} remapped), "
-              f"{info['misses']} misses, hit rate {info['hit_rate']:.1%}",
-              file=sys.stderr)
-        print(f"engine: {info['evictions']} evictions, "
-              f"{info['dependency_invalidations']} invalidated by "
-              f"dependency", file=sys.stderr)
+    for path in args.files:
+        analysis = analyze_program(_load(path), precision=args.precision,
+                                   interprocedural=args.interprocedural)
+        n = len(analysis.diagnostics)
+        any_warnings = any_warnings or n > 0
+        flagged = len(analysis.flagged_functions)
+        print(f"{path}: {len(analysis.functions)} functions, "
+              f"{flagged} flagged, {n} warnings"
+              + ("" if analysis.verified else " [NOT VERIFIED]"))
     return 1 if any_warnings else 0
 
 
@@ -623,20 +608,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_callgraph)
 
     p = sub.add_parser("batch",
-                       help="analyze many files with a shared memoized engine")
+                       help="analyze many files, one summary line each")
     p.add_argument("files", nargs="+", metavar="FILE")
     p.add_argument("--precision", choices=("paper", "counting"), default="paper")
-    p.add_argument("--repeat", type=int, default=1, metavar="R",
-                   help="analyze the file list R times (cache warm-up demo)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="analyze each file with the one-shot driver "
-                        "(no per-function analysis cache)")
     p.add_argument("--interprocedural", default=True,
                    action=argparse.BooleanOptionalAction,
                    help="propagate calling-context words over the call "
                         "graph (default on)")
-    p.add_argument("--stats", action="store_true",
-                   help="print engine cache statistics to stderr")
     p.set_defaults(fn=_cmd_batch)
 
     p = sub.add_parser("instrument", help="emit instrumented source")

@@ -25,15 +25,15 @@ from a flagged function (keeps the CC pairing aligned across processes
 while leaving fully verified call trees untouched — the property Figure 1's
 "verification code generation" overhead and the ablation bench measure).
 
-The module is split so the batch engine (:mod:`repro.core.engine`) can reuse
-the pieces: :func:`_analyze_function` is the pure per-function pipeline (no
-shared state), :func:`build_plan` computes
-the interprocedural plan, :func:`_merge_artifacts` folds per-context
-artifacts together, ``_assemble`` is the program-level synthesis, and
-:func:`analyze_program` wires everything together for the classic one-shot
-call.  For memoized batch analysis use
-:class:`repro.core.engine.AnalysisEngine` (or ``parcoach batch`` from the
-CLI).
+The module is split so the incremental sessions can reuse the pieces:
+:func:`_analyze_function` is the pure per-function pipeline (no shared
+state, cached by :class:`repro.core.engine.AnalysisEngine`),
+:func:`build_plan` / :func:`update_plan` compute the interprocedural plan,
+:func:`_merge_artifacts` folds per-context artifacts together, and
+:func:`thread_level_diagnostic` is the program-level thread-level check.
+:func:`analyze_program` wires everything together for one compilation —
+what ``parcoach analyze`` and ``parcoach batch`` run — and ``_assemble``
+is its program-level synthesis.
 """
 
 from __future__ import annotations
@@ -254,9 +254,9 @@ class FunctionArtifacts:
     """Everything the per-function pipeline produces.
 
     This is the unit the :class:`repro.core.engine.AnalysisEngine` caches;
-    the driver re-wraps it into a fresh :class:`FunctionAnalysis` per
-    program (the check-group / instrumentation fields are program-level
-    state and must not be shared).
+    :func:`analyze_program` wraps it into a :class:`FunctionAnalysis` (the
+    check-group / instrumentation fields are program-level state and must
+    not be shared).
     """
 
     func: A.FuncDef
@@ -478,30 +478,26 @@ def _assemble(
     program: A.Program,
     index: ProgramIndex,
     collective_funcs: Set[str],
-    artifacts: Dict[str, FunctionArtifacts],
+    merged: Dict[str, Tuple[FunctionArtifacts, Tuple[Word, ...],
+                            Tuple[WordInfo, ...]]],
     precision: str,
     instrument_all: bool,
     requested: Optional[ThreadLevel],
-    plan: Optional[InterproceduralPlan] = None,
-    context_info: Optional[Dict[str, Tuple[Tuple[Word, ...],
-                                           Tuple[WordInfo, ...]]]] = None,
+    plan: Optional[InterproceduralPlan],
 ) -> ProgramAnalysis:
-    """Program-level synthesis: diagnostics bag, check groups, thread-level
-    comparison, and the selective instrumentation plan.
+    """Program-level synthesis over each function's merged artifacts,
+    context words and word infos: diagnostics bag, check groups,
+    thread-level comparison, and the selective instrumentation plan.
 
     Deterministic: iterates ``program.funcs`` in source order, so group
-    numbering and diagnostic order are identical however the per-function
-    artifacts were produced (serial, cached, or parallel)."""
+    numbering and diagnostic order follow the program text."""
     diagnostics = DiagnosticBag()
     functions: Dict[str, FunctionAnalysis] = {}
     group_counter = 0
     group_kinds: Dict[int, str] = {}
 
     for func in program.funcs:
-        art = artifacts[func.name]
-        words, infos = (EMPTY,), ()
-        if context_info is not None and func.name in context_info:
-            words, infos = context_info[func.name]
+        art, words, infos = merged[func.name]
         fa = FunctionAnalysis(
             func=func, cfg=art.cfg, ast_block=art.ast_block,
             word_info=art.word_info, sites=art.sites,
@@ -622,8 +618,7 @@ def analyze_program(
         plan = build_plan(program, index, initial_words, entry_context,
                           cfgs=cfgs)
 
-    artifacts: Dict[str, FunctionArtifacts] = {}
-    context_info: Dict[str, Tuple[Tuple[Word, ...], Tuple[WordInfo, ...]]] = {}
+    merged = {}
     for func in program.funcs:
         call_stmts = index.call_stmts.get(func.name)
         if plan is not None:
@@ -641,14 +636,10 @@ def analyze_program(
                                      cfgs[func.name], extra))
             for word in words
         ]
-        merged, ctx_words, infos = _merge_artifacts(parts, chains)
-        artifacts[func.name] = merged
-        context_info[func.name] = (ctx_words, infos)
+        merged[func.name] = _merge_artifacts(parts, chains)
 
-    analysis = _assemble(program, index, collective_funcs, artifacts,
-                         precision, instrument_all,
-                         _find_requested_level(index),
-                         plan=plan, context_info=context_info)
+    analysis = _assemble(program, index, collective_funcs, merged, precision,
+                         instrument_all, _find_requested_level(index), plan)
     if probes_active():
         probe("drv:mode:" + ("inter" if plan is not None else "intra"))
         if plan is not None and plan.extra_points:

@@ -1,24 +1,26 @@
-"""Memoized batch analysis engine.
+"""The per-function analysis cache behind the incremental sessions.
 
-Batch workloads (the errors gallery, the EPCC suite, `parcoach batch`, the
-compile pipeline run once per mode) re-analyze structurally identical
-functions over and over.  :class:`AnalysisEngine` removes that redundancy:
+A session update re-analyzes only the functions it scopes, and most of
+those repeat work already done: a function that only moved, a file
+re-opened or served twice, a context word seen before.
+:class:`AnalysisEngine` removes that redundancy:
 
 * **Memoization** — per-function artifacts are cached in memory under a
   *structural fingerprint* of the function AST (type/field/line-sensitive,
   uid- and column-insensitive), plus everything else the per-function
-  pipeline depends on: the initial parallelism word, the phase-3 precision,
+  pipeline depends on: the context parallelism word, the phase-3 precision,
   and the function's calls that resolve to user / collective functions.
-  Every cache entry also records the cached tree's pre-order uid sequence
-  (``uid_at_pos``): a re-parse of the same source hits the cache, and the
-  uid-keyed artifact maps are rebuilt from that position sequence with a
-  single walk of the *new* tree (``stats.remaps`` counts these).
+  The session computes each function's fingerprint once, when the object
+  is new or shifted, and passes it in.  Every cache entry also records the
+  cached tree's pre-order uid sequence (``uid_at_pos``): a re-parse of the
+  same source hits the cache, and the uid-keyed artifact maps are rebuilt
+  from that position sequence with a single walk of the *new* tree
+  (``stats.remaps`` counts these).
 
 Results are computed when asked and returned whole:
-:meth:`AnalysisEngine.analyze` returns a
-:class:`~repro.core.driver.ProgramAnalysis`, and
-:meth:`AnalysisEngine.analyze_functions` the merged artifacts of the
-functions a session update scopes.
+:meth:`AnalysisEngine.analyze_functions` returns the merged artifacts of
+the functions a session update scopes.  One-shot analysis is
+:func:`~repro.core.driver.analyze_program`, which caches nothing.
 
 Caveats (by design):
 
@@ -36,8 +38,8 @@ Caveats (by design):
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..minilang import ast_nodes as A
 from ..util.faultinject import fault_site
@@ -48,21 +50,13 @@ from .concurrency import ConcurrencyResult
 from .driver import (
     FunctionArtifacts,
     InterproceduralPlan,
-    ProgramAnalysis,
     _analyze_function,
-    _assemble,
     _find_requested_level,
     _merge_artifacts,
-    build_plan,
 )
 from .diagnostics import SourceRef
 from .monothread import MonothreadResult
-from .sites import (
-    CollectiveSite,
-    ProgramIndex,
-    collective_call_graph,
-    index_program,
-)
+from .sites import CollectiveSite, ProgramIndex
 
 
 def ast_fingerprint(func: A.FuncDef) -> str:
@@ -89,8 +83,7 @@ class EngineStats:
     """Counters exposed by :meth:`AnalysisEngine.cache_info`.
 
     All fields are plain ints, so :meth:`as_dict` round-trips through JSON
-    losslessly (``from_dict(json.loads(json.dumps(s.as_dict()))) == s``);
-    the derived ``hit_rate`` is recomputed, never stored.
+    losslessly; the derived ``hit_rate`` is recomputed, never stored.
     """
 
     programs: int = 0
@@ -131,13 +124,6 @@ class EngineStats:
     def as_dict(self) -> Dict[str, float]:
         return {**asdict(self), "hit_rate": round(self.hit_rate, 4)}
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, float]) -> "EngineStats":
-        """Inverse of :meth:`as_dict` (derived and unknown entries are
-        ignored)."""
-        return cls(**{f.name: int(data[f.name]) for f in fields(cls)
-                      if f.name in data})
-
 
 @dataclass
 class _CacheEntry:
@@ -154,40 +140,21 @@ class _CacheEntry:
 
 
 @dataclass
-class _ProgramMemo:
-    """Cached program-level facts (index, call graph, requested level) for
-    the identity fast path — valid while the program's function list and the
-    structure versions of all its functions are unchanged."""
+class ProgramFacts:
+    """The program-level facts :meth:`AnalysisEngine.analyze_functions`
+    reads: the call index, the collective functions, the function names and
+    the requested thread level.  A session keeps them in its record and
+    derives each update's from the last
+    (:meth:`AnalysisEngine.update_program_facts`)."""
 
-    program: A.Program
-    funcs: Tuple[A.FuncDef, ...]
-    versions: Tuple[int, ...]
     index: ProgramIndex
     collective_funcs: set
     func_names: set
     requested: object
-    #: (entry_context, sorted initial_words items) -> interprocedural plan.
-    plans: Dict[tuple, InterproceduralPlan] = field(default_factory=dict)
 
 
 def _version(func: A.FuncDef) -> int:
     return getattr(func, "structure_version", 0)
-
-
-#: Bounds for the id-keyed identity/program memos.  They only pay off when
-#: the *same object* is re-analyzed, so entries from one-shot parses (e.g.
-#: `parcoach batch`, which re-parses per file) are dead weight — evict
-#: oldest-first instead of pinning every AST ever seen for the engine's
-#: lifetime.  The limit must exceed the function count of the largest
-#: project held live in one session (the XXL bench shape is 1000 files
-#: x ~8 functions), or every whole-project pass thrashes the memos.
-_IDENTITY_MEMO_LIMIT = 65536
-_PROGRAM_MEMO_LIMIT = 64
-
-
-def _evict_oldest(memo: Dict, limit: int) -> None:
-    while len(memo) > limit:
-        memo.pop(next(iter(memo)))
 
 
 def _remap_word(word: Word, uid_map: Dict[int, int]) -> Word:
@@ -291,18 +258,12 @@ class AnalyzeRecord:
 
     @property
     def missed_functions(self) -> Tuple[str, ...]:
-        seen: List[str] = []
-        for name, _word in self.missed:
-            if name not in seen:
-                seen.append(name)
-        return tuple(seen)
+        return tuple(dict.fromkeys(name for name, _word in self.missed))
 
 
 class AnalysisEngine:
-    """Memoizing front end over the driver's per-function pipeline: the
-    results of :func:`repro.core.driver.analyze_program`, with every
-    function analysis whose cache key repeats served from one in-memory
-    cache."""
+    """The driver's per-function pipeline with every function analysis
+    whose cache key repeats served from one in-memory cache."""
 
     def __init__(self) -> None:
         self.stats = EngineStats()
@@ -313,19 +274,8 @@ class AnalysisEngine:
         #: invalidation and line-patch re-keying are O(affected entries)
         #: instead of a scan of the whole cache per edited function.
         self._by_fp: Dict[str, set] = {}
-        #: id(func) -> (func, structure_version, fingerprint): skips hashing
-        #: when the very same AST object is re-analyzed (warm batch loops).
-        self._identity: Dict[int, Tuple[A.FuncDef, int, str]] = {}
-        #: id(program) -> memoized program-level facts.
-        self._programs: Dict[int, _ProgramMemo] = {}
 
     # -- cache management ------------------------------------------------------
-
-    def clear_cache(self) -> None:
-        self._cache.clear()
-        self._by_fp.clear()
-        self._identity.clear()
-        self._programs.clear()
 
     def _cache_put(self, key: _Key, entry: _CacheEntry) -> None:
         self._cache[key] = entry
@@ -364,19 +314,21 @@ class AnalysisEngine:
 
     # -- line-offset patching --------------------------------------------------
 
-    def patch_function_lines(self, func: A.FuncDef, delta: int) -> int:
+    def patch_function_lines(self, func: A.FuncDef, delta: int,
+                             fingerprint: str) -> str:
         """Shift ``func`` (in place) and every cached artifact of it by
-        ``delta`` source lines, re-keying the cache to the shifted
-        fingerprint.  Returns the number of re-keyed cache entries.
+        ``delta`` source lines, re-keying the cache from ``fingerprint``
+        (``func``'s before the shift) to the shifted fingerprint, which is
+        returned.
 
         This is the line-offset patch pass: an edit that only moves a
         function down/up (a line inserted or deleted *above* it) changes
         nothing but line numbers, yet fingerprints are line-sensitive — so
         without this pass the function would re-analyze from scratch.
         Instead the AST is shifted in place (uids and ``structure_version``
-        untouched, so every uid-keyed map and program memo stays valid) and
-        all line-addressed artifact state — collective sites, CFG block
-        lines, diagnostic source refs and conditional lines — is shifted in
+        untouched, so every uid-keyed map stays valid) and all
+        line-addressed artifact state — collective sites, CFG block lines,
+        diagnostic source refs and conditional lines — is shifted in
         lock-step.
 
         An entry anchored on another tree (an earlier parse, or the same
@@ -385,14 +337,11 @@ class AnalysisEngine:
         hit reads only the entry's artifacts and uid sequence, never its
         anchor's lines."""
         if delta == 0:
-            return 0
-        old_fp = self._fingerprint_for(func)
+            return fingerprint
         A.shift_lines(func, delta)
         new_fp = ast_fingerprint(func)
-        self._identity[id(func)] = (func, _version(func), new_fp)
         patched_arts: set = set()
-        moved = 0
-        for key in list(self._by_fp.get(old_fp, ())):
+        for key in list(self._by_fp.get(fingerprint, ())):
             entry = self._cache[key]
             self._cache_del(key)
             art = entry.artifacts
@@ -400,74 +349,23 @@ class AnalysisEngine:
                 patched_arts.add(id(art))
                 _shift_artifact_lines(art, delta)
             self._cache_put((new_fp,) + key[1:], entry)
-            moved += 1
         self.stats.line_patches += 1
-        return moved
+        return new_fp
 
     # -- analysis --------------------------------------------------------------
 
-    def forget_functions(self, funcs) -> None:
-        """Drop the id-keyed memo entries of functions that are no longer
-        live (a session calls this when an update replaces or removes
-        them), so the memos track the live program instead of growing
-        with every edit until their caps."""
-        for func in funcs:
-            entry = self._identity.get(id(func))
-            if entry is not None and entry[0] is func:
-                del self._identity[id(func)]
-
-    def _fingerprint_for(self, func: A.FuncDef) -> str:
-        version = _version(func)
-        ident = self._identity.get(id(func))
-        if ident is not None:
-            known_func, known_version, fp = ident
-            if known_func is func and known_version == version:
-                return fp
-        fp = ast_fingerprint(func)
-        self._identity[id(func)] = (func, version, fp)
-        _evict_oldest(self._identity, _IDENTITY_MEMO_LIMIT)
-        return fp
-
-    def _program_facts(self, program: A.Program) -> _ProgramMemo:
-        funcs = tuple(program.funcs)
-        versions = tuple(_version(f) for f in funcs)
-        memo = self._programs.get(id(program))
-        if (memo is not None and memo.program is program
-                and len(memo.funcs) == len(funcs)
-                and all(a is b for a, b in zip(memo.funcs, funcs))
-                and memo.versions == versions):
-            return memo
-        index = index_program(program)
-        memo = _ProgramMemo(
-            program=program, funcs=funcs, versions=versions, index=index,
-            collective_funcs=collective_call_graph(program, index),
-            func_names={f.name for f in funcs},
-            requested=_find_requested_level(index),
-        )
-        self._programs[id(program)] = memo
-        _evict_oldest(self._programs, _PROGRAM_MEMO_LIMIT)
-        return memo
-
-    def update_program_facts(self, prev: _ProgramMemo,
-                             program: A.Program, changed, removed,
+    def update_program_facts(self, prev: ProgramFacts, changed, removed,
                              collective_funcs: set, index: ProgramIndex,
-                             func_names: set,
-                             changed_positions=None) -> _ProgramMemo:
-        """Derive ``program``'s facts memo from ``prev`` (the previous
-        program's) by delta: the caller supplies the new index, collective
-        functions and name set; only functions named in ``changed`` have new
-        bodies and ``removed`` names are gone.
+                             func_names: set) -> ProgramFacts:
+        """Derive a program's facts from ``prev`` (the previous program's)
+        by delta: the caller supplies the new index, collective functions
+        and name set; only functions named in ``changed`` have new bodies
+        and ``removed`` names are gone.
 
         The requested thread level is re-derived only when a changed or
         removed function mentions ``MPI_Init``/``MPI_Init_thread`` before or
         after the update (the index keeps program order, so the first call
-        still wins).  ``changed_positions`` (``[(pos, func), ...]``) names
-        the exact positions of new objects in an unchanged-length function
-        list, so the versions are spliced in O(changed); without it they
-        are recomputed.  The memo is the caller's to keep and to pass to
-        :meth:`analyze_functions`; the program memo table does not hold
-        it."""
-        funcs = tuple(program.funcs)
+        still wins)."""
 
         def mentions_init(calls) -> bool:
             return any(c.name in ("MPI_Init", "MPI_Init_thread")
@@ -479,59 +377,14 @@ class AnalysisEngine:
                     or mentions_init(index.calls.get(name))):
                 requested = _find_requested_level(index)
                 break
-        if changed_positions is not None:
-            spliced = list(prev.versions)
-            for pos, func in changed_positions:
-                spliced[pos] = _version(func)
-            versions = tuple(spliced)
-        else:
-            versions = tuple(_version(f) for f in funcs)
-        return _ProgramMemo(
-            program=program, funcs=funcs, versions=versions, index=index,
-            collective_funcs=collective_funcs, func_names=func_names,
-            requested=requested,
-        )
-
-    def _plan_for(self, memo: _ProgramMemo, program: A.Program,
-                  initial_words: Dict[str, Word],
-                  entry_context: Word) -> InterproceduralPlan:
-        """Interprocedural plan, memoized on the program facts memo (so the
-        warm identity fast path skips call-graph + propagation work)."""
-        key = (entry_context, tuple(sorted(initial_words.items())))
-        plan = memo.plans.get(key)
-        if plan is None:
-            plan = build_plan(program, memo.index, initial_words, entry_context)
-            memo.plans[key] = plan
-        return plan
-
-    def analyze(
-        self,
-        program: A.Program,
-        initial_words: Optional[Dict[str, Word]] = None,
-        precision: str = "paper",
-        instrument_all: bool = False,
-        interprocedural: bool = True,
-        entry_context: Word = EMPTY,
-    ) -> ProgramAnalysis:
-        """Memoized :func:`~repro.core.driver.analyze_program`: the same
-        parameters (no ``cfgs``) and the same result."""
-        initial_words = initial_words or {}
-        memo = self._program_facts(program)
-        plan = (self._plan_for(memo, program, initial_words, entry_context)
-                if interprocedural else None)
-        results = self.analyze_functions(program.funcs, memo, plan,
-                                         initial_words, precision)
-        return _assemble(
-            program, memo.index, memo.collective_funcs,
-            {name: art for name, (art, _words, _infos) in results.items()},
-            precision, instrument_all, memo.requested, plan=plan,
-            context_info={name: (words, infos) for name, (_art, words, infos)
-                          in results.items()})
+        return ProgramFacts(index=index, collective_funcs=collective_funcs,
+                            func_names=func_names, requested=requested)
 
     def analyze_functions(
         self,
         funcs: List[A.FuncDef],
-        facts: _ProgramMemo,
+        fingerprints: Mapping[str, str],
+        facts: ProgramFacts,
         plan: Optional[InterproceduralPlan],
         initial_words: Dict[str, Word],
         precision: str,
@@ -540,7 +393,8 @@ class AnalysisEngine:
                          Tuple[WordInfo, ...]]]:
         """Analyze ``funcs``, functions of the program ``facts`` describes,
         and return ``{name: (merged artifacts, context words, word infos)}``
-        in their order.
+        in their order.  ``fingerprints`` maps each function's name to its
+        :func:`ast_fingerprint`.
 
         Each function is analyzed once per context word of ``plan`` (the
         word ``initial_words`` gives it when ``plan`` is None: the
@@ -572,7 +426,7 @@ class AnalysisEngine:
             called = {c.name for c in index.calls.get(name, ())}
             calls_key = (tuple(sorted(called & func_names)),
                          tuple(sorted(called & collective_funcs)), token)
-            fp = self._fingerprint_for(func)
+            fp = fingerprints[name]
             uid_at_pos: Optional[Tuple[int, ...]] = None
             parts = []
             for word in words:

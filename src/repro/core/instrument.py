@@ -90,8 +90,8 @@ class _FunctionInstrumenter:
             func.body.stmts.append(_cc_stmt(RETURN_COLOR, "<return>", line))
             self.report.return_ccs += 1
             self.count += 1
-        # Structural mutation marker: the AnalysisEngine's identity fast path
-        # checks this instead of re-walking the tree, so an in-place
+        # Structural mutation marker: the AnalysisEngine checks it on every
+        # cache hit instead of re-walking the tree, so an in-place
         # instrumented function is never served stale cached artifacts.
         func.structure_version = getattr(func, "structure_version", 0) + 1
 

@@ -81,7 +81,7 @@ from ..core.driver import (
     thread_level_diagnostic,
     update_plan,
 )
-from ..core.engine import AnalysisEngine, _ProgramMemo
+from ..core.engine import AnalysisEngine, ProgramFacts, ast_fingerprint
 from ..core.report import (
     build_report,
     diagnostic_finding,
@@ -228,9 +228,8 @@ class _Record:
     func_file: Dict[str, str]
     signatures: Dict[str, tuple]
     checker: Checker
-    #: Index, collective functions, requested level — the engine's program
-    #: facts memo for ``program``.
-    facts: _ProgramMemo
+    #: Index, collective functions, function names, requested level.
+    facts: ProgramFacts
     graph: CallGraph
     #: Contexts, summaries and extra points; None in intraprocedural mode.
     plan: Optional[InterproceduralPlan]
@@ -315,8 +314,7 @@ class ProjectSession(ResilienceCounters):
             open=open_files, stale=open_files, files={}, spans={},
             fingerprints={}, funcs={}, func_file={}, signatures={},
             checker=Checker(program),
-            facts=_ProgramMemo(program=program, funcs=(), versions=(),
-                               index=ProgramIndex(), collective_funcs=set(),
+            facts=ProgramFacts(index=ProgramIndex(), collective_funcs=set(),
                                func_names=set(), requested=None),
             graph=CallGraph(order=[], edges={}, callers={}, entries=[],
                             sccs=[], scc_of={}, recursive=frozenset()),
@@ -554,8 +552,6 @@ class ProjectSession(ResilienceCounters):
             for rel, p in touched.items())
         old_funcs = rec.program.funcs
         fresh: List[A.FuncDef] = []
-        dead: List[A.FuncDef] = []
-        positions: Optional[List[Tuple[int, A.FuncDef]]] = None
         moved: Set[str] = set()
         if structural:
             spans: Dict[str, Tuple[int, int]] = {}
@@ -581,9 +577,7 @@ class ProjectSession(ResilienceCounters):
                 raise SessionError("<project>", duplicates)
             signatures = _signatures(funcs)
             old_ids = {id(f) for f in old_funcs}
-            new_ids = {id(f) for f in funcs}
             fresh = [f for f in funcs if id(f) not in old_ids]
-            dead = [f for f in old_funcs if id(f) not in new_ids]
             removed = tuple(f.name for f in old_funcs
                             if f.name not in by_name)
             moved = {f.name for f in fresh
@@ -598,15 +592,11 @@ class ProjectSession(ResilienceCounters):
                                  line=1))
         else:
             spans = rec.spans
-            positions = []
             for rel, p in touched.items():
                 start, end = spans[rel]
-                for off, (old, new) in enumerate(zip(old_funcs[start:end],
-                                                     p.funcs)):
-                    if old is not new:
-                        fresh.append(new)
-                        dead.append(old)
-                        positions.append((start + off, new))
+                fresh.extend(new for old, new in zip(old_funcs[start:end],
+                                                     p.funcs)
+                             if old is not new)
             if fresh:
                 funcs = list(old_funcs)
                 for rel, p in touched.items():
@@ -660,20 +650,19 @@ class ProjectSession(ResilienceCounters):
 
         # Line-offset patches: AST, cached artifacts and cache keys shift
         # together.  A failed update shifts them back, so it commits nothing.
-        applied: List[Tuple[A.FuncDef, int]] = []
+        applied: List[Tuple[A.FuncDef, int, str]] = []
         try:
             for p in touched.values():
                 for func, lines in p.patches:
                     fault_site("project.patch", func.name)
-                    engine.patch_function_lines(func, lines)
-                    applied.append((func, lines))
-            patched = tuple(func.name for func, _lines in applied)
+                    applied.append((func, lines, engine.patch_function_lines(
+                        func, lines, rec.fingerprints[func.name])))
+            patched = tuple(func.name for func, _lines, _fp in applied)
 
             # Fingerprints of the new and the shifted objects; a shift is
             # not an edit.
-            fp_put = {f.name: engine._fingerprint_for(f) for f in fresh}
-            for func, _lines in applied:
-                fp_put[func.name] = engine._fingerprint_for(func)
+            fp_put = {f.name: ast_fingerprint(f) for f in fresh}
+            fp_put.update((func.name, fp) for func, _lines, fp in applied)
             changed = tuple(f.name for f in fresh
                             if fp_put[f.name] != rec.fingerprints.get(f.name))
 
@@ -755,9 +744,8 @@ class ProjectSession(ResilienceCounters):
                 plan = update_plan(base_plan, graph, contexts, summaries,
                                    plan_dirty, removed)
             facts = engine.update_program_facts(
-                rec.facts, program, changed=[f.name for f in fresh],
-                removed=removed, collective_funcs=cf, index=index,
-                func_names=names, changed_positions=positions)
+                rec.facts, changed=[f.name for f in fresh], removed=removed,
+                collective_funcs=cf, index=index, func_names=names)
 
             # Scope: exactly the functions whose merged artifacts could
             # differ — new or shifted bodies, a callee whose collective
@@ -785,7 +773,7 @@ class ProjectSession(ResilienceCounters):
                 deadline.check("session.plan")
             fault_site("session.analyze")
             merged = engine.analyze_functions(
-                scope_funcs, facts, plan,
+                scope_funcs, ChainMap(fp_put, rec.fingerprints), facts, plan,
                 initial_words=({f.name: self.entry_context
                                 for f in scope_funcs}
                                if not interproc and self.entry_context
@@ -885,8 +873,8 @@ class ProjectSession(ResilienceCounters):
                     entry["instrumented"] = name in instrumented
                     entry_put[name] = entry
         except BaseException:
-            for func, lines in reversed(applied):
-                engine.patch_function_lines(func, -lines)
+            for func, lines, fp in reversed(applied):
+                engine.patch_function_lines(func, -lines, fp)
             raise
 
         # Commit.
@@ -917,7 +905,6 @@ class ProjectSession(ResilienceCounters):
                 instrumented=instrumented),
             findings=rec.findings)
         self._report_doc = None
-        engine.forget_functions(dead)
         self.seq += 1
         if cold:
             self.full_updates += 1

@@ -29,6 +29,12 @@ from repro.bench import (
 )
 from repro.cli import main
 from repro.core import AnalysisEngine, render_report
+from tests.conftest import (
+    driver_report,
+    engine_functions,
+    merged_diagnostics,
+    served_report,
+)
 from repro.core.diagnostics import ErrorCode
 from repro.minilang.pretty import pretty
 from repro.parallelism import format_word
@@ -291,24 +297,19 @@ void main() {
 """
 
 
-def _diag_tuples(analysis):
-    return [(d.code, d.function, d.message, d.collectives, d.conditionals,
-             d.context, d.call_path) for d in analysis.diagnostics]
-
-
 def test_engine_caches_per_context_word():
     program = parse_program(MULTI_CONTEXT, "m.mc")
     engine = AnalysisEngine()
-    first = engine.analyze(program)
+    first = engine_functions(engine, program)
     # helper analyzed under two contexts (ε and P-1 S-2) + main under ε.
     assert engine.stats.misses == 3
-    fa = first.function("helper")
-    assert tuple(format_word(w) for w in fa.context_words) == ("ε", "P-1 S-2")
-    second = engine.analyze(program)
+    _art, words, _infos = first["helper"]
+    assert tuple(format_word(w) for w in words) == ("ε", "P-1 S-2")
+    second = engine_functions(engine, program)
     assert engine.stats.hits == 3  # contexts repeat: full hit-rate
     assert engine.stats.misses == 3
-    assert _diag_tuples(first) == _diag_tuples(second)
-    assert render_report(first, verbose=True) == render_report(second, verbose=True)
+    assert engine.stats.remaps == 0  # the same tree: the entries themselves
+    assert merged_diagnostics(first) == merged_diagnostics(second)
 
 
 def test_engine_reparse_hits_with_canonical_contexts():
@@ -317,13 +318,12 @@ def test_engine_reparse_hits_with_canonical_contexts():
     p1 = parse_program(MULTI_CONTEXT, "m.mc")
     p2 = parse_program(MULTI_CONTEXT, "m.mc")
     engine = AnalysisEngine()
-    a1 = engine.analyze(p1)
-    a2 = engine.analyze(p2)
+    a1 = engine_functions(engine, p1)
+    a2 = engine_functions(engine, p2)
     assert engine.stats.remaps == 3  # remapped onto p2 when served
     assert engine.stats.misses == 3
-    assert [d.render() for d in a1.diagnostics] == \
-        [d.render() for d in a2.diagnostics]
-    assert engine.stats.remaps == 3  # rendering remaps nothing more
+    assert merged_diagnostics(a1) == merged_diagnostics(a2)
+    assert all(a2[f.name][0].func is f for f in p2.funcs)
 
 
 def test_engine_no_stale_hits_across_entry_contexts():
@@ -331,23 +331,25 @@ def test_engine_no_stale_hits_across_entry_contexts():
 
     program = parse_program(MULTI_FUNC, "m.mc")
     engine = AnalysisEngine()
-    plain = engine.analyze(program)
-    seeded = engine.analyze(program, entry_context=parse_word("P1"))
-    assert len(plain.diagnostics) == 0
-    assert len(seeded.diagnostics) > 0  # no stale empty-context artifacts
-    again = engine.analyze(program)
-    assert _diag_tuples(again) == _diag_tuples(plain)
+    plain = engine_functions(engine, program)
+    seeded = engine_functions(engine, program,
+                              entry_context=parse_word("P1"))
+    assert not any(merged_diagnostics(plain).values())
+    # No stale empty-context hits.
+    assert any(merged_diagnostics(seeded).values())
+    again = engine_functions(engine, program)
+    assert merged_diagnostics(again) == merged_diagnostics(plain)
 
 
-def test_engine_matches_oneshot_driver_on_seeds():
+def test_engine_matches_oneshot_driver_on_seeds(tmp_path):
+    """Served twice over one engine — the second copy all remaps — each
+    seed reports what the engine-free driver does."""
     engine = AnalysisEngine()
     for name in INTERPROC:
-        program = parse_program(CASES[name].source, name)
-        ref = analyze_program(program)
-        for _ in range(2):
-            got = engine.analyze(program)
-            assert _diag_tuples(got) == _diag_tuples(ref), name
-            assert render_report(got, verbose=True) == \
-                render_report(ref, verbose=True), name
-            assert pretty(instrument_program(got)[0]) == \
-                pretty(instrument_program(ref)[0]), name
+        text = CASES[name].source
+        for copy in ("a", "b"):
+            path = tmp_path / f"{name}.{copy}.mc"
+            path.write_text(text)
+            assert served_report(engine, path) == driver_report(path, text), \
+                (name, copy)
+    assert engine.stats.remaps == engine.stats.hits > 0

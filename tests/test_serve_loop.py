@@ -203,16 +203,23 @@ def test_watch_reports_the_recovery(tmp_path):
     assert docs[2]["summary"]["incremental"]["no_op"] is True
 
 
+def _live_contexts(session) -> int:
+    """The (function, context word) pairs of the committed program."""
+    contexts = session._record.plan.contexts.contexts
+    return sum(len(contexts[f.name]) for f in session._record.program.funcs)
+
+
 def test_memos_hold_live_functions_only(tmp_path):
-    """Every commit drops the memo entries of the functions it replaced:
-    the engine's identity memo tracks the live program, not the edit
-    count."""
+    """Every commit drops the cache entries of the functions it replaced:
+    the engine's cache tracks the live program, not the edit count."""
     files = make_project(n_files=12)
     root = str(tmp_path / "proj")
     write_project(files, root)
     with ProjectSession(root) as session:
         session.update_all()
         live = len(session._record.program.funcs)
+        entries = lambda: session.engine.cache_info()["entries"]
+        assert entries() == _live_contexts(session) == live == 26
         for step in range(30):
             rel = f"m{step % 12:03d}.mc"
             text = files[rel].replace(f"v += {step % 12};",
@@ -225,8 +232,45 @@ def test_memos_hold_live_functions_only(tmp_path):
             path = tmp_path / "proj" / rel
             path.write_text(text)
             session.update_file(rel)
+            assert entries() == _live_contexts(session), step
             path.write_text(files[rel])
             session.update_file(rel)
+            assert entries() == _live_contexts(session), step
         assert len(session._record.program.funcs) == live
-        engine = session.engine
-        assert len(engine._identity) <= live
+        assert entries() == live
+
+
+def test_each_new_or_shifted_function_is_fingerprinted_once(tmp_path,
+                                                            monkeypatch):
+    """A function object is hashed once, when it is new or shifted: one
+    fingerprint per function on a cold start, one for a one-function edit,
+    and one per function a comment line above them moves."""
+    import repro.core.engine
+    import repro.project.session
+
+    calls = []
+    real = repro.core.engine.ast_fingerprint
+
+    def counting(func):
+        calls.append(func.name)
+        return real(func)
+
+    for module in (repro.core.engine, repro.project.session):
+        if hasattr(module, "ast_fingerprint"):
+            monkeypatch.setattr(module, "ast_fingerprint", counting)
+    files = make_project(n_files=12)
+    root = tmp_path / "proj"
+    write_project(files, str(root))
+    with ProjectSession(str(root)) as session:
+        session.update_all()
+        assert len(calls) == len(session._record.program.funcs) == 26
+        calls.clear()
+        edited = files["m005.mc"].replace("v += 5;", "v += 50;")
+        (root / "m005.mc").write_text(edited)
+        update = session.update_file("m005.mc")
+        assert update.changed == ("m5_f0",) and calls == ["m5_f0"]
+        calls.clear()
+        (root / "m005.mc").write_text("// moved\n" + edited)
+        update = session.update_file("m005.mc")
+        assert update.changed == () and len(calls) == 2
+        assert sorted(calls) == sorted(update.patched) == ["m5_f0", "m5_f1"]
