@@ -102,8 +102,8 @@ class CallGraph:
     order: List[str]
     #: caller -> its call edges, in source order.
     edges: Dict[str, List[CallEdge]]
-    #: callee -> incoming edges.
-    callers: Dict[str, List[CallEdge]]
+    #: callee -> the sorted distinct names of its callers.
+    callers: Dict[str, Tuple[str, ...]]
     #: Functions nobody calls (analysis entry points; ``main`` is always an
     #: entry even when called, so a recursive main stays seeded).
     entries: List[str]
@@ -144,7 +144,7 @@ def _derive_edges(name: str, index: ProgramIndex,
 
 
 def _entries_of(order: List[str],
-                callers: Dict[str, List[CallEdge]]) -> List[str]:
+                callers: Dict[str, Tuple[str, ...]]) -> List[str]:
     entries = [n for n in order if not callers[n] or n == "main"]
     if not entries:  # every function called: fall back to source order head
         entries = order[:1]
@@ -155,10 +155,11 @@ def _graph_from_edges(order: List[str],
                       edges: Dict[str, List[CallEdge]]) -> CallGraph:
     """Assemble a :class:`CallGraph` from per-function edge lists (callers,
     entries, Tarjan condensation, recursion)."""
-    callers: Dict[str, List[CallEdge]] = {name: [] for name in order}
+    names: Dict[str, Set[str]] = {name: set() for name in order}
     for name in order:
         for edge in edges[name]:
-            callers[edge.callee].append(edge)
+            names[edge.callee].add(name)
+    callers = {name: tuple(sorted(c)) for name, c in names.items()}
     entries = _entries_of(order, callers)
     sccs, scc_of = _tarjan(order, edges)
     recursive = frozenset(
@@ -204,8 +205,9 @@ def update_call_graph(prev: CallGraph, program: A.Program,
     Never mutates ``prev`` — returns a new :class:`CallGraph` sharing the
     edge lists of unchanged functions.  On the patch path the SCC list keeps
     its previous ordering (still a valid reverse-topological order, checked
-    edge by edge) and ``callers`` lists are order-unspecified; no consumer
-    depends on either beyond validity.
+    edge by edge; no consumer depends on it beyond validity), and only the
+    callees of ``changed`` get new ``callers`` tuples of sorted names, the
+    previous tuple object staying wherever the names did not change.
 
     ``order``/``names`` short-circuit the O(program) name-list walk when the
     caller already holds them; passing ``prev.order`` as ``order`` asserts
@@ -250,11 +252,13 @@ def update_call_graph(prev: CallGraph, program: A.Program,
         touched_callees.update(e.callee for e in new_edges[name])
         edges[name] = new_edges[name]
     for callee in touched_callees:
-        kept = [e for e in prev.callers[callee] if e.caller not in changed]
-        for name in sorted(changed):
-            kept.extend(e for e in new_edges[name] if e.callee == callee)
-        callers[callee] = kept
-    # Entry membership only depends on caller-list *emptiness* (and the
+        kept = tuple(sorted(
+            {c for c in prev.callers[callee] if c not in changed}
+            | {n for n in changed
+               if any(e.callee == callee for e in new_edges[n])}))
+        if kept != prev.callers[callee]:
+            callers[callee] = kept
+    # Entry membership only depends on caller-tuple *emptiness* (and the
     # "main" special case, which no edge change can affect).
     if any(bool(callers[c]) != bool(prev.callers.get(c, ()))
            for c in touched_callees):
@@ -834,8 +838,8 @@ def update_summaries(program: A.Program, graph: CallGraph,
             old = prev.get(m)
             if old is None or summaries[m].collectives != old.collectives:
                 changed_names.add(m)
-                for edge in graph.callers.get(m, ()):
-                    ci = graph.scc_of[edge.caller]
+                for caller in graph.callers.get(m, ()):
+                    ci = graph.scc_of[caller]
                     if ci != si and ci not in queued:
                         heapq.heappush(heap, ci)
                         queued.add(ci)

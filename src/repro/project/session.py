@@ -735,8 +735,8 @@ class ProjectSession(ResilienceCounters):
             else:
                 flips = collective_call_graph(program, index) ^ old_cf
             cf = old_cf ^ flips if flips else old_cf
-            flip_callers = {e.caller for n in flips
-                            for e in graph.callers.get(n, ())}
+            flip_callers = {c for n in flips
+                            for c in graph.callers.get(n, ())}
             plan = None
             if interproc:
                 plan_dirty = (redo | flip_callers if base_plan is not None
@@ -1002,12 +1002,11 @@ def _dependents(dirty: Set[str], old: CallGraph,
     seen = set(dirty)
     while work:
         name = work.pop()
-        before = old.callers.get(name, ())
+        callers = old.callers.get(name, ())
         after = new.callers.get(name, ())
-        callers = {e.caller for e in before}
-        if after is not before:
-            callers.update(e.caller for e in after)
-        for caller in sorted(callers):
+        if after != callers:
+            callers = sorted({*callers, *after})
+        for caller in callers:
             if caller not in seen:
                 seen.add(caller)
                 out.append(caller)

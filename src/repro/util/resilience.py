@@ -24,10 +24,14 @@ byte-deterministically testable.  Three pieces:
 from __future__ import annotations
 
 import hashlib
+import os
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List
+
+#: Frames in files under the ``repro`` package are named relative to it.
+_PACKAGE = os.path.dirname(os.path.dirname(__file__)) + os.sep
 
 
 class DeadlineExceeded(Exception):
@@ -87,30 +91,27 @@ class Failure:
     attempt: int
     error_type: str
     message: str
-    #: SHA-256[:16] of the formatted traceback — stable for identical
-    #: failures, never leaks stack frames into byte-stable output.
+    #: SHA-256[:16] of the error type, message and each frame's function
+    #: and file name (package-relative, else the base name): stable across
+    #: checkouts and moved lines; no stack frame leaks into the output.
     traceback_digest: str
 
     @classmethod
     def from_exception(cls, site: str, attempt: int,
                        exc: BaseException) -> "Failure":
-        tb = "".join(traceback.format_exception(type(exc), exc,
-                                                exc.__traceback__))
+        parts = [type(exc).__name__, str(exc)]
+        for frame, _line in traceback.walk_tb(exc.__traceback__):
+            path = frame.f_code.co_filename
+            parts += (frame.f_code.co_name, path[len(_PACKAGE):]
+                      if path.startswith(_PACKAGE) else os.path.basename(path))
         return cls(
-            site=site, attempt=attempt, error_type=type(exc).__name__,
-            message=str(exc),
+            site=site, attempt=attempt, error_type=parts[0], message=parts[1],
             traceback_digest=hashlib.sha256(
-                tb.encode("utf-8")).hexdigest()[:16],
+                "\n".join(parts).encode("utf-8")).hexdigest()[:16],
         )
 
     def as_dict(self) -> dict:
-        return {
-            "site": self.site,
-            "attempt": self.attempt,
-            "error_type": self.error_type,
-            "message": self.message,
-            "traceback_digest": self.traceback_digest,
-        }
+        return asdict(self)
 
 
 class ResilienceCounters:

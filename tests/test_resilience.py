@@ -4,11 +4,16 @@ checkpoint/resume)."""
 
 import io
 import json
+import os
 import pickle
+import shutil
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import repro
 from repro.core.report import validate_report
 from repro.project import FileSession, run_serve, run_watch
 from repro.fuzz.campaign import (
@@ -103,6 +108,58 @@ def test_failure_digest_is_stable_and_dict_round_trips():
     doc = json.loads(json.dumps(a.as_dict()))
     assert doc["error_type"] == "RuntimeError"
     assert doc["message"] == "same message"
+
+
+_RAISER = '''def inner(n):
+    raise ValueError(f"bad {n}")
+
+
+def outer(n):
+    return inner(n)
+'''
+
+
+def _failure_from(filename, source):
+    namespace = {}
+    exec(compile(source, filename, "exec"), namespace)
+    try:
+        namespace["outer"](3)
+    except ValueError as exc:
+        return Failure.from_exception("site", 1, exc)
+
+
+def test_failure_digest_ignores_paths_and_line_numbers():
+    base = _failure_from("/one/checkout/raiser.py", _RAISER)
+    # Another absolute file name, and a line inserted above the raise.
+    moved = _failure_from("/elsewhere/deeper/raiser.py", "\n" + _RAISER)
+    assert moved.traceback_digest == base.traceback_digest
+    # A different function on the stack is another failure.
+    renamed = _RAISER.replace("inner", "helper")
+    assert (_failure_from("/one/checkout/raiser.py", renamed).traceback_digest
+            != base.traceback_digest)
+    # Inside the package a frame's file is named relative to it, so two
+    # modules with one base name stay apart.
+    package = os.path.dirname(repro.__file__)
+    core = _failure_from(os.path.join(package, "core", "raiser.py"), _RAISER)
+    project = _failure_from(os.path.join(package, "project", "raiser.py"),
+                            _RAISER)
+    assert core.traceback_digest != project.traceback_digest
+
+
+def test_failure_digest_is_one_from_two_copies_of_the_package(tmp_path):
+    script = ("from repro.util.resilience import Deadline, Failure\n"
+              "try:\n"
+              "    Deadline(0.0, clock=lambda: 0.0).check('copy')\n"
+              "except Exception as exc:\n"
+              "    print(Failure.from_exception('s', 1, exc).traceback_digest)\n")
+    digests = set()
+    for copy in (tmp_path / "a", tmp_path / "b" / "nested"):
+        shutil.copytree(os.path.dirname(repro.__file__), copy / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        digests.add(subprocess.run(
+            [sys.executable, "-c", script], check=True, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": str(copy)}).stdout)
+    assert len(digests) == 1, digests
 
 
 # -- fault plans --------------------------------------------------------------------

@@ -7,7 +7,10 @@ every successful step the session's full report must render the bytes of a
 reference built without the session or the engine: the open files are read
 from disk in sorted path order and merged, ``analyze_program`` analyzes the
 merged program, ``report_from_analysis`` renders it, and the file
-qualification is redone here.
+qualification is redone here.  The delta's ``dependents`` must equal the
+closure of ``tests/reference_dependents.py`` over the call graphs before
+and after the step, and each function's ``callers`` must be the sorted
+caller names of the committed graph's edges.
 """
 
 import os
@@ -18,6 +21,7 @@ import pytest
 
 from repro.bench import make_project
 from repro.core import analyze_program
+from repro.core.callgraph import build_call_graph
 from repro.core.report import (
     finding_fingerprint,
     render_json,
@@ -27,7 +31,9 @@ from repro.core.session import SessionError
 from repro.minilang import ast_nodes as A
 from repro.minilang.parser import parse_program
 from repro.project import ProjectSession
+from repro.project.session import _dependents
 from repro.util.resilience import Deadline, DeadlineExceeded
+from reference_dependents import callers_from_edges, dependents
 
 UTIL = ["int bump(int v) {\n    MPI_Barrier();\n    return v + 1;\n}",
         "int plain(int v) {\n    return v - 1;\n}"]
@@ -92,15 +98,30 @@ def run_script(root: str, seed: int, steps: int = 100):
     interprocedural = True
     closed = []
     extra = 0
-    counts = {"ok": 0, "rejected": 0}
+    counts = {"ok": 0, "rejected": 0, "patched": 0, "rebuilt": 0}
 
     def update(call, *args):
+        before = session._record.graph
+        stats = session.engine.stats
+        rebuilds, recomputed = stats.graph_rebuilds, stats.edges_recomputed
         try:
             delta = call(*args, interprocedural=interprocedural)
         except SessionError:
             counts["rejected"] += 1
+            assert session._record.graph is before
             return False
         counts["ok"] += 1
+        graph = session._record.graph
+        if stats.graph_rebuilds > rebuilds:
+            counts["rebuilt"] += 1
+        elif stats.edges_recomputed > recomputed:
+            counts["patched"] += 1
+        assert graph.callers == {n: tuple(sorted(c)) for n, c in
+                                 callers_from_edges(graph).items()}
+        closure = dependents(set(delta.changed) | set(delta.removed),
+                             before, graph)
+        assert delta.dependents == tuple(n for n in closure
+                                         if n in graph.scc_of), (seed, call)
         expected = reference(root, session.stats()["project"]["open_files"],
                              interprocedural)
         assert render_json(session.report) == expected, (seed, call, args)
@@ -259,3 +280,27 @@ def run_script(root: str, seed: int, steps: int = 100):
 def test_session_answers_equal_the_driver(tmp_path, seed):
     counts = run_script(str(tmp_path), seed)
     assert counts["ok"] > 60 and counts["rejected"] > 0, counts
+    # Both paths of ``update_call_graph`` built the graphs checked above.
+    assert counts["patched"] > 0 and counts["rebuilt"] > 0, counts
+
+
+def _random_graph(rng, names):
+    texts = []
+    for name in names:
+        calls = "".join(f"    v = {callee}(v);\n"
+                        for callee in rng.sample(names, rng.randrange(4)))
+        texts.append(f"int {name}(int v) {{\n{calls}    return v;\n}}")
+    return build_call_graph(parse_program("\n\n".join(texts)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_dependents_walk_equals_the_reference_on_any_graph_pair(seed):
+    # Unlike a session update, the two graphs may differ in callers that
+    # are not seeds, so the walk must merge both versions' callers.
+    rng = random.Random(seed)
+    pool = [f"f{i}" for i in range(12)]
+    old = _random_graph(rng, rng.sample(pool, 9))
+    new = _random_graph(rng, rng.sample(pool, 9))
+    for _ in range(5):
+        dirty = set(rng.sample(pool, rng.randrange(1, 4)))
+        assert _dependents(dirty, old, new) == dependents(dirty, old, new)
