@@ -697,8 +697,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write reduced counterexamples (.mini + .json) "
                         "here (implies --shrink)")
     p.add_argument("--explore-runs", type=int, default=12, metavar="N",
-                   help="bounded-DFS schedules per program (default 12; "
-                        "0 disables exploration)")
+                   help="DPOR schedules of the instrumented program per "
+                        "seed (default 12; 0 runs its default schedule only)")
     p.add_argument("-np", type=int, default=2, help="MPI ranks (default 2)")
     p.add_argument("-nt", type=int, default=2,
                    help="OpenMP threads per team (default 2)")

@@ -27,19 +27,13 @@ the index of the first event executed after it, so
 thread.  Partial-order reduction works from these footprints alone; no
 state is hashed.
 
-Logical threads run on carriers (reused OS threads, see
-:mod:`repro.runtime.carrier`).  The spawning thread — the world's caller
-for rank mains, the token holder for team workers — registers each child
-as runnable (:meth:`register`) before handing it to a carrier; the child
-only binds its name and parks (:meth:`attach`).  The token passes through
-one raw ``_thread`` lock per logical thread: the holder releases the
-chosen thread's lock and parks on its own.
-
-A scheduled run ends when its last logical thread detaches, not when the
-rank threads return: a rank that aborts inside a parallel region leaves
-its team's workers unwinding, and they still append decisions and events.
-:meth:`await_detached` lets the world wait for that moment, so the logs
-are complete and stable once ``run_program`` returns.
+Every logical thread is a generator, registered with the scheduler by
+its spawner (:meth:`register`); :meth:`run` resumes the granted one on the
+OS thread that called ``MpiWorld.run``.  A grant sets the next thread to
+resume, a park is a ``yield``, and :attr:`running` names the thread whose
+code executes.  The run ends when its last logical thread detaches, so
+team workers still unwinding an abort have logged their decisions and
+events by the time :meth:`run` returns.
 
 Time is virtual — one tick per scheduling step — and deadlock detection
 is structural: the moment a decision finds no runnable thread while some
@@ -60,10 +54,9 @@ footprint.
 
 from __future__ import annotations
 
-import _thread
-import threading
 from bisect import bisect_left, insort
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Generator, List, Optional, Sequence, Set,
+                    Tuple)
 
 from ..runtime.errors import DeadlockError
 from ..runtime.schedpoint import SchedPoint
@@ -82,17 +75,17 @@ _EMPTY_FP: Footprint = frozenset()
 DEFAULT_STEP_BUDGET = 1_000_000
 
 
+
 class _Logical:
-    __slots__ = ("name", "state", "token", "cond", "predicate", "describe",
+    __slots__ = ("name", "state", "body", "cond", "predicate", "describe",
                  "pending_fp", "accesses", "compute")
 
-    def __init__(self, name: str, compute: int = 0) -> None:
+    def __init__(self, name: str, body: Generator, compute: int = 0) -> None:
         self.name = name
         self.state = _READY
-        #: Held while the thread is parked; released to grant it the token.
-        self.token = _thread.allocate_lock()
-        self.token.acquire()
-        self.cond: Optional[threading.Condition] = None
+        self.body = body
+        #: What the thread waits on while blocked (any object; identity).
+        self.cond: Optional[object] = None
         self.predicate: Optional[Callable[[], bool]] = None
         self.describe = ""
         #: Base footprint of the operation the next segment resumes into.
@@ -109,15 +102,13 @@ class Scheduler:
 
     def __init__(self, strategy: Optional[Strategy] = None) -> None:
         self.strategy = strategy or DefaultStrategy()
-        self._lock = threading.RLock()
         self._threads: Dict[str, _Logical] = {}
-        #: Set when the last logical thread detaches: the run is over.
-        self._detached = threading.Event()
         self._ready_list: List[str] = []  # sorted; maintained incrementally
         self._spawn_counts: Dict[Optional[str], int] = {}
-        self._tls = threading.local()
+        #: The logical thread whose code is executing.
+        self.running: Optional[str] = None
+        #: The logical thread granted the token: the next one resumed.
         self._current: Optional[str] = None
-        self._started = False
         self._world = None
         self._vtime = 0
         #: Branching decisions, in order — the run's schedule trace.
@@ -138,168 +129,158 @@ class Scheduler:
 
     # -- logical-thread lifecycle -------------------------------------------
 
-    def _me(self) -> Optional[str]:
-        return getattr(self._tls, "name", None)
-
     def child_names(self, size: int) -> List[Optional[str]]:
         """Deterministic names for a team's worker threads (index = tid;
         entry 0 is the master and always ``None``)."""
-        parent = self._me()
-        with self._lock:
-            seq = self._spawn_counts.get(parent, 0)
-            self._spawn_counts[parent] = seq + 1
+        parent = self.running
+        seq = self._spawn_counts.get(parent, 0)
+        self._spawn_counts[parent] = seq + 1
         return [None] + [f"{parent}/{seq}.{tid}" for tid in range(1, size)]
 
-    def register(self, names: Sequence[Optional[str]]) -> None:
-        """The spawning thread announces logical threads ``names`` (``None``
-        entries skipped) as runnable before handing them to carriers; each
-        starts its compute clock at the spawner's (0 for rank mains)."""
-        with self._lock:
-            spawner = self._threads.get(self._me())
-            compute = spawner.compute if spawner is not None else 0
-            for name in names:
-                if name is not None:
-                    self._threads[name] = _Logical(name, compute)
-                    insort(self._ready_list, name)
-
-    def attach(self, name: Optional[str]) -> None:
-        """First call of a logical thread on its carrier: bind ``name`` to
-        the calling OS thread and park until scheduled."""
-        self._tls.name = name
-        self._threads[name].token.acquire()  # parked until first scheduled
+    def register(self, names: Sequence[Optional[str]],
+                 bodies: Sequence[Optional[Generator]]) -> None:
+        """The spawner announces logical threads ``names`` (``None`` entries
+        skipped) as runnable, each with the generator ``bodies[i]`` that
+        runs it; each starts its compute clock at the spawner's (0 for
+        rank mains)."""
+        spawner = self._threads.get(self.running)
+        compute = spawner.compute if spawner is not None else 0
+        for name, body in zip(names, bodies):
+            if name is not None:
+                self._threads[name] = _Logical(name, body, compute)
+                insort(self._ready_list, name)
 
     def detach(self) -> None:
-        me = self._me()
-        self._tls.name = None
-        with self._lock:
-            lt = self._threads.pop(me, None)
-            if lt is not None:
-                if "/" not in me:
-                    # A rank main exiting mutates world-level accounting
-                    # (finished_ranks, open-round deadlock checks).
-                    lt.accesses.add(("procs", "w"))
-                self._close_segment_locked(lt, None)
-                self._ready_remove_locked(me)
-            if self._current == me:
-                self._current = None
-                if self._world is not None:
-                    self._schedule_next_locked(self._world, SchedPoint.EXIT, me)
-            if not self._threads:
-                self._detached.set()
+        """Last act of the running logical thread: it leaves the run and
+        the token passes on."""
+        me = self.running
+        self.running = None
+        lt = self._threads.pop(me, None)
+        if lt is not None:
+            if "/" not in me:
+                # A rank main exiting mutates world-level accounting
+                # (finished_ranks, open-round deadlock checks).
+                lt.accesses.add(("procs", "w"))
+            self._close_segment(lt, None)
+            self._ready_remove(me)
+        if self._current == me:
+            self._current = None
+            if self._world is not None:
+                self._schedule_next(self._world, SchedPoint.EXIT, me)
 
-    def await_detached(self, timeout: Optional[float]) -> bool:
-        """Block until every logical thread has detached — the end of the
-        run, which may come after the rank threads return (a team's
-        workers still unwinding an abort).  False on timeout."""
-        return self._detached.wait(timeout)
-
-    def start(self, world) -> None:
-        with self._lock:
-            self._world = world
-            self._started = True
-            self._schedule_next_locked(world, SchedPoint.START, "")
+    def run(self, world) -> None:
+        """Run ``world``'s registered threads: resume the granted one until
+        the last one detaches.  On an exception that ends the drive
+        (``KeyboardInterrupt``), every thread still registered is closed
+        here, so no suspended generator is left for the garbage collector."""
+        self._world = world
+        threads = self._threads
+        try:
+            self._schedule_next(world, SchedPoint.START, "")
+            while self._current is not None:
+                lt = threads[self._current]
+                self.running = lt.name
+                try:
+                    lt.body.send(None)
+                except StopIteration:
+                    pass
+        except BaseException:
+            self._world = None  # a detach now only drops its thread
+            while threads:
+                lt = threads.pop(min(threads))
+                self.running = lt.name
+                lt.body.close()
+            raise
+        finally:
+            self.running = None
+            self._world = None
 
     def on_abort(self, world) -> None:
-        with self._lock:
-            if self.abort_decision is None:
-                self.abort_decision = len(self.decisions)
-                self.ready_at_abort = tuple(self._ready_list)
-            me = self._me()
-            aborter = self._threads.get(me) if me is not None else None
-            if aborter is not None:
-                # First-writer-wins on the verdict: whichever segment aborts
-                # first fixes it, so aborting segments never commute.
-                aborter.accesses.add(("abort", "w"))
-            for lt in self._threads.values():
-                if lt.state == _BLOCKED:
-                    lt.cond = None
-                    lt.predicate = None
-                    self._mark_ready_locked(lt)
+        if self.abort_decision is None:
+            self.abort_decision = len(self.decisions)
+            self.ready_at_abort = tuple(self._ready_list)
+        me = self.running
+        aborter = self._threads.get(me) if me is not None else None
+        if aborter is not None:
+            # First-writer-wins on the verdict: whichever segment aborts
+            # first fixes it, so aborting segments never commute.
+            aborter.accesses.add(("abort", "w"))
+        for lt in self._threads.values():
+            if lt.state == _BLOCKED:
+                lt.cond = None
+                lt.predicate = None
+                self._mark_ready(lt)
 
     # -- footprint hook ---------------------------------------------------------
 
     def note_access(self, obj: str, mode: str = "w") -> None:
         """The running segment touched shared object ``obj`` (mode r/w)."""
-        me = self._me()
-        if me is None:
-            return
-        lt = self._threads.get(me)
+        lt = self._threads.get(self.running)
         if lt is not None:
             lt.accesses.add((obj, mode))
 
     def compute(self, units: int = 0) -> int:
-        """Advance the calling logical thread's compute clock by ``units``
-        and return it (0 on a thread that is not a logical one)."""
-        lt = self._threads.get(self._me())
+        """Advance the running logical thread's compute clock by ``units``
+        and return it (0 when no logical thread runs)."""
+        lt = self._threads.get(self.running)
         if lt is None:
             return 0
         lt.compute += units
         return lt.compute
 
-    # -- decision points ------------------------------------------------------
+    # -- decision points (generators: a park is a yield) ------------------------
 
-    def yield_point(self, world, kind: str, detail: str = "") -> None:
-        me = self._me()
-        if me is None or not self._started:
-            return
+    def yield_point(self, world, kind: str, detail: str = ""):
+        me = self.running
         point = f"{kind}:{detail}" if detail else kind
-        with self._lock:
-            lt = self._threads[me]
-            # The yield ends the current segment; the next one (whoever runs
-            # it first) begins by executing this point's operation.
-            self._close_segment_locked(lt, point_footprint(point))
-            candidates = self._ready_locked(include=me)
-            chosen = self._choose_locked(kind, detail, me, candidates)
-            if chosen == me:
-                self._tick_locked(world)
-                return
-            self._mark_ready_locked(lt)
-            self._grant_locked(world, chosen)
-        lt.token.acquire()
+        lt = self._threads[me]
+        # The yield ends the current segment; the next one (whoever runs
+        # it first) begins by executing this point's operation.
+        self._close_segment(lt, point_footprint(point))
+        candidates = self._ready(include=me)
+        chosen = self._choose(kind, detail, me, candidates)
+        if chosen == me:
+            self._tick(world)
+            return
+        self._mark_ready(lt)
+        self._grant(world, chosen)
+        yield
 
     def wait(self, world, cond, describe="", predicate=None):
-        me = self._me()
-        if me is None:  # a plain OS thread, not a logical one: poll
-            cond.wait(0.05)
-            return
+        """Park the running thread on ``cond`` until a :meth:`notify` of it
+        finds ``predicate`` true (or an abort); callers loop on their own
+        condition."""
+        me = self.running
         lt = self._threads[me]
-        with self._lock:
-            if world.aborted.is_set():
-                return  # caller's loop re-checks the abort flag first
-            lt.state = _BLOCKED
-            lt.cond = cond
-            lt.predicate = predicate
-            lt.describe = describe or me
-            # Park ends the segment; keep pending_fp — on wake the thread
-            # resumes *inside* the same logical operation (e.g. the recv
-            # loop re-checking and popping the queue).
-            self._close_segment_locked(lt, None)
-        # Fully release the caller-held condition while parked, exactly like
-        # Condition.wait does, so the thread we hand the token to can enter.
-        saved = cond._release_save()
-        try:
-            with self._lock:
-                # Hand the token over (may wake us straight back up if the
-                # handoff detects a structural deadlock and aborts).
-                self._schedule_next_locked(world, SchedPoint.BLOCK, describe)
-            lt.token.acquire()
-        finally:
-            cond._acquire_restore(saved)
+        if world.aborted:
+            return  # caller's loop re-checks the abort flag first
+        lt.state = _BLOCKED
+        lt.cond = cond
+        lt.predicate = predicate
+        lt.describe = describe or me
+        # Park ends the segment; keep pending_fp — on wake the thread
+        # resumes *inside* the same logical operation (e.g. the recv
+        # loop re-checking and popping the queue).
+        self._close_segment(lt, None)
+        # Hand the token over (may grant it straight back if the handoff
+        # detects a structural deadlock and aborts).
+        self._schedule_next(world, SchedPoint.BLOCK, describe)
+        if self._current != me:
+            yield
 
-    def notify(self, world, cond):
-        with self._lock:
-            for name in sorted(self._threads):
-                lt = self._threads[name]
-                if lt.state == _BLOCKED and lt.cond is cond:
-                    if lt.predicate is None or lt.predicate():
-                        lt.cond = None
-                        lt.predicate = None
-                        self._mark_ready_locked(lt)
+    def notify(self, world, cond) -> None:
+        for name in sorted(self._threads):
+            lt = self._threads[name]
+            if lt.state == _BLOCKED and lt.cond is cond:
+                if lt.predicate is None or lt.predicate():
+                    lt.cond = None
+                    lt.predicate = None
+                    self._mark_ready(lt)
 
     # -- internals -------------------------------------------------------------
 
-    def _close_segment_locked(self, lt: _Logical,
-                              next_fp: Optional[Footprint]) -> None:
+    def _close_segment(self, lt: _Logical,
+                       next_fp: Optional[Footprint]) -> None:
         fp = lt.pending_fp
         if lt.accesses:
             fp = fp | frozenset(lt.accesses)
@@ -308,17 +289,17 @@ class Scheduler:
         if next_fp is not None:
             lt.pending_fp = next_fp
 
-    def _mark_ready_locked(self, lt: _Logical) -> None:
+    def _mark_ready(self, lt: _Logical) -> None:
         if lt.state != _READY:
             lt.state = _READY
             insort(self._ready_list, lt.name)
 
-    def _ready_remove_locked(self, name: str) -> None:
+    def _ready_remove(self, name: str) -> None:
         i = bisect_left(self._ready_list, name)
         if i < len(self._ready_list) and self._ready_list[i] == name:
             self._ready_list.pop(i)
 
-    def _ready_locked(self, include: Optional[str] = None) -> List[str]:
+    def _ready(self, include: Optional[str] = None) -> List[str]:
         names = list(self._ready_list)
         if include is not None:
             i = bisect_left(names, include)
@@ -326,8 +307,8 @@ class Scheduler:
                 names.insert(i, include)
         return names
 
-    def _choose_locked(self, kind: str, detail: str, current: Optional[str],
-                       candidates: List[str]) -> str:
+    def _choose(self, kind: str, detail: str, current: Optional[str],
+                candidates: List[str]) -> str:
         point = f"{kind}:{detail}" if detail else kind
         if len(candidates) == 1:
             return candidates[0]
@@ -340,11 +321,11 @@ class Scheduler:
                                        tuple(candidates), chosen))
         return chosen
 
-    def _tick_locked(self, world) -> None:
+    def _tick(self, world) -> None:
         """Advance the virtual clock one step; past the step budget the run
         is a livelock and aborts (once — the unwinding steps on)."""
         self._vtime += 1
-        if self._vtime > DEFAULT_STEP_BUDGET and not world.aborted.is_set():
+        if self._vtime > DEFAULT_STEP_BUDGET and not world.aborted:
             running = sorted(n for n, lt in self._threads.items()
                              if lt.state != _BLOCKED)
             blocked = "; ".join(self._threads[n].describe or n
@@ -357,23 +338,22 @@ class Scheduler:
                 f"{blocked or 'none'}"
             ))
 
-    def _grant_locked(self, world, name: str) -> None:
+    def _grant(self, world, name: str) -> None:
         lt = self._threads[name]
         lt.state = _RUNNING
-        self._ready_remove_locked(name)
+        self._ready_remove(name)
         self._current = name
-        self._tick_locked(world)
-        lt.token.release()
+        self._tick(world)
 
-    def _schedule_next_locked(self, world, kind: str, detail: str) -> None:
+    def _schedule_next(self, world, kind: str, detail: str) -> None:
         self._current = None
-        ready = self._ready_locked()
+        ready = self._ready()
         if not ready:
             blocked = sorted(n for n, lt in self._threads.items()
                              if lt.state == _BLOCKED)
             if not blocked:
                 return  # every logical thread has exited: the run is over
-            if not world.aborted.is_set():
+            if not world.aborted:
                 state = "; ".join(self._threads[n].describe or n
                                   for n in blocked)
                 self.deadlock_state = state
@@ -382,8 +362,8 @@ class Scheduler:
                 ))  # on_abort marked them ready so they can unwind
             else:
                 self.on_abort(world)
-            ready = self._ready_locked()
+            ready = self._ready()
             if not ready:
                 return
-        chosen = self._choose_locked(kind, detail, None, ready)
-        self._grant_locked(world, chosen)
+        chosen = self._choose(kind, detail, None, ready)
+        self._grant(world, chosen)

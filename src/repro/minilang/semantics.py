@@ -18,7 +18,7 @@ single :class:`SemanticError` via ``check_program(..., strict=True)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Union
 
 from ..mpi.collectives import (
     COLLECTIVES,
@@ -80,6 +80,9 @@ class SemanticError(Exception):
 _NO_BARRIER_CONTEXTS = {"single", "master", "critical", "sections", "task", "for"}
 # Contexts in which worksharing/single/master constructs may not be closely nested.
 _NO_WORKSHARE_CONTEXTS = {"single", "master", "critical", "sections", "task", "for"}
+# ``in_loop`` in an ``omp for`` body: continue may end an iteration, but
+# break may not leave the worksharing loop.
+_OMP_FOR_BODY = "omp for"
 
 
 class _Scope:
@@ -140,13 +143,13 @@ class Checker:
     # -- statements -----------------------------------------------------------
 
     def _check_block(self, block: A.Block, scope: _Scope, omp_ctx: List[str],
-                     in_loop: bool, func: A.FuncDef) -> None:
+                     in_loop: Union[bool, str], func: A.FuncDef) -> None:
         inner = _Scope(scope)
         for stmt in block.stmts:
             self._check_stmt(stmt, inner, omp_ctx, in_loop, func)
 
     def _check_stmt(self, stmt: A.Stmt, scope: _Scope, omp_ctx: List[str],
-                    in_loop: bool, func: A.FuncDef) -> None:
+                    in_loop: Union[bool, str], func: A.FuncDef) -> None:
         if isinstance(stmt, A.Block):
             self._check_block(stmt, scope, omp_ctx, in_loop, func)
         elif isinstance(stmt, A.VarDecl):
@@ -192,7 +195,7 @@ class Checker:
             elif func.ret_type != "void":
                 self.error("RET_MISSING", f"non-void function {func.name!r} returns no value", stmt)
         elif isinstance(stmt, A.Break):
-            if not in_loop:
+            if in_loop is not True:
                 self.error("BREAK_OUTSIDE", "break outside of a loop", stmt)
         elif isinstance(stmt, A.Continue):
             if not in_loop:
@@ -205,7 +208,7 @@ class Checker:
     # -- OpenMP nesting ---------------------------------------------------------
 
     def _check_omp(self, stmt: A.OmpStmt, scope: _Scope, omp_ctx: List[str],
-                   in_loop: bool, func: A.FuncDef) -> None:
+                   in_loop: Union[bool, str], func: A.FuncDef) -> None:
         closest = omp_ctx[-1] if omp_ctx else None
         if isinstance(stmt, A.OmpBarrier):
             if closest in _NO_BARRIER_CONTEXTS:
@@ -256,8 +259,9 @@ class Checker:
                 self._check_expr(loop.cond, loop_scope)
             if loop.step is not None:
                 self._check_stmt(loop.step, loop_scope, omp_ctx, in_loop, func)
-            # break may not leave the worksharing loop; nested loops re-enable it.
-            self._check_block(loop.body, loop_scope, omp_ctx + ["for"], False, func)
+            # Nested loops re-enable break.
+            self._check_block(loop.body, loop_scope, omp_ctx + ["for"],
+                              _OMP_FOR_BODY, func)
             return
         if isinstance(stmt, A.OmpSections):
             self._enforce_workshare_nesting("sections", closest, stmt)

@@ -49,9 +49,6 @@ class Env:
     def get(self, name: str) -> Any:
         return self.cell(name).value
 
-    def set(self, name: str, value: Any) -> None:
-        self.cell(name).value = value
-
     def is_declared(self, name: str) -> bool:
         env: Optional[Env] = self
         while env is not None:

@@ -1,32 +1,82 @@
 """Tree-walking interpreter for minilang on simmpi + simomp.
 
-One interpreter instance runs per MPI rank (inside that rank's thread); each
-OpenMP team thread executes interpreter code re-entrantly with its own
-:class:`ExecCtx`.  MPI calls route through the rank's :class:`MpiProcess`
-(thread-level guard + collective engine); the inserted ``PARCOACH_*`` calls
-route to :class:`~repro.runtime.checks.CheckState`.
+One interpreter instance runs per MPI rank; each OpenMP team thread executes
+interpreter code re-entrantly with its own :class:`ExecCtx`.  MPI calls route
+through the rank's :class:`MpiProcess` (thread-level guard + collective
+engine); the inserted ``PARCOACH_*`` calls route to
+:class:`~repro.runtime.checks.CheckState`.
+
+Logical threads are generators the world's scheduler resumes, so code that
+can reach a SchedPoint (an MPI operation, an inserted check, an OpenMP
+construct, a call of a function that reaches one) runs on the generator
+path, reached by ``yield from``; all other code keeps the direct call path
+(``exec_stmt``, ``eval``).  Which path a node takes is decided once per
+node, by uid, and kept with the program while its functions keep their
+``structure_version`` markers (:meth:`Interpreter._blocks`).  Compound
+statements exist only as generators, which the direct path drives to their
+end; simple statements, operators and builtins share value-level helpers.
+Every statement and loop iteration checks the run's abort flag and its
+cooperative deadline (``MpiWorld.check``).
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ...minilang import ast_nodes as A
-from ...mpi.collectives import COLLECTIVES
 from ..checks import CheckState
-from ..errors import MpiRuntimeError
 from ..simmpi.process import MpiProcess
 from ..simomp import Team
 from .env import Env, InterpError
 
 _MAX_CALL_DEPTH = 200
 
+#: Python frames one level of minilang calls may take, nested statements
+#: and expressions included.  Every ``_ROOM_EVERY`` nested calls, a call
+#: makes sure the recursion limit has room for the levels still allowed
+#: above it, so the call-depth limit, not the caller's stack depth, decides
+#: where a recursion ends.
+_FRAMES_PER_CALL = 25
+_ROOM_EVERY = 16
+
 #: Seconds ``MPI_Wtime`` counts per unit of the compute clock ``work(n)``
 #: advances: about one iteration of the LCG loop ``work`` once ran, on a
 #: 2-vCPU x86-64 host with CPython 3.11.
 WTIME_UNIT = 1e-7
+
+_NON_CANONICAL = "omp for requires a canonical for loop"
+
+_LOOP_TESTS = {"<": operator.lt, "<=": operator.le,
+               ">": operator.gt, ">=": operator.ge}
+_COMPARE = {"==": operator.eq, "!=": operator.ne, **_LOOP_TESTS}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv}
+_COMPOUND = ("+=", "-=", "*=", "/=")
+
+#: How each collective reads its arguments, in evaluation order (``root``:
+#: an int; ``red``: a reduction op; ``send``: the payload; ``root send``:
+#: the payload, read at the root only), which argument its result is
+#: stored to, and when: ``always``, ``at root`` or ``if any`` (unless the
+#: result is None).
+_COLLECTIVE_ARGS = {
+    "MPI_Barrier": ((), None, None),
+    "MPI_Finalize": ((), None, None),
+    "MPI_Bcast": ((("root", 1), ("root send", 0)), 0, "always"),
+    "MPI_Reduce": ((("send", 0), ("red", 2), ("root", 3)), 1, "at root"),
+    "MPI_Allreduce": ((("send", 0), ("red", 2)), 1, "always"),
+    "MPI_Gather": ((("send", 0), ("root", 2)), 1, "at root"),
+    "MPI_Scatter": ((("root", 2), ("root send", 0)), 1, "always"),
+    "MPI_Allgather": ((("send", 0),), 1, "always"),
+    "MPI_Alltoall": ((("send", 0),), 1, "always"),
+    "MPI_Scan": ((("send", 0), ("red", 2)), 1, "if any"),
+    "MPI_Exscan": ((("send", 0), ("red", 2)), 1, "if any"),
+    "MPI_Reduce_scatter_block": ((("red", 2), ("send", 0)), 1, "always"),
+}
+_MPI_OPS = frozenset(_COLLECTIVE_ARGS) | {"MPI_Send", "MPI_Recv", "MPI_Sendrecv"}
 
 
 class _BreakEx(Exception):
@@ -49,15 +99,14 @@ class ExecCtx:
 
     team: Optional[Team] = None
     tid: int = 0
-    depth: int = 0  # nesting depth of parallel regions
     call_depth: int = 0
     #: construct uid -> how many times *this thread* encountered it
     #: (drives single/sections claim generations).
     encounters: Dict[int, int] = field(default_factory=dict)
 
     def nested(self, team: Team, tid: int) -> "ExecCtx":
-        return ExecCtx(team=team, tid=tid, depth=self.depth + 1,
-                       call_depth=self.call_depth, encounters={})
+        return ExecCtx(team=team, tid=tid, call_depth=self.call_depth,
+                       encounters={})
 
     def next_encounter(self, uid: int) -> int:
         n = self.encounters.get(uid, 0)
@@ -75,6 +124,18 @@ class Interpreter:
         self.checks = check_state or CheckState(proc)
         self.num_threads = num_threads
         self.funcs = {f.name: f for f in program.funcs}
+        # Bound once, so the per-statement hooks skip the world's proxy.
+        self._check = self.world.check
+        self._note_access = self.world.scheduler.note_access
+        # uid -> whether running the node can reach a SchedPoint, kept with
+        # the program for its later runs while its functions keep their
+        # ``structure_version`` markers (in-place instrumentation bumps them).
+        shape = tuple((f.uid, getattr(f, "structure_version", 0))
+                      for f in program.funcs)
+        memo = getattr(program, "_blocking", None)
+        if memo is None or memo[0] != shape:
+            memo = program._blocking = (shape, {})
+        self._blocking: Dict[int, bool] = memo[1]
         # Shared-variable access tracking for schedule exploration: reads
         # and writes of cells visible to a team of >1 threads feed the
         # running segment's footprint.  Objects (cells, arrays) are labeled
@@ -99,16 +160,66 @@ class Interpreter:
             self._labeled.append(obj)
         return label
 
-    # -- entry -------------------------------------------------------------------
+    # -- which path ---------------------------------------------------------------
 
-    def run(self, entry: str = "main", args: tuple = ()) -> Any:
+    def _blocks(self, node: A.Node) -> bool:
+        """Whether running ``node`` can reach a SchedPoint.  While a
+        function is being decided, a call back into it counts as reaching
+        one: a recursion takes the generator path, which runs any code."""
+        known = self._blocking.get(node.uid)
+        if known is None:
+            self._blocking[node.uid] = True
+            known = self._blocking[node.uid] = self._reaches(node)
+        return known
+
+    def _reaches(self, node: A.Node) -> bool:
+        if isinstance(node, A.OmpStmt):
+            return True
+        if isinstance(node, A.Call):
+            if node.name in _MPI_OPS or node.name in _CHECK_IMPL:
+                return True
+            func = self.funcs.get(node.name)
+            if func is not None and self._blocks(func.body):
+                return True
+        return any(self._blocks(child) for child in node.children())
+
+    def _run_stmt(self, stmt: A.Stmt, env: Env, ctx: ExecCtx):
+        """Run ``stmt`` on its path; ``yield from`` the result (``()`` once
+        it has run directly)."""
+        if self._blocks(stmt):
+            return self._g_stmt(stmt, env, ctx)
+        self.exec_stmt(stmt, env, ctx)
+        return ()
+
+    def _run_block(self, block: A.Block, env: Env, ctx: ExecCtx):
+        """Run ``block`` on its path; ``yield from`` the result."""
+        if self._blocks(block):
+            return self._g_block(block, env, ctx)
+        self.exec_block(block, env, ctx)
+        return ()
+
+    def _g_value(self, expr: A.Expr, env: Env, ctx: ExecCtx):
+        """``expr``'s value on the generator path."""
+        if self._blocks(expr):
+            return (yield from self._g_eval(expr, env, ctx))
+        return self.eval(expr, env, ctx)
+
+    # -- entry ---------------------------------------------------------------------
+
+    def run(self, entry: str = "main", args: tuple = ()):
+        """The rank's main thread: a generator for the world's scheduler."""
         if entry not in self.funcs:
             raise InterpError(f"no entry function {entry!r}")
-        return self.call_function(self.funcs[entry], list(args), ExecCtx())
+        return (yield from self._g_call_function(self.funcs[entry],
+                                                 list(args), ExecCtx()))
 
-    def call_function(self, func: A.FuncDef, args: List[Any], ctx: ExecCtx) -> Any:
+    def _enter(self, func: A.FuncDef, args: List[Any],
+               ctx: ExecCtx) -> tuple:
+        """A call's checks and frame: the callee's environment and context."""
         if ctx.call_depth >= _MAX_CALL_DEPTH:
             raise InterpError(f"call depth exceeded in {func.name}")
+        if ctx.call_depth % _ROOM_EVERY == _ROOM_EVERY - 1:
+            _make_room((_MAX_CALL_DEPTH - ctx.call_depth) * _FRAMES_PER_CALL)
         if len(args) != len(func.params):
             raise InterpError(
                 f"{func.name} expects {len(func.params)} args, got {len(args)}"
@@ -116,439 +227,467 @@ class Interpreter:
         env = Env()
         for param, value in zip(func.params, args):
             env.declare(param.name, value)
-        inner = ExecCtx(team=ctx.team, tid=ctx.tid, depth=ctx.depth,
-                        call_depth=ctx.call_depth + 1,
-                        encounters=ctx.encounters)
+        inner = ExecCtx(team=ctx.team, tid=ctx.tid,
+                        call_depth=ctx.call_depth + 1, encounters=ctx.encounters)
+        return env.child(), inner
+
+    def call_function(self, func: A.FuncDef, args: List[Any], ctx: ExecCtx) -> Any:
+        """Call ``func``, whose body reaches no SchedPoint."""
+        env, inner = self._enter(func, args, ctx)
         try:
-            self.exec_block(func.body, env.child(), inner)
+            self.exec_block(func.body, env, inner)
         except _ReturnEx as ret:
             return ret.value
         return None
 
-    # -- statements -----------------------------------------------------------------
+    def _g_call_function(self, func: A.FuncDef, args: List[Any], ctx: ExecCtx):
+        env, inner = self._enter(func, args, ctx)
+        try:
+            yield from self._run_block(func.body, env, inner)
+        except _ReturnEx as ret:
+            return ret.value
+        return None
+
+    # -- statements: the direct path -------------------------------------------------
 
     def exec_block(self, block: A.Block, env: Env, ctx: ExecCtx) -> None:
         for stmt in block.stmts:
             self.exec_stmt(stmt, env, ctx)
 
     def exec_stmt(self, stmt: A.Stmt, env: Env, ctx: ExecCtx) -> None:
-        self.world.check_abort()
-        if isinstance(stmt, A.VarDecl):
-            if stmt.array_size is not None:
-                size = int(self.eval(stmt.array_size, env, ctx))
-                init = 0.0 if stmt.type_name == "float" else 0
-                env.declare(stmt.name, [init] * size)
+        """Run ``stmt``, which reaches no SchedPoint: simple statements
+        here, compound ones by driving :meth:`_g_stmt` to its end."""
+        self._check()
+        if isinstance(stmt, A.Assign):
+            value = self.eval(stmt.value, env, ctx)
+            target = stmt.target
+            if isinstance(target, A.ArrayRef):
+                arr = env.get(target.name)
+                self._assign(stmt, value, env, ctx, arr,
+                             self.eval(target.index, env, ctx))
             else:
-                value = self.eval(stmt.init, env, ctx) if stmt.init is not None else _default(stmt.type_name)
-                env.declare(stmt.name, value)
-        elif isinstance(stmt, A.Assign):
-            self._assign(stmt, env, ctx)
+                self._assign(stmt, value, env, ctx)
         elif isinstance(stmt, A.ExprStmt):
-            self.eval(stmt.expr, env, ctx, stmt_level=True)
-        elif isinstance(stmt, A.Block):
-            self.exec_block(stmt, env.child(), ctx)
-        elif isinstance(stmt, A.If):
-            if self.eval(stmt.cond, env, ctx):
-                self.exec_block(stmt.then_body, env.child(), ctx)
-            elif stmt.else_body is not None:
-                self.exec_block(stmt.else_body, env.child(), ctx)
-        elif isinstance(stmt, A.While):
-            while self.eval(stmt.cond, env, ctx):
-                try:
-                    self.exec_block(stmt.body, env.child(), ctx)
-                except _BreakEx:
-                    break
-                except _ContinueEx:
-                    continue
-        elif isinstance(stmt, A.For):
-            self._exec_for(stmt, env, ctx)
+            self.eval(stmt.expr, env, ctx)
+        elif isinstance(stmt, A.VarDecl):
+            expr = stmt.init if stmt.array_size is None else stmt.array_size
+            self._declare(stmt, None if expr is None
+                          else self.eval(expr, env, ctx), env)
         elif isinstance(stmt, A.Return):
-            raise _ReturnEx(self.eval(stmt.value, env, ctx) if stmt.value is not None else None)
+            raise _ReturnEx(self.eval(stmt.value, env, ctx)
+                            if stmt.value is not None else None)
+        else:
+            for _ in self._g_stmt(stmt, env, ctx):
+                raise InterpError(f"{type(stmt).__name__} on line {stmt.line} "
+                                  f"reached a scheduling point directly")
+
+    # -- statements: the generator path ----------------------------------------------
+
+    def _g_block(self, block: A.Block, env: Env, ctx: ExecCtx):
+        for stmt in block.stmts:
+            if self._blocks(stmt):
+                yield from self._g_stmt(stmt, env, ctx)
+            else:
+                self.exec_stmt(stmt, env, ctx)
+
+    def _g_stmt(self, stmt: A.Stmt, env: Env, ctx: ExecCtx):
+        self._check()
+        if isinstance(stmt, A.VarDecl):
+            expr = stmt.init if stmt.array_size is None else stmt.array_size
+            self._declare(stmt, None if expr is None else
+                          (yield from self._g_value(expr, env, ctx)), env)
+        elif isinstance(stmt, A.Assign):
+            value = yield from self._g_value(stmt.value, env, ctx)
+            target = stmt.target
+            if isinstance(target, A.ArrayRef):
+                arr = env.get(target.name)
+                index = yield from self._g_value(target.index, env, ctx)
+                self._assign(stmt, value, env, ctx, arr, index)
+            else:
+                self._assign(stmt, value, env, ctx)
+        elif isinstance(stmt, A.ExprStmt):
+            yield from self._g_value(stmt.expr, env, ctx)
+        elif isinstance(stmt, A.Block):
+            yield from self._run_block(stmt, env.child(), ctx)
+        elif isinstance(stmt, A.If):
+            if (yield from self._g_value(stmt.cond, env, ctx)):
+                yield from self._run_block(stmt.then_body, env.child(), ctx)
+            elif stmt.else_body is not None:
+                yield from self._run_block(stmt.else_body, env.child(), ctx)
+        elif isinstance(stmt, A.While):
+            yield from self._g_loop(stmt.cond, None, stmt.body, env, ctx)
+        elif isinstance(stmt, A.For):
+            loop_env = env.child()
+            if stmt.init is not None:
+                yield from self._run_stmt(stmt.init, loop_env, ctx)
+            yield from self._g_loop(stmt.cond, stmt.step, stmt.body,
+                                    loop_env, ctx)
+        elif isinstance(stmt, A.Return):
+            raise _ReturnEx(None if stmt.value is None else
+                            (yield from self._g_value(stmt.value, env, ctx)))
         elif isinstance(stmt, A.Break):
             raise _BreakEx()
         elif isinstance(stmt, A.Continue):
             raise _ContinueEx()
         elif isinstance(stmt, A.OmpStmt):
-            self._exec_omp(stmt, env, ctx)
+            yield from self._g_omp(stmt, env, ctx)
         else:
             raise InterpError(f"cannot execute {type(stmt).__name__}")
 
-    def _exec_for(self, stmt: A.For, env: Env, ctx: ExecCtx) -> None:
-        loop_env = env.child()
-        if stmt.init is not None:
-            self.exec_stmt(stmt.init, loop_env, ctx)
-        while stmt.cond is None or self.eval(stmt.cond, loop_env, ctx):
+    def _g_loop(self, cond: Optional[A.Expr], step: Optional[A.Stmt],
+                body: A.Block, env: Env, ctx: ExecCtx):
+        """``while (cond) body`` (``for`` adds ``step`` after each pass);
+        every iteration checks the abort flag and the deadline."""
+        cond_blocks = cond is not None and self._blocks(cond)
+        body_blocks = self._blocks(body)
+        while cond is None or ((yield from self._g_eval(cond, env, ctx))
+                               if cond_blocks else self.eval(cond, env, ctx)):
+            self._check()
             try:
-                self.exec_block(stmt.body, loop_env.child(), ctx)
+                if body_blocks:
+                    yield from self._g_block(body, env.child(), ctx)
+                else:
+                    self.exec_block(body, env.child(), ctx)
             except _BreakEx:
                 break
             except _ContinueEx:
                 pass
-            if stmt.step is not None:
-                self.exec_stmt(stmt.step, loop_env, ctx)
+            if step is not None:
+                yield from self._run_stmt(step, env, ctx)
 
-    def _assign(self, stmt: A.Assign, env: Env, ctx: ExecCtx) -> None:
-        value = self.eval(stmt.value, env, ctx)
-        target = stmt.target
-        if isinstance(target, A.VarRef):
-            cell = env.cell(target.name)
-            if stmt.op == "=":
-                cell.value = value
-            else:
-                cell.value = _apply_compound(stmt.op, cell.value, value)
-            if self._tracking(ctx):
-                self.world.note_access(self._label(cell, target.name), "w")
-        elif isinstance(target, A.ArrayRef):
-            arr = env.get(target.name)
-            index = int(self.eval(target.index, env, ctx))
+    # -- simple statements' semantics ---------------------------------------------------
+
+    @staticmethod
+    def _declare(stmt: A.VarDecl, value: Any, env: Env) -> None:
+        """Declare ``stmt``'s variable; ``value`` is its array size or its
+        initializer's value (``None`` when it has neither)."""
+        if stmt.array_size is not None:
+            init = 0.0 if stmt.type_name == "float" else 0
+            env.declare(stmt.name, [init] * int(value))
+        elif stmt.init is not None:
+            env.declare(stmt.name, value)
+        else:
+            env.declare(stmt.name, _default(stmt.type_name))
+
+    def _assign(self, stmt: A.Assign, value: Any, env: Env, ctx: ExecCtx,
+                arr: Any = None, index: Any = None) -> None:
+        """Store ``value`` through ``stmt``'s target: a variable, or the
+        element ``arr[index]`` (the caller read ``arr`` and then evaluated
+        ``index``)."""
+        target, op = stmt.target, stmt.op
+        if isinstance(target, A.ArrayRef):
+            index = int(index)
             if not isinstance(arr, list):
                 raise InterpError(f"{target.name} is not an array")
             if not (0 <= index < len(arr)):
                 raise InterpError(
                     f"index {index} out of bounds for {target.name}[{len(arr)}]"
                 )
-            if stmt.op == "=":
-                arr[index] = value
-            else:
-                arr[index] = _apply_compound(stmt.op, arr[index], value)
-            if self._tracking(ctx):
-                self.world.note_access(self._label(arr, target.name), "w")
+            arr[index] = value if op == "=" else _apply_compound(op, arr[index], value)
+            touched = arr
+        elif isinstance(target, A.VarRef):
+            touched = env.cell(target.name)
+            touched.value = value if op == "=" else _apply_compound(op, touched.value, value)
         else:
             raise InterpError("bad assignment target")
+        if self._tracking(ctx):
+            self._note_access(self._label(touched, target.name), "w")
 
-    # -- OpenMP ----------------------------------------------------------------------
+    # -- OpenMP (generators only) ----------------------------------------------------
 
-    def _exec_omp(self, stmt: A.OmpStmt, env: Env, ctx: ExecCtx) -> None:
+    def _g_omp(self, stmt: A.OmpStmt, env: Env, ctx: ExecCtx):
+        team = ctx.team
         if isinstance(stmt, A.OmpBarrier):
-            if ctx.team is not None:
-                ctx.team.barrier()
-            return
-
-        if isinstance(stmt, A.OmpParallel):
+            if team is not None:
+                yield from team.barrier()
+        elif isinstance(stmt, A.OmpParallel):
             size = self.num_threads
             if stmt.num_threads is not None:
-                size = max(1, int(self.eval(stmt.num_threads, env, ctx)))
-            team = Team(self.world, self.proc, size)
+                size = max(1, int((yield from self._g_value(stmt.num_threads,
+                                                            env, ctx))))
+            new_team = Team(self.world, self.proc, size)
             private_init = {
                 name: (env.get(name) if env.is_declared(name) else 0)
                 for name in stmt.private
             }
 
-            def body(tid: int) -> None:
-                tctx = ctx.nested(team, tid)
+            def body(tid: int):
+                tctx = ctx.nested(new_team, tid)
                 tenv = env.child()
                 for name, value in private_init.items():
                     tenv.declare(name, value)
-                self.exec_block(stmt.body, tenv, tctx)
-                team.barrier()  # the region's implicit join barrier
+                yield from self._run_block(stmt.body, tenv, tctx)
+                yield from new_team.barrier()  # the region's implicit join barrier
 
-            team.run(body)
-            return
-
-        if isinstance(stmt, A.OmpSingle):
-            team, tid = ctx.team, ctx.tid
-            if team is None:
-                self.exec_block(stmt.body, env.child(), ctx)
-                return
-            encounter = ctx.next_encounter(stmt.uid)
-            if team.claim(stmt.uid, encounter, tid):
-                self.exec_block(stmt.body, env.child(), ctx)
-            if not stmt.nowait:
-                team.barrier()
-            return
-
-        if isinstance(stmt, A.OmpMaster):
-            if ctx.team is None or ctx.tid == 0:
-                self.exec_block(stmt.body, env.child(), ctx)
-            return
-
-        if isinstance(stmt, A.OmpCritical):
-            lock = self.proc.critical_lock(stmt.name or "<anon>")
-            with lock:
-                self.exec_block(stmt.body, env.child(), ctx)
-            return
-
-        if isinstance(stmt, A.OmpTask):
-            # Executed inline by the encountering thread (undeferred task).
-            self.exec_block(stmt.body, env.child(), ctx)
-            return
-
-        if isinstance(stmt, A.OmpFor):
-            self._exec_omp_for(stmt, env, ctx)
-            return
-
-        if isinstance(stmt, A.OmpSections):
-            team, tid = ctx.team, ctx.tid
-            for i, section in enumerate(stmt.sections):
-                if team is None or team.section_owner(i) == tid:
-                    self.exec_block(section, env.child(), ctx)
+            yield from new_team.run(body)
+        elif isinstance(stmt, A.OmpSingle):
+            if team is None or (yield from team.claim(
+                    stmt.uid, ctx.next_encounter(stmt.uid), ctx.tid)):
+                yield from self._run_block(stmt.body, env.child(), ctx)
             if team is not None and not stmt.nowait:
-                team.barrier()
-            return
+                yield from team.barrier()
+        elif isinstance(stmt, A.OmpMaster):
+            if team is None or ctx.tid == 0:
+                yield from self._run_block(stmt.body, env.child(), ctx)
+        elif isinstance(stmt, A.OmpCritical):
+            lock = self.proc.critical_lock(stmt.name or "<anon>")
+            yield from lock.acquire()
+            try:
+                yield from self._run_block(stmt.body, env.child(), ctx)
+            finally:
+                lock.release()
+        elif isinstance(stmt, A.OmpTask):
+            # Executed inline by the encountering thread (undeferred task).
+            yield from self._run_block(stmt.body, env.child(), ctx)
+        elif isinstance(stmt, A.OmpFor):
+            yield from self._g_omp_for(stmt, env, ctx)
+        elif isinstance(stmt, A.OmpSections):
+            for i, section in enumerate(stmt.sections):
+                if team is None or team.section_owner(i) == ctx.tid:
+                    yield from self._run_block(section, env.child(), ctx)
+            if team is not None and not stmt.nowait:
+                yield from team.barrier()
+        else:
+            raise InterpError(f"cannot execute OpenMP node {type(stmt).__name__}")
 
-        raise InterpError(f"cannot execute OpenMP node {type(stmt).__name__}")
-
-    def _exec_omp_for(self, stmt: A.OmpFor, env: Env, ctx: ExecCtx) -> None:
+    def _g_omp_for(self, stmt: A.OmpFor, env: Env, ctx: ExecCtx):
         loop = stmt.loop
         if not isinstance(loop.init, A.VarDecl) or loop.cond is None or loop.step is None:
-            raise InterpError("omp for requires a canonical for loop")
+            raise InterpError(_NON_CANONICAL)
         var_name = loop.init.name
-        start = self.eval(loop.init.init, env, ctx) if loop.init.init is not None else 0
-        if not isinstance(loop.cond, A.BinOp) or loop.cond.op not in ("<", "<=", ">", ">="):
+        start = 0
+        if loop.init.init is not None:
+            start = yield from self._g_value(loop.init.init, env, ctx)
+        if not isinstance(loop.cond, A.BinOp) or loop.cond.op not in _LOOP_TESTS:
             raise InterpError("omp for condition must compare the loop variable")
-        bound = self.eval(loop.cond.right, env, ctx)
+        bound = yield from self._g_value(loop.cond.right, env, ctx)
         if not isinstance(loop.step, A.Assign) or loop.step.op not in ("+=", "-="):
             raise InterpError("omp for step must be += or -=")
-        step = self.eval(loop.step.value, env, ctx)
+        step = yield from self._g_value(loop.step.value, env, ctx)
         if loop.step.op == "-=":
             step = -step
         if step == 0:
             raise InterpError("omp for step must be nonzero")
 
-        # Normalized iteration values for this thread's static chunk.
-        values: List[Any] = []
-        v = start
-        if step > 0:
-            while (v < bound) if loop.cond.op == "<" else (v <= bound):
-                values.append(v)
-                v += step
-        else:
-            while (v > bound) if loop.cond.op == ">" else (v >= bound):
-                values.append(v)
-                v += step
-
+        values = _iterations(start, loop.cond.op, bound, step)
         team = ctx.team
         chunk = team.static_chunk(ctx.tid, len(values)) if team is not None else range(len(values))
+        body_blocks = self._blocks(loop.body)
         for i in chunk:
+            self._check()
             iter_env = env.child()
             iter_env.declare(var_name, values[i])
             try:
-                self.exec_block(loop.body, iter_env, ctx)
+                if body_blocks:
+                    yield from self._g_block(loop.body, iter_env, ctx)
+                else:
+                    self.exec_block(loop.body, iter_env, ctx)
             except _ContinueEx:
                 continue
         if team is not None and not stmt.nowait:
-            team.barrier()
+            yield from team.barrier()
 
     # -- expressions -----------------------------------------------------------------------
 
-    def eval(self, expr: A.Expr, env: Env, ctx: ExecCtx, stmt_level: bool = False) -> Any:
-        if isinstance(expr, A.IntLit):
-            return expr.value
-        if isinstance(expr, A.FloatLit):
-            return expr.value
-        if isinstance(expr, A.BoolLit):
-            return expr.value
-        if isinstance(expr, A.StringLit):
+    def eval(self, expr: A.Expr, env: Env, ctx: ExecCtx) -> Any:
+        """``expr``'s value, for an expression that reaches no SchedPoint."""
+        if isinstance(expr, (A.IntLit, A.FloatLit, A.BoolLit, A.StringLit)):
             return expr.value
         if isinstance(expr, A.VarRef):
             if self._tracking(ctx):
                 cell = env.cell(expr.name)
-                self.world.note_access(self._label(cell, expr.name), "r")
+                self._note_access(self._label(cell, expr.name), "r")
                 return cell.value
             return env.get(expr.name)
         if isinstance(expr, A.ArrayRef):
             arr = env.get(expr.name)
-            index = int(self.eval(expr.index, env, ctx))
-            if not isinstance(arr, list):
-                raise InterpError(f"{expr.name} is not an array")
-            if not (0 <= index < len(arr)):
-                raise InterpError(
-                    f"index {index} out of bounds for {expr.name}[{len(arr)}]"
-                )
-            value = arr[index]
-            if self._tracking(ctx):
-                self.world.note_access(self._label(arr, expr.name), "r")
-            return value
+            return self._element(expr, arr, self.eval(expr.index, env, ctx), ctx)
         if isinstance(expr, A.UnaryOp):
-            value = self.eval(expr.operand, env, ctx)
-            if expr.op == "-":
-                return -value
-            if expr.op == "!":
-                return not value
-            raise InterpError(f"unknown unary {expr.op}")
+            return _unary(expr.op, self.eval(expr.operand, env, ctx))
         if isinstance(expr, A.BinOp):
-            return self._eval_binop(expr, env, ctx)
+            op = expr.op
+            if op == "&&":
+                return bool(self.eval(expr.left, env, ctx)) and bool(self.eval(expr.right, env, ctx))
+            if op == "||":
+                return bool(self.eval(expr.left, env, ctx)) or bool(self.eval(expr.right, env, ctx))
+            return _binop(op, self.eval(expr.left, env, ctx),
+                          self.eval(expr.right, env, ctx))
         if isinstance(expr, A.Call):
-            return self._eval_call(expr, env, ctx)
+            impl = _BUILTIN_IMPL.get(expr.name)
+            func = None if impl is not None else self._callee(expr)
+            args = [self.eval(a, env, ctx) for a in expr.args]
+            if impl is not None:
+                return impl(self, ctx, args)
+            return self.call_function(func, args, ctx)
         raise InterpError(f"cannot evaluate {type(expr).__name__}")
 
-    def _eval_binop(self, expr: A.BinOp, env: Env, ctx: ExecCtx) -> Any:
-        op = expr.op
-        if op == "&&":
-            return bool(self.eval(expr.left, env, ctx)) and bool(self.eval(expr.right, env, ctx))
-        if op == "||":
-            return bool(self.eval(expr.left, env, ctx)) or bool(self.eval(expr.right, env, ctx))
-        left = self.eval(expr.left, env, ctx)
-        right = self.eval(expr.right, env, ctx)
-        try:
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if op == "/":
-                if right == 0:
-                    raise InterpError("division by zero")
-                if isinstance(left, int) and isinstance(right, int):
-                    return _c_idiv(left, right)
-                return left / right
-            if op == "%":
-                if right == 0:
-                    raise InterpError("modulo by zero")
-                if isinstance(left, int) and isinstance(right, int):
-                    return _c_imod(left, right)
-                return _c_double_arith(op, left, right)
-        except OverflowError:
-            return _c_double_arith(op, left, right)
-        if op == "==":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == ">":
-            return left > right
-        if op == "<=":
-            return left <= right
-        if op == ">=":
-            return left >= right
-        raise InterpError(f"unknown operator {op}")
+    def _g_eval(self, expr: A.Expr, env: Env, ctx: ExecCtx):
+        """``expr``'s value on the generator path: a call that reaches a
+        SchedPoint, or an operator over one."""
+        if isinstance(expr, A.Call):
+            return (yield from self._g_call(expr, env, ctx))
+        if isinstance(expr, A.BinOp):
+            op = expr.op
+            left = yield from self._g_value(expr.left, env, ctx)
+            if op == "&&":
+                return bool(left) and bool((yield from self._g_value(expr.right, env, ctx)))
+            if op == "||":
+                return bool(left) or bool((yield from self._g_value(expr.right, env, ctx)))
+            return _binop(op, left, (yield from self._g_value(expr.right, env, ctx)))
+        if isinstance(expr, A.UnaryOp):
+            return _unary(expr.op, (yield from self._g_value(expr.operand, env, ctx)))
+        if isinstance(expr, A.ArrayRef):
+            arr = env.get(expr.name)
+            index = yield from self._g_value(expr.index, env, ctx)
+            return self._element(expr, arr, index, ctx)
+        raise InterpError(f"cannot evaluate {type(expr).__name__}")
+
+    def _element(self, expr: A.ArrayRef, arr: Any, index: Any,
+                 ctx: ExecCtx) -> Any:
+        index = int(index)
+        if not isinstance(arr, list):
+            raise InterpError(f"{expr.name} is not an array")
+        if not (0 <= index < len(arr)):
+            raise InterpError(
+                f"index {index} out of bounds for {expr.name}[{len(arr)}]"
+            )
+        value = arr[index]
+        if self._tracking(ctx):
+            self._note_access(self._label(arr, expr.name), "r")
+        return value
 
     # -- calls ------------------------------------------------------------------------------
 
-    def _eval_call(self, call: A.Call, env: Env, ctx: ExecCtx) -> Any:
+    def _callee(self, call: A.Call) -> A.FuncDef:
+        func = self.funcs.get(call.name)
+        if func is None:
+            raise InterpError(f"call to unknown function {call.name!r}")
+        return func
+
+    def _g_call(self, call: A.Call, env: Env, ctx: ExecCtx):
         name = call.name
-        if name in COLLECTIVES or name in ("MPI_Send", "MPI_Recv", "MPI_Sendrecv"):
-            return self._exec_mpi(call, env, ctx)
-        if name in _MPI_QUERY_IMPL:
-            return _MPI_QUERY_IMPL[name](self, call, env, ctx)
-        if name in _BUILTIN_IMPL:
-            return _BUILTIN_IMPL[name](self, call, env, ctx)
-        func = self.funcs.get(name)
-        if func is not None:
-            args = [self.eval(a, env, ctx) for a in call.args]
-            return self.call_function(func, args, ctx)
-        raise InterpError(f"call to unknown function {name!r}")
+        if name in _MPI_OPS:
+            return (yield from self._g_mpi(call, env, ctx))
+        check = _CHECK_IMPL.get(name)
+        impl = _BUILTIN_IMPL.get(name)
+        func = None if check is not None or impl is not None else self._callee(call)
+        args = []
+        for a in call.args:
+            args.append((yield from self._g_value(a, env, ctx)))
+        if check is not None:
+            return (yield from check(self, call, args))
+        if impl is not None:
+            return impl(self, ctx, args)
+        if self._blocks(func.body):
+            return (yield from self._g_call_function(func, args, ctx))
+        return self.call_function(func, args, ctx)
 
-    # -- MPI ------------------------------------------------------------------------------------
+    # -- MPI (generators only) -------------------------------------------------------------
 
-    def _store(self, expr: A.Expr, value: Any, env: Env, ctx: ExecCtx,
-               what: str) -> None:
+    def _g_store(self, expr: A.Expr, value: Any, env: Env, ctx: ExecCtx,
+                 what: str):
         """Write an MPI result back through an lvalue (variable or array
         element)."""
         if isinstance(expr, A.VarRef):
-            cell = env.cell(expr.name)
-            cell.value = value
-            if self._tracking(ctx):
-                self.world.note_access(self._label(cell, expr.name), "w")
-            return
-        if isinstance(expr, A.ArrayRef):
-            arr = env.get(expr.name)
-            index = int(self.eval(expr.index, env, ctx))
-            if not isinstance(arr, list) or not (0 <= index < len(arr)):
-                raise InterpError(
-                    f"{what}: bad array element {expr.name}[{index}]"
-                )
-            arr[index] = value
-            if self._tracking(ctx):
-                self.world.note_access(self._label(arr, expr.name), "w")
-            return
-        raise InterpError(f"{what} buffer argument must be an lvalue")
+            touched = env.cell(expr.name)
+            touched.value = value
+        elif isinstance(expr, A.ArrayRef):
+            touched = env.get(expr.name)
+            index = int((yield from self._g_value(expr.index, env, ctx)))
+            if not isinstance(touched, list) or not (0 <= index < len(touched)):
+                raise InterpError(f"{what}: bad array element {expr.name}[{index}]")
+            touched[index] = value
+        else:
+            raise InterpError(f"{what} buffer argument must be an lvalue")
+        if self._tracking(ctx):
+            self._note_access(self._label(touched, expr.name), "w")
 
-    def _exec_mpi(self, call: A.Call, env: Env, ctx: ExecCtx) -> Any:
+    def _g_mpi(self, call: A.Call, env: Env, ctx: ExecCtx):
         name = call.name
         proc = self.proc
         line = call.line
         a = call.args
-
-        if name == "MPI_Barrier":
-            return proc.collective("MPI_Barrier", (), None, line=line)
-        if name == "MPI_Finalize":
-            return proc.collective("MPI_Finalize", (), None, line=line)
-        if name == "MPI_Bcast":
-            root = int(self.eval(a[1], env, ctx))
-            payload = self.eval(a[0], env, ctx) if proc.rank == root else None
-            result = proc.collective(name, (root,), payload, line=line)
-            self._store(a[0], result, env, ctx, name)
+        value = self._g_value
+        if name in _COLLECTIVE_ARGS:
+            reads, buffer, when = _COLLECTIVE_ARGS[name]
+            root = red = payload = None
+            for kind, i in reads:
+                if kind == "red":
+                    red = yield from self._g_red_op(a[i], env, ctx)
+                elif kind == "root":
+                    root = int((yield from value(a[i], env, ctx)))
+                elif kind == "send" or proc.rank == root:
+                    payload = yield from value(a[i], env, ctx)
+            signature = tuple(v for v in (root, red) if v is not None)
+            result = yield from proc.collective(name, signature, payload,
+                                                line=line)
+            if buffer is None:
+                return result
+            if (when == "always" or (when == "at root" and proc.rank == root)
+                    or (when == "if any" and result is not None)):
+                yield from self._g_store(a[buffer], result, env, ctx, name)
             return None
-        if name == "MPI_Reduce":
-            send = self.eval(a[0], env, ctx)
-            red = self._red_op(a[2], env, ctx)
-            root = int(self.eval(a[3], env, ctx))
-            result = proc.collective(name, (root, red), send, line=line)
-            if proc.rank == root:
-                self._store(a[1], result, env, ctx, name)
-            return None
-        if name == "MPI_Allreduce":
-            send = self.eval(a[0], env, ctx)
-            red = self._red_op(a[2], env, ctx)
-            result = proc.collective(name, (red,), send, line=line)
-            self._store(a[1], result, env, ctx, name)
-            return None
-        if name == "MPI_Gather":
-            send = self.eval(a[0], env, ctx)
-            root = int(self.eval(a[2], env, ctx))
-            result = proc.collective(name, (root,), send, line=line)
-            if proc.rank == root:
-                self._store(a[1], result, env, ctx, name)
-            return None
-        if name == "MPI_Scatter":
-            root = int(self.eval(a[2], env, ctx))
-            payload = self.eval(a[0], env, ctx) if proc.rank == root else None
-            result = proc.collective(name, (root,), payload, line=line)
-            self._store(a[1], result, env, ctx, name)
-            return None
-        if name == "MPI_Allgather":
-            send = self.eval(a[0], env, ctx)
-            result = proc.collective(name, (), send, line=line)
-            self._store(a[1], result, env, ctx, name)
-            return None
-        if name == "MPI_Alltoall":
-            result = proc.collective(name, (), self.eval(a[0], env, ctx), line=line)
-            self._store(a[1], result, env, ctx, name)
-            return None
-        if name in ("MPI_Scan", "MPI_Exscan"):
-            send = self.eval(a[0], env, ctx)
-            red = self._red_op(a[2], env, ctx)
-            result = proc.collective(name, (red,), send, line=line)
-            if result is not None:
-                self._store(a[1], result, env, ctx, name)
-            return None
-        if name == "MPI_Reduce_scatter_block":
-            red = self._red_op(a[2], env, ctx)
-            result = proc.collective(name, (red,), self.eval(a[0], env, ctx), line=line)
-            self._store(a[1], result, env, ctx, name)
-            return None
-        if name == "MPI_Send":
-            value = self.eval(a[0], env, ctx)
-            dest = int(self.eval(a[1], env, ctx))
-            tag = int(self.eval(a[2], env, ctx))
-            proc.send(dest, tag, value, line=line)
+        if name in ("MPI_Send", "MPI_Sendrecv"):
+            send = yield from value(a[0], env, ctx)
+            dest = int((yield from value(a[1], env, ctx)))
+            tag = int((yield from value(a[2], env, ctx)))
+            if name == "MPI_Send":
+                yield from proc.send(dest, tag, send, line=line)
+                return None
+            source = int((yield from value(a[4], env, ctx)))
+            rtag = int((yield from value(a[5], env, ctx)))
+            yield from proc.send(dest, tag, send, line=line)
+            result = yield from proc.recv(source, rtag, line=line)
+            yield from self._g_store(a[3], result, env, ctx, name)
             return None
         if name == "MPI_Recv":
-            source = int(self.eval(a[1], env, ctx))
-            tag = int(self.eval(a[2], env, ctx))
-            self._store(a[0], proc.recv(source, tag, line=line), env, ctx, name)
-            return None
-        if name == "MPI_Sendrecv":
-            value = self.eval(a[0], env, ctx)
-            dest = int(self.eval(a[1], env, ctx))
-            stag = int(self.eval(a[2], env, ctx))
-            source = int(self.eval(a[4], env, ctx))
-            rtag = int(self.eval(a[5], env, ctx))
-            proc.send(dest, stag, value, line=line)
-            self._store(a[3], proc.recv(source, rtag, line=line), env, ctx, name)
+            source = int((yield from value(a[1], env, ctx)))
+            tag = int((yield from value(a[2], env, ctx)))
+            result = yield from proc.recv(source, tag, line=line)
+            yield from self._g_store(a[0], result, env, ctx, name)
             return None
         raise InterpError(f"unhandled MPI call {name}")
 
-    def _red_op(self, expr: A.Expr, env: Env, ctx: ExecCtx) -> str:
+    def _g_red_op(self, expr: A.Expr, env: Env, ctx: ExecCtx):
         if isinstance(expr, A.StringLit):
             return expr.value
-        value = self.eval(expr, env, ctx)
+        value = yield from self._g_value(expr, env, ctx)
         if isinstance(value, str):
             return value
         raise InterpError("reduction op must be a string: 'sum'|'prod'|'min'|'max'")
+
+
+def _make_room(frames: int) -> None:
+    """Let ``frames`` more Python frames fit above the caller's.  The
+    recursion limit is only ever raised, so runs on several OS threads
+    cannot take each other's room away."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    if sys.getrecursionlimit() < depth + frames:
+        sys.setrecursionlimit(depth + frames)
+
+
+def _iterations(start: Any, op: str, bound: Any, step: Any) -> Sequence[Any]:
+    """The values the canonical loop of an ``omp for`` takes, in order —
+    the sequential loop's: a ``range`` when they are ints (O(1) in the trip
+    count), stepped out one by one otherwise.  A loop that steps away from
+    its bound would never end, so it is not canonical."""
+    test = _LOOP_TESTS[op]
+    if not test(start, bound):
+        return range(0)
+    if (step > 0) != (op in ("<", "<=")):
+        raise InterpError(_NON_CANONICAL)
+    if isinstance(start, int) and isinstance(bound, int) and isinstance(step, int):
+        return range(start, bound + {"<=": 1, ">=": -1}.get(op, 0), step)
+    values = []
+    v = start
+    while test(v, bound):
+        values.append(v)
+        if v + step == v:  # the step vanishes in the float's precision
+            raise InterpError(_NON_CANONICAL)
+        v += step
+    return values
 
 
 def _default(type_name: str) -> Any:
@@ -559,23 +698,46 @@ def _default(type_name: str) -> Any:
     return 0
 
 
+def _unary(op: str, value: Any) -> Any:
+    if op == "-":
+        return -value
+    if op == "!":
+        return not value
+    raise InterpError(f"unknown unary {op}")
+
+
+def _binop(op: str, left: Any, right: Any) -> Any:
+    """``left op right`` for every operator but the short-circuit ones."""
+    compare = _COMPARE.get(op)
+    if compare is not None:
+        return compare(left, right)
+    return _arith(op, left, right)
+
+
 def _apply_compound(op: str, old: Any, value: Any) -> Any:
+    if op not in _COMPOUND:
+        raise InterpError(f"unknown compound op {op}")
+    return _arith(op[0], old, value)
+
+
+def _arith(op: str, left: Any, right: Any) -> Any:
+    """``left op right`` for ``+ - * / %`` in C's terms: exact int division
+    and remainder truncating toward zero, ``double`` arithmetic once an int
+    meets a float past the float range."""
     try:
-        if op == "+=":
-            return old + value
-        if op == "-=":
-            return old - value
-        if op == "*=":
-            return old * value
-        if op == "/=":
-            if value == 0:
-                raise InterpError("division by zero")
-            if isinstance(old, int) and isinstance(value, int):
-                return _c_idiv(old, value)
-            return old / value
+        if op in "/%":
+            if right == 0:
+                raise InterpError("division by zero" if op == "/"
+                                  else "modulo by zero")
+            if isinstance(left, int) and isinstance(right, int):
+                return _c_idiv(left, right) if op == "/" else _c_imod(left, right)
+            if op == "%":
+                return _c_double_arith(op, left, right)
+        return _ARITH[op](left, right)
     except OverflowError:
-        return _c_double_arith(op[0], old, value)
-    raise InterpError(f"unknown compound op {op}")
+        return _c_double_arith(op, left, right)
+    except KeyError:
+        raise InterpError(f"unknown operator {op}") from None
 
 
 def _c_double(value: Any) -> float:
@@ -592,15 +754,9 @@ def _c_double_arith(op: str, left: Any, right: Any) -> float:
     range is ±inf (Python raises on meeting a float), and ``fmod`` of an
     infinity is ``nan`` (``math.fmod`` raises)."""
     left, right = _c_double(left), _c_double(right)
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        return left / right
-    return math.fmod(left, right) if math.isfinite(left) else math.nan
+    if op == "%":
+        return math.fmod(left, right) if math.isfinite(left) else math.nan
+    return _ARITH[op](left, right)
 
 
 def _c_idiv(left: int, right: int) -> int:
@@ -620,7 +776,7 @@ def _c_imod(left: int, right: int) -> int:
 
 
 # --------------------------------------------------------------------------------
-# Builtins
+# Builtins: ``impl(interp, ctx, args)`` over the evaluated arguments.
 # --------------------------------------------------------------------------------
 
 
@@ -637,17 +793,16 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _b_print(interp: Interpreter, call: A.Call, env: Env, ctx: ExecCtx) -> None:
-    parts = [_fmt(interp.eval(a, env, ctx)) for a in call.args]
-    interp.proc.output.append(" ".join(parts))
+def _b_print(interp: Interpreter, ctx: ExecCtx, args: List[Any]) -> None:
+    interp.proc.output.append(" ".join(_fmt(value) for value in args))
 
 
-def _b_work(interp: Interpreter, call: A.Call, env: Env, ctx: ExecCtx) -> int:
+def _b_work(interp: Interpreter, ctx: ExecCtx, args: List[Any]) -> int:
     """Simulated compute: ``n`` units on the calling thread's compute clock,
     and the state the 32-bit LCG ``x -> a*x + c`` reaches from 0 in ``n``
     steps, in O(log n): the map applied ``2**k`` times is squared along
     the bits of ``n`` (``n <= 0`` is no step)."""
-    n = int(interp.eval(call.args[0], env, ctx))
+    n = int(args[0])
     interp.world.scheduler.compute(max(n, 0))
     x, a, c = 0, 1103515245, 12345
     while n > 0:
@@ -658,10 +813,10 @@ def _b_work(interp: Interpreter, call: A.Call, env: Env, ctx: ExecCtx) -> int:
     return x
 
 
-def _b_sqrt(interp: Interpreter, call: A.Call, env: Env, ctx: ExecCtx) -> float:
+def _b_sqrt(interp: Interpreter, ctx: ExecCtx, args: List[Any]) -> float:
     """C's ``sqrt``: ``nan`` below zero, and the integer root of an int past
     the float range (``inf`` once that root is past it too)."""
-    value = interp.eval(call.args[0], env, ctx)
+    value = args[0]
     if value < 0:
         return math.nan
     try:
@@ -673,13 +828,13 @@ def _b_sqrt(interp: Interpreter, call: A.Call, env: Env, ctx: ExecCtx) -> float:
             return math.inf
 
 
-def _b_mod(interp: Interpreter, call: A.Call, env: Env, ctx: ExecCtx) -> Any:
+def _b_mod(interp: Interpreter, ctx: ExecCtx, args: List[Any]) -> Any:
     """Floor modulo, like Fortran's ``MODULO``: the result takes the
     divisor's sign, so ``mod(0 - 7, 4)`` is 1 where C's ``(0 - 7) % 4`` is
     -3.  HERA and NAS-MZ index arrays with ``mod(i, n)``, and floor modulo
     keeps a negative ``i`` in range.  An int past the float range meets a
     float as ±inf, as in the operators."""
-    left, right = (interp.eval(arg, env, ctx) for arg in call.args[:2])
+    left, right = args[:2]
     if right == 0:
         raise InterpError("modulo by zero")
     try:
@@ -688,7 +843,7 @@ def _b_mod(interp: Interpreter, call: A.Call, env: Env, ctx: ExecCtx) -> Any:
         return _c_double(left) % _c_double(right)
 
 
-def _b_wtime(interp: Interpreter, call: A.Call, env: Env, ctx: ExecCtx) -> float:
+def _b_wtime(interp: Interpreter, ctx: ExecCtx, args: List[Any]) -> float:
     """The calling thread's compute clock in seconds; ``inf`` once the clock
     is past the float range (``work`` of a value grown by ``x *= x``)."""
     try:
@@ -700,28 +855,25 @@ def _b_wtime(interp: Interpreter, call: A.Call, env: Env, ctx: ExecCtx) -> float
 _BUILTIN_IMPL: Dict[str, Callable] = {
     "print": _b_print,
     "work": _b_work,
-    "omp_get_thread_num": lambda i, c, e, x: x.tid,
-    "omp_get_num_threads": lambda i, c, e, x: (x.team.size if x.team else 1),
-    "omp_get_max_threads": lambda i, c, e, x: i.num_threads,
-    "abs": lambda i, c, e, x: abs(i.eval(c.args[0], e, x)),
-    "min": lambda i, c, e, x: min(i.eval(c.args[0], e, x), i.eval(c.args[1], e, x)),
-    "max": lambda i, c, e, x: max(i.eval(c.args[0], e, x), i.eval(c.args[1], e, x)),
+    "omp_get_thread_num": lambda i, x, a: x.tid,
+    "omp_get_num_threads": lambda i, x, a: (x.team.size if x.team else 1),
+    "omp_get_max_threads": lambda i, x, a: i.num_threads,
+    "abs": lambda i, x, a: abs(a[0]),
+    "min": lambda i, x, a: min(a[0], a[1]),
+    "max": lambda i, x, a: max(a[0], a[1]),
     "sqrt": _b_sqrt,
     "mod": _b_mod,
-    "PARCOACH_CC": lambda i, c, e, x: i.checks.cc(
-        int(i.eval(c.args[0], e, x)), str(i.eval(c.args[1], e, x)),
-        int(i.eval(c.args[2], e, x)),
-    ),
-    "PARCOACH_ENTER": lambda i, c, e, x: i.checks.enter(
-        int(i.eval(c.args[0], e, x)), str(i.eval(c.args[1], e, x)), c.line,
-    ),
-    "PARCOACH_EXIT": lambda i, c, e, x: i.checks.exit(int(i.eval(c.args[0], e, x))),
+    "MPI_Comm_rank": lambda i, x, a: i.proc.rank,
+    "MPI_Comm_size": lambda i, x, a: i.world.nprocs,
+    "MPI_Wtime": _b_wtime,
+    "MPI_Init": lambda i, x, a: i.proc.init(),
+    "MPI_Init_thread": lambda i, x, a: i.proc.init_thread(int(a[0])),
 }
 
-_MPI_QUERY_IMPL: Dict[str, Callable] = {
-    "MPI_Comm_rank": lambda i, c, e, x: i.proc.rank,
-    "MPI_Comm_size": lambda i, c, e, x: i.world.nprocs,
-    "MPI_Wtime": _b_wtime,
-    "MPI_Init": lambda i, c, e, x: i.proc.init(),
-    "MPI_Init_thread": lambda i, c, e, x: i.proc.init_thread(int(i.eval(c.args[0], e, x))),
+#: The inserted checks, scheduling decisions all: ``impl(interp, call,
+#: args)`` returns the generator that runs the check.
+_CHECK_IMPL: Dict[str, Callable] = {
+    "PARCOACH_CC": lambda i, c, a: i.checks.cc(int(a[0]), str(a[1]), int(a[2])),
+    "PARCOACH_ENTER": lambda i, c, a: i.checks.enter(int(a[0]), str(a[1]), c.line),
+    "PARCOACH_EXIT": lambda i, c, a: i.checks.exit(int(a[0])),
 }

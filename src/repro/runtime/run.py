@@ -56,6 +56,6 @@ def run_program(
         checks = CheckState(proc, group_kinds)
         interp = Interpreter(program, proc, check_state=checks,
                              num_threads=num_threads)
-        return interp.run(entry)
+        return interp.run(entry)  # the rank's generator
 
     return world.run(target)

@@ -1,42 +1,37 @@
 """The simulated MPI world: N ranks, one logical thread each.
 
-``MpiWorld.run(target)`` runs ``target(proc)`` for every rank, each rank
-a logical thread on a carrier (a reused OS thread, see
-:mod:`repro.runtime.carrier`); the first :class:`ValidationError` raised
-anywhere aborts the world (all blocked waits unwind via
-:class:`AbortedError`) and becomes the run's verdict.  A rank finishing
-while peers wait in a collective is detected as a deadlock by the
-engines.
-
-Every blocking decision point delegates to the world's cooperative
-scheduler (see ``schedpoint.py``): ``repro.explore.Scheduler`` with
-``DefaultStrategy`` unless the caller installs one.  Runs are therefore
-deterministic, time is virtual, and deadlocks are detected structurally
-the moment every logical thread is blocked.  One wall-clock guard,
-:data:`WALL_GUARD`, bounds a whole run.  Deadlocks and livelocks end on
-the virtual clock long before it; the guard catches what that clock
-cannot see, a thread that keeps the token without ever reaching a
-decision point (a yield-free spin).
+``MpiWorld.run(target)`` runs the generator ``target(proc)`` of every rank
+as a logical thread, resumed by the world's cooperative scheduler
+(``schedpoint.py``) on the calling OS thread.  The first
+:class:`ValidationError` raised anywhere aborts the world (all blocked
+waits unwind via :class:`AbortedError`) and becomes the run's verdict; a
+rank finishing while peers wait in a collective is a deadlock.  Runs are
+deterministic, time is virtual, and deadlocks and livelocks end on the
+virtual clock.  One wall-clock deadline, :data:`WALL_GUARD`, catches what
+that clock cannot see, a thread that never reaches a decision point (a
+yield-free spin).  It is cooperative: the interpreter checks it at every
+statement and loop iteration (:meth:`MpiWorld.check`), and the first check
+past it aborts the run with ``run stalled``.  A single operation that
+never returns, such as multiplying astronomically large ints, reaches no
+check and is not interrupted.  The world's parts hold it through weak
+proxies, so a finished world is freed by reference counts alone.
 """
 
 from __future__ import annotations
 
-import threading
 import time
+import weakref
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from ...mpi.thread_levels import ThreadLevel
-from ..carrier import spawn
 from ..errors import AbortedError, DeadlockError, ValidationError
 from .engine import CollectiveEngine
 from .mailbox import Mailbox
 from .process import MpiProcess
 
-#: Wall-clock seconds one run may take before it is declared stalled.  A
-#: run that has not ended by then is aborted and gets as long again to
-#: unwind.
+#: Wall-clock seconds one run may take before it is declared stalled: the
+#: first statement or loop iteration past it aborts the run.
 WALL_GUARD = 120.0
 
 
@@ -88,27 +83,28 @@ class MpiWorld:
         self.nprocs = nprocs
         self.thread_level = thread_level
         self.scheduler = scheduler
-        self._abort_lock = threading.Lock()
         self.abort_error: Optional[ValidationError] = None
-        self.aborted = threading.Event()
+        self.aborted = False
+        #: ``time.monotonic()`` past which the run is stalled (set by run).
+        self.deadline = float("inf")
         self.finished_ranks: Set[int] = set()
-        self.engine = CollectiveEngine(self, list(range(nprocs)))
-        self.mailbox = Mailbox(self)
-        self.procs = [MpiProcess(self, rank) for rank in range(nprocs)]
+        me = weakref.proxy(self)
+        self.engine = CollectiveEngine(me, list(range(nprocs)))
+        self.mailbox = Mailbox(me)
+        self.procs = [MpiProcess(me, rank) for rank in range(nprocs)]
 
-    # -- scheduler façade --------------------------------------------------------
+    # -- scheduler façade (generators: ``yield from`` them) ----------------------
 
-    def yield_point(self, kind: str, detail: str = "") -> None:
-        self.scheduler.yield_point(self, kind, detail)
+    def yield_point(self, kind: str, detail: str = ""):
+        return self.scheduler.yield_point(self, kind, detail)
 
-    def wait(self, cond: threading.Condition, describe: str = "",
-             predicate=None) -> None:
-        """Block on ``cond`` (held by the caller) until its state may have
-        changed; callers loop on their own condition."""
-        self.scheduler.wait(self, cond, describe, predicate)
+    def wait(self, cond: object, describe: str = "", predicate=None):
+        """Park until a :meth:`notify` of ``cond`` finds ``predicate`` true;
+        callers loop on their own condition."""
+        return self.scheduler.wait(self, cond, describe, predicate)
 
-    def notify(self, cond: threading.Condition) -> None:
-        """State guarded by ``cond`` (held by the caller) changed."""
+    def notify(self, cond: object) -> None:
+        """State the waiters on ``cond`` test changed."""
         self.scheduler.notify(self, cond)
 
     def note_access(self, obj: str, mode: str = "w") -> None:
@@ -120,56 +116,61 @@ class MpiWorld:
     def abort(self, error: ValidationError) -> None:
         """Record the first verdict and make every blocked thread runnable,
         so it unwinds."""
-        with self._abort_lock:
-            if self.abort_error is None:
-                self.abort_error = error
-        self.aborted.set()
+        if self.abort_error is None:
+            # The verdict keeps no traceback: its frames would hold the
+            # world in a reference cycle.
+            self.abort_error = error.with_traceback(None)
+        self.aborted = True
         self.scheduler.on_abort(self)
 
-    def check_abort(self) -> None:
-        if self.aborted.is_set():
+    def fail(self, err: Exception, rank: int, where: str = "") -> None:
+        """Abort with ``err``, raised on ``rank``: a verdict as it is, any
+        other exception as an internal error of the interpreter."""
+        if not isinstance(err, ValidationError):
+            err = ValidationError(f"internal error on rank {rank}{where}: {err!r}")
+        if err.rank is None:
+            err.rank = rank
+        self.abort(err)
+
+    def check(self) -> None:
+        """Unwind once the run has aborted, and abort it as stalled once it
+        is past its deadline: every blocking loop and, in the interpreter,
+        every statement and loop iteration calls this."""
+        if self.aborted:
+            raise AbortedError()
+        if time.monotonic() > self.deadline:
+            self.abort(DeadlockError(
+                f"run stalled: logical thread(s) still running past "
+                f"the {WALL_GUARD:g} s wall guard"
+            ))
             raise AbortedError()
 
     # -- execution ------------------------------------------------------------------
 
-    def run(self, target: Callable[[MpiProcess], object]) -> RunResult:
+    def run(self, target: Callable[[MpiProcess], Generator]) -> RunResult:
         """Run ``target(proc)`` on every rank; collect the verdict."""
         result = RunResult(nprocs=self.nprocs)
         start = time.perf_counter()
+        self.deadline = time.monotonic() + WALL_GUARD
         scheduler = self.scheduler
 
-        def runner(proc: MpiProcess, name: str) -> None:
-            scheduler.attach(name)
+        def runner(proc: MpiProcess, name: str):
             try:
-                proc.main_thread = threading.current_thread()
-                result.returns[proc.rank] = target(proc)
-            except ValidationError as err:
-                if err.rank is None:
-                    err.rank = proc.rank
-                self.abort(err)
+                proc.main_thread = name
+                result.returns[proc.rank] = yield from target(proc)
             except AbortedError:
                 pass
             except Exception as err:  # noqa: BLE001 - surface interpreter bugs
-                wrapped = ValidationError(f"internal error on rank {proc.rank}: {err!r}")
-                wrapped.rank = proc.rank
-                self.abort(wrapped)
+                self.fail(err, proc.rank)
             finally:
                 self.finished_ranks.add(proc.rank)
                 self.engine.on_proc_finished(proc.rank)
                 scheduler.detach()
 
         names = [f"r{proc.rank}" for proc in self.procs]
-        scheduler.register(names)
-        ranks_done = [spawn(partial(runner, proc, name))
-                      for proc, name in zip(self.procs, names)]
-        scheduler.start(self)
-        if not self._settle(ranks_done, time.monotonic() + WALL_GUARD):
-            if self.abort_error is None:
-                self.abort(DeadlockError(
-                    f"run stalled: logical thread(s) still running past "
-                    f"the {WALL_GUARD:g} s wall guard"
-                ))
-            self._settle(ranks_done, time.monotonic() + WALL_GUARD)
+        scheduler.register(names, [runner(proc, name)
+                                   for proc, name in zip(self.procs, names)])
+        scheduler.run(self)
 
         result.error = self.abort_error
         result.elapsed = time.perf_counter() - start
@@ -179,16 +180,3 @@ class MpiWorld:
             result.cc_calls += proc.cc_calls
             result.enter_checks += proc.enter_checks
         return result
-
-    def _settle(self, ranks_done: List, deadline: float) -> bool:
-        """Wait until every rank task has ended and every logical thread
-        has detached, or until ``deadline``; True when the run is over.
-        Locks acquired here leave ``ranks_done``, so a second call waits
-        only for the rest."""
-        while ranks_done:
-            if not ranks_done[0].acquire(
-                    timeout=max(0.0, deadline - time.monotonic())):
-                return False
-            ranks_done.pop(0)
-        return self.scheduler.await_detached(
-            max(0.0, deadline - time.monotonic()))

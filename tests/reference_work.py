@@ -18,8 +18,8 @@ def reference_work(n: int) -> int:
     return x
 
 
-def reference_work_builtin(interp, call, env, ctx) -> int:
+def reference_work_builtin(interp, ctx, args) -> int:
     """The ``work`` builtin with :func:`reference_work` for its value."""
-    n = int(interp.eval(call.args[0], env, ctx))
+    n = int(args[0])
     interp.world.scheduler.compute(max(n, 0))
     return reference_work(n)

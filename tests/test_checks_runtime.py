@@ -1,4 +1,6 @@
-"""Unit tests for the runtime check library (CC protocol, ENTER counters)."""
+"""Unit tests for the runtime check library (CC protocol, ENTER counters).
+The checks are scheduling decisions: rank bodies drive them with
+``yield from``."""
 
 import pytest
 
@@ -21,7 +23,7 @@ def test_cc_matching_colors_pass():
     def body(proc):
         checks = CheckState(proc)
         for color in (3, 1, 12):
-            checks.cc(color, "op", 10)
+            yield from checks.cc(color, "op", 10)
         return proc.cc_calls
 
     result = run_world(3, body)
@@ -33,9 +35,9 @@ def test_cc_mismatch_aborts_with_both_sides_named():
     def body(proc):
         checks = CheckState(proc)
         if proc.rank == 0:
-            checks.cc(2, "MPI_Bcast", 14)   # color of Bcast
+            yield from checks.cc(2, "MPI_Bcast", 14)   # color of Bcast
         else:
-            checks.cc(0, "<return>", 20)    # heading for return
+            yield from checks.cc(0, "<return>", 20)    # heading for return
 
     result = run_world(2, body)
     assert isinstance(result.error, CollectiveMismatchError)
@@ -47,8 +49,8 @@ def test_cc_mismatch_aborts_with_both_sides_named():
 def test_cc_after_finalize_is_noop():
     def body(proc):
         checks = CheckState(proc)
-        proc.collective("MPI_Finalize", (), None)
-        checks.cc(0, "<return>", 99)  # must not attempt MPI
+        yield from proc.collective("MPI_Finalize", (), None)
+        yield from checks.cc(0, "<return>", 99)  # must not attempt MPI
         return proc.cc_calls
 
     result = run_world(2, body)
@@ -60,8 +62,8 @@ def test_enter_single_thread_passes():
     def body(proc):
         checks = CheckState(proc, {7: "multithread"})
         for _ in range(10):
-            checks.enter(7, "MPI_Barrier")
-            checks.exit(7)
+            yield from checks.enter(7, "MPI_Barrier")
+            yield from checks.exit(7)
         return proc.enter_checks
 
     result = run_world(1, body)
@@ -72,8 +74,8 @@ def test_enter_single_thread_passes():
 def test_enter_overlap_multithread_kind():
     def body(proc):
         checks = CheckState(proc, {5: "multithread"})
-        checks.enter(5, "MPI_Barrier")
-        checks.enter(5, "MPI_Barrier")  # second entry without exit
+        yield from checks.enter(5, "MPI_Barrier")
+        yield from checks.enter(5, "MPI_Barrier")  # second entry without exit
 
     result = run_world(1, body)
     assert isinstance(result.error, ThreadContextError)
@@ -82,8 +84,8 @@ def test_enter_overlap_multithread_kind():
 def test_enter_overlap_concurrent_kind():
     def body(proc):
         checks = CheckState(proc, {5: "concurrent"})
-        checks.enter(5, "MPI_Reduce")
-        checks.enter(5, "MPI_Bcast")
+        yield from checks.enter(5, "MPI_Reduce")
+        yield from checks.enter(5, "MPI_Bcast")
 
     result = run_world(1, body)
     assert isinstance(result.error, ConcurrentCollectiveError)
@@ -92,9 +94,9 @@ def test_enter_overlap_concurrent_kind():
 def test_exit_never_goes_negative():
     def body(proc):
         checks = CheckState(proc, {})
-        checks.exit(3)
-        checks.enter(3, "x")
-        checks.enter(3, "x")  # would be 2 if exit had gone to -1
+        yield from checks.exit(3)
+        yield from checks.enter(3, "x")
+        yield from checks.enter(3, "x")  # would be 2 if exit had gone to -1
 
     result = run_world(1, body)
     assert isinstance(result.error, ThreadContextError)
@@ -103,10 +105,10 @@ def test_exit_never_goes_negative():
 def test_counters_are_per_group():
     def body(proc):
         checks = CheckState(proc, {1: "multithread", 2: "multithread"})
-        checks.enter(1, "a")
-        checks.enter(2, "b")  # different group: no overlap
-        checks.exit(2)
-        checks.exit(1)
+        yield from checks.enter(1, "a")
+        yield from checks.enter(2, "b")  # different group: no overlap
+        yield from checks.exit(2)
+        yield from checks.exit(1)
 
     result = run_world(1, body)
     assert result.ok
@@ -115,9 +117,9 @@ def test_counters_are_per_group():
 def test_cc_counts_accumulate_in_run_result():
     def body(proc):
         checks = CheckState(proc)
-        checks.cc(1, "MPI_Barrier", 3)
-        checks.enter(9, "x")
-        checks.exit(9)
+        yield from checks.cc(1, "MPI_Barrier", 3)
+        yield from checks.enter(9, "x")
+        yield from checks.exit(9)
 
     result = run_world(2, body)
     assert result.cc_calls == 2      # both ranks

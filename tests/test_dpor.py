@@ -7,6 +7,7 @@ sweeps over values too large for ``repr``, runs that end only when
 every logical thread has detached, and simulated compute that moves no
 schedule."""
 
+import hashlib
 import json
 import os
 import threading
@@ -482,3 +483,45 @@ def test_wtime_guarded_collective_has_one_verdict_in_every_schedule():
     assert schedules > 1
     assert list(verdicts) == ["DeadlockError"]
     assert sweep() == first
+
+
+# -- the 48 gallery sweeps, pinned ----------------------------------------------------
+
+
+def gallery_sweep_lines():
+    """What CI's "DPOR sweeps repeat exactly" step prints: for each gallery
+    case, raw and instrumented (nt=3, runs=100, preemptions=2), the first
+    16 hex digits of the SHA-256 of the sweep's schedules, verdict counts,
+    ``dpor_stats``, schedule choices and summary."""
+    lines = []
+    for name, case in CASES.items():
+        program = parse_program(case.source, f"{name}.mc")
+        analysis = analyze_program(program)
+        instrumented, _ = instrument_program(analysis)
+        for mode, prog, kinds in (
+                ("raw", program, None),
+                ("instrumented", instrumented, analysis.group_kinds)):
+            config = ExploreConfig(nprocs=case.nprocs, num_threads=3,
+                                   instrument=mode == "instrumented")
+            r = explore_config(prog, config, strategy="dpor", runs=100,
+                               preemptions=2, group_kinds=kinds,
+                               collect_schedules=True)
+            blob = repr((r.schedules, sorted(r.verdict_counts.items()),
+                         r.dpor_stats, r.schedule_choices, r.summary()))
+            lines.append(f"{name} {mode} "
+                         f"{hashlib.sha256(blob.encode()).hexdigest()[:16]}")
+    return lines
+
+
+#: SHA-256 of :func:`gallery_sweep_lines` joined by newlines, computed with
+#: the runtime that ran logical threads on OS threads (carriers and token
+#: locks), which generators replaced with every sweep unchanged.  A change
+#: that moves a sweep re-pins it with a CHANGES.md line naming the sweeps
+#: and why they moved.
+SWEEP_DIGEST = "62bf9d8a9ec835bb73a2930738c1ac3f175fe44bd46a1ab3014fd19e5e39ad30"
+
+
+def test_gallery_sweeps_match_pinned_digest():
+    lines = gallery_sweep_lines()
+    assert len(lines) == 48
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SWEEP_DIGEST

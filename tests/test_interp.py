@@ -13,6 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference_work import reference_work
+from repro.minilang.parser import parse_program
+from repro.minilang.semantics import check_program
+from repro.runtime.interp import interpreter
 from repro.runtime.interp.interpreter import WTIME_UNIT
 from tests.conftest import run_source
 
@@ -262,6 +265,102 @@ void main() {
 }
 """)
     assert r.outputs[0] == ["8"]
+
+
+#: Canonical loops of every comparison, both step signs and float steps:
+#: ``(type, start, test, bound, step)``; ``step`` is an ``+=``/``-=`` clause.
+OMP_FOR_LOOPS = [
+    (ty, start, test, bound, step)
+    for test in ("<", "<=", ">", ">=")
+    for start, bound in ((0, 7), (7, 0), (3, 3))
+    for step in ("+= 2", "-= 2", "+= 1", "-= 3")
+    for ty in ("int",)
+] + [
+    ("float", "0.0", "<", "1.0", "+= 0.25"),
+    ("float", "1.0", ">=", "0.0", "-= 0.3"),
+    ("float", "0.5", "<=", "2", "+= 0.5"),
+    ("float", "2.0", ">", "0.0", "+= 0.5"),
+]
+
+
+def _loop_values(result):
+    return sorted(float(line) for line in result.outputs[0])
+
+
+@pytest.mark.parametrize("ty, start, test, bound, step", OMP_FOR_LOOPS)
+def test_omp_for_iterates_like_the_sequential_loop(ty, start, test, bound, step):
+    loop = f"for ({ty} i = {start}; i {test} {bound}; i {step})"
+    sequential = run_source(f"""
+void main() {{
+    int n = 0;
+    {loop} {{ print(i); n += 1; if (n > 20) {{ break; }} }}
+}}
+""", nprocs=1)
+    endless = len(sequential.outputs[0]) > 20
+    for nt in (1, 2, 3):
+        parallel = run_source(f"""
+void main() {{
+    #pragma omp parallel for num_threads({nt})
+    {loop} {{ print(i); }}
+}}
+""", nprocs=1)
+        if endless:
+            assert "omp for requires a canonical for loop" in str(parallel.error)
+        else:
+            assert parallel.ok, parallel.error
+            assert _loop_values(parallel) == _loop_values(sequential), nt
+
+
+def test_omp_for_int_iteration_space_is_a_range():
+    # O(1) in the trip count: three million iterations cost no list.
+    space = interpreter._iterations(0, "<", 3_000_000, 1)
+    assert isinstance(space, range) and len(space) == 3_000_000
+    assert interpreter._iterations(10, ">=", 1, -3) == range(10, 0, -3)
+    assert list(interpreter._iterations(0.0, "<", 1.0, 0.5)) == [0.0, 0.5]
+
+
+def test_continue_in_omp_for_skips_to_the_next_iteration():
+    src = """
+void main() {
+    #pragma omp parallel for num_threads(3)
+    for (int i = 0; i < 9; i += 1) {
+        if (i % 3 == 0) { continue; }
+        print(i);
+    }
+}
+"""
+    check_program(parse_program(src), strict=True)
+    r = outputs(src, nprocs=1)
+    assert sorted(int(x) for x in r.outputs[0]) == [1, 2, 4, 5, 7, 8]
+
+
+RECURSION = """
+int rec(int n) {
+    if (n == 0) { return 0; }
+    return rec(n - 1) + 1;
+}
+void main() {
+    print(rec(%d));
+}
+"""
+
+
+def _from_depth(frames, fn):
+    return fn() if frames == 0 else _from_depth(frames - 1, fn)
+
+
+@pytest.mark.parametrize("caller_frames", [0, 300])
+def test_the_call_depth_limit_is_the_limit_that_applies(caller_frames):
+    # main is one call deep, so rec(198) nests the 200 calls the limit
+    # allows and rec(199) one more.
+    deepest = _from_depth(caller_frames,
+                          lambda: run_source(RECURSION % 198, nprocs=1))
+    assert deepest.ok, deepest.error
+    assert deepest.outputs[0] == ["198"]
+    past = _from_depth(caller_frames,
+                       lambda: run_source(RECURSION % 199, nprocs=1))
+    assert "call depth exceeded in rec" in str(past.error)
+    assert "RecursionError" not in str(past.error)
 
 
 def test_parallel_for_combined_with_reduction_via_critical():

@@ -217,6 +217,22 @@ void f() {
     assert "BREAK_OUTSIDE" in errors_of(src)
 
 
+def test_continue_in_omp_for_legal():
+    src = """
+void f() {
+    #pragma omp parallel
+    {
+        #pragma omp for
+        for (int i = 0; i < 4; i += 1) {
+            if (i == 2) { continue; }
+            while (true) { break; }
+        }
+    }
+}
+"""
+    assert errors_of(src) == set()
+
+
 def test_break_in_sequential_loop_inside_region_legal():
     src = """
 void f() {

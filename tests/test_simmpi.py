@@ -1,5 +1,6 @@
 """MPI simulator tests: collective data semantics, mismatch and deadlock
-detection, thread levels, point-to-point."""
+detection, thread levels, point-to-point.  Rank bodies are generators the
+world's scheduler resumes; MPI operations are driven with ``yield from``."""
 
 import pytest
 
@@ -85,8 +86,8 @@ def test_unknown_collective_rejected():
 
 def test_barrier_and_allreduce_across_ranks():
     def body(proc):
-        proc.collective("MPI_Barrier", (), None)
-        return proc.collective("MPI_Allreduce", ("sum",), proc.rank + 1)
+        yield from proc.collective("MPI_Barrier", (), None)
+        return (yield from proc.collective("MPI_Allreduce", ("sum",), proc.rank + 1))
 
     result = run_world(3, body)
     assert result.ok, result.error
@@ -97,7 +98,7 @@ def test_repeated_collectives_many_rounds():
     def body(proc):
         acc = 0
         for i in range(20):
-            acc = proc.collective("MPI_Allreduce", ("sum",), i)
+            acc = yield from proc.collective("MPI_Allreduce", ("sum",), i)
         return acc
 
     result = run_world(2, body)
@@ -108,9 +109,9 @@ def test_repeated_collectives_many_rounds():
 def test_mismatched_ops_detected_as_deadlock():
     def body(proc):
         if proc.rank == 0:
-            proc.collective("MPI_Barrier", (), None)
+            yield from proc.collective("MPI_Barrier", (), None)
         else:
-            proc.collective("MPI_Allreduce", ("sum",), 1)
+            yield from proc.collective("MPI_Allreduce", ("sum",), 1)
 
     result = run_world(2, body)
     assert isinstance(result.error, DeadlockError)
@@ -119,7 +120,7 @@ def test_mismatched_ops_detected_as_deadlock():
 
 def test_mismatched_roots_detected():
     def body(proc):
-        proc.collective("MPI_Bcast", (proc.rank,), 1)
+        yield from proc.collective("MPI_Bcast", (proc.rank,), 1)
 
     result = run_world(2, body)
     assert isinstance(result.error, DeadlockError)
@@ -129,7 +130,7 @@ def test_mismatched_roots_detected():
 def test_rank_exiting_early_deadlocks_peers():
     def body(proc):
         if proc.rank == 0:
-            proc.collective("MPI_Barrier", (), None)
+            yield from proc.collective("MPI_Barrier", (), None)
         # rank 1 returns immediately
 
     result = run_world(2, body)
@@ -139,8 +140,8 @@ def test_rank_exiting_early_deadlocks_peers():
 
 def test_engine_history_records_rounds():
     def body(proc):
-        proc.collective("MPI_Barrier", (), None)
-        proc.collective("MPI_Allreduce", ("sum",), 1)
+        yield from proc.collective("MPI_Barrier", (), None)
+        yield from proc.collective("MPI_Allreduce", ("sum",), 1)
 
     world = MpiWorld(2)
     world.run(body)
@@ -153,9 +154,9 @@ def test_engine_history_records_rounds():
 def test_send_recv_roundtrip():
     def body(proc):
         if proc.rank == 0:
-            proc.send(1, 7, "payload")
+            yield from proc.send(1, 7, "payload")
             return None
-        return proc.recv(0, 7)
+        return (yield from proc.recv(0, 7))
 
     result = run_world(2, body)
     assert result.ok
@@ -165,9 +166,9 @@ def test_send_recv_roundtrip():
 def test_recv_wildcards():
     def body(proc):
         if proc.rank == 0:
-            proc.send(1, 42, "x")
+            yield from proc.send(1, 42, "x")
             return None
-        return proc.recv(-1, -1)
+        return (yield from proc.recv(-1, -1))
 
     result = run_world(2, body)
     assert result.returns[1] == "x"
@@ -176,7 +177,7 @@ def test_recv_wildcards():
 def test_recv_without_send_deadlocks():
     def body(proc):
         if proc.rank == 1:
-            return proc.recv(0, 9)
+            return (yield from proc.recv(0, 9))
         return None
 
     result = run_world(2, body)
@@ -190,8 +191,8 @@ def test_finalize_then_call_is_error():
     from repro.runtime import MpiRuntimeError
 
     def body(proc):
-        proc.collective("MPI_Finalize", (), None)
-        proc.collective("MPI_Barrier", (), None)
+        yield from proc.collective("MPI_Finalize", (), None)
+        yield from proc.collective("MPI_Barrier", (), None)
 
     result = run_world(2, body)
     assert isinstance(result.error, MpiRuntimeError)
@@ -201,6 +202,7 @@ def test_init_thread_caps_at_world_level():
     def body(proc):
         granted = proc.init_thread(3)
         return granted
+        yield  # a generator, as every rank body is
 
     world = MpiWorld(1, thread_level=ThreadLevel.SERIALIZED)
     result = world.run(body)
