@@ -124,31 +124,27 @@ class Scheduler:
         #: Threads that were ready (not running, not blocked) when the run
         #: aborted: the abort cut off the step each was about to take.
         self.ready_at_abort: Tuple[str, ...] = ()
-        #: Wait-for description when structural deadlock was detected.
-        self.deadlock_state: Optional[str] = None
 
     # -- logical-thread lifecycle -------------------------------------------
 
-    def child_names(self, size: int) -> List[Optional[str]]:
-        """Deterministic names for a team's worker threads (index = tid;
-        entry 0 is the master and always ``None``)."""
+    def child_names(self, size: int) -> List[str]:
+        """Deterministic names of a team's workers, tids 1 to ``size - 1``
+        (the master, tid 0, is the spawner itself)."""
         parent = self.running
         seq = self._spawn_counts.get(parent, 0)
         self._spawn_counts[parent] = seq + 1
-        return [None] + [f"{parent}/{seq}.{tid}" for tid in range(1, size)]
+        return [f"{parent}/{seq}.{tid}" for tid in range(1, size)]
 
-    def register(self, names: Sequence[Optional[str]],
-                 bodies: Sequence[Optional[Generator]]) -> None:
-        """The spawner announces logical threads ``names`` (``None`` entries
-        skipped) as runnable, each with the generator ``bodies[i]`` that
-        runs it; each starts its compute clock at the spawner's (0 for
-        rank mains)."""
+    def register(self, names: Sequence[str],
+                 bodies: Sequence[Generator]) -> None:
+        """The spawner announces logical threads ``names`` as runnable,
+        each with the generator ``bodies[i]`` that runs it; each starts its
+        compute clock at the spawner's (0 for rank mains)."""
         spawner = self._threads.get(self.running)
         compute = spawner.compute if spawner is not None else 0
         for name, body in zip(names, bodies):
-            if name is not None:
-                self._threads[name] = _Logical(name, body, compute)
-                insort(self._ready_list, name)
+            self._threads[name] = _Logical(name, body, compute)
+            insort(self._ready_list, name)
 
     def detach(self) -> None:
         """Last act of the running logical thread: it leaves the run and
@@ -356,7 +352,6 @@ class Scheduler:
             if not world.aborted:
                 state = "; ".join(self._threads[n].describe or n
                                   for n in blocked)
-                self.deadlock_state = state
                 world.abort(DeadlockError(
                     f"deadlock: every logical thread is blocked — {state}"
                 ))  # on_abort marked them ready so they can unwind

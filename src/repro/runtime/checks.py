@@ -13,8 +13,7 @@ this situation is unavoidable".
 counters for the phase-1 (multithreaded collective) and phase-2 (concurrent
 monothreaded regions) verdicts.
 
-All three are scheduling decisions, so they are generators the interpreter
-drives with ``yield from``.
+All three are scheduling decisions: generators driven by ``yield from``.
 """
 
 from __future__ import annotations
@@ -73,7 +72,6 @@ class CheckState:
         self.proc.enter_checks += 1
         count = self._counters.get(group, 0) + 1
         self._counters[group] = count
-        self.proc.check_counters[group] = count
         if count <= 1:
             return
         kind = self.group_kinds.get(group, "multithread")
@@ -94,4 +92,3 @@ class CheckState:
             SchedPoint.CHECK, f"exit:r{self.proc.rank}:{group}")
         count = max(0, self._counters.get(group, 0) - 1)
         self._counters[group] = count
-        self.proc.check_counters[group] = count

@@ -6,16 +6,15 @@ through the rank's :class:`MpiProcess` (thread-level guard + collective
 engine); the inserted ``PARCOACH_*`` calls route to
 :class:`~repro.runtime.checks.CheckState`.
 
-Logical threads are generators the world's scheduler resumes, so code that
+Logical threads are generators the world's scheduler resumes: code that
 can reach a SchedPoint (an MPI operation, an inserted check, an OpenMP
 construct, a call of a function that reaches one) runs on the generator
-path, reached by ``yield from``; all other code keeps the direct call path
-(``exec_stmt``, ``eval``).  Which path a node takes is decided once per
-node, by uid, and kept with the program while its functions keep their
-``structure_version`` markers (:meth:`Interpreter._blocks`).  Compound
-statements exist only as generators, which the direct path drives to their
-end; simple statements, operators and builtins share value-level helpers.
-Every statement and loop iteration checks the run's abort flag and its
+path, reached by ``yield from``, and all other code keeps the direct call
+path (``exec_stmt``, ``eval``), as decided once per node, by uid
+(:meth:`Interpreter._blocks`).  Loops and OpenMP constructs exist only as
+generators, which the direct path drives to their end; the other
+constructs share value-level helpers between the two paths.  Every
+statement and loop iteration checks the abort flag and the run's
 cooperative deadline (``MpiWorld.check``).
 """
 
@@ -52,10 +51,6 @@ _NON_CANONICAL = "omp for requires a canonical for loop"
 
 _LOOP_TESTS = {"<": operator.lt, "<=": operator.le,
                ">": operator.gt, ">=": operator.ge}
-_COMPARE = {"==": operator.eq, "!=": operator.ne, **_LOOP_TESTS}
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-          "/": operator.truediv}
-_COMPOUND = ("+=", "-=", "*=", "/=")
 
 #: How each collective reads its arguments, in evaluation order (``root``:
 #: an int; ``red``: a reduction op; ``send``: the payload; ``root send``:
@@ -105,8 +100,7 @@ class ExecCtx:
     encounters: Dict[int, int] = field(default_factory=dict)
 
     def nested(self, team: Team, tid: int) -> "ExecCtx":
-        return ExecCtx(team=team, tid=tid, call_depth=self.call_depth,
-                       encounters={})
+        return ExecCtx(team=team, tid=tid, call_depth=self.call_depth)
 
     def next_encounter(self, uid: int) -> int:
         n = self.encounters.get(uid, 0)
@@ -187,6 +181,7 @@ class Interpreter:
         """Run ``stmt`` on its path; ``yield from`` the result (``()`` once
         it has run directly)."""
         if self._blocks(stmt):
+            self._check()
             return self._g_stmt(stmt, env, ctx)
         self.exec_stmt(stmt, env, ctx)
         return ()
@@ -255,24 +250,25 @@ class Interpreter:
             self.exec_stmt(stmt, env, ctx)
 
     def exec_stmt(self, stmt: A.Stmt, env: Env, ctx: ExecCtx) -> None:
-        """Run ``stmt``, which reaches no SchedPoint: simple statements
-        here, compound ones by driving :meth:`_g_stmt` to its end."""
+        """Run ``stmt``, which reaches no SchedPoint: simple statements and
+        branches here, loops and blocks by driving :meth:`_g_stmt` to its
+        end."""
         self._check()
         if isinstance(stmt, A.Assign):
             value = self.eval(stmt.value, env, ctx)
             target = stmt.target
-            if isinstance(target, A.ArrayRef):
-                arr = env.get(target.name)
-                self._assign(stmt, value, env, ctx, arr,
-                             self.eval(target.index, env, ctx))
-            else:
-                self._assign(stmt, value, env, ctx)
+            self._assign(stmt, value, env, ctx, self.eval(target.index, env, ctx)
+                         if isinstance(target, A.ArrayRef) else None)
         elif isinstance(stmt, A.ExprStmt):
             self.eval(stmt.expr, env, ctx)
         elif isinstance(stmt, A.VarDecl):
             expr = stmt.init if stmt.array_size is None else stmt.array_size
             self._declare(stmt, None if expr is None
                           else self.eval(expr, env, ctx), env)
+        elif isinstance(stmt, A.If):
+            body = stmt.then_body if self.eval(stmt.cond, env, ctx) else stmt.else_body
+            if body is not None:
+                self.exec_block(body, env.child(), ctx)
         elif isinstance(stmt, A.Return):
             raise _ReturnEx(self.eval(stmt.value, env, ctx)
                             if stmt.value is not None else None)
@@ -286,12 +282,13 @@ class Interpreter:
     def _g_block(self, block: A.Block, env: Env, ctx: ExecCtx):
         for stmt in block.stmts:
             if self._blocks(stmt):
+                self._check()
                 yield from self._g_stmt(stmt, env, ctx)
             else:
                 self.exec_stmt(stmt, env, ctx)
 
     def _g_stmt(self, stmt: A.Stmt, env: Env, ctx: ExecCtx):
-        self._check()
+        """Run ``stmt`` on the generator path; its caller has checked."""
         if isinstance(stmt, A.VarDecl):
             expr = stmt.init if stmt.array_size is None else stmt.array_size
             self._declare(stmt, None if expr is None else
@@ -299,21 +296,17 @@ class Interpreter:
         elif isinstance(stmt, A.Assign):
             value = yield from self._g_value(stmt.value, env, ctx)
             target = stmt.target
-            if isinstance(target, A.ArrayRef):
-                arr = env.get(target.name)
-                index = yield from self._g_value(target.index, env, ctx)
-                self._assign(stmt, value, env, ctx, arr, index)
-            else:
-                self._assign(stmt, value, env, ctx)
+            self._assign(stmt, value, env, ctx, (yield from self._g_value(
+                target.index, env, ctx)) if isinstance(target, A.ArrayRef) else None)
         elif isinstance(stmt, A.ExprStmt):
             yield from self._g_value(stmt.expr, env, ctx)
         elif isinstance(stmt, A.Block):
             yield from self._run_block(stmt, env.child(), ctx)
         elif isinstance(stmt, A.If):
-            if (yield from self._g_value(stmt.cond, env, ctx)):
-                yield from self._run_block(stmt.then_body, env.child(), ctx)
-            elif stmt.else_body is not None:
-                yield from self._run_block(stmt.else_body, env.child(), ctx)
+            taken = yield from self._g_value(stmt.cond, env, ctx)
+            body = stmt.then_body if taken else stmt.else_body
+            if body is not None:
+                yield from self._run_block(body, env.child(), ctx)
         elif isinstance(stmt, A.While):
             yield from self._g_loop(stmt.cond, None, stmt.body, env, ctx)
         elif isinstance(stmt, A.For):
@@ -370,12 +363,15 @@ class Interpreter:
             env.declare(stmt.name, _default(stmt.type_name))
 
     def _assign(self, stmt: A.Assign, value: Any, env: Env, ctx: ExecCtx,
-                arr: Any = None, index: Any = None) -> None:
+                index: Any) -> None:
         """Store ``value`` through ``stmt``'s target: a variable, or the
-        element ``arr[index]`` (the caller read ``arr`` and then evaluated
-        ``index``)."""
+        element at ``index`` (evaluated by the caller) of an array."""
         target, op = stmt.target, stmt.op
-        if isinstance(target, A.ArrayRef):
+        if isinstance(target, A.VarRef):
+            touched = env.cell(target.name)
+            touched.value = value if op == "=" else _apply_compound(op, touched.value, value)
+        elif isinstance(target, A.ArrayRef):
+            arr = env.get(target.name)
             index = int(index)
             if not isinstance(arr, list):
                 raise InterpError(f"{target.name} is not an array")
@@ -385,9 +381,6 @@ class Interpreter:
                 )
             arr[index] = value if op == "=" else _apply_compound(op, arr[index], value)
             touched = arr
-        elif isinstance(target, A.VarRef):
-            touched = env.cell(target.name)
-            touched.value = value if op == "=" else _apply_compound(op, touched.value, value)
         else:
             raise InterpError("bad assignment target")
         if self._tracking(ctx):
@@ -440,7 +433,34 @@ class Interpreter:
             # Executed inline by the encountering thread (undeferred task).
             yield from self._run_block(stmt.body, env.child(), ctx)
         elif isinstance(stmt, A.OmpFor):
-            yield from self._g_omp_for(stmt, env, ctx)
+            loop = stmt.loop
+            if not isinstance(loop.init, A.VarDecl) or loop.cond is None or loop.step is None:
+                raise InterpError(_NON_CANONICAL)
+            start = 0
+            if loop.init.init is not None:
+                start = yield from self._g_value(loop.init.init, env, ctx)
+            if not isinstance(loop.cond, A.BinOp) or loop.cond.op not in _LOOP_TESTS:
+                raise InterpError("omp for condition must compare the loop variable")
+            bound = yield from self._g_value(loop.cond.right, env, ctx)
+            if not isinstance(loop.step, A.Assign) or loop.step.op not in ("+=", "-="):
+                raise InterpError("omp for step must be += or -=")
+            step = yield from self._g_value(loop.step.value, env, ctx)
+            if loop.step.op == "-=":
+                step = -step
+            if step == 0:
+                raise InterpError("omp for step must be nonzero")
+            values = _iterations(start, loop.cond.op, bound, step)
+            for i in (range(len(values)) if team is None
+                      else team.static_chunk(ctx.tid, len(values))):
+                self._check()
+                iter_env = env.child()
+                iter_env.declare(loop.init.name, values[i])
+                try:
+                    yield from self._run_block(loop.body, iter_env, ctx)
+                except _ContinueEx:
+                    continue
+            if team is not None and not stmt.nowait:
+                yield from team.barrier()
         elif isinstance(stmt, A.OmpSections):
             for i, section in enumerate(stmt.sections):
                 if team is None or team.section_owner(i) == ctx.tid:
@@ -450,48 +470,17 @@ class Interpreter:
         else:
             raise InterpError(f"cannot execute OpenMP node {type(stmt).__name__}")
 
-    def _g_omp_for(self, stmt: A.OmpFor, env: Env, ctx: ExecCtx):
-        loop = stmt.loop
-        if not isinstance(loop.init, A.VarDecl) or loop.cond is None or loop.step is None:
-            raise InterpError(_NON_CANONICAL)
-        var_name = loop.init.name
-        start = 0
-        if loop.init.init is not None:
-            start = yield from self._g_value(loop.init.init, env, ctx)
-        if not isinstance(loop.cond, A.BinOp) or loop.cond.op not in _LOOP_TESTS:
-            raise InterpError("omp for condition must compare the loop variable")
-        bound = yield from self._g_value(loop.cond.right, env, ctx)
-        if not isinstance(loop.step, A.Assign) or loop.step.op not in ("+=", "-="):
-            raise InterpError("omp for step must be += or -=")
-        step = yield from self._g_value(loop.step.value, env, ctx)
-        if loop.step.op == "-=":
-            step = -step
-        if step == 0:
-            raise InterpError("omp for step must be nonzero")
-
-        values = _iterations(start, loop.cond.op, bound, step)
-        team = ctx.team
-        chunk = team.static_chunk(ctx.tid, len(values)) if team is not None else range(len(values))
-        body_blocks = self._blocks(loop.body)
-        for i in chunk:
-            self._check()
-            iter_env = env.child()
-            iter_env.declare(var_name, values[i])
-            try:
-                if body_blocks:
-                    yield from self._g_block(loop.body, iter_env, ctx)
-                else:
-                    self.exec_block(loop.body, iter_env, ctx)
-            except _ContinueEx:
-                continue
-        if team is not None and not stmt.nowait:
-            yield from team.barrier()
-
     # -- expressions -----------------------------------------------------------------------
 
     def eval(self, expr: A.Expr, env: Env, ctx: ExecCtx) -> Any:
         """``expr``'s value, for an expression that reaches no SchedPoint."""
-        if isinstance(expr, (A.IntLit, A.FloatLit, A.BoolLit, A.StringLit)):
+        if isinstance(expr, A.IntLit):
+            return expr.value
+        if isinstance(expr, A.FloatLit):
+            return expr.value
+        if isinstance(expr, A.BoolLit):
+            return expr.value
+        if isinstance(expr, A.StringLit):
             return expr.value
         if isinstance(expr, A.VarRef):
             if self._tracking(ctx):
@@ -500,8 +489,7 @@ class Interpreter:
                 return cell.value
             return env.get(expr.name)
         if isinstance(expr, A.ArrayRef):
-            arr = env.get(expr.name)
-            return self._element(expr, arr, self.eval(expr.index, env, ctx), ctx)
+            return self._element(expr, self.eval(expr.index, env, ctx), env, ctx)
         if isinstance(expr, A.UnaryOp):
             return _unary(expr.op, self.eval(expr.operand, env, ctx))
         if isinstance(expr, A.BinOp):
@@ -513,13 +501,18 @@ class Interpreter:
             return _binop(op, self.eval(expr.left, env, ctx),
                           self.eval(expr.right, env, ctx))
         if isinstance(expr, A.Call):
-            impl = _BUILTIN_IMPL.get(expr.name)
-            func = None if impl is not None else self._callee(expr)
-            args = [self.eval(a, env, ctx) for a in expr.args]
-            if impl is not None:
-                return impl(self, ctx, args)
-            return self.call_function(func, args, ctx)
+            return self._eval_call(expr, env, ctx)
         raise InterpError(f"cannot evaluate {type(expr).__name__}")
+
+    def _eval_call(self, call: A.Call, env: Env, ctx: ExecCtx) -> Any:
+        # Apart from eval: the comprehension's closure would cost every
+        # evaluation three cells.
+        impl = _BUILTIN_IMPL.get(call.name)
+        func = None if impl is not None else self._callee(call)
+        args = [self.eval(a, env, ctx) for a in call.args]
+        if impl is not None:
+            return impl(self, ctx, args)
+        return self.call_function(func, args, ctx)
 
     def _g_eval(self, expr: A.Expr, env: Env, ctx: ExecCtx):
         """``expr``'s value on the generator path: a call that reaches a
@@ -537,13 +530,13 @@ class Interpreter:
         if isinstance(expr, A.UnaryOp):
             return _unary(expr.op, (yield from self._g_value(expr.operand, env, ctx)))
         if isinstance(expr, A.ArrayRef):
-            arr = env.get(expr.name)
             index = yield from self._g_value(expr.index, env, ctx)
-            return self._element(expr, arr, index, ctx)
+            return self._element(expr, index, env, ctx)
         raise InterpError(f"cannot evaluate {type(expr).__name__}")
 
-    def _element(self, expr: A.ArrayRef, arr: Any, index: Any,
+    def _element(self, expr: A.ArrayRef, index: Any, env: Env,
                  ctx: ExecCtx) -> Any:
+        arr = env.get(expr.name)
         index = int(index)
         if not isinstance(arr, list):
             raise InterpError(f"{expr.name} is not an array")
@@ -613,7 +606,10 @@ class Interpreter:
             root = red = payload = None
             for kind, i in reads:
                 if kind == "red":
-                    red = yield from self._g_red_op(a[i], env, ctx)
+                    red = yield from value(a[i], env, ctx)
+                    if not isinstance(red, str):
+                        raise InterpError("reduction op must be a string: "
+                                          "'sum'|'prod'|'min'|'max'")
                 elif kind == "root":
                     root = int((yield from value(a[i], env, ctx)))
                 elif kind == "send" or proc.rank == root:
@@ -627,34 +623,22 @@ class Interpreter:
                     or (when == "if any" and result is not None)):
                 yield from self._g_store(a[buffer], result, env, ctx, name)
             return None
-        if name in ("MPI_Send", "MPI_Sendrecv"):
+        # Point to point: MPI_Send(value, dest, tag), MPI_Recv(var, source,
+        # tag) and MPI_Sendrecv(value, dest, tag, var, source, tag).
+        if name != "MPI_Recv":
             send = yield from value(a[0], env, ctx)
             dest = int((yield from value(a[1], env, ctx)))
             tag = int((yield from value(a[2], env, ctx)))
-            if name == "MPI_Send":
-                yield from proc.send(dest, tag, send, line=line)
-                return None
-            source = int((yield from value(a[4], env, ctx)))
-            rtag = int((yield from value(a[5], env, ctx)))
+        if name != "MPI_Send":
+            var = 3 if name == "MPI_Sendrecv" else 0
+            source = int((yield from value(a[var + 1], env, ctx)))
+            rtag = int((yield from value(a[var + 2], env, ctx)))
+        if name != "MPI_Recv":
             yield from proc.send(dest, tag, send, line=line)
+        if name != "MPI_Send":
             result = yield from proc.recv(source, rtag, line=line)
-            yield from self._g_store(a[3], result, env, ctx, name)
-            return None
-        if name == "MPI_Recv":
-            source = int((yield from value(a[1], env, ctx)))
-            tag = int((yield from value(a[2], env, ctx)))
-            result = yield from proc.recv(source, tag, line=line)
-            yield from self._g_store(a[0], result, env, ctx, name)
-            return None
-        raise InterpError(f"unhandled MPI call {name}")
-
-    def _g_red_op(self, expr: A.Expr, env: Env, ctx: ExecCtx):
-        if isinstance(expr, A.StringLit):
-            return expr.value
-        value = yield from self._g_value(expr, env, ctx)
-        if isinstance(value, str):
-            return value
-        raise InterpError("reduction op must be a string: 'sum'|'prod'|'min'|'max'")
+            yield from self._g_store(a[var], result, env, ctx, name)
+        return None
 
 
 def _make_room(frames: int) -> None:
@@ -708,36 +692,59 @@ def _unary(op: str, value: Any) -> Any:
 
 def _binop(op: str, left: Any, right: Any) -> Any:
     """``left op right`` for every operator but the short-circuit ones."""
-    compare = _COMPARE.get(op)
-    if compare is not None:
-        return compare(left, right)
-    return _arith(op, left, right)
+    try:
+        if op == "+":
+            return left + right
+        if op == "-":
+            return left - right
+        if op == "*":
+            return left * right
+        if op == "/":
+            if right == 0:
+                raise InterpError("division by zero")
+            if isinstance(left, int) and isinstance(right, int):
+                return _c_idiv(left, right)
+            return left / right
+        if op == "%":
+            if right == 0:
+                raise InterpError("modulo by zero")
+            if isinstance(left, int) and isinstance(right, int):
+                return _c_imod(left, right)
+            return _c_double_arith(op, left, right)
+    except OverflowError:
+        return _c_double_arith(op, left, right)
+    if op == "==":
+        return left == right
+    if op == "!=":
+        return left != right
+    if op == "<":
+        return left < right
+    if op == ">":
+        return left > right
+    if op == "<=":
+        return left <= right
+    if op == ">=":
+        return left >= right
+    raise InterpError(f"unknown operator {op}")
 
 
 def _apply_compound(op: str, old: Any, value: Any) -> Any:
-    if op not in _COMPOUND:
-        raise InterpError(f"unknown compound op {op}")
-    return _arith(op[0], old, value)
-
-
-def _arith(op: str, left: Any, right: Any) -> Any:
-    """``left op right`` for ``+ - * / %`` in C's terms: exact int division
-    and remainder truncating toward zero, ``double`` arithmetic once an int
-    meets a float past the float range."""
     try:
-        if op in "/%":
-            if right == 0:
-                raise InterpError("division by zero" if op == "/"
-                                  else "modulo by zero")
-            if isinstance(left, int) and isinstance(right, int):
-                return _c_idiv(left, right) if op == "/" else _c_imod(left, right)
-            if op == "%":
-                return _c_double_arith(op, left, right)
-        return _ARITH[op](left, right)
+        if op == "+=":
+            return old + value
+        if op == "-=":
+            return old - value
+        if op == "*=":
+            return old * value
+        if op == "/=":
+            if value == 0:
+                raise InterpError("division by zero")
+            if isinstance(old, int) and isinstance(value, int):
+                return _c_idiv(old, value)
+            return old / value
     except OverflowError:
-        return _c_double_arith(op, left, right)
-    except KeyError:
-        raise InterpError(f"unknown operator {op}") from None
+        return _c_double_arith(op[0], old, value)
+    raise InterpError(f"unknown compound op {op}")
 
 
 def _c_double(value: Any) -> float:
@@ -754,9 +761,15 @@ def _c_double_arith(op: str, left: Any, right: Any) -> float:
     range is ±inf (Python raises on meeting a float), and ``fmod`` of an
     infinity is ``nan`` (``math.fmod`` raises)."""
     left, right = _c_double(left), _c_double(right)
-    if op == "%":
-        return math.fmod(left, right) if math.isfinite(left) else math.nan
-    return _ARITH[op](left, right)
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    if op == "/":
+        return left / right
+    return math.fmod(left, right) if math.isfinite(left) else math.nan
 
 
 def _c_idiv(left: int, right: int) -> int:

@@ -59,7 +59,6 @@ class MpiProcess:
         self.main_thread: Optional[str] = None
         self.output: List[str] = []
         self.effective_level = world.thread_level
-        self.initialized = False
         self.finalized = False
         # Thread-level accounting.
         self._in_mpi = 0
@@ -70,7 +69,6 @@ class MpiProcess:
         # Instrumentation counters (populated by CheckState).
         self.cc_calls = 0
         self.enter_checks = 0
-        self.check_counters: Dict[int, int] = {}
 
     # -- OpenMP bookkeeping ------------------------------------------------------
 
@@ -89,13 +87,11 @@ class MpiProcess:
     # -- MPI setup ------------------------------------------------------------------
 
     def init(self) -> None:
-        self.initialized = True
         self.effective_level = ThreadLevel.SINGLE
 
     def init_thread(self, requested: int) -> int:
         """``MPI_Init_thread``: the granted level is the minimum of the
         requested one and what the world supports; returns the granted int."""
-        self.initialized = True
         level = LEVEL_FROM_INT.get(requested, ThreadLevel.MULTIPLE)
         self.effective_level = min(level, self.world.thread_level)
         return self.effective_level.value
@@ -138,13 +134,13 @@ class MpiProcess:
         # The per-rank in-flight counters are shared state the thread-level
         # guard races on: entering/leaving an MPI call never commutes with
         # another MPI call of the same rank.
-        self.world.note_access(f"mpi:r{self.rank}", "w")
+        self.world.scheduler.note_access(f"mpi:r{self.rank}", "w")
         try:
             return (yield from operation)
         finally:
             self._in_mpi -= 1
             self._collectives_inflight -= collective
-            self.world.note_access(f"mpi:r{self.rank}", "w")
+            self.world.scheduler.note_access(f"mpi:r{self.rank}", "w")
 
     # -- operations (generators) ----------------------------------------------------------
 

@@ -34,6 +34,9 @@ from .process import MpiProcess
 #: first statement or loop iteration past it aborts the run.
 WALL_GUARD = 120.0
 
+#: Checks between two reads of the clock (a statement takes about 1 us).
+_CLOCK_EVERY = 1024
+
 
 @dataclass
 class RunResult:
@@ -87,6 +90,7 @@ class MpiWorld:
         self.aborted = False
         #: ``time.monotonic()`` past which the run is stalled (set by run).
         self.deadline = float("inf")
+        self._until_clock = 0
         self.finished_ranks: Set[int] = set()
         me = weakref.proxy(self)
         self.engine = CollectiveEngine(me, list(range(nprocs)))
@@ -106,10 +110,6 @@ class MpiWorld:
     def notify(self, cond: object) -> None:
         """State the waiters on ``cond`` test changed."""
         self.scheduler.notify(self, cond)
-
-    def note_access(self, obj: str, mode: str = "w") -> None:
-        """The running thread touched shared object ``obj`` (footprints)."""
-        self.scheduler.note_access(obj, mode)
 
     # -- abort protocol -----------------------------------------------------------
 
@@ -135,15 +135,20 @@ class MpiWorld:
     def check(self) -> None:
         """Unwind once the run has aborted, and abort it as stalled once it
         is past its deadline: every blocking loop and, in the interpreter,
-        every statement and loop iteration calls this."""
+        every statement and loop iteration calls this.  The clock is read
+        once every ``_CLOCK_EVERY`` calls, since reading it costs more than
+        the rest of a check."""
         if self.aborted:
             raise AbortedError()
-        if time.monotonic() > self.deadline:
-            self.abort(DeadlockError(
-                f"run stalled: logical thread(s) still running past "
-                f"the {WALL_GUARD:g} s wall guard"
-            ))
-            raise AbortedError()
+        self._until_clock -= 1
+        if self._until_clock < 0:
+            self._until_clock = _CLOCK_EVERY
+            if time.monotonic() > self.deadline:
+                self.abort(DeadlockError(
+                    f"run stalled: logical thread(s) still running past "
+                    f"the {WALL_GUARD:g} s wall guard"
+                ))
+                raise AbortedError()
 
     # -- execution ------------------------------------------------------------------
 

@@ -52,11 +52,15 @@ class Team:
                 yield from self._run_guarded(body, 0)
                 return
             scheduler = self.world.scheduler
-            names = scheduler.child_names(self.size)
-            scheduler.register(names, [None] + [
+            scheduler.register(scheduler.child_names(self.size), [
                 self._worker_main(body, tid) for tid in range(1, self.size)])
             yield from self._run_guarded(body, 0)
-            yield from self._join_workers(self.size - 1)
+            while self._done < self.size - 1:  # the master joins its workers
+                self.world.check()
+                yield from self.world.wait(
+                    self, f"rank {self.proc.rank} master joining its team",
+                    lambda: self._done >= self.size - 1)
+            self.world.check()
         finally:
             self.proc.exit_parallel(self.size)
 
@@ -67,16 +71,6 @@ class Team:
             self._done += 1
             self.world.notify(self)
             self.world.scheduler.detach()
-
-    def _join_workers(self, workers: int):
-        while self._done < workers:
-            self.world.check()
-            yield from self.world.wait(
-                self,
-                f"rank {self.proc.rank} master joining its team",
-                lambda: self._done >= workers,
-            )
-        self.world.check()
 
     def _run_guarded(self, body: TeamBody, tid: int):
         try:
