@@ -146,8 +146,9 @@ class MpiProcess:
 
     def collective(self, op_name: str, signature: tuple, payload: Any,
                    line: Optional[int] = None):
-        result = yield from self._guarded(op_name, True, line, self.world.engine.collective(
-            self.rank, op_name, signature, payload))
+        round_ = self.world.engine.collective(self.rank, op_name, signature,
+                                              payload)
+        result = yield from self._guarded(op_name, True, line, round_)
         if op_name == "MPI_Finalize":
             self.finalized = True
         return result
