@@ -234,7 +234,7 @@ class Scheduler:
         # it first) begins by executing this point's operation.
         self._close_segment(lt, point_footprint(point))
         candidates = self._ready(include=me)
-        chosen = self._choose(kind, detail, me, candidates)
+        chosen = self._choose(point, me, candidates)
         if chosen == me:
             self._tick(world)
             return
@@ -265,8 +265,9 @@ class Scheduler:
             yield
 
     def notify(self, world, cond) -> None:
-        for name in sorted(self._threads):
-            lt = self._threads[name]
+        # In any order: predicates only read state, and the ready list
+        # stays sorted.
+        for lt in self._threads.values():
             if lt.state == _BLOCKED and lt.cond is cond:
                 if lt.predicate is None or lt.predicate():
                     lt.cond = None
@@ -303,9 +304,8 @@ class Scheduler:
                 names.insert(i, include)
         return names
 
-    def _choose(self, kind: str, detail: str, current: Optional[str],
+    def _choose(self, point: str, current: Optional[str],
                 candidates: List[str]) -> str:
-        point = f"{kind}:{detail}" if detail else kind
         if len(candidates) == 1:
             return candidates[0]
         index = len(self.decisions)
@@ -322,17 +322,20 @@ class Scheduler:
         is a livelock and aborts (once — the unwinding steps on)."""
         self._vtime += 1
         if self._vtime > DEFAULT_STEP_BUDGET and not world.aborted:
-            running = sorted(n for n, lt in self._threads.items()
-                             if lt.state != _BLOCKED)
-            blocked = "; ".join(self._threads[n].describe or n
-                                for n in sorted(self._threads)
-                                if self._threads[n].state == _BLOCKED)
-            world.abort(DeadlockError(
-                f"livelock: step budget of {DEFAULT_STEP_BUDGET:,} "
-                f"scheduling steps exhausted — running: "
-                f"{', '.join(running) or 'none'}; blocked: "
-                f"{blocked or 'none'}"
-            ))
+            self._livelock(world)
+
+    def _livelock(self, world) -> None:
+        running = sorted(n for n, lt in self._threads.items()
+                         if lt.state != _BLOCKED)
+        blocked = "; ".join(self._threads[n].describe or n
+                            for n in sorted(self._threads)
+                            if self._threads[n].state == _BLOCKED)
+        world.abort(DeadlockError(
+            f"livelock: step budget of {DEFAULT_STEP_BUDGET:,} "
+            f"scheduling steps exhausted — running: "
+            f"{', '.join(running) or 'none'}; blocked: "
+            f"{blocked or 'none'}"
+        ))
 
     def _grant(self, world, name: str) -> None:
         lt = self._threads[name]
@@ -343,22 +346,25 @@ class Scheduler:
 
     def _schedule_next(self, world, kind: str, detail: str) -> None:
         self._current = None
-        ready = self._ready()
-        if not ready:
-            blocked = sorted(n for n, lt in self._threads.items()
-                             if lt.state == _BLOCKED)
-            if not blocked:
-                return  # every logical thread has exited: the run is over
-            if not world.aborted:
-                state = "; ".join(self._threads[n].describe or n
-                                  for n in blocked)
-                world.abort(DeadlockError(
-                    f"deadlock: every logical thread is blocked — {state}"
-                ))  # on_abort marked them ready so they can unwind
-            else:
-                self.on_abort(world)
-            ready = self._ready()
-            if not ready:
-                return
-        chosen = self._choose(kind, detail, None, ready)
-        self._grant(world, chosen)
+        ready = self._ready() or self._unblock(world)
+        if ready:
+            point = f"{kind}:{detail}" if detail else kind
+            self._grant(world, self._choose(point, None, ready))
+
+    def _unblock(self, world) -> List[str]:
+        """No thread is ready: abort a deadlock (or finish unwinding an
+        abort) so the blocked threads unwind, and return the ready ones
+        (none once every logical thread has exited: the run is over)."""
+        blocked = sorted(n for n, lt in self._threads.items()
+                         if lt.state == _BLOCKED)
+        if not blocked:
+            return []
+        if not world.aborted:
+            state = "; ".join(self._threads[n].describe or n
+                              for n in blocked)
+            world.abort(DeadlockError(
+                f"deadlock: every logical thread is blocked — {state}"
+            ))  # on_abort marked them ready so they can unwind
+        else:
+            self.on_abort(world)
+        return self._ready()

@@ -23,12 +23,10 @@ scheduler's job, so a run is fully determined by the strategy's answers
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """One branching scheduling decision (≥ 2 runnable candidates)."""
 
     index: int

@@ -46,7 +46,7 @@ from typing import Dict, List, Optional
 
 from ..mpi.thread_levels import ThreadLevel
 from ..runtime.simmpi.world import RunResult
-from .footprint import footprint_to_list
+from .footprint import Footprint, footprint_from_list, footprint_to_list
 from .strategies import Decision
 
 TRACE_VERSION = 2
@@ -71,9 +71,10 @@ class ScheduleTrace:
     detected_by: str = ""
     mode: str = "full"
     strategy: Dict[str, object] = field(default_factory=dict)
-    #: Per choice: the executed step's footprint (sorted "object/mode"
-    #: strings) or None when unknown (v1 traces, truncated runs).
-    step_footprints: List[Optional[List[str]]] = field(default_factory=list)
+    #: Per choice: the executed step's footprint or None when unknown (v1
+    #: traces, truncated runs); JSON spells it as sorted "object/mode"
+    #: strings, converted only when a trace is written.
+    step_footprints: List[Optional[Footprint]] = field(default_factory=list)
 
     @property
     def choice_names(self) -> List[str]:
@@ -87,13 +88,9 @@ class ScheduleTrace:
                mode: str = "full") -> "ScheduleTrace":
         events = getattr(scheduler, "events", [])
         event_index = getattr(scheduler, "decision_event_index", [])
-        footprints: List[Optional[List[str]]] = []
-        for i in range(len(scheduler.decisions)):
-            ei = event_index[i] if i < len(event_index) else None
-            if ei is not None and ei < len(events):
-                footprints.append(footprint_to_list(events[ei][1]))
-            else:
-                footprints.append(None)
+        footprints = [events[ei][1] if ei < len(events) else None
+                      for ei in event_index[:len(scheduler.decisions)]]
+        footprints += [None] * (len(scheduler.decisions) - len(footprints))
         return cls(
             config=dict(config),
             choices=list(scheduler.decisions),
@@ -115,7 +112,7 @@ class ScheduleTrace:
             fp = (self.step_footprints[i]
                   if i < len(self.step_footprints) else None)
             if fp is not None:
-                entry["f"] = list(fp)
+                entry["f"] = footprint_to_list(fp)
             choices.append(entry)
         return {
             "version": TRACE_VERSION,
@@ -158,7 +155,9 @@ class ScheduleTrace:
             detected_by=verdict.get("detected_by", ""),
             mode=data.get("mode", "full"),
             strategy=dict(data.get("strategy", {})),
-            step_footprints=[c.get("f") for c in raw_choices],
+            step_footprints=[None if c.get("f") is None
+                             else footprint_from_list(c["f"])
+                             for c in raw_choices],
         )
 
     @classmethod

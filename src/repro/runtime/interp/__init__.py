@@ -1,4 +1,5 @@
-"""Tree-walking interpreter for minilang programs."""
+"""Compiled interpreter for minilang programs: each function lowered to
+closures once per program."""
 
 from .env import Cell, Env, InterpError
 from .interpreter import ExecCtx, Interpreter

@@ -1,21 +1,31 @@
-"""Tree-walking interpreter for minilang on simmpi + simomp.
+"""Compiled interpreter for minilang on simmpi + simomp.
 
-One interpreter instance runs per MPI rank; each OpenMP team thread executes
-interpreter code re-entrantly with its own :class:`ExecCtx`.  MPI calls route
-through the rank's :class:`MpiProcess` (thread-level guard + collective
-engine); the inserted ``PARCOACH_*`` calls route to
+One :class:`Interpreter` runs per MPI rank; each OpenMP team thread runs
+the rank's code re-entrantly with its own :class:`ExecCtx`.  MPI calls
+route through the rank's :class:`MpiProcess` (thread-level guard +
+collective engine); the inserted ``PARCOACH_*`` calls route to
 :class:`~repro.runtime.checks.CheckState`.
 
-Logical threads are generators the world's scheduler resumes: code that
-can reach a SchedPoint (an MPI operation, an inserted check, an OpenMP
-construct, a call of a function that reaches one) runs on the generator
-path, reached by ``yield from``, and all other code keeps the direct call
-path (``exec_stmt``, ``eval``), as decided once per node, by uid
-(:meth:`Interpreter._blocks`).  Loops and OpenMP constructs exist only as
-generators, which the direct path drives to their end; the other
-constructs share value-level helpers between the two paths.  Every
-statement and loop iteration checks the abort flag and the run's
-cooperative deadline (``MpiWorld.check``).
+Every function is lowered to Python closures once per program, when the
+program first runs (:class:`_Code`).  Node-type dispatch, what each call
+names (a function, a builtin, an MPI operation) and whether a node can
+reach a SchedPoint are decided then.  A node that can (an MPI operation, an
+inserted check, an OpenMP construct, a call of a function that reaches
+one, or a node over one) compiles to a generator closure, reached by
+``yield from``; any other node to a plain closure.  The closures take the
+rank's :class:`Interpreter`, the environment and the thread's
+:class:`ExecCtx` as arguments, so every rank and every run of a program
+share them.  They live on the program (``program._code``) while its
+functions keep their ``(uid, structure_version)`` pairs: in-place
+instrumentation bumps ``structure_version``, so the next run recompiles,
+and a copy or a pickle of the program compiles afresh.  An in-place AST
+mutation that bumps no marker is undefined behaviour, as for the engine;
+a change to ``_BUILTIN_IMPL`` holds for programs compiled after it.
+
+Every statement and loop iteration checks the abort flag and the run's
+cooperative deadline (``MpiWorld.check``), and shared objects are labeled
+in first-access order.  The tests hold every output, verdict and event
+footprint to a tree-walking reference (``tests/reference_interp.py``).
 """
 
 from __future__ import annotations
@@ -23,8 +33,9 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from functools import partial
+from itertools import accumulate, islice, repeat
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...minilang import ast_nodes as A
 from ..checks import CheckState
@@ -35,11 +46,12 @@ from .env import Env, InterpError
 _MAX_CALL_DEPTH = 200
 
 #: Python frames one level of minilang calls may take, nested statements
-#: and expressions included.  Every ``_ROOM_EVERY`` nested calls, a call
-#: makes sure the recursion limit has room for the levels still allowed
-#: above it, so the call-depth limit, not the caller's stack depth, decides
-#: where a recursion ends.
-_FRAMES_PER_CALL = 25
+#: and expressions included: 6 for ``return rec(n - 1) + 1;``, 10 with the
+#: call two operators deep in an ``if``, ``for``, ``while`` and ``if``.
+#: Every ``_ROOM_EVERY`` nested calls, a call makes sure the recursion
+#: limit has room for the levels still allowed above it, so the call-depth
+#: limit, not the caller's stack depth, decides where a recursion ends.
+_FRAMES_PER_CALL = 12
 _ROOM_EVERY = 16
 
 #: Seconds ``MPI_Wtime`` counts per unit of the compute clock ``work(n)``
@@ -51,6 +63,8 @@ _NON_CANONICAL = "omp for requires a canonical for loop"
 
 _LOOP_TESTS = {"<": operator.lt, "<=": operator.le,
                ">": operator.gt, ">=": operator.ge}
+_COMPARE = {"==": operator.eq, "!=": operator.ne, **_LOOP_TESTS}
+_UNARY = {"-": operator.neg, "!": operator.not_}
 
 #: How each collective reads its arguments, in evaluation order (``root``:
 #: an int; ``red``: a reduction op; ``send``: the payload; ``root send``:
@@ -73,6 +87,10 @@ _COLLECTIVE_ARGS = {
 }
 _MPI_OPS = frozenset(_COLLECTIVE_ARGS) | {"MPI_Send", "MPI_Recv", "MPI_Sendrecv"}
 
+#: A compiled node, ``(run, gen)``: ``run(rt, env, ctx)`` returns the
+#: node's value, or, when ``gen``, what to ``yield from`` for it.
+Compiled = Tuple[Callable, bool]
+
 
 class _BreakEx(Exception):
     pass
@@ -88,19 +106,23 @@ class _ReturnEx(Exception):
         self.value = value
 
 
-@dataclass
 class ExecCtx:
     """Per-thread execution context."""
 
-    team: Optional[Team] = None
-    tid: int = 0
-    call_depth: int = 0
-    #: construct uid -> how many times *this thread* encountered it
-    #: (drives single/sections claim generations).
-    encounters: Dict[int, int] = field(default_factory=dict)
+    __slots__ = ("team", "tid", "call_depth", "encounters", "tracking")
 
-    def nested(self, team: Team, tid: int) -> "ExecCtx":
-        return ExecCtx(team=team, tid=tid, call_depth=self.call_depth)
+    def __init__(self, team: Optional[Team] = None, tid: int = 0,
+                 call_depth: int = 0,
+                 encounters: Optional[Dict[int, int]] = None) -> None:
+        self.team = team
+        self.tid = tid
+        self.call_depth = call_depth
+        #: construct uid -> how many times *this thread* encountered it
+        #: (drives single/sections claim generations).
+        self.encounters = {} if encounters is None else encounters
+        #: Whether the thread's shared-variable accesses feed the running
+        #: segment's footprint: it is one of a team of more than one.
+        self.tracking = team is not None and team.size > 1
 
     def next_encounter(self, uid: int) -> int:
         n = self.encounters.get(uid, 0)
@@ -109,27 +131,22 @@ class ExecCtx:
 
 
 class Interpreter:
+    """One rank's run of a program: what its compiled code runs against."""
+
+    __slots__ = ("proc", "world", "checks", "num_threads", "code", "check",
+                 "note_access", "_labels", "_labeled")
+
     def __init__(self, program: A.Program, proc: MpiProcess,
                  check_state: Optional[CheckState] = None,
                  num_threads: int = 2) -> None:
-        self.program = program
         self.proc = proc
         self.world = proc.world
         self.checks = check_state or CheckState(proc)
         self.num_threads = num_threads
-        self.funcs = {f.name: f for f in program.funcs}
+        self.code = _Code.of(program)
         # Bound once, so the per-statement hooks skip the world's proxy.
-        self._check = self.world.check
-        self._note_access = self.world.scheduler.note_access
-        # uid -> whether running the node can reach a SchedPoint, kept with
-        # the program for its later runs while its functions keep their
-        # ``structure_version`` markers (in-place instrumentation bumps them).
-        shape = tuple((f.uid, getattr(f, "structure_version", 0))
-                      for f in program.funcs)
-        memo = getattr(program, "_blocking", None)
-        if memo is None or memo[0] != shape:
-            memo = program._blocking = (shape, {})
-        self._blocking: Dict[int, bool] = memo[1]
+        self.check = self.world.check
+        self.note_access = self.world.scheduler.note_access
         # Shared-variable access tracking for schedule exploration: reads
         # and writes of cells visible to a team of >1 threads feed the
         # running segment's footprint.  Objects (cells, arrays) are labeled
@@ -139,13 +156,7 @@ class Interpreter:
         #: Every labeled object, kept alive so its id is never reused.
         self._labeled: List[object] = []
 
-    # -- shared-access tracking ----------------------------------------------
-
-    @staticmethod
-    def _tracking(ctx: ExecCtx) -> bool:
-        return ctx.team is not None and ctx.team.size > 1
-
-    def _label(self, obj: object, name: str) -> str:
+    def label(self, obj: object, name: str) -> str:
         key = id(obj)
         label = self._labels.get(key)
         if label is None:
@@ -154,16 +165,53 @@ class Interpreter:
             self._labeled.append(obj)
         return label
 
-    # -- which path ---------------------------------------------------------------
+    def run(self, entry: str = "main", args: tuple = ()):
+        """The rank's main thread: a generator for the world's scheduler."""
+        if entry not in self.code.calls:
+            raise InterpError(f"no entry function {entry!r}")
+        call, gen = self.code.calls[entry]
+        result = call(self, list(args), ExecCtx())
+        return (yield from result) if gen else result
 
-    def _blocks(self, node: A.Node) -> bool:
+
+class _Code:
+    """A program's compiled code, valid while its functions keep the
+    ``(uid, structure_version)`` pairs in :attr:`shape`, and its compiler:
+    ``self._<node class>(node)`` compiles one node."""
+
+    __slots__ = ("shape", "funcs", "blocking", "calls")
+
+    def __init__(self, program: A.Program, shape: tuple) -> None:
+        self.shape = shape
+        self.funcs = {f.name: f for f in program.funcs}
+        #: uid -> whether running the node can reach a SchedPoint.
+        self.blocking: Dict[int, bool] = {}
+        #: Function name -> its compiled call, ``call(rt, args, ctx)``.
+        self.calls: Dict[str, Compiled] = {}
+        for name, func in self.funcs.items():
+            self.calls[name] = self.function(func)
+
+    @classmethod
+    def of(cls, program: A.Program) -> "_Code":
+        shape = tuple((f.uid, getattr(f, "structure_version", 0))
+                      for f in program.funcs)
+        code = getattr(program, "_code", None)
+        if code is None or code.shape != shape:
+            code = program._code = cls(program, shape)
+        return code
+
+    def __reduce__(self):
+        # Closures neither pickle nor deep-copy: a copy compiles afresh.
+        return type(None), ()
+
+    def blocks(self, node: A.Node) -> bool:
         """Whether running ``node`` can reach a SchedPoint.  While a
         function is being decided, a call back into it counts as reaching
         one: a recursion takes the generator path, which runs any code."""
-        known = self._blocking.get(node.uid)
+        known = self.blocking.get(node.uid)
         if known is None:
-            self._blocking[node.uid] = True
-            known = self._blocking[node.uid] = self._reaches(node)
+            self.blocking[node.uid] = True
+            known = self.blocking[node.uid] = self._reaches(node)
         return known
 
     def _reaches(self, node: A.Node) -> bool:
@@ -173,472 +221,617 @@ class Interpreter:
             if node.name in _MPI_OPS or node.name in _CHECK_IMPL:
                 return True
             func = self.funcs.get(node.name)
-            if func is not None and self._blocks(func.body):
+            if func is not None and self.blocks(func.body):
                 return True
-        return any(self._blocks(child) for child in node.children())
+        return any(self.blocks(child) for child in node.children())
 
-    def _run_stmt(self, stmt: A.Stmt, env: Env, ctx: ExecCtx):
-        """Run ``stmt`` on its path; ``yield from`` the result (``()`` once
-        it has run directly)."""
-        if self._blocks(stmt):
-            self._check()
-            return self._g_stmt(stmt, env, ctx)
-        self.exec_stmt(stmt, env, ctx)
-        return ()
+    # -- the compiler ----------------------------------------------------------------
 
-    def _run_block(self, block: A.Block, env: Env, ctx: ExecCtx):
-        """Run ``block`` on its path; ``yield from`` the result."""
-        if self._blocks(block):
-            return self._g_block(block, env, ctx)
-        self.exec_block(block, env, ctx)
-        return ()
+    def function(self, func: A.FuncDef) -> Compiled:
+        body, gen = self.block(func.body)
+        if gen:
+            def g_call(rt, args, ctx):
+                env, inner = _enter(func, args, ctx)
+                try:
+                    yield from body(rt, env, inner)
+                except _ReturnEx as ret:
+                    return ret.value
+            return g_call, True
 
-    def _g_value(self, expr: A.Expr, env: Env, ctx: ExecCtx):
-        """``expr``'s value on the generator path."""
-        if self._blocks(expr):
-            return (yield from self._g_eval(expr, env, ctx))
-        return self.eval(expr, env, ctx)
-
-    # -- entry ---------------------------------------------------------------------
-
-    def run(self, entry: str = "main", args: tuple = ()):
-        """The rank's main thread: a generator for the world's scheduler."""
-        if entry not in self.funcs:
-            raise InterpError(f"no entry function {entry!r}")
-        return (yield from self._g_call_function(self.funcs[entry],
-                                                 list(args), ExecCtx()))
-
-    def _enter(self, func: A.FuncDef, args: List[Any],
-               ctx: ExecCtx) -> tuple:
-        """A call's checks and frame: the callee's environment and context."""
-        if ctx.call_depth >= _MAX_CALL_DEPTH:
-            raise InterpError(f"call depth exceeded in {func.name}")
-        if ctx.call_depth % _ROOM_EVERY == _ROOM_EVERY - 1:
-            _make_room((_MAX_CALL_DEPTH - ctx.call_depth) * _FRAMES_PER_CALL)
-        if len(args) != len(func.params):
-            raise InterpError(
-                f"{func.name} expects {len(func.params)} args, got {len(args)}"
-            )
-        env = Env()
-        for param, value in zip(func.params, args):
-            env.declare(param.name, value)
-        inner = ExecCtx(team=ctx.team, tid=ctx.tid,
-                        call_depth=ctx.call_depth + 1, encounters=ctx.encounters)
-        return env.child(), inner
-
-    def call_function(self, func: A.FuncDef, args: List[Any], ctx: ExecCtx) -> Any:
-        """Call ``func``, whose body reaches no SchedPoint."""
-        env, inner = self._enter(func, args, ctx)
-        try:
-            self.exec_block(func.body, env, inner)
-        except _ReturnEx as ret:
-            return ret.value
-        return None
-
-    def _g_call_function(self, func: A.FuncDef, args: List[Any], ctx: ExecCtx):
-        env, inner = self._enter(func, args, ctx)
-        try:
-            yield from self._run_block(func.body, env, inner)
-        except _ReturnEx as ret:
-            return ret.value
-        return None
-
-    # -- statements: the direct path -------------------------------------------------
-
-    def exec_block(self, block: A.Block, env: Env, ctx: ExecCtx) -> None:
-        for stmt in block.stmts:
-            self.exec_stmt(stmt, env, ctx)
-
-    def exec_stmt(self, stmt: A.Stmt, env: Env, ctx: ExecCtx) -> None:
-        """Run ``stmt``, which reaches no SchedPoint: simple statements and
-        branches here, loops and blocks by driving :meth:`_g_stmt` to its
-        end."""
-        self._check()
-        if isinstance(stmt, A.Assign):
-            value = self.eval(stmt.value, env, ctx)
-            target = stmt.target
-            self._assign(stmt, value, env, ctx, self.eval(target.index, env, ctx)
-                         if isinstance(target, A.ArrayRef) else None)
-        elif isinstance(stmt, A.ExprStmt):
-            self.eval(stmt.expr, env, ctx)
-        elif isinstance(stmt, A.VarDecl):
-            expr = stmt.init if stmt.array_size is None else stmt.array_size
-            self._declare(stmt, None if expr is None
-                          else self.eval(expr, env, ctx), env)
-        elif isinstance(stmt, A.If):
-            body = stmt.then_body if self.eval(stmt.cond, env, ctx) else stmt.else_body
-            if body is not None:
-                self.exec_block(body, env.child(), ctx)
-        elif isinstance(stmt, A.Return):
-            raise _ReturnEx(self.eval(stmt.value, env, ctx)
-                            if stmt.value is not None else None)
-        else:
-            for _ in self._g_stmt(stmt, env, ctx):
-                raise InterpError(f"{type(stmt).__name__} on line {stmt.line} "
-                                  f"reached a scheduling point directly")
-
-    # -- statements: the generator path ----------------------------------------------
-
-    def _g_block(self, block: A.Block, env: Env, ctx: ExecCtx):
-        for stmt in block.stmts:
-            if self._blocks(stmt):
-                self._check()
-                yield from self._g_stmt(stmt, env, ctx)
-            else:
-                self.exec_stmt(stmt, env, ctx)
-
-    def _g_stmt(self, stmt: A.Stmt, env: Env, ctx: ExecCtx):
-        """Run ``stmt`` on the generator path; its caller has checked."""
-        if isinstance(stmt, A.VarDecl):
-            expr = stmt.init if stmt.array_size is None else stmt.array_size
-            self._declare(stmt, None if expr is None else
-                          (yield from self._g_value(expr, env, ctx)), env)
-        elif isinstance(stmt, A.Assign):
-            value = yield from self._g_value(stmt.value, env, ctx)
-            target = stmt.target
-            self._assign(stmt, value, env, ctx, (yield from self._g_value(
-                target.index, env, ctx)) if isinstance(target, A.ArrayRef) else None)
-        elif isinstance(stmt, A.ExprStmt):
-            yield from self._g_value(stmt.expr, env, ctx)
-        elif isinstance(stmt, A.Block):
-            yield from self._run_block(stmt, env.child(), ctx)
-        elif isinstance(stmt, A.If):
-            taken = yield from self._g_value(stmt.cond, env, ctx)
-            body = stmt.then_body if taken else stmt.else_body
-            if body is not None:
-                yield from self._run_block(body, env.child(), ctx)
-        elif isinstance(stmt, A.While):
-            yield from self._g_loop(stmt.cond, None, stmt.body, env, ctx)
-        elif isinstance(stmt, A.For):
-            loop_env = env.child()
-            if stmt.init is not None:
-                yield from self._run_stmt(stmt.init, loop_env, ctx)
-            yield from self._g_loop(stmt.cond, stmt.step, stmt.body,
-                                    loop_env, ctx)
-        elif isinstance(stmt, A.Return):
-            raise _ReturnEx(None if stmt.value is None else
-                            (yield from self._g_value(stmt.value, env, ctx)))
-        elif isinstance(stmt, A.Break):
-            raise _BreakEx()
-        elif isinstance(stmt, A.Continue):
-            raise _ContinueEx()
-        elif isinstance(stmt, A.OmpStmt):
-            yield from self._g_omp(stmt, env, ctx)
-        else:
-            raise InterpError(f"cannot execute {type(stmt).__name__}")
-
-    def _g_loop(self, cond: Optional[A.Expr], step: Optional[A.Stmt],
-                body: A.Block, env: Env, ctx: ExecCtx):
-        """``while (cond) body`` (``for`` adds ``step`` after each pass);
-        every iteration checks the abort flag and the deadline."""
-        cond_blocks = cond is not None and self._blocks(cond)
-        body_blocks = self._blocks(body)
-        while cond is None or ((yield from self._g_eval(cond, env, ctx))
-                               if cond_blocks else self.eval(cond, env, ctx)):
-            self._check()
+        def call(rt, args, ctx):
+            env, inner = _enter(func, args, ctx)
             try:
-                if body_blocks:
-                    yield from self._g_block(body, env.child(), ctx)
-                else:
-                    self.exec_block(body, env.child(), ctx)
-            except _BreakEx:
-                break
-            except _ContinueEx:
-                pass
-            if step is not None:
-                yield from self._run_stmt(step, env, ctx)
+                body(rt, env, inner)
+            except _ReturnEx as ret:
+                return ret.value
+        return call, False
 
-    # -- simple statements' semantics ---------------------------------------------------
+    def node(self, node: A.Node) -> Compiled:
+        """``node`` compiled: a statement's closure checks the abort flag
+        and the deadline first."""
+        compile_node = getattr(self, "_" + type(node).__name__, None)
+        if compile_node is None:
+            raise InterpError(f"cannot compile {type(node).__name__}")
+        return compile_node(node)
 
-    @staticmethod
-    def _declare(stmt: A.VarDecl, value: Any, env: Env) -> None:
-        """Declare ``stmt``'s variable; ``value`` is its array size or its
-        initializer's value (``None`` when it has neither)."""
+    def block(self, block: A.Block) -> Compiled:
+        """``block``'s statements in order; its caller gives it its own
+        environment."""
+        stmts = [self.node(stmt) for stmt in block.stmts]
+        if len(stmts) == 1:
+            return stmts[0]
+        if self.blocks(block):
+            def g_run(rt, env, ctx):
+                for fn, gen in stmts:
+                    if gen:
+                        yield from fn(rt, env, ctx)
+                    else:
+                        fn(rt, env, ctx)
+            return g_run, True
+        fns = tuple(fn for fn, _ in stmts)
+
+        def run(rt, env, ctx):
+            for fn in fns:
+                fn(rt, env, ctx)
+        return run, False
+
+    def body(self, block: A.Block) -> Callable:
+        """``block`` in a construct that reaches a SchedPoint: what it
+        returns is ``yield from``ed."""
+        run, gen = self.block(block)
+        return run if gen else _and_nothing(run)
+
+    # -- statements --------------------------------------------------------------------
+
+    def _VarDecl(self, stmt: A.VarDecl) -> Compiled:
+        name = stmt.name
         if stmt.array_size is not None:
-            init = 0.0 if stmt.type_name == "float" else 0
-            env.declare(stmt.name, [init] * int(value))
+            zero = 0.0 if stmt.type_name == "float" else 0
+            value = _map(lambda size: [zero] * int(size), self.node(stmt.array_size))
         elif stmt.init is not None:
-            env.declare(stmt.name, value)
+            value = self.node(stmt.init)
         else:
-            env.declare(stmt.name, _default(stmt.type_name))
+            value = _constant({"float": 0.0, "bool": False}.get(stmt.type_name, 0))
+        return _then(value, lambda rt, env, ctx, v: env.declare(name, v), True)
 
-    def _assign(self, stmt: A.Assign, value: Any, env: Env, ctx: ExecCtx,
-                index: Any) -> None:
-        """Store ``value`` through ``stmt``'s target: a variable, or the
-        element at ``index`` (evaluated by the caller) of an array."""
-        target, op = stmt.target, stmt.op
-        if isinstance(target, A.VarRef):
-            touched = env.cell(target.name)
-            touched.value = value if op == "=" else _apply_compound(op, touched.value, value)
-        elif isinstance(target, A.ArrayRef):
-            arr = env.get(target.name)
-            index = int(index)
-            if not isinstance(arr, list):
-                raise InterpError(f"{target.name} is not an array")
-            if not (0 <= index < len(arr)):
-                raise InterpError(
-                    f"index {index} out of bounds for {target.name}[{len(arr)}]"
-                )
-            arr[index] = value if op == "=" else _apply_compound(op, arr[index], value)
-            touched = arr
-        else:
-            raise InterpError("bad assignment target")
-        if self._tracking(ctx):
-            self._note_access(self._label(touched, target.name), "w")
+    def _Assign(self, stmt: A.Assign) -> Compiled:
+        target = stmt.target
+        if isinstance(target, A.ArrayRef):
+            return _then(_values([self.node(stmt.value), self.node(target.index)]),
+                         _store_element(target.name, stmt.op), True)
+        return _then(self.node(stmt.value), _store_var(target.name, stmt.op), True)
 
-    # -- OpenMP (generators only) ----------------------------------------------------
+    def _ExprStmt(self, stmt: A.ExprStmt) -> Compiled:
+        value, gen = self.node(stmt.expr)
 
-    def _g_omp(self, stmt: A.OmpStmt, env: Env, ctx: ExecCtx):
-        team = ctx.team
-        if isinstance(stmt, A.OmpBarrier):
-            if team is not None:
-                yield from team.barrier()
-        elif isinstance(stmt, A.OmpParallel):
-            size = self.num_threads
-            if stmt.num_threads is not None:
-                size = max(1, int((yield from self._g_value(stmt.num_threads,
-                                                            env, ctx))))
-            new_team = Team(self.world, self.proc, size)
-            private_init = {
-                name: (env.get(name) if env.is_declared(name) else 0)
-                for name in stmt.private
-            }
+        def run(rt, env, ctx):
+            rt.check()
+            return value(rt, env, ctx)
+        return run, gen
 
-            def body(tid: int):
-                tctx = ctx.nested(new_team, tid)
+    def _Block(self, stmt: A.Block) -> Compiled:
+        return _scoped(*self.block(stmt))
+
+    def _If(self, stmt: A.If) -> Compiled:
+        gen = self.blocks(stmt)
+        then, other = (None if body is None else self.body(body) if gen
+                       else self.block(body)[0]
+                       for body in (stmt.then_body, stmt.else_body))
+        cond, cond_gen = self.node(stmt.cond)
+        if cond_gen:
+            def g_run(rt, env, ctx):
+                rt.check()
+                body = then if (yield from cond(rt, env, ctx)) else other
+                if body is not None:
+                    yield from body(rt, env.child(), ctx)
+            return g_run, True
+
+        def run(rt, env, ctx):
+            rt.check()
+            body = then if cond(rt, env, ctx) else other
+            return () if body is None else body(rt, env.child(), ctx)
+        return run, gen
+
+    def _For(self, stmt: A.Stmt) -> Compiled:
+        """``while (cond) body``; ``for`` runs ``init`` first, in a scope of
+        its own, and ``step`` after each pass.  Every iteration checks the
+        abort flag and the deadline."""
+        is_for = isinstance(stmt, A.For)
+        init, init_gen = (self.node(stmt.init) if is_for and stmt.init is not None
+                          else _constant(None))
+        step, step_gen = (self.node(stmt.step) if is_for and stmt.step is not None
+                          else (None, False))
+        cond, cond_gen = (self.node(stmt.cond) if stmt.cond is not None
+                          else _constant(True))
+        body, body_gen = self.block(stmt.body)
+
+        def run(rt, env, ctx):
+            rt.check()
+            if is_for:
+                env = env.child()
+                if init_gen:
+                    yield from init(rt, env, ctx)
+                else:
+                    init(rt, env, ctx)
+            while (yield from cond(rt, env, ctx)) if cond_gen else cond(rt, env, ctx):
+                rt.check()
+                try:
+                    if body_gen:
+                        yield from body(rt, env.child(), ctx)
+                    else:
+                        body(rt, env.child(), ctx)
+                except _BreakEx:
+                    break
+                except _ContinueEx:
+                    pass
+                if step_gen:
+                    yield from step(rt, env, ctx)
+                elif step is not None:
+                    step(rt, env, ctx)
+        return (run, True) if self.blocks(stmt) else (_direct(run, stmt), False)
+
+    _While = _For
+
+    def _Return(self, stmt: A.Return) -> Compiled:
+        return _then(_constant(None) if stmt.value is None
+                     else self.node(stmt.value), _return, True)
+
+    def _Break(self, stmt: A.Stmt) -> Compiled:
+        jump = _BreakEx if isinstance(stmt, A.Break) else _ContinueEx
+
+        def run(rt, env, ctx):
+            rt.check()
+            raise jump()
+        return run, False
+
+    _Continue = _Break
+
+    # -- OpenMP (generators only) ------------------------------------------------------
+
+    def _OmpParallel(self, stmt: A.OmpParallel) -> Compiled:
+        body, private = self.body(stmt.body), tuple(stmt.private)
+        size, size_gen = (_constant(None) if stmt.num_threads is None else
+                          _map(lambda n: max(1, int(n)), self.node(stmt.num_threads)))
+
+        def run(rt, env, ctx):
+            rt.check()
+            n = (yield from size(rt, env, ctx)) if size_gen else size(rt, env, ctx)
+            team = Team(rt.world, rt.proc, rt.num_threads if n is None else n)
+            private_init = {name: (env.get(name) if env.is_declared(name) else 0)
+                            for name in private}
+
+            def member(tid: int):
+                tctx = ExecCtx(team, tid, ctx.call_depth)
                 tenv = env.child()
                 for name, value in private_init.items():
                     tenv.declare(name, value)
-                yield from self._run_block(stmt.body, tenv, tctx)
-                yield from new_team.barrier()  # the region's implicit join barrier
+                yield from body(rt, tenv, tctx)
+                yield from team.barrier()  # the region's implicit join barrier
 
-            yield from new_team.run(body)
-        elif isinstance(stmt, A.OmpSingle):
+            yield from team.run(member)
+        return run, True
+
+    def _OmpSingle(self, stmt: A.OmpSingle) -> Compiled:
+        body, uid, nowait = self.body(stmt.body), stmt.uid, stmt.nowait
+
+        def run(rt, env, ctx):
+            rt.check()
+            team = ctx.team
             if team is None or (yield from team.claim(
-                    stmt.uid, ctx.next_encounter(stmt.uid), ctx.tid)):
-                yield from self._run_block(stmt.body, env.child(), ctx)
-            if team is not None and not stmt.nowait:
+                    uid, ctx.next_encounter(uid), ctx.tid)):
+                yield from body(rt, env.child(), ctx)
+            if team is not None and not nowait:
                 yield from team.barrier()
-        elif isinstance(stmt, A.OmpMaster):
-            if team is None or ctx.tid == 0:
-                yield from self._run_block(stmt.body, env.child(), ctx)
-        elif isinstance(stmt, A.OmpCritical):
-            lock = self.proc.critical_lock(stmt.name or "<anon>")
+        return run, True
+
+    def _OmpMaster(self, stmt: A.OmpMaster) -> Compiled:
+        body = self.body(stmt.body)
+
+        def run(rt, env, ctx):
+            rt.check()
+            if ctx.team is None or ctx.tid == 0:
+                return body(rt, env.child(), ctx)
+            return ()
+        return run, True
+
+    def _OmpTask(self, stmt: A.OmpTask) -> Compiled:
+        # Executed inline by the encountering thread (undeferred task).
+        return _scoped(self.body(stmt.body), True)
+
+    def _OmpBarrier(self, stmt: A.OmpBarrier) -> Compiled:
+        def run(rt, env, ctx):
+            rt.check()
+            return () if ctx.team is None else ctx.team.barrier()
+        return run, True
+
+    def _OmpCritical(self, stmt: A.OmpCritical) -> Compiled:
+        body, name = self.body(stmt.body), stmt.name or "<anon>"
+
+        def run(rt, env, ctx):
+            rt.check()
+            lock = rt.proc.critical_lock(name)
             yield from lock.acquire()
             try:
-                yield from self._run_block(stmt.body, env.child(), ctx)
+                yield from body(rt, env.child(), ctx)
             finally:
                 lock.release()
-        elif isinstance(stmt, A.OmpTask):
-            # Executed inline by the encountering thread (undeferred task).
-            yield from self._run_block(stmt.body, env.child(), ctx)
-        elif isinstance(stmt, A.OmpFor):
-            loop = stmt.loop
-            if not isinstance(loop.init, A.VarDecl) or loop.cond is None or loop.step is None:
-                raise InterpError(_NON_CANONICAL)
-            start = 0
-            if loop.init.init is not None:
-                start = yield from self._g_value(loop.init.init, env, ctx)
-            if not isinstance(loop.cond, A.BinOp) or loop.cond.op not in _LOOP_TESTS:
-                raise InterpError("omp for condition must compare the loop variable")
-            bound = yield from self._g_value(loop.cond.right, env, ctx)
-            if not isinstance(loop.step, A.Assign) or loop.step.op not in ("+=", "-="):
-                raise InterpError("omp for step must be += or -=")
-            step = yield from self._g_value(loop.step.value, env, ctx)
-            if loop.step.op == "-=":
-                step = -step
-            if step == 0:
+        return run, True
+
+    def _OmpSections(self, stmt: A.OmpSections) -> Compiled:
+        sections = [self.body(section) for section in stmt.sections]
+        nowait = stmt.nowait
+
+        def run(rt, env, ctx):
+            rt.check()
+            team = ctx.team
+            for i, section in enumerate(sections):
+                if team is None or team.section_owner(i) == ctx.tid:
+                    yield from section(rt, env.child(), ctx)
+            if team is not None and not nowait:
+                yield from team.barrier()
+        return run, True
+
+    def _OmpFor(self, stmt: A.OmpFor) -> Compiled:
+        """Each thread runs its static chunk of a canonical loop's values;
+        the loop's shape is checked as its parts are evaluated: start,
+        bound, then step."""
+        loop, nowait = stmt.loop, stmt.nowait
+        init, cond, step = loop.init, loop.cond, loop.step
+        test = cond.op if isinstance(cond, A.BinOp) and cond.op in _LOOP_TESTS else None
+        stepping = isinstance(step, A.Assign) and step.op in ("+=", "-=")
+        if not isinstance(init, A.VarDecl) or cond is None or step is None:
+            parts = [_fail(_NON_CANONICAL)]
+        else:
+            parts = [_constant(0) if init.init is None else self.node(init.init),
+                     self.node(cond.right) if test else _fail(
+                         "omp for condition must compare the loop variable"),
+                     _fail("omp for step must be += or -=") if not stepping
+                     else self.node(step.value) if step.op == "+="
+                     else _map(operator.neg, self.node(step.value))]
+        parts, parts_gen = _values(parts)
+        body, body_gen = self.block(loop.body)
+        var = getattr(init, "name", "")
+
+        def run(rt, env, ctx):
+            rt.check()
+            team = ctx.team
+            start, bound, by = (yield from parts(rt, env, ctx)) if parts_gen \
+                else parts(rt, env, ctx)
+            if by == 0:
                 raise InterpError("omp for step must be nonzero")
-            values = _iterations(start, loop.cond.op, bound, step)
-            for i in (range(len(values)) if team is None
-                      else team.static_chunk(ctx.tid, len(values))):
-                self._check()
+            values = _iterations(start, test, bound, by, rt.check)
+            if team is not None:
+                chunk = team.static_chunk(ctx.tid, len(values))
+                values = values[chunk.start:chunk.stop]
+            for value in values:
+                rt.check()
                 iter_env = env.child()
-                iter_env.declare(loop.init.name, values[i])
+                iter_env.declare(var, value)
                 try:
-                    yield from self._run_block(loop.body, iter_env, ctx)
+                    if body_gen:
+                        yield from body(rt, iter_env, ctx)
+                    else:
+                        body(rt, iter_env, ctx)
                 except _ContinueEx:
                     continue
-            if team is not None and not stmt.nowait:
+            if team is not None and not nowait:
                 yield from team.barrier()
-        elif isinstance(stmt, A.OmpSections):
-            for i, section in enumerate(stmt.sections):
-                if team is None or team.section_owner(i) == ctx.tid:
-                    yield from self._run_block(section, env.child(), ctx)
-            if team is not None and not stmt.nowait:
-                yield from team.barrier()
-        else:
-            raise InterpError(f"cannot execute OpenMP node {type(stmt).__name__}")
+        return run, True
 
-    # -- expressions -----------------------------------------------------------------------
+    # -- expressions -------------------------------------------------------------------
 
-    def eval(self, expr: A.Expr, env: Env, ctx: ExecCtx) -> Any:
-        """``expr``'s value, for an expression that reaches no SchedPoint."""
-        if isinstance(expr, A.IntLit):
-            return expr.value
-        if isinstance(expr, A.FloatLit):
-            return expr.value
-        if isinstance(expr, A.BoolLit):
-            return expr.value
-        if isinstance(expr, A.StringLit):
-            return expr.value
-        if isinstance(expr, A.VarRef):
-            if self._tracking(ctx):
-                cell = env.cell(expr.name)
-                self._note_access(self._label(cell, expr.name), "r")
+    def _IntLit(self, expr: A.Expr) -> Compiled:
+        return _constant(expr.value)
+
+    _FloatLit = _BoolLit = _StringLit = _IntLit
+
+    def _VarRef(self, expr: A.VarRef) -> Compiled:
+        name = expr.name
+
+        def var(rt, env, ctx):
+            if ctx.tracking:
+                cell = env.cell(name)
+                rt.note_access(rt.label(cell, name), "r")
                 return cell.value
-            return env.get(expr.name)
-        if isinstance(expr, A.ArrayRef):
-            return self._element(expr, self.eval(expr.index, env, ctx), env, ctx)
-        if isinstance(expr, A.UnaryOp):
-            return _unary(expr.op, self.eval(expr.operand, env, ctx))
-        if isinstance(expr, A.BinOp):
-            op = expr.op
-            if op == "&&":
-                return bool(self.eval(expr.left, env, ctx)) and bool(self.eval(expr.right, env, ctx))
-            if op == "||":
-                return bool(self.eval(expr.left, env, ctx)) or bool(self.eval(expr.right, env, ctx))
-            return _binop(op, self.eval(expr.left, env, ctx),
-                          self.eval(expr.right, env, ctx))
-        if isinstance(expr, A.Call):
-            return self._eval_call(expr, env, ctx)
-        raise InterpError(f"cannot evaluate {type(expr).__name__}")
+            return env.cell(name).value
+        return var, False
 
-    def _eval_call(self, call: A.Call, env: Env, ctx: ExecCtx) -> Any:
-        # Apart from eval: the comprehension's closure would cost every
-        # evaluation three cells.
-        impl = _BUILTIN_IMPL.get(call.name)
-        func = None if impl is not None else self._callee(call)
-        args = [self.eval(a, env, ctx) for a in call.args]
-        if impl is not None:
-            return impl(self, ctx, args)
-        return self.call_function(func, args, ctx)
+    def _ArrayRef(self, expr: A.ArrayRef) -> Compiled:
+        return _then(self.node(expr.index), partial(_element, expr.name))
 
-    def _g_eval(self, expr: A.Expr, env: Env, ctx: ExecCtx):
-        """``expr``'s value on the generator path: a call that reaches a
-        SchedPoint, or an operator over one."""
-        if isinstance(expr, A.Call):
-            return (yield from self._g_call(expr, env, ctx))
-        if isinstance(expr, A.BinOp):
-            op = expr.op
-            left = yield from self._g_value(expr.left, env, ctx)
-            if op == "&&":
-                return bool(left) and bool((yield from self._g_value(expr.right, env, ctx)))
-            if op == "||":
-                return bool(left) or bool((yield from self._g_value(expr.right, env, ctx)))
-            return _binop(op, left, (yield from self._g_value(expr.right, env, ctx)))
-        if isinstance(expr, A.UnaryOp):
-            return _unary(expr.op, (yield from self._g_value(expr.operand, env, ctx)))
-        if isinstance(expr, A.ArrayRef):
-            index = yield from self._g_value(expr.index, env, ctx)
-            return self._element(expr, index, env, ctx)
-        raise InterpError(f"cannot evaluate {type(expr).__name__}")
+    def _UnaryOp(self, expr: A.UnaryOp) -> Compiled:
+        return _map(_UNARY[expr.op], self.node(expr.operand))
 
-    def _element(self, expr: A.ArrayRef, index: Any, env: Env,
-                 ctx: ExecCtx) -> Any:
-        arr = env.get(expr.name)
-        index = int(index)
-        if not isinstance(arr, list):
-            raise InterpError(f"{expr.name} is not an array")
-        if not (0 <= index < len(arr)):
-            raise InterpError(
-                f"index {index} out of bounds for {expr.name}[{len(arr)}]"
-            )
-        value = arr[index]
-        if self._tracking(ctx):
-            self._note_access(self._label(arr, expr.name), "r")
-        return value
+    def _BinOp(self, expr: A.BinOp) -> Compiled:
+        op = expr.op
+        left, left_gen = self.node(expr.left)
+        right, right_gen = self.node(expr.right)
+        if op in ("&&", "||"):
+            decides = op == "||"  # the left value that decides alone
+            if left_gen or right_gen:
+                def g_logic(rt, env, ctx):
+                    value = bool((yield from left(rt, env, ctx)) if left_gen
+                                 else left(rt, env, ctx))
+                    return value if value is decides else bool(
+                        (yield from right(rt, env, ctx)) if right_gen
+                        else right(rt, env, ctx))
+                return g_logic, True
 
-    # -- calls ------------------------------------------------------------------------------
+            def logic(rt, env, ctx):
+                value = bool(left(rt, env, ctx))
+                return value if value is decides else bool(right(rt, env, ctx))
+            return logic, False
+        fn = _COMPARE.get(op) or partial(_binop, op)
+        if left_gen or right_gen:
+            return _map(lambda values: fn(*values), _values(
+                [(left, left_gen), (right, right_gen)]))
+        return (lambda rt, env, ctx:
+                fn(left(rt, env, ctx), right(rt, env, ctx))), False
 
-    def _callee(self, call: A.Call) -> A.FuncDef:
-        func = self.funcs.get(call.name)
-        if func is None:
-            raise InterpError(f"call to unknown function {call.name!r}")
-        return func
-
-    def _g_call(self, call: A.Call, env: Env, ctx: ExecCtx):
+    def _Call(self, call: A.Call) -> Compiled:
+        """An MPI operation, an inserted check, a builtin or a function, in
+        that order; an unknown name raises before any argument is read."""
         name = call.name
         if name in _MPI_OPS:
-            return (yield from self._g_mpi(call, env, ctx))
-        check = _CHECK_IMPL.get(name)
-        impl = _BUILTIN_IMPL.get(name)
-        func = None if check is not None or impl is not None else self._callee(call)
-        args = []
-        for a in call.args:
-            args.append((yield from self._g_value(a, env, ctx)))
-        if check is not None:
-            return (yield from check(self, call, args))
-        if impl is not None:
-            return impl(self, ctx, args)
-        if self._blocks(func.body):
-            return (yield from self._g_call_function(func, args, ctx))
-        return self.call_function(func, args, ctx)
+            return (self._collective if name in _COLLECTIVE_ARGS
+                    else self._p2p)(call), True
+        check, impl = _CHECK_IMPL.get(name), _BUILTIN_IMPL.get(name)
+        gen, calls = self.blocks(call), self.calls
+        if not (check or impl or name in self.funcs):
+            def unknown(rt, env, ctx):
+                raise InterpError(f"call to unknown function {name!r}")
+            return unknown, gen
+        args, args_gen = _values([self.node(arg) for arg in call.args])
+        if not gen:  # a builtin, or a function whose call is plain
+            if impl is not None:
+                return (lambda rt, env, ctx: impl(rt, ctx, args(rt, env, ctx))), False
+            return (lambda rt, env, ctx:
+                    calls[name][0](rt, args(rt, env, ctx), ctx)), False
 
-    # -- MPI (generators only) -------------------------------------------------------------
+        def g_call(rt, env, ctx):
+            values = (yield from args(rt, env, ctx)) if args_gen else args(rt, env, ctx)
+            if check is not None:
+                return (yield from check(rt, call, values))
+            if impl is not None:
+                return impl(rt, ctx, values)
+            callee, callee_gen = calls[name]
+            result = callee(rt, values, ctx)
+            return (yield from result) if callee_gen else result
+        return g_call, True
 
-    def _g_store(self, expr: A.Expr, value: Any, env: Env, ctx: ExecCtx,
-                 what: str):
-        """Write an MPI result back through an lvalue (variable or array
-        element)."""
-        if isinstance(expr, A.VarRef):
-            touched = env.cell(expr.name)
-            touched.value = value
-        elif isinstance(expr, A.ArrayRef):
-            touched = env.get(expr.name)
-            index = int((yield from self._g_value(expr.index, env, ctx)))
-            if not isinstance(touched, list) or not (0 <= index < len(touched)):
-                raise InterpError(f"{what}: bad array element {expr.name}[{index}]")
-            touched[index] = value
-        else:
-            raise InterpError(f"{what} buffer argument must be an lvalue")
-        if self._tracking(ctx):
-            self._note_access(self._label(touched, expr.name), "w")
+    # -- MPI (generators only) ---------------------------------------------------------
 
-    def _g_mpi(self, call: A.Call, env: Env, ctx: ExecCtx):
-        name = call.name
-        proc = self.proc
-        line = call.line
-        a = call.args
-        value = self._g_value
-        if name in _COLLECTIVE_ARGS:
-            reads, buffer, when = _COLLECTIVE_ARGS[name]
-            root = red = payload = None
-            for kind, i in reads:
-                if kind == "red":
-                    red = yield from value(a[i], env, ctx)
-                    if not isinstance(red, str):
-                        raise InterpError("reduction op must be a string: "
-                                          "'sum'|'prod'|'min'|'max'")
-                elif kind == "root":
-                    root = int((yield from value(a[i], env, ctx)))
-                elif kind == "send" or proc.rank == root:
-                    payload = yield from value(a[i], env, ctx)
-            signature = tuple(v for v in (root, red) if v is not None)
-            result = yield from proc.collective(name, signature, payload,
-                                                line=line)
-            if buffer is None:
+    def _collective(self, call: A.Call) -> Callable:
+        name, a = call.name, call.args
+        spec, buffer, when = _COLLECTIVE_ARGS[name]
+        convert = {"root": int, "red": _reduction_op}
+        reads = [(kind,) + (_map(convert[kind], self.node(a[i])) if kind in convert
+                            else self.node(a[i])) for kind, i in spec]
+        kinds = {kind for kind, _ in spec}
+        has_root, has_red = "root" in kinds, "red" in kinds
+        store = None if buffer is None else self._mpi_store(a[buffer], name)
+
+        def collective(rt, env, ctx):
+            proc = rt.proc
+            got = {}
+            for kind, fn, gen in reads:
+                if kind != "root send" or proc.rank == got.get("root"):
+                    got[kind] = (yield from fn(rt, env, ctx)) if gen else fn(rt, env, ctx)
+            root = got.get("root")
+            result = yield from proc.collective(
+                name, (root,) * has_root + (got.get("red"),) * has_red,
+                got.get("send", got.get("root send")), line=call.line)
+            if store is None:
                 return result
             if (when == "always" or (when == "at root" and proc.rank == root)
                     or (when == "if any" and result is not None)):
-                yield from self._g_store(a[buffer], result, env, ctx, name)
-            return None
-        # Point to point: MPI_Send(value, dest, tag), MPI_Recv(var, source,
-        # tag) and MPI_Sendrecv(value, dest, tag, var, source, tag).
-        if name != "MPI_Recv":
-            send = yield from value(a[0], env, ctx)
-            dest = int((yield from value(a[1], env, ctx)))
-            tag = int((yield from value(a[2], env, ctx)))
-        if name != "MPI_Send":
-            var = 3 if name == "MPI_Sendrecv" else 0
-            source = int((yield from value(a[var + 1], env, ctx)))
-            rtag = int((yield from value(a[var + 2], env, ctx)))
-        if name != "MPI_Recv":
-            yield from proc.send(dest, tag, send, line=line)
-        if name != "MPI_Send":
-            result = yield from proc.recv(source, rtag, line=line)
-            yield from self._g_store(a[var], result, env, ctx, name)
-        return None
+                yield from store(rt, env, ctx, result)
+        return collective
+
+    def _p2p(self, call: A.Call) -> Callable:
+        # MPI_Send(value, dest, tag), MPI_Recv(var, source, tag) and
+        # MPI_Sendrecv(value, dest, tag, var, source, tag).
+        name, a = call.name, call.args
+        sends, receives = name != "MPI_Recv", name != "MPI_Send"
+        var = 3 if name == "MPI_Sendrecv" else 0
+        reads = [self.node(a[0])] if sends else []
+        reads += [_map(int, self.node(a[i])) for i in (
+            ((1, 2) if sends else ()) + ((var + 1, var + 2) if receives else ()))]
+        args, args_gen = _values(reads)
+        store = self._mpi_store(a[var], name) if receives else None
+
+        def p2p(rt, env, ctx):
+            values = (yield from args(rt, env, ctx)) if args_gen else args(rt, env, ctx)
+            if sends:
+                yield from rt.proc.send(values[1], values[2], values[0],
+                                        line=call.line)
+            if receives:
+                result = yield from rt.proc.recv(values[-2], values[-1],
+                                                 line=call.line)
+                yield from store(rt, env, ctx, result)
+        return p2p
+
+    def _mpi_store(self, expr: A.Expr, what: str) -> Callable:
+        """``store(rt, env, ctx, value)``, to ``yield from``: an MPI result
+        written back through an lvalue (variable or array element)."""
+        name = getattr(expr, "name", "")
+        if isinstance(expr, A.VarRef):
+            return _and_nothing(_store_var(name, "="))
+        if not isinstance(expr, A.ArrayRef):
+            return _and_nothing(_fail(f"{what} buffer argument must be an lvalue")[0])
+        index, gen = self.node(expr.index)
+
+        def g_store(rt, env, ctx, value):
+            arr = env.get(name)
+            i = int((yield from index(rt, env, ctx)) if gen else index(rt, env, ctx))
+            if not isinstance(arr, list) or not (0 <= i < len(arr)):
+                raise InterpError(f"{what}: bad array element {name}[{i}]")
+            arr[i] = value
+            if ctx.tracking:
+                rt.note_access(rt.label(arr, name), "w")
+        return g_store
+
+
+# -- compiled-node helpers -------------------------------------------------------------
+
+
+def _constant(value: Any) -> Compiled:
+    return (lambda rt, env, ctx: value), False
+
+
+def _fail(message: str) -> Compiled:
+    def fail(*args):
+        raise InterpError(message)
+    return fail, False
+
+
+def _and_nothing(run: Callable) -> Callable:
+    """``run`` followed by an empty iterable: a plain closure where a
+    generator's is expected."""
+    def direct(*args):
+        run(*args)
+        return ()
+    return direct
+
+
+def _map(fn: Callable, compiled: Compiled) -> Compiled:
+    """``fn`` of a compiled node's value, compiled alike."""
+    run, gen = compiled
+    if gen:
+        def g_mapped(rt, env, ctx):
+            return fn((yield from run(rt, env, ctx)))
+        return g_mapped, True
+    return (lambda rt, env, ctx: fn(run(rt, env, ctx))), False
+
+
+def _values(compiled: Sequence[Compiled]) -> Compiled:
+    """The list of compiled nodes' values, evaluated in order."""
+    if any(gen for _, gen in compiled):
+        def g_values(rt, env, ctx):
+            values = []
+            for fn, gen in compiled:
+                values.append((yield from fn(rt, env, ctx)) if gen else fn(rt, env, ctx))
+            return values
+        return g_values, True
+    fns = tuple(fn for fn, _ in compiled)
+
+    def values(rt, env, ctx):
+        out = []
+        for fn in fns:
+            out.append(fn(rt, env, ctx))
+        return out
+    return values, False
+
+
+def _then(compiled: Compiled, fn: Callable, check: bool = False) -> Compiled:
+    """``fn(rt, env, ctx, value)`` of a compiled node's value, compiled
+    alike; ``check``: a statement's, which checks first."""
+    value, gen = compiled
+    if gen:
+        def g_then(rt, env, ctx):
+            if check:
+                rt.check()
+            return fn(rt, env, ctx, (yield from value(rt, env, ctx)))
+        return g_then, True
+
+    def then(rt, env, ctx):
+        if check:
+            rt.check()
+        return fn(rt, env, ctx, value(rt, env, ctx))
+    return then, False
+
+
+def _scoped(run: Callable, gen: bool) -> Compiled:
+    """A statement that checks and then runs ``run`` in a scope of its
+    own."""
+    def scoped(rt, env, ctx):
+        rt.check()
+        return run(rt, env.child(), ctx)
+    return scoped, gen
+
+
+def _direct(run: Callable, node: A.Stmt) -> Callable:
+    """The generator closure ``run`` of ``node``, which reaches no
+    SchedPoint, as a plain closure that drives it to its end."""
+    def direct(rt, env, ctx):
+        for _ in run(rt, env, ctx):
+            raise InterpError(f"{type(node).__name__} on line {node.line} "
+                              f"reached a scheduling point directly")
+    return direct
+
+
+# -- what compiled code calls ----------------------------------------------------------
+
+
+def _enter(func: A.FuncDef, args: List[Any], ctx: ExecCtx) -> tuple:
+    """A call's checks and frame: the callee's environment and context."""
+    depth = ctx.call_depth
+    if depth >= _MAX_CALL_DEPTH:
+        raise InterpError(f"call depth exceeded in {func.name}")
+    if depth % _ROOM_EVERY == _ROOM_EVERY - 1:
+        _make_room((_MAX_CALL_DEPTH - depth) * _FRAMES_PER_CALL)
+    params = func.params
+    if len(args) != len(params):
+        raise InterpError(
+            f"{func.name} expects {len(params)} args, got {len(args)}")
+    env = Env()
+    for param, value in zip(params, args):
+        env.declare(param.name, value)
+    return env.child(), ExecCtx(ctx.team, ctx.tid, depth + 1, ctx.encounters)
+
+
+def _return(rt: Interpreter, env: Env, ctx: ExecCtx, value: Any) -> None:
+    raise _ReturnEx(value)
+
+
+def _store_var(name: str, op: str) -> Callable:
+    """An assignment's store through variable ``name``; ``x op= v`` stores
+    ``x op v``."""
+    def store(rt, env, ctx, value):
+        cell = env.cell(name)
+        cell.value = value if op == "=" else _binop(op[0], cell.value, value)
+        if ctx.tracking:
+            rt.note_access(rt.label(cell, name), "w")
+    return store
+
+
+def _store_element(name: str, op: str) -> Callable:
+    """An assignment's store through an element of array ``name``: the
+    value and then the index."""
+    def store(rt, env, ctx, value_index):
+        value, index = value_index
+        arr, index = _array_at(env, name, index)
+        arr[index] = value if op == "=" else _binop(op[0], arr[index], value)
+        if ctx.tracking:
+            rt.note_access(rt.label(arr, name), "w")
+    return store
+
+
+def _element(name: str, rt: Interpreter, env: Env, ctx: ExecCtx,
+             index: Any) -> Any:
+    arr, index = _array_at(env, name, index)
+    value = arr[index]
+    if ctx.tracking:
+        rt.note_access(rt.label(arr, name), "r")
+    return value
+
+
+def _array_at(env: Env, name: str, index: Any) -> tuple:
+    """Array ``name`` and ``index`` as an int, checked in its bounds."""
+    arr = env.get(name)
+    index = int(index)
+    if not isinstance(arr, list):
+        raise InterpError(f"{name} is not an array")
+    if not (0 <= index < len(arr)):
+        raise InterpError(f"index {index} out of bounds for {name}[{len(arr)}]")
+    return arr, index
+
+
+def _reduction_op(op: Any) -> str:
+    if not isinstance(op, str):
+        raise InterpError("reduction op must be a string: "
+                          "'sum'|'prod'|'min'|'max'")
+    return op
 
 
 def _make_room(frames: int) -> None:
@@ -652,11 +845,15 @@ def _make_room(frames: int) -> None:
         sys.setrecursionlimit(depth + frames)
 
 
-def _iterations(start: Any, op: str, bound: Any, step: Any) -> Sequence[Any]:
+def _iterations(start: Any, op: str, bound: Any, step: Any,
+                check: Callable[[], None] = lambda: None) -> Sequence[Any]:
     """The values the canonical loop of an ``omp for`` takes, in order —
-    the sequential loop's: a ``range`` when they are ints (O(1) in the trip
-    count), stepped out one by one otherwise.  A loop that steps away from
-    its bound would never end, so it is not canonical."""
+    the sequential loop's: a ``range`` when they are ints, else a
+    :class:`_Stepped` space, counted here, calling ``check`` on every trip
+    as the loop would, and stepped lazily (both O(1) in memory).  A loop
+    that steps away from its bound, or whose float step vanishes, would
+    never end, so it is not canonical; that is known before any iteration
+    runs."""
     test = _LOOP_TESTS[op]
     if not test(start, bound):
         return range(0)
@@ -664,34 +861,39 @@ def _iterations(start: Any, op: str, bound: Any, step: Any) -> Sequence[Any]:
         raise InterpError(_NON_CANONICAL)
     if isinstance(start, int) and isinstance(bound, int) and isinstance(step, int):
         return range(start, bound + {"<=": 1, ">=": -1}.get(op, 0), step)
-    values = []
-    v = start
+    count, v = 0, start
     while test(v, bound):
-        values.append(v)
+        check()
         if v + step == v:  # the step vanishes in the float's precision
             raise InterpError(_NON_CANONICAL)
+        count += 1
         v += step
-    return values
+    return _Stepped(start, step, count)
 
 
-def _default(type_name: str) -> Any:
-    if type_name == "float":
-        return 0.0
-    if type_name == "bool":
-        return False
-    return 0
+class _Stepped:
+    """``count`` values from ``start`` by ``step``, each the previous plus
+    ``step`` as the sequential loop accumulates them; a slice steps
+    through the values before it, so a chunk keeps their rounding."""
 
+    __slots__ = ("start", "step", "count")
 
-def _unary(op: str, value: Any) -> Any:
-    if op == "-":
-        return -value
-    if op == "!":
-        return not value
-    raise InterpError(f"unknown unary {op}")
+    def __init__(self, start: Any, step: Any, count: int) -> None:
+        self.start, self.step, self.count = start, step, count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        return islice(accumulate(repeat(self.step), initial=self.start), self.count)
+
+    def __getitem__(self, chunk: slice):
+        return islice(self, *chunk.indices(self.count)[:2])
 
 
 def _binop(op: str, left: Any, right: Any) -> Any:
-    """``left op right`` for every operator but the short-circuit ones."""
+    """``left op right`` for the arithmetic operators (the comparisons are
+    ``_COMPARE``'s, the short-circuit ones compile apart)."""
     try:
         if op == "+":
             return left + right
@@ -713,38 +915,7 @@ def _binop(op: str, left: Any, right: Any) -> Any:
             return _c_double_arith(op, left, right)
     except OverflowError:
         return _c_double_arith(op, left, right)
-    if op == "==":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == ">":
-        return left > right
-    if op == "<=":
-        return left <= right
-    if op == ">=":
-        return left >= right
     raise InterpError(f"unknown operator {op}")
-
-
-def _apply_compound(op: str, old: Any, value: Any) -> Any:
-    try:
-        if op == "+=":
-            return old + value
-        if op == "-=":
-            return old - value
-        if op == "*=":
-            return old * value
-        if op == "/=":
-            if value == 0:
-                raise InterpError("division by zero")
-            if isinstance(old, int) and isinstance(value, int):
-                return _c_idiv(old, value)
-            return old / value
-    except OverflowError:
-        return _c_double_arith(op[0], old, value)
-    raise InterpError(f"unknown compound op {op}")
 
 
 def _c_double(value: Any) -> float:
@@ -789,7 +960,8 @@ def _c_imod(left: int, right: int) -> int:
 
 
 # --------------------------------------------------------------------------------
-# Builtins: ``impl(interp, ctx, args)`` over the evaluated arguments.
+# Builtins: ``impl(interp, ctx, args)`` over the evaluated arguments, bound
+# when a call is compiled.
 # --------------------------------------------------------------------------------
 
 

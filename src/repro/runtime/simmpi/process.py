@@ -118,7 +118,9 @@ class MpiProcess:
                 f"{op_name} called from a non-master thread at "
                 f"MPI_THREAD_FUNNELED", rank=self.rank, line=line,
             )
-        if level <= ThreadLevel.SERIALIZED and self._in_mpi > 0:
+        # Every level up to SERIALIZED forbids overlap (compared without
+        # the enum's ordering methods, which cost two Python calls).
+        if self._in_mpi > 0 and level is not ThreadLevel.MULTIPLE:
             raise ThreadLevelError(
                 f"{op_name} overlaps another MPI call within rank "
                 f"{self.rank} at {level.mpi_name}", rank=self.rank, line=line,

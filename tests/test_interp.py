@@ -1,11 +1,14 @@
 """Interpreter tests: sequential semantics, OpenMP execution, MPI wiring,
 simulated compute and time."""
 
+import collections
+import itertools
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ from repro.minilang.parser import parse_program
 from repro.minilang.semantics import check_program
 from repro.runtime.interp import interpreter
 from repro.runtime.interp.interpreter import WTIME_UNIT
+from repro.runtime.simomp import Team
 from tests.conftest import run_source
 
 
@@ -317,6 +321,48 @@ def test_omp_for_int_iteration_space_is_a_range():
     assert isinstance(space, range) and len(space) == 3_000_000
     assert interpreter._iterations(10, ">=", 1, -3) == range(10, 0, -3)
     assert list(interpreter._iterations(0.0, "<", 1.0, 0.5)) == [0.0, 0.5]
+
+
+def test_omp_for_float_space_steps_each_chunk_lazily():
+    # A million float iterations: each team thread's chunk holds the values
+    # the sequential loop takes, rounding included, and nothing holds them
+    # all.
+    start, bound, step = 0.0, 100_000.0, 0.1
+
+    def sequential():
+        v = start
+        while v < bound:
+            yield v
+            v += step
+
+    team = Team(None, None, 3)
+    tracemalloc.start()
+    try:
+        space = interpreter._iterations(start, "<", bound, step)
+        chunks = [team.static_chunk(tid, len(space)) for tid in range(3)]
+        for chunk in chunks:
+            collections.deque(space[chunk.start:chunk.stop], maxlen=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert len(space) == 1_000_000
+    stepped = itertools.chain.from_iterable(
+        space[chunk.start:chunk.stop] for chunk in chunks)
+    assert all(a == b for a, b in itertools.zip_longest(stepped, sequential()))
+
+
+def test_omp_for_rejects_a_vanishing_float_step_before_any_iteration():
+    r = run_source("""
+void main() {
+    #pragma omp parallel for num_threads(2)
+    for (float i = 10000000000000000.0; i < 20000000000000000.0; i += 1) {
+        print(i);
+    }
+}
+""", nprocs=1)
+    assert "omp for requires a canonical for loop" in str(r.error)
+    assert r.outputs[0] == []
 
 
 def test_continue_in_omp_for_skips_to_the_next_iteration():

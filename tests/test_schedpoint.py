@@ -169,10 +169,13 @@ void main() {
 @pytest.mark.parametrize("loop", [
     "while (1 > 0) { }",
     "while (i >= 0) { i = i + 1; }",
-], ids=["empty-body", "statement-body"])
+    "\n#pragma omp parallel for num_threads(2)\n"
+    "for (float f = 0.0; f < 10000000000000.0; f += 1) { }\n",
+], ids=["empty-body", "statement-body", "float-omp-for-trip-count"])
 def test_a_stalled_spin_leaves_no_zombie(monkeypatch, thread_starts, loop):
     """The deadline is checked at every loop iteration, so even a loop with
-    no statement in its body ends the run; nothing spins on afterwards."""
+    no statement in its body ends the run; nothing spins on afterwards.  An
+    ``omp for`` over 10**13 float trips stalls while it counts them."""
     guard = 0.5
     monkeypatch.setattr(world_module, "WALL_GUARD", guard)
     program = parse_program(f"void main() {{ int i = 0; {loop} }}", "spin")
