@@ -186,7 +186,7 @@ class _Code:
         self.funcs = {f.name: f for f in program.funcs}
         #: uid -> whether running the node can reach a SchedPoint.
         self.blocking: Dict[int, bool] = {}
-        #: Function name -> its compiled call, ``call(rt, args, ctx)``.
+        #: Function name -> its call, compiled: ``call(rt, args, ctx)``.
         self.calls: Dict[str, Compiled] = {}
         for name, func in self.funcs.items():
             self.calls[name] = self.function(func)
