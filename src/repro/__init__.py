@@ -24,7 +24,7 @@ from .core import (
     instrument_program,
     render_report,
 )
-from .minilang import FuncBuilder, parse_program, pretty
+from .minilang import parse_program, pretty
 from .mpi.thread_levels import ThreadLevel
 from .runtime import run_program
 from .runtime.errors import (
@@ -44,7 +44,6 @@ __all__ = [
     "analysis_summary",
     "instrument_program",
     "render_report",
-    "FuncBuilder",
     "parse_program",
     "pretty",
     "ThreadLevel",

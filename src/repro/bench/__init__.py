@@ -18,8 +18,7 @@ from .pipeline import (
     overhead_percent,
 )
 from .scale import (PROJECT_SIZES, SCALE_SIZES, make_project,
-                    make_scale_program, project_suite, scale_suite,
-                    write_project)
+                    make_scale_program, scale_suite, write_project)
 
 #: The five benchmarks of Figure 1, in the paper's order.
 FIGURE1_BENCHMARKS = ("BT-MZ", "SP-MZ", "LU-MZ", "EPCC suite", "HERA")
@@ -61,7 +60,6 @@ __all__ = [
     "SCALE_SIZES",
     "make_project",
     "make_scale_program",
-    "project_suite",
     "scale_suite",
     "write_project",
 ]

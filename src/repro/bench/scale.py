@@ -248,12 +248,6 @@ PROJECT_SIZES: Dict[str, Dict[str, int]] = {
 }
 
 
-def project_suite() -> Dict[str, Dict[str, str]]:
-    """Generated file trees for the project-size sweep."""
-    return {name: make_project(**kwargs)
-            for name, kwargs in PROJECT_SIZES.items()}
-
-
 def write_project(files: Dict[str, str], root: str) -> None:
     """Materialize a generated project under ``root``."""
     import os

@@ -88,10 +88,6 @@ class BasicBlock:
     line: int = 0
 
     @property
-    def is_branch(self) -> bool:
-        return self.kind is BlockKind.CONDITION
-
-    @property
     def is_omp(self) -> bool:
         return self.kind.name.startswith("OMP_")
 

@@ -137,9 +137,6 @@ class DominatorTree:
                 return node == a
             node = parent
 
-    def strictly_dominates(self, a: int, b: int) -> bool:
-        return a != b and self.dominates(a, b)
-
     def children(self) -> Dict[int, List[int]]:
         """Dominator-tree children mapping."""
         if self._children is None:

@@ -94,14 +94,6 @@ class CFG:
     def block(self, block_id: int) -> BasicBlock:
         return self.blocks[block_id]
 
-    @property
-    def entry(self) -> BasicBlock:
-        return self.blocks[self.entry_id]
-
-    @property
-    def exit(self) -> BasicBlock:
-        return self.blocks[self.exit_id]
-
     def __len__(self) -> int:
         return len(self.blocks)
 
@@ -114,9 +106,6 @@ class CFG:
 
     def collective_blocks(self) -> List[BasicBlock]:
         return self.blocks_of_kind(BlockKind.COLLECTIVE)
-
-    def branch_blocks(self) -> List[BasicBlock]:
-        return [b for b in self.blocks.values() if len(self._succ[b.id]) > 1]
 
     # -- traversals --------------------------------------------------------------
 

@@ -19,10 +19,6 @@ class NaturalLoop:
     back_edge: Tuple[int, int]
     body: Set[int] = field(default_factory=set)
 
-    @property
-    def depth_key(self) -> int:
-        return len(self.body)
-
 
 def find_back_edges(cfg: CFG, dom: DominatorTree) -> List[Tuple[int, int]]:
     """Edges ``(src, dst)`` where ``dst`` dominates ``src``."""

@@ -50,10 +50,6 @@ class SequenceResult:
     conditionals: Set[int] = field(default_factory=set)
     diagnostics: List[Diagnostic] = field(default_factory=list)
 
-    @property
-    def needs_dynamic_check(self) -> bool:
-        return bool(self.conditionals)
-
 
 def _collective_points(cfg: CFG, collective_funcs: Set[str]) -> Dict[str, List[int]]:
     points: Dict[str, List[int]] = {}

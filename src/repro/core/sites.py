@@ -51,41 +51,54 @@ class ProgramIndex:
     expr_calls: Dict[str, List[ExprCallSite]] = field(default_factory=dict)
 
 
-def index_function(func: A.FuncDef) -> Tuple[List[A.Call], List[A.ExprStmt],
-                                             List[ExprCallSite]]:
+#: Every call node, the statement-level calls, the expression-embedded calls.
+_Found = Tuple[List[A.Call], List[A.ExprStmt], List[ExprCallSite]]
+
+
+def index_function(func: A.FuncDef) -> _Found:
     """Index one function: every call node, the statement-level calls, and
     the expression-embedded calls with their anchor chains.  Pure per
     function — the results only depend on the function's own AST, so the
     session layer indexes only the functions an update re-parsed."""
-    calls: List[A.Call] = []
-    stmts: List[A.ExprStmt] = []
-    expr_calls: List[ExprCallSite] = []
-    # Pre-order walk mirroring Node.walk(), tracking the enclosing
-    # statement chain (innermost first) and the statement positions.
-    stack: List[Tuple[A.Node, Tuple[A.Stmt, ...]]] = [(func, ())]
-    pos = 0
-    stmt_pos: Dict[int, int] = {}
-    while stack:
-        node, enclosing = stack.pop()
-        if isinstance(node, A.Stmt):
-            stmt_pos[node.uid] = pos
-            enclosing = (node,) + enclosing
-        pos += 1
-        if isinstance(node, A.Call):
-            calls.append(node)
-            stmt = enclosing[0] if enclosing else None
-            if isinstance(stmt, A.ExprStmt) and stmt.expr is node:
-                stmts.append(stmt)
-            elif stmt is not None:
-                expr_calls.append(ExprCallSite(
-                    call=node,
-                    stmt_uids=tuple(s.uid for s in enclosing),
-                    stmt_pos=stmt_pos[stmt.uid],
+    found: _Found = ([], [], [])
+    _index_node(func, 0, None, found)
+    return found
+
+
+def _index_node(node: A.Node, pos: int, enclosing, found: _Found) -> int:
+    """Index ``node``, at pre-order position ``pos``, and its subtree;
+    return the position after the subtree.  ``enclosing`` is ``None`` or
+    ``(statement, its position, the statement's own enclosing)`` for the
+    innermost statement around ``node``.  The parser bounds the depth of
+    the tree, so the recursion stays shallow."""
+    cls = type(node)
+    if cls is A.Call:
+        found[0].append(node)
+        if enclosing is not None:
+            stmt = enclosing[0]
+            if type(stmt) is A.ExprStmt and stmt.expr is node:
+                found[1].append(stmt)
+            else:
+                uids = []
+                chain = enclosing
+                while chain is not None:
+                    uids.append(chain[0].uid)
+                    chain = chain[2]
+                found[2].append(ExprCallSite(
+                    call=node, stmt_uids=tuple(uids), stmt_pos=enclosing[1],
                     line=node.line or stmt.line,
                 ))
-        stack.extend((child, enclosing)
-                     for child in reversed(node.children()))
-    return calls, stmts, expr_calls
+    elif isinstance(node, A.Stmt):
+        enclosing = (node, pos, enclosing)
+    pos += 1
+    for name, many in cls._node_fields:
+        value = getattr(node, name)
+        if many:
+            for child in value:
+                pos = _index_node(child, pos, enclosing, found)
+        elif value is not None:
+            pos = _index_node(value, pos, enclosing, found)
+    return pos
 
 
 def index_program(program: A.Program) -> ProgramIndex:

@@ -1,13 +1,11 @@
 """minilang — the C-like MPI+OpenMP mini-language substrate.
 
 Public surface: :func:`parse_program`, :func:`pretty`, the AST node classes
-(``repro.minilang.ast_nodes``), semantic checking, and the programmatic
-:class:`FuncBuilder` API.
+(``repro.minilang.ast_nodes``) and semantic checking.
 """
 
 from . import ast_nodes
 from .ast_nodes import Program, FuncDef, ast_equal
-from .builder import FuncBuilder, binop, call, idx, lit, program, var
 from .lexer import tokenize
 from .parser import ParseError, parse_function, parse_program
 from .pretty import pretty
@@ -19,13 +17,6 @@ __all__ = [
     "Program",
     "FuncDef",
     "ast_equal",
-    "FuncBuilder",
-    "binop",
-    "call",
-    "idx",
-    "lit",
-    "program",
-    "var",
     "tokenize",
     "ParseError",
     "parse_function",

@@ -3,29 +3,25 @@
 Every node carries a source position (``line``/``col``) used by diagnostics
 (the paper reports collective names *and source lines*).  Structural equality
 that ignores positions is provided by :func:`ast_equal` for round-trip tests.
+
+Child fields: a field holds nodes when its annotation names a node class,
+alone, as ``Optional[...]`` or as ``List[...]``.  Each class records those
+fields once, in declaration order, in ``_node_fields`` (pairs of the field
+name and whether it holds a list).  :meth:`Node.children` returns the
+nodes they hold in that order: a single field's node unless it is
+``None``, a list field's nodes in list order.  :meth:`Node.walk` yields a
+node and then, depth first, the walks of its children in that order
+(pre-order).  Position fields and the other data fields (names,
+operators, flags, ``List[str]`` clauses) hold no nodes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 _node_counter = itertools.count(1)
-
-#: Per-class cache of the data (non-position) field names, because
-#: ``dataclasses.fields()`` is too slow to call once per node in tree walks.
-_CHILD_FIELDS: dict = {}
-
-
-def _child_fields(cls: type) -> tuple:
-    names = _CHILD_FIELDS.get(cls)
-    if names is None:
-        names = tuple(
-            f.name for f in fields(cls) if f.name not in ("line", "col", "uid")
-        )
-        _CHILD_FIELDS[cls] = names
-    return names
 
 
 @dataclass
@@ -38,27 +34,34 @@ class Node:
     #: artifact ever reports a column, so a same-line whitespace edit must
     #: not invalidate cached analyses or session state.
     col: int = field(default=0, kw_only=True, repr=False)
-    uid: int = field(default_factory=lambda: next(_node_counter), kw_only=True, repr=False)
+    uid: int = field(default_factory=_node_counter.__next__, kw_only=True, repr=False)
+
+    #: ``(name, holds a list)`` for each field that holds nodes, in
+    #: declaration order; set on every class at the end of this module.
+    _node_fields = ()
 
     def children(self) -> List["Node"]:
         """Direct child nodes, in source order."""
         out: List[Node] = []
-        for name in _child_fields(type(self)):
-            val = getattr(self, name)
-            if isinstance(val, Node):
-                out.append(val)
-            elif isinstance(val, (list, tuple)):
-                out.extend(v for v in val if isinstance(v, Node))
+        for name, many in self._node_fields:
+            value = getattr(self, name)
+            if many:
+                out += value
+            elif value is not None:
+                out.append(value)
         return out
 
     def walk(self):
         """Yield this node and all descendants, pre-order (iterative — the
         generated benchmark programs nest deeply)."""
         stack = [self]
+        pop = stack.pop
         while stack:
-            node = stack.pop()
+            node = pop()
             yield node
-            stack.extend(reversed(node.children()))
+            kids = node.children()
+            kids.reverse()
+            stack += kids
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +297,24 @@ class Program(Node):
         raise KeyError(name)
 
 
+def _node_fields_of(cls: type) -> tuple:
+    """``cls``'s child fields (see the module docstring), read off the
+    annotation strings (``from __future__ import annotations``), such as
+    ``"Optional[Expr]"``, without evaluating them."""
+    out = []
+    for f in fields(cls):
+        outer, _, inner = f.type.rstrip("]").partition("[")
+        hint = globals().get(inner or outer)
+        if isinstance(hint, type) and issubclass(hint, Node):
+            out.append((f.name, outer == "List"))
+    return tuple(out)
+
+
+for _cls in list(globals().values()):
+    if isinstance(_cls, type) and issubclass(_cls, Node):
+        _cls._node_fields = _node_fields_of(_cls)
+
+
 # ---------------------------------------------------------------------------
 # Structural equality (ignoring positions and uids)
 # ---------------------------------------------------------------------------
@@ -313,11 +334,6 @@ def ast_equal(a: object, b: object) -> bool:
     if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
         return len(a) == len(b) and all(ast_equal(x, y) for x, y in zip(a, b))
     return a == b
-
-
-def collect(node: Node, node_type: type) -> List[Node]:
-    """All descendants of ``node`` (inclusive) that are instances of ``node_type``."""
-    return [n for n in node.walk() if isinstance(n, node_type)]
 
 
 def shift_lines(node: Node, delta: int) -> None:

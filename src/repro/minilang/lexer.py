@@ -76,6 +76,9 @@ def tokenize(source: str, filename: str = "<string>") -> List[Token]:
     """
     tokens: List[Token] = []
     append = tokens.append
+    # ``tuple.__new__`` builds the same tokens as ``Token(...)`` without a
+    # call to the named tuple's Python-level ``__new__``.
+    new = tuple.__new__
     keyword = KEYWORDS.get
     normal = _NORMAL.match
     pragma = _PRAGMA.match
@@ -98,21 +101,21 @@ def tokenize(source: str, filename: str = "<string>") -> List[Token]:
             text = m.group(kind)
             if not (text[0].isalpha() or text[0] == "_"):
                 raise LexError(f"unexpected character {text[0]!r}", line, col)
-            append(Token(keyword(text, TokenType.IDENT), text, line, col))
+            append(new(Token, (keyword(text, TokenType.IDENT), text, line, col)))
         elif kind == _OPERATOR:
             text = m.group(kind)
-            append(Token(OPERATORS[text], text, line, col))
+            append(new(Token, (OPERATORS[text], text, line, col)))
         elif kind == _INT:
-            append(Token(TokenType.INT, m.group(kind), line, col))
+            append(new(Token, (TokenType.INT, m.group(kind), line, col)))
         elif kind == _FLOAT:
-            append(Token(TokenType.FLOAT, m.group(kind), line, col))
+            append(new(Token, (TokenType.FLOAT, m.group(kind), line, col)))
         elif kind == _NEWLINE:
-            append(Token(TokenType.NEWLINE, "\n", line, col))
+            append(new(Token, (TokenType.NEWLINE, "\n", line, col)))
             line += 1
             line_start = pos
             match = normal
         elif kind == _HASH:
-            append(Token(TokenType.HASH, "#", line, col))
+            append(new(Token, (TokenType.HASH, "#", line, col)))
             match = pragma
         elif kind == _COMMENT:
             end = source.find("*/", pos)
@@ -135,13 +138,13 @@ def tokenize(source: str, filename: str = "<string>") -> List[Token]:
                 raise LexError("unterminated string literal", line, col)
             if "\\" in body:
                 body = _ESCAPE.sub(_unescape, body)
-            append(Token(TokenType.STRING, body, line, col))
+            append(new(Token, (TokenType.STRING, body, line, col)))
             pos = s.end()
         elif kind == _END:
             if match is pragma:
                 # Pragma at end of file without trailing newline.
-                append(Token(TokenType.NEWLINE, "", line, col))
-            append(Token(TokenType.EOF, "", line, col))
+                append(new(Token, (TokenType.NEWLINE, "", line, col)))
+            append(new(Token, (TokenType.EOF, "", line, col)))
             return tokens
         else:
             raise LexError(f"unexpected character {m.group(kind)!r}", line, col)

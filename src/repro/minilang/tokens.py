@@ -72,6 +72,11 @@ class TokenType(enum.Enum):
     NEWLINE = "NEWLINE"  # only significant inside pragma directives
     EOF = "EOF"
 
+    # Members are singletons, equal only to themselves: hashing them by
+    # identity keeps the parser's table lookups in C (``Enum.__hash__``
+    # is a Python-level call).
+    __hash__ = object.__hash__
+
 
 #: Reserved words mapped to their token types.
 KEYWORDS = {

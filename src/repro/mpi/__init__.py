@@ -8,7 +8,6 @@ from .collectives import (
     RETURN_COLOR,
     CollectiveInfo,
     collective_color,
-    collective_info,
     color_name,
     is_collective,
     is_mpi_call,
@@ -23,7 +22,6 @@ __all__ = [
     "RETURN_COLOR",
     "CollectiveInfo",
     "collective_color",
-    "collective_info",
     "color_name",
     "is_collective",
     "is_mpi_call",

@@ -10,7 +10,7 @@ color 0 is reserved for "returning without further collectives").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 #: Color 0 is reserved for the before-return check ("no more collectives").
 RETURN_COLOR = 0
@@ -122,7 +122,3 @@ def collective_color(name: str) -> int:
 def color_name(color: int) -> str:
     """Human-readable collective name for a CC color."""
     return _COLOR_TO_NAME.get(color, f"<unknown color {color}>")
-
-
-def collective_info(name: str) -> Optional[CollectiveInfo]:
-    return COLLECTIVES.get(name)

@@ -1,7 +1,7 @@
 """Parallelism words, the language ``L``, and the per-function word computation."""
 
 from .compute import WordInfo, compute_words
-from .language import in_language, is_monothreaded, is_multithreaded
+from .language import in_language, is_monothreaded
 from .word import (
     B,
     EMPTY,
@@ -24,7 +24,6 @@ __all__ = [
     "compute_words",
     "in_language",
     "is_monothreaded",
-    "is_multithreaded",
     "B",
     "EMPTY",
     "P",

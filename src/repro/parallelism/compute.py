@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..minilang import ast_nodes as A
-from .word import EMPTY, B, P, S, Word, append, barrier
+from .word import EMPTY, B, P, S, Word, barrier
 
 
 @dataclass
@@ -42,9 +42,6 @@ class WordInfo:
     enclosing: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
     construct_kinds: Dict[int, str] = field(default_factory=dict)
     construct_nodes: Dict[int, A.Node] = field(default_factory=dict)
-
-    def word_of(self, node: A.Node) -> Word:
-        return self.words[node.uid]
 
 
 class _WordWalker:

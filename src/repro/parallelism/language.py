@@ -49,7 +49,3 @@ def is_monothreaded(word: Word) -> bool:
         if isinstance(a, P) and isinstance(b, P):
             return False
     return True
-
-
-def is_multithreaded(word: Word) -> bool:
-    return not is_monothreaded(word)

@@ -93,19 +93,6 @@ def common_prefix(w1: Word, w2: Word) -> Word:
     return tuple(out)
 
 
-def append(word: Word, token: Token) -> Word:
-    return word + (token,)
-
-
-def pop_region(word: Word, region_token: Token) -> Word:
-    """Remove the last occurrence of ``region_token`` and everything after it
-    (the paper's end-of-region simplification)."""
-    for i in range(len(word) - 1, -1, -1):
-        if word[i] == region_token:
-            return word[:i]
-    raise ValueError(f"token {region_token} not in word {format_word(word)}")
-
-
 def innermost_single(word: Word) -> Union[S, None]:
     """The last ``S`` token of the word if the word ends with it (ignoring
     trailing barriers), else None."""

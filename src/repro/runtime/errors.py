@@ -25,11 +25,6 @@ class ValidationError(Exception):
         self.rank = rank
         self.line = line
 
-    def describe(self) -> str:
-        where = f" [rank {self.rank}]" if self.rank is not None else ""
-        at = f" (line {self.line})" if self.line else ""
-        return f"{type(self).__name__}{where}{at}: {self}"
-
 
 class CollectiveMismatchError(ValidationError):
     """CC found min ≠ max: processes are about to execute different
