@@ -17,6 +17,19 @@ so the bars rise: when the regex lexer and precedence-climbing parser made
 ``base`` 1.5-2.0x faster, bars of 5-32% became 26-38% (best of 9, all five
 programs, a 2-vCPU x86-64 host).  ``BAR_BOUND_PCT`` is the earlier 25% bound
 scaled by that 2x.
+
+Per-class AST child fields, a flat operand parser and a one-pass call
+index then made ``base`` faster again, and the bars fell instead of
+rising: the call index is part of the analysis stage, which lost more
+time than ``base`` did (its middle end did not change).  Best of 9, two
+runs per side on the same host, bars in percent, before -> after:
+
+    benchmark     warnings      full
+    BT-MZ         24-26 -> 8-13   16-26 -> 11-16
+    SP-MZ         16-17 -> 10-11  19-21 -> 12-13
+    LU-MZ         18-20 -> 8-15   16-19 -> 11-14
+    EPCC suite    19-25 -> 15-21  22-29 -> 17-19
+    HERA          17-24 -> 9-11   18-21 -> 12
 """
 
 import pytest
