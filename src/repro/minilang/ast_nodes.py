@@ -5,10 +5,11 @@ Every node carries a source position (``line``/``col``) used by diagnostics
 that ignores positions is provided by :func:`ast_equal` for round-trip tests.
 
 Child fields: a field holds nodes when its annotation names a node class,
-alone, as ``Optional[...]`` or as ``List[...]``.  Each class records those
-fields once, in declaration order, in ``_node_fields`` (pairs of the field
-name and whether it holds a list).  :meth:`Node.children` returns the
-nodes they hold in that order: a single field's node unless it is
+alone, as ``Optional[...]`` or as ``List[...]``; an annotation that names
+one in any other shape is a ``TypeError`` at import.  Each class records
+those fields once, in declaration order, in ``_node_fields`` (pairs of the
+field name and whether it holds a list).  :meth:`Node.children` returns
+the nodes they hold in that order: a single field's node unless it is
 ``None``, a list field's nodes in list order.  :meth:`Node.walk` yields a
 node and then, depth first, the walks of its children in that order
 (pre-order).  Position fields and the other data fields (names,
@@ -18,6 +19,7 @@ operators, flags, ``List[str]`` clauses) hold no nodes.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field, fields
 from typing import List, Optional
 
@@ -297,16 +299,32 @@ class Program(Node):
         raise KeyError(name)
 
 
+#: The annotations of a field that holds nodes: ``X``, ``Optional[X]``
+#: or ``List[X]`` for a node class ``X``.
+_CHILD_ANNOTATION = re.compile(r"(?:(Optional|List)\[)?(\w+)(?(1)\])")
+
+
+def _is_node_class(name: str) -> bool:
+    hint = globals().get(name)
+    return isinstance(hint, type) and issubclass(hint, Node)
+
+
 def _node_fields_of(cls: type) -> tuple:
     """``cls``'s child fields (see the module docstring), read off the
     annotation strings (``from __future__ import annotations``), such as
-    ``"Optional[Expr]"``, without evaluating them."""
+    ``"Optional[Expr]"``, without evaluating them.  An annotation that
+    names a node class in any other shape is a ``TypeError``: the walks
+    would not see the nodes such a field holds."""
     out = []
     for f in fields(cls):
-        outer, _, inner = f.type.rstrip("]").partition("[")
-        hint = globals().get(inner or outer)
-        if isinstance(hint, type) and issubclass(hint, Node):
-            out.append((f.name, outer == "List"))
+        if not any(map(_is_node_class, re.findall(r"\w+", f.type))):
+            continue
+        match = _CHILD_ANNOTATION.fullmatch(f.type)
+        if match is None or not _is_node_class(match[2]):
+            raise TypeError(f"{cls.__name__}.{f.name}: a field that holds "
+                            f"nodes is annotated X, Optional[X] or List[X], "
+                            f"not {f.type!r}")
+        out.append((f.name, match[1] == "List"))
     return tuple(out)
 
 

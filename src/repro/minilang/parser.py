@@ -17,10 +17,14 @@ combined ``parallel for``.  Clauses: ``num_threads(e)``, ``private(ids)``,
 Nesting bound: the ``Program`` node sits at depth 1, every other node one
 level below its parent, and a parenthesized expression one level below its
 context; each operator of a left-associative chain (``a + b + c``) moves
-the chain so far one level down.  A node deeper than :data:`MAX_DEPTH` is a
-located :class:`ParseError`, so every recursive pass over a parsed program
-(check, CFG, analyses, instrumentation, interpreter, ``pretty``, ``repr``,
-``copy.deepcopy``) runs within Python's default recursion limit.
+the chain so far one level down.  A statement reaches two levels below its
+own: the instrumentation may put a ``PARCOACH_*`` check beside it, whose
+literal arguments sit there, so an instrumented program, printed, parses
+again.  A node that sits, or a statement that reaches, deeper than
+:data:`MAX_DEPTH` is a located :class:`ParseError`, so every recursive pass
+over a parsed program (check, CFG, analyses, instrumentation, interpreter,
+``pretty``, ``repr``, ``copy.deepcopy``) runs within Python's default
+recursion limit.
 """
 
 from __future__ import annotations
@@ -74,23 +78,19 @@ _BINARY = {
 #: Prefix operators; ``+`` builds no node.
 _PREFIX = {TokenType.MINUS, TokenType.NOT, TokenType.PLUS}
 
-# The token kinds the hot paths compare against.
+# What ``Parser._operand``, the parser's hottest method, compares against.
+_PLUS = TokenType.PLUS
 _IDENT = TokenType.IDENT
 _INT = TokenType.INT
+_LPAREN = TokenType.LPAREN
+_RPAREN = TokenType.RPAREN
 _FLOAT = TokenType.FLOAT
 _STRING = TokenType.STRING
 _TRUE = TokenType.KW_TRUE
 _FALSE = TokenType.KW_FALSE
-_PLUS = TokenType.PLUS
-_LPAREN = TokenType.LPAREN
-_RPAREN = TokenType.RPAREN
-_LBRACKET = TokenType.LBRACKET
-_LBRACE = TokenType.LBRACE
-_RBRACE = TokenType.RBRACE
 _COMMA = TokenType.COMMA
-_SEMI = TokenType.SEMI
-_EOF = TokenType.EOF
-
+_LBRACKET = TokenType.LBRACKET
+_RBRACKET = TokenType.RBRACKET
 _VarRef = A.VarRef
 
 
@@ -134,7 +134,7 @@ class Parser:
     def parse_program(self) -> A.Program:
         funcs: List[A.FuncDef] = []
         first = self.tokens[self.pos]
-        while self.tokens[self.pos].type is not _EOF:
+        while self.tokens[self.pos].type is not TokenType.EOF:
             funcs.append(self.parse_funcdef())
         return A.Program(funcs=funcs, filename=self.filename, line=first.line, col=first.col)
 
@@ -147,7 +147,7 @@ class Parser:
         name = self._expect(TokenType.IDENT, "expected function name").value
         self._expect(TokenType.LPAREN)
         params: List[A.Param] = []
-        if self.tokens[self.pos].type is not _RPAREN:
+        if self.tokens[self.pos].type is not TokenType.RPAREN:
             while True:
                 ptok = self.tokens[self.pos]
                 if ptok.type not in _TYPE_TOKENS:
@@ -168,8 +168,9 @@ class Parser:
     # -- statements -----------------------------------------------------------
 
     # Each statement method takes the ``level`` its node sits at.  Depth is
-    # checked at every statement, body block and sections construct: a for
-    # header's declaration or assignment always has the body beside it.
+    # checked at every statement, body block and sections construct, each
+    # reaching two levels below its own: a for header's declaration or
+    # assignment always has the body beside it.
 
     def parse_block(self, level: int) -> A.Block:
         lb = self._expect(TokenType.LBRACE, "expected '{'")
@@ -177,9 +178,9 @@ class Parser:
         stmts: List[A.Stmt] = []
         while True:
             kind = tokens[self.pos].type
-            if kind is _RBRACE:
+            if kind is TokenType.RBRACE:
                 break
-            if kind is _EOF:
+            if kind is TokenType.EOF:
                 raise ParseError("unterminated block", tokens[self.pos])
             stmts.append(self.parse_stmt(level + 1))
         self.pos += 1
@@ -187,16 +188,16 @@ class Parser:
 
     def _stmt_or_block(self, level: int) -> A.Block:
         """Parse a statement; wrap a bare statement into a Block."""
-        if level > MAX_DEPTH:
+        if level + 2 > MAX_DEPTH:
             raise _too_deep(self.tokens[self.pos])
-        if self.tokens[self.pos].type is _LBRACE:
+        if self.tokens[self.pos].type is TokenType.LBRACE:
             return self.parse_block(level)
         stmt = self.parse_stmt(level + 1)
         return A.Block(stmts=[stmt], line=stmt.line, col=stmt.col)
 
     def parse_stmt(self, level: int) -> A.Stmt:
         tok = self.tokens[self.pos]
-        if level > MAX_DEPTH:
+        if level + 2 > MAX_DEPTH:
             raise _too_deep(tok)
         kind = tok.type
         if kind is TokenType.HASH:
@@ -214,7 +215,7 @@ class Parser:
         if kind is TokenType.KW_RETURN:
             self.pos += 1
             value = None
-            if self.tokens[self.pos].type is not _SEMI:
+            if self.tokens[self.pos].type is not TokenType.SEMI:
                 value = self.parse_expr(level + 1)
             self._expect(TokenType.SEMI, "expected ';' after return")
             return A.Return(value=value, line=tok.line, col=tok.col)
@@ -223,7 +224,7 @@ class Parser:
             self._expect(TokenType.SEMI)
             jump = A.Break if kind is TokenType.KW_BREAK else A.Continue
             return jump(line=tok.line, col=tok.col)
-        if kind is _LBRACE:
+        if kind is TokenType.LBRACE:
             return self.parse_block(level)
         stmt = self.parse_simple_stmt(level)
         self._expect(TokenType.SEMI, "expected ';'")
@@ -294,18 +295,18 @@ class Parser:
         self._expect(TokenType.LPAREN)
         init: Optional[A.Stmt] = None
         kind = self.tokens[self.pos].type
-        if kind is not _SEMI:
+        if kind is not TokenType.SEMI:
             if kind in _TYPE_TOKENS:
                 init = self.parse_vardecl(level + 1)
             else:
                 init = self.parse_simple_stmt(level + 1)
         self._expect(TokenType.SEMI, "expected ';' in for")
         cond = None
-        if self.tokens[self.pos].type is not _SEMI:
+        if self.tokens[self.pos].type is not TokenType.SEMI:
             cond = self.parse_expr(level + 1)
         self._expect(TokenType.SEMI, "expected second ';' in for")
         step: Optional[A.Stmt] = None
-        if self.tokens[self.pos].type is not _RPAREN:
+        if self.tokens[self.pos].type is not TokenType.RPAREN:
             step = self.parse_simple_stmt(level + 1)
         self._expect(TokenType.RPAREN)
         body = self._stmt_or_block(level + 1)
@@ -321,14 +322,14 @@ class Parser:
         if omp.value != "omp":
             raise ParseError("only 'omp' pragmas are supported", omp)
         directive = self.tokens[self.pos]
-        if directive.type is not _IDENT and directive.type is not TokenType.KW_FOR:
+        if directive.type is not TokenType.IDENT and directive.type is not TokenType.KW_FOR:
             raise ParseError("expected an OpenMP directive", directive)
         self.pos += 1
         name = "for" if directive.type is TokenType.KW_FOR else directive.value
         if name == "parallel" and self._match(TokenType.KW_FOR):
             name = "parallel for"
         nxt = self.tokens[self.pos]
-        if name == "parallel" and nxt.type is _IDENT and nxt.value == "sections":
+        if name == "parallel" and nxt.type is TokenType.IDENT and nxt.value == "sections":
             self.pos += 1
             name = "parallel sections"
 
@@ -375,10 +376,10 @@ class Parser:
     def _parse_sections_body(self, level: int) -> List[A.Block]:
         """The section blocks of a sections construct at ``level``."""
         lb = self._expect(TokenType.LBRACE, "sections construct requires a '{' block")
-        if level > MAX_DEPTH:
+        if level + 2 > MAX_DEPTH:
             raise _too_deep(lb)
         sections: List[A.Block] = []
-        while self.tokens[self.pos].type is not _RBRACE:
+        while self.tokens[self.pos].type is not TokenType.RBRACE:
             self._expect(TokenType.HASH, "expected '#pragma omp section'")
             self._expect(TokenType.KW_PRAGMA)
             omp = self._expect(TokenType.IDENT)
@@ -397,14 +398,14 @@ class Parser:
         clauses: dict = {}
         while True:
             tok = self.tokens[self.pos]
-            if tok.type is _LPAREN:
+            if tok.type is TokenType.LPAREN:
                 # critical(name) — the name comes as a parenthesised ident.
                 self.pos += 1
                 cname = self._expect(TokenType.IDENT, "expected critical section name").value
                 self._expect(TokenType.RPAREN)
                 clauses["critical_name"] = cname
                 continue
-            if tok.type is not _IDENT:
+            if tok.type is not TokenType.IDENT:
                 return clauses
             self.pos += 1
             clause = tok.value
@@ -491,7 +492,7 @@ class Parser:
         elif kind is _LPAREN:
             node = self.parse_expr(level + 1)
             deep = self.deep
-            self._expect(TokenType.RPAREN)
+            self._expect(_RPAREN)
         elif kind is _FLOAT:
             node = A.FloatLit(value=float(tok.value), line=tok.line, col=tok.col)
         elif kind is _STRING:
@@ -516,14 +517,14 @@ class Parser:
                         if tokens[self.pos].type is not _COMMA:
                             break
                         self.pos += 1
-                self._expect(TokenType.RPAREN)
+                self._expect(_RPAREN)
                 node = A.Call(name=node.name, args=args, line=node.line, col=node.col)
             elif kind is _LBRACKET:
                 self.pos += 1
                 index = self.parse_expr(level + 1)
                 if self.deep > deep:
                     deep = self.deep
-                self._expect(TokenType.RBRACKET)
+                self._expect(_RBRACKET)
                 node = A.ArrayRef(name=node.name, index=index, line=node.line, col=node.col)
         if prefixes is not None:
             for tok in reversed(prefixes):

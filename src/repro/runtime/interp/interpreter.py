@@ -491,7 +491,6 @@ class _Code:
         parts, parts_gen = _values(parts)
         body, body_gen = self.block(loop.body)
         var = getattr(init, "name", "")
-        uid = loop.uid
 
         def run(rt, env, ctx):
             rt.check()
@@ -500,8 +499,7 @@ class _Code:
                 else parts(rt, env, ctx)
             if by == 0:
                 raise InterpError("omp for step must be nonzero")
-            values = _iterations(start, test, bound, by, rt.check,
-                                 None if team is None else team.loop_counts, uid)
+            values = _iterations(start, test, bound, by, rt.check)
             if team is not None:
                 chunk = team.static_chunk(ctx.tid, len(values))
                 values = values[chunk.start:chunk.stop]
@@ -848,15 +846,11 @@ def _make_room(frames: int) -> None:
 
 
 def _iterations(start: Any, op: str, bound: Any, step: Any,
-                check: Callable[[], None] = lambda: None,
-                counts: Optional[Dict[tuple, int]] = None,
-                uid: int = 0) -> Sequence[Any]:
+                check: Callable[[], None] = lambda: None) -> Sequence[Any]:
     """The values the canonical loop of an ``omp for`` takes, in order —
     the sequential loop's: a ``range`` when they are ints, else a
-    :class:`_Stepped` space, counted by :func:`_trips` and stepped lazily
-    (both O(1) in memory).  A team's ``counts`` keep each float space's
-    count by the loop's ``uid`` and ``(start, op, bound, step)``, so a
-    thread whose values agree with a teammate's counts nothing.  A loop
+    :class:`_Stepped` space, counted here, calling ``check`` on every trip
+    as the loop would, and stepped lazily (both O(1) in memory).  A loop
     that steps away from its bound, or whose float step vanishes, would
     never end, so it is not canonical; that is known before any iteration
     runs."""
@@ -867,19 +861,6 @@ def _iterations(start: Any, op: str, bound: Any, step: Any,
         raise InterpError(_NON_CANONICAL)
     if isinstance(start, int) and isinstance(bound, int) and isinstance(step, int):
         return range(start, bound + {"<=": 1, ">=": -1}.get(op, 0), step)
-    if counts is None:
-        return _Stepped(start, step, _trips(start, test, bound, step, check))
-    key = (uid, start, op, bound, step)
-    count = counts.get(key)
-    if count is None:
-        count = counts[key] = _trips(start, test, bound, step, check)
-    return _Stepped(start, step, count)
-
-
-def _trips(start: Any, test: Callable[[Any, Any], bool], bound: Any,
-           step: Any, check: Callable[[], None]) -> int:
-    """How many times the loop from ``start`` by ``step`` passes ``test``
-    against ``bound``, calling ``check`` on every trip as the loop would."""
     count, v = 0, start
     while test(v, bound):
         check()
@@ -887,7 +868,7 @@ def _trips(start: Any, test: Callable[[Any, Any], bool], bound: Any,
             raise InterpError(_NON_CANONICAL)
         count += 1
         v += step
-    return count
+    return _Stepped(start, step, count)
 
 
 class _Stepped:

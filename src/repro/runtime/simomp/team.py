@@ -41,9 +41,6 @@ class Team:
         self._done = 0
         # single/sections claims: (construct_uid, encounter_index) -> tid.
         self._claims: Dict[Tuple[int, int], int] = {}
-        # Trip counts of the float ``omp for`` spaces its threads met:
-        # (loop uid, start, op, bound, step) -> count.
-        self.loop_counts: Dict[tuple, int] = {}
 
     # -- fork/join -------------------------------------------------------------
 

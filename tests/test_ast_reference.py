@@ -7,9 +7,12 @@ the same call lists and anchor chains as the stack walk with its
 uid-to-position dict.  The programs: the analyze-cold set (the five
 Figure 1 sources, scale XL, calltree D32, the 24 gallery cases), every
 ``tests/corpus`` program and fuzz seeds 0-199, each also instrumented.
+A field annotation that names a node class in a shape the per-class scan
+does not read fails loudly.
 """
 
 import pathlib
+from dataclasses import field, make_dataclass
 
 import pytest
 
@@ -21,6 +24,7 @@ from repro.bench.scale import (CALLTREE_SIZES, SCALE_SIZES,
 from repro.core import analyze_program, instrument_program
 from repro.core.sites import index_function
 from repro.fuzz import program_for_seed
+from repro.minilang import ast_nodes as A
 from repro.minilang.parser import parse_program
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
@@ -81,3 +85,22 @@ def test_index_function_equals_the_stack_walk(programs):
             expr_calls += len(sites)
     # Expression-embedded calls, with their anchor chains, are exercised.
     assert expr_calls > 500
+
+
+@pytest.mark.parametrize("annotation", ["'Block'", "Optional[List[Expr]]",
+                                        "Tuple[Expr, ...]", "Union[Expr, None]"])
+def test_a_node_field_of_another_shape_is_a_type_error(annotation):
+    odd = make_dataclass("Odd", [("kids", annotation, field(default=None))],
+                         bases=(A.Node,))
+    with pytest.raises(TypeError, match=r"^Odd\.kids: "):
+        A._node_fields_of(odd)
+
+
+def test_node_fields_read_each_accepted_shape():
+    odd = make_dataclass("Odd", [(name, annotation, field(default=None))
+                                 for name, annotation in (
+                                     ("one", "Expr"), ("maybe", "Optional[Block]"),
+                                     ("many", "List[Stmt]"), ("names", "List[str]"))],
+                         bases=(A.Node,))
+    assert A._node_fields_of(odd) == (("one", False), ("maybe", False),
+                                      ("many", True))

@@ -352,53 +352,6 @@ def test_omp_for_float_space_steps_each_chunk_lazily():
     assert all(a == b for a, b in itertools.zip_longest(stepped, sequential()))
 
 
-def _counting(monkeypatch):
-    """Record every ``(start, bound)`` the float trip counter is run on."""
-    runs = []
-    trips = interpreter._trips
-
-    def counted(start, test, bound, step, check):
-        runs.append((start, bound))
-        return trips(start, test, bound, step, check)
-    monkeypatch.setattr(interpreter, "_trips", counted)
-    return runs
-
-
-def test_team_counts_a_float_omp_for_space_once(monkeypatch):
-    loop = "for (float f = 0.0; f < 2.0; f += 0.1)"
-    sequential = outputs(f"void main() {{ {loop} {{ print(f); }} }}", nprocs=1)
-    runs = _counting(monkeypatch)
-    parallel = outputs(f"""
-void main() {{
-    #pragma omp parallel for num_threads(3)
-    {loop} {{ print(omp_get_thread_num(), f); }}
-}}
-""", nprocs=1)
-    assert runs == [(0.0, 2.0)]
-    # Each thread's chunk holds the sequential loop's values, in order.
-    chunks = {tid: [] for tid in "012"}
-    for line in parallel.outputs[0]:
-        tid, value = line.split()
-        chunks[tid].append(value)
-    assert [len(chunks[tid]) for tid in "012"] == [7, 7, 6]
-    assert chunks["0"] + chunks["1"] + chunks["2"] == sequential.outputs[0]
-
-
-def test_team_thread_with_other_loop_values_counts_its_own(monkeypatch):
-    runs = _counting(monkeypatch)
-    outputs("""
-void main() {
-    #pragma omp parallel num_threads(3)
-    {
-        float bound = 1.0 + omp_get_thread_num() % 2;
-        #pragma omp for nowait
-        for (float f = 0.0; f < bound; f += 0.25) { work(1); }
-    }
-}
-""", nprocs=1)
-    assert sorted(runs) == [(0.0, 1.0), (0.0, 2.0)]
-
-
 def test_omp_for_rejects_a_vanishing_float_step_before_any_iteration():
     r = run_source("""
 void main() {

@@ -4,7 +4,9 @@ Four shapes: nested parentheses, nested ``if``s, nested blocks and a long
 sum (a left-associative chain).  At the bound each one parses, checks,
 analyzes, instruments, prints and runs, every static pass under Python's
 default recursion limit; one level past it is a located ``ParseError``,
-which the CLI reports with exit code 2.
+which the CLI reports with exit code 2.  A statement leaves room for the
+check the instrumentation may put beside it, so a program whose checked
+statements sit at the bound, instrumented and printed, parses and runs.
 """
 
 import copy
@@ -16,6 +18,7 @@ from repro import analyze_program, instrument_program
 from repro.cfg import build_cfg
 from repro.cli import main
 from repro.core.engine import ast_fingerprint
+from repro.minilang.ast_nodes import ast_equal
 from repro.minilang.parser import MAX_DEPTH, ParseError, parse_program
 from repro.minilang.pretty import pretty
 from repro.minilang.semantics import check_program
@@ -35,8 +38,9 @@ def ifs(k):
 
 
 def blocks(k):
-    # x = 1 inside k blocks: its operands sit at k + 5.
-    return ("int main() { int x = 0;\n" + "{" * k + "x = 1;" + "}" * k
+    # x = x + 1 inside k blocks: the statement sits at k + 4, which leaves
+    # two levels below it, and its operands at k + 6.
+    return ("int main() { int x = 0;\n" + "{" * k + "x = x + 1;" + "}" * k
             + "\nprint(x); }\n")
 
 
@@ -49,7 +53,7 @@ def chain(k):
 SHAPES = {
     "parens": (parens, MAX_DEPTH - 5, 1),
     "ifs": (ifs, (MAX_DEPTH - 6) // 2, 0),
-    "blocks": (blocks, MAX_DEPTH - 5, 1),
+    "blocks": (blocks, MAX_DEPTH - 6, 1),
     "chain": (chain, MAX_DEPTH - 4, MAX_DEPTH - 4),
 }
 
@@ -119,3 +123,36 @@ def test_program_past_the_bound_is_a_parse_error(shape, tmp_path, capsys):
         assert err_text == (f"{path}:{tok.line}:{tok.col}: program nests "
                             f"deeper than {MAX_DEPTH} levels (got "
                             f"{tok.type.name} {tok.value!r})\n")
+
+
+def checked(k):
+    # f's conditional barrier has it instrumented.  The barrier and the
+    # return inside k blocks sit at k + 4, and the PARCOACH_CC checks put
+    # beside them reach k + 6 with their literal arguments.
+    return ("void f(int x) {\nif (x < 1) { MPI_Barrier(); }\n" + "{" * k
+            + "MPI_Barrier(); return;" + "}" * k + "\n}\n"
+            "int main() { f(0); print(1); }\n")
+
+
+def test_instrumented_program_at_the_bound_parses_and_runs(
+        tmp_path, capsys, default_recursion_limit):
+    k = MAX_DEPTH - 6
+    program = parse_program(checked(k))
+    assert _depth(program) == MAX_DEPTH - 1
+    instrumented, report = instrument_program(analyze_program(program))
+    assert report.cc_calls == 2 and report.return_ccs == 2
+    assert _depth(instrumented) == MAX_DEPTH
+    assert ast_equal(parse_program(pretty(instrumented)), instrumented)
+
+    path, out = tmp_path / "checked.mc", tmp_path / "out.mc"
+    path.write_text(checked(k))
+    assert main(["instrument", str(path), "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(out), "-np", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "[rank 0] 1\n[rank 1] 1\n"
+    assert "verdict: clean" in captured.err
+
+    with pytest.raises(ParseError) as err:
+        parse_program(checked(k + 1))
+    assert err.value.message == f"program nests deeper than {MAX_DEPTH} levels"
