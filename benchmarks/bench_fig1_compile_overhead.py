@@ -21,15 +21,16 @@ scaled by that 2x.
 Per-class AST child fields, a flat operand parser and a one-pass call
 index then made ``base`` faster again, and the bars fell instead of
 rising: the call index is part of the analysis stage, which lost more
-time than ``base`` did (its middle end did not change).  Best of 9, two
-runs per side on the same host, bars in percent, before -> after:
+time than ``base`` did (its middle end did not change).  Best of 9 on
+the same host (two runs before, three after), bars in percent, before ->
+after:
 
-    benchmark     warnings      full
-    BT-MZ         24-26 -> 8-13   16-26 -> 11-16
-    SP-MZ         16-17 -> 10-11  19-21 -> 12-13
-    LU-MZ         18-20 -> 8-15   16-19 -> 11-14
-    EPCC suite    19-25 -> 15-21  22-29 -> 17-19
-    HERA          17-24 -> 9-11   18-21 -> 12
+    benchmark     warnings        full
+    BT-MZ         17-22 -> 6-15   19-22 -> 11-14
+    SP-MZ         18-20 -> 8-11   19-20 -> 10-14
+    LU-MZ         14-18 -> 11-14  16-22 -> 12-15
+    EPCC suite    23-27 -> 11-16  22-28 -> 16-20
+    HERA          15-17 -> 11-14  15-17 -> 9-15
 """
 
 import pytest

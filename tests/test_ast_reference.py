@@ -94,13 +94,3 @@ def test_a_node_field_of_another_shape_is_a_type_error(annotation):
                          bases=(A.Node,))
     with pytest.raises(TypeError, match=r"^Odd\.kids: "):
         A._node_fields_of(odd)
-
-
-def test_node_fields_read_each_accepted_shape():
-    odd = make_dataclass("Odd", [(name, annotation, field(default=None))
-                                 for name, annotation in (
-                                     ("one", "Expr"), ("maybe", "Optional[Block]"),
-                                     ("many", "List[Stmt]"), ("names", "List[str]"))],
-                         bases=(A.Node,))
-    assert A._node_fields_of(odd) == (("one", False), ("maybe", False),
-                                      ("many", True))

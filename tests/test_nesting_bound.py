@@ -1,12 +1,11 @@
 """The parser bounds how deep a program nests (``MAX_DEPTH``).
 
-Four shapes: nested parentheses, nested ``if``s, nested blocks and a long
-sum (a left-associative chain).  At the bound each one parses, checks,
-analyzes, instruments, prints and runs, every static pass under Python's
-default recursion limit; one level past it is a located ``ParseError``,
-which the CLI reports with exit code 2.  A statement leaves room for the
-check the instrumentation may put beside it, so a program whose checked
-statements sit at the bound, instrumented and printed, parses and runs.
+Five shapes: nested parentheses, nested ``if``s, nested blocks, a long sum
+(a left-associative chain) and a barrier and a ``return`` in nested blocks,
+which the instrumentation puts checks beside.  At the bound each one
+parses, checks, analyzes, instruments, prints, parses again and runs,
+every static pass under Python's default recursion limit; one level past
+it is a located ``ParseError``, which the CLI reports with exit code 2.
 """
 
 import copy
@@ -49,12 +48,22 @@ def chain(k):
     return "int main() { int x = " + " + ".join(["1"] * k) + "; print(x); }\n"
 
 
+def checked(k):
+    # f's conditional barrier has it instrumented.  The barrier and the
+    # return inside k blocks sit at k + 4, and the PARCOACH_CC checks put
+    # beside them reach k + 6 with their literal arguments.
+    return ("void f(int x) {\nif (x < 1) { MPI_Barrier(); }\n" + "{" * k
+            + "MPI_Barrier(); return;" + "}" * k + "\n}\n"
+            "int main() { f(0); print(1); }\n")
+
+
 #: Each shape with its size at the bound and the value it prints there.
 SHAPES = {
     "parens": (parens, MAX_DEPTH - 5, 1),
     "ifs": (ifs, (MAX_DEPTH - 6) // 2, 0),
     "blocks": (blocks, MAX_DEPTH - 6, 1),
     "chain": (chain, MAX_DEPTH - 4, MAX_DEPTH - 4),
+    "checked": (checked, MAX_DEPTH - 6, 1),
 }
 
 
@@ -81,28 +90,31 @@ def test_program_at_the_bound_analyzes_and_runs(shape, tmp_path, capsys,
     make, k, printed = SHAPES[shape]
     source = make(k)
     program = parse_program(source)
-    # The parenthesized literal sits at MAX_DEPTH for the parser; its tree
-    # has no node for the parentheses.
-    assert _depth(program) == (6 if shape == "parens" else MAX_DEPTH)
     assert not [i for i in check_program(program) if i.severity == "error"]
     for func in program.funcs:
         build_cfg(func)
     analysis = analyze_program(program)
     instrumented, _ = instrument_program(analysis)
-    assert parse_program(pretty(instrumented)) is not None
+    # The parenthesized literal sits at MAX_DEPTH for the parser; its tree
+    # has no node for the parentheses.
+    assert _depth(instrumented) == (6 if shape == "parens" else MAX_DEPTH)
+    assert ast_equal(parse_program(pretty(instrumented)), instrumented)
     copy.deepcopy(program)
     ast_fingerprint(program.funcs[0])
     assert repr(program)
 
-    path = tmp_path / f"{shape}.mc"
+    path, written = tmp_path / f"{shape}.mc", tmp_path / "instrumented.mc"
     path.write_text(source)
-    assert main(["analyze", str(path)]) == 0
-    assert main(["instrument", str(path)]) == 0
+    # Exit 1 reports warnings: f's conditional barrier.
+    assert main(["analyze", str(path)]) == (1 if shape == "checked" else 0)
+    assert main(["instrument", str(path), "-o", str(written)]) == 0
     capsys.readouterr()
-    assert main(["run", str(path), "-np", "2", "--instrument"]) == 0
-    out = capsys.readouterr()
-    assert out.out == f"[rank 0] {printed}\n[rank 1] {printed}\n"
-    assert "verdict: clean" in out.err
+    for argv in (["run", str(path), "-np", "2", "--instrument"],
+                 ["run", str(written), "-np", "2"]):
+        assert main(argv) == 0
+        out = capsys.readouterr()
+        assert out.out == f"[rank 0] {printed}\n[rank 1] {printed}\n"
+        assert "verdict: clean" in out.err
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -123,36 +135,3 @@ def test_program_past_the_bound_is_a_parse_error(shape, tmp_path, capsys):
         assert err_text == (f"{path}:{tok.line}:{tok.col}: program nests "
                             f"deeper than {MAX_DEPTH} levels (got "
                             f"{tok.type.name} {tok.value!r})\n")
-
-
-def checked(k):
-    # f's conditional barrier has it instrumented.  The barrier and the
-    # return inside k blocks sit at k + 4, and the PARCOACH_CC checks put
-    # beside them reach k + 6 with their literal arguments.
-    return ("void f(int x) {\nif (x < 1) { MPI_Barrier(); }\n" + "{" * k
-            + "MPI_Barrier(); return;" + "}" * k + "\n}\n"
-            "int main() { f(0); print(1); }\n")
-
-
-def test_instrumented_program_at_the_bound_parses_and_runs(
-        tmp_path, capsys, default_recursion_limit):
-    k = MAX_DEPTH - 6
-    program = parse_program(checked(k))
-    assert _depth(program) == MAX_DEPTH - 1
-    instrumented, report = instrument_program(analyze_program(program))
-    assert report.cc_calls == 2 and report.return_ccs == 2
-    assert _depth(instrumented) == MAX_DEPTH
-    assert ast_equal(parse_program(pretty(instrumented)), instrumented)
-
-    path, out = tmp_path / "checked.mc", tmp_path / "out.mc"
-    path.write_text(checked(k))
-    assert main(["instrument", str(path), "-o", str(out)]) == 0
-    capsys.readouterr()
-    assert main(["run", str(out), "-np", "2"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == "[rank 0] 1\n[rank 1] 1\n"
-    assert "verdict: clean" in captured.err
-
-    with pytest.raises(ParseError) as err:
-        parse_program(checked(k + 1))
-    assert err.value.message == f"program nests deeper than {MAX_DEPTH} levels"
