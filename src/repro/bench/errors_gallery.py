@@ -20,8 +20,8 @@ deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple, Type
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Tuple, Type
 
 from ..core.diagnostics import ErrorCode
 from ..runtime.errors import (

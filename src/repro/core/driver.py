@@ -43,9 +43,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..cfg import CFG, build_cfg
 from ..minilang import ast_nodes as A
-from ..mpi.collectives import COLLECTIVES
 from ..mpi.thread_levels import LEVEL_FROM_INT, ThreadLevel
-from ..parallelism import EMPTY, Word, WordInfo, compute_words, is_monothreaded
+from ..parallelism import EMPTY, Word, WordInfo, compute_words
 from ..util.probe import probe, probes_active
 from .callgraph import (
     CallGraph,

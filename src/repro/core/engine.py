@@ -300,7 +300,7 @@ class AnalysisEngine:
         doomed = frozenset(fingerprints)
         if not doomed:
             return 0
-        fault_site("store.evict")
+        fault_site("engine.evict")
         victims = [k for fp in doomed for k in self._by_fp.get(fp, ())]
         for key in victims:
             self._cache_del(key)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..cfg import CFG, BlockKind, DominatorTree, dominators, post_dominators
+from ..cfg import CFG, BlockKind, dominators, post_dominators
 from ..cfg.loops import find_back_edges
 from .diagnostics import Diagnostic, ErrorCode, SourceRef
 

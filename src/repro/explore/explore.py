@@ -145,7 +145,10 @@ def _run_with_scheduler(
     group_kinds: Optional[Dict[int, str]],
     strategy_info: Optional[Dict[str, object]],
     mode: str,
+    settings: Optional[Dict[str, object]] = None,
 ) -> Tuple[RunResult, ScheduleTrace, Scheduler]:
+    """One run under ``scheduler``, and its trace; ``settings`` is
+    ``config.as_dict()`` when the caller made it once for many runs."""
     result = run_program(
         program,
         nprocs=config.nprocs,
@@ -155,8 +158,9 @@ def _run_with_scheduler(
         entry=config.entry,
         scheduler=scheduler,
     )
-    trace = ScheduleTrace.record(scheduler, config.as_dict(), result,
-                                 strategy_info=strategy_info, mode=mode)
+    trace = ScheduleTrace.record(scheduler, settings or config.as_dict(),
+                                 result, strategy_info=strategy_info,
+                                 mode=mode)
     return result, trace, scheduler
 
 
@@ -199,7 +203,8 @@ def replay(
     return result, new_trace, strategy.divergences
 
 
-def _minimize_failure(program, config, group_kinds, outcome: ScheduleOutcome,
+def _minimize_failure(program, config, settings, group_kinds,
+                      outcome: ScheduleOutcome,
                       budget: int) -> Tuple[ScheduleTrace, int]:
     """Delta-debug a failing schedule's choice sequence."""
     target = outcome.verdict
@@ -208,15 +213,16 @@ def _minimize_failure(program, config, group_kinds, outcome: ScheduleOutcome,
     def failing(candidate: List[str]) -> bool:
         nonlocal replays
         replays += 1
-        result, _ = run_scheduled(program, config, ScriptedStrategy(candidate),
-                                  group_kinds)
+        result, _, _ = _run_with_scheduler(
+            program, config, Scheduler(ScriptedStrategy(candidate)),
+            group_kinds, None, "full", settings)
         return verdict_line(result) == target
 
     minimal = ddmin(failing, outcome.trace.choice_names, budget=budget)
-    result, trace = run_scheduled(
-        program, config, ScriptedStrategy(minimal), group_kinds,
-        strategy_info={"name": "minimized", "from_choices":
-                       len(outcome.trace.choices)}, mode="minimized")
+    result, trace, _ = _run_with_scheduler(
+        program, config, Scheduler(ScriptedStrategy(minimal)), group_kinds,
+        {"name": "minimized", "from_choices": len(outcome.trace.choices)},
+        "minimized", settings)
     replays += 1
     # Keep exactly the choices the minimized schedule actually consumed.
     trace.choices = trace.choices[:len(minimal)]
@@ -225,14 +231,17 @@ def _minimize_failure(program, config, group_kinds, outcome: ScheduleOutcome,
 
 
 def _dpor_worker(payload) -> Tuple[ScheduleTrace, RunRecord]:
-    """Pool entry: execute one queued DPOR node, ship trace + record back."""
-    program, config, group_kinds, node, preemptions = payload
+    """Pool entry: execute one queued DPOR node, ship trace + record back.
+    ``payload`` is ``(program, config, group_kinds, node, preemptions)``,
+    optionally followed by ``config.as_dict()``."""
+    program, config, group_kinds, node, preemptions = payload[:5]
+    settings = payload[5] if len(payload) > 5 else None
     scheduler = Scheduler()
     scheduler.strategy = GuidedRun(scheduler, node, preemptions)
     _, trace, _ = _run_with_scheduler(
         program, config, scheduler, group_kinds,
         {"name": "dpor", "prefix": len(node.prefix),
-         "preemptions": preemptions}, "full")
+         "preemptions": preemptions}, "full", settings)
     return trace, RunRecord.from_scheduler(scheduler)
 
 
@@ -254,6 +263,7 @@ def explore_config(
     """Explore one configuration's schedule space."""
     report = ConfigReport(config=config, strategy=strategy)
     deadline = time.monotonic() + budget if budget is not None else None
+    settings = config.as_dict()  # every trace of the sweep records it
 
     def out_of_time() -> bool:
         return deadline is not None and time.monotonic() >= deadline
@@ -278,7 +288,7 @@ def explore_config(
             _, trace, scheduler = _run_with_scheduler(
                 program, config, Scheduler(ScriptedStrategy(prefix)),
                 group_kinds, {"name": "dfs", "prefix": len(prefix),
-                              "preemptions": preemptions}, "full")
+                              "preemptions": preemptions}, "full", settings)
             note(trace)
             # Past the abort the verdict is fixed: decisions there only
             # reorder the unwinding, so the tree does not branch on them.
@@ -290,8 +300,8 @@ def explore_config(
                 report.budget_exhausted = True
                 break
     elif strategy == "dpor":
-        _explore_dpor(program, config, group_kinds, runs, preemptions,
-                      jobs, note, out_of_time, report)
+        _explore_dpor(program, config, settings, group_kinds, runs,
+                      preemptions, jobs, note, out_of_time, report)
     elif strategy == "random":
         seen: set = set()
         for slot in range(runs):
@@ -303,11 +313,11 @@ def explore_config(
                 # Resampling perturbs the seed deterministically, far away
                 # from the base seed range.
                 s = seed + slot + retry * 1_000_003
-                _, trace = run_scheduled(
-                    program, config,
-                    RandomStrategy(seed=s, preemption_bound=preemptions),
-                    group_kinds,
-                    strategy_info={"name": "random", "seed": s})
+                _, trace, _ = _run_with_scheduler(
+                    program, config, Scheduler(
+                        RandomStrategy(seed=s, preemption_bound=preemptions)),
+                    group_kinds, {"name": "random", "seed": s}, "full",
+                    settings)
                 key = tuple(trace.choice_names)
                 if key not in seen or not trace.choices:
                     break  # fresh schedule (or the only schedule there is)
@@ -323,12 +333,13 @@ def explore_config(
 
     if minimize and report.failures:
         report.minimized, report.minimize_replays = _minimize_failure(
-            program, config, group_kinds, report.failures[0], minimize_budget)
+            program, config, settings, group_kinds, report.failures[0],
+            minimize_budget)
     return report
 
 
-def _explore_dpor(program, config, group_kinds, runs, preemptions, jobs,
-                  note, out_of_time, report) -> None:
+def _explore_dpor(program, config, settings, group_kinds, runs, preemptions,
+                  jobs, note, out_of_time, report) -> None:
     """DPOR sweep, optionally fanning waves out to a process pool.
 
     Workers only *execute* runs; every expansion decision happens here, in
@@ -337,7 +348,8 @@ def _explore_dpor(program, config, group_kinds, runs, preemptions, jobs,
     driver = DporStrategy(preemption_bound=preemptions)
 
     def run_serial(node: Node) -> Tuple[ScheduleTrace, RunRecord]:
-        return _dpor_worker((program, config, group_kinds, node, preemptions))
+        return _dpor_worker((program, config, group_kinds, node, preemptions,
+                             settings))
 
     pool: Optional[ProcessPoolExecutor] = None
     pool_broken = False
@@ -351,8 +363,8 @@ def _explore_dpor(program, config, group_kinds, runs, preemptions, jobs,
         nonlocal pool, pool_broken
         pairs: Optional[List[Tuple[ScheduleTrace, RunRecord]]] = None
         if pool is not None and not pool_broken and len(nodes) > 1:
-            payloads = [(program, config, group_kinds, n, preemptions)
-                        for n in nodes]
+            payloads = [(program, config, group_kinds, n, preemptions,
+                         settings) for n in nodes]
             try:
                 pairs = list(pool.map(_dpor_worker, payloads))
             except (BrokenProcessPool, OSError):

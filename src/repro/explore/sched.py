@@ -69,6 +69,8 @@ _BLOCKED = "blocked"
 
 _EMPTY_FP: Footprint = frozenset()
 
+_new = tuple.__new__
+
 #: Scheduling steps one run may take.  Deadlocks end runs structurally
 #: long before this; only a livelock reaches it.  The examples, benchmarks
 #: and tests stay below 2,100 steps per run.
@@ -104,6 +106,8 @@ class Scheduler:
         self.strategy = strategy or DefaultStrategy()
         self._threads: Dict[str, _Logical] = {}
         self._ready_list: List[str] = []  # sorted; maintained incrementally
+        #: ``id(cond)`` -> the threads blocked on ``cond``, in blocking order.
+        self._waiters: Dict[int, List[_Logical]] = {}
         self._spawn_counts: Dict[Optional[str], int] = {}
         #: The logical thread whose code is executing.
         self.running: Optional[str] = None
@@ -158,7 +162,8 @@ class Scheduler:
                 # (finished_ranks, open-round deadlock checks).
                 lt.accesses.add(("procs", "w"))
             self._close_segment(lt, None)
-            self._ready_remove(me)
+            if me in self._ready_list:
+                self._ready_list.remove(me)
         if self._current == me:
             self._current = None
             if self._world is not None:
@@ -182,6 +187,7 @@ class Scheduler:
                     pass
         except BaseException:
             self._world = None  # a detach now only drops its thread
+            self._waiters.clear()
             while threads:
                 lt = threads.pop(min(threads))
                 self.running = lt.name
@@ -206,14 +212,20 @@ class Scheduler:
                 lt.cond = None
                 lt.predicate = None
                 self._mark_ready(lt)
+        self._waiters.clear()
 
     # -- footprint hook ---------------------------------------------------------
 
     def note_access(self, obj: str, mode: str = "w") -> None:
         """The running segment touched shared object ``obj`` (mode r/w)."""
+        self.note((obj, mode))
+
+    def note(self, access: Tuple[str, str]) -> None:
+        """The running segment made ``access``, an ``(object, mode)``
+        pair."""
         lt = self._threads.get(self.running)
         if lt is not None:
-            lt.accesses.add((obj, mode))
+            lt.accesses.add(access)
 
     def compute(self, units: int = 0) -> int:
         """Advance the running logical thread's compute clock by ``units``
@@ -226,21 +238,53 @@ class Scheduler:
 
     # -- decision points (generators: a park is a yield) ------------------------
 
-    def yield_point(self, world, kind: str, detail: str = ""):
-        me = self.running
+    @staticmethod
+    def point(kind: str, detail: str = "") -> Tuple[str, Footprint]:
+        """The decision point ``kind:detail`` (``kind`` when there is no
+        detail) and the footprint of the operation it starts: what
+        :meth:`yield_at` takes.  Callers that reach one point repeatedly
+        keep the pair."""
         point = f"{kind}:{detail}" if detail else kind
+        return point, point_footprint(point)
+
+    def yield_point(self, world, kind: str, detail: str = ""):
+        return self.yield_at(world, *self.point(kind, detail))
+
+    def yield_at(self, world, point: str, fp: Footprint):
+        """A scheduling decision at ``point`` (see :meth:`point`): the
+        running thread may be switched out here."""
+        me = self.running
         lt = self._threads[me]
         # The yield ends the current segment; the next one (whoever runs
         # it first) begins by executing this point's operation.
-        self._close_segment(lt, point_footprint(point))
-        candidates = self._ready(include=me)
-        chosen = self._choose(point, me, candidates)
-        if chosen == me:
-            self._tick(world)
-            return
-        self._mark_ready(lt)
-        self._grant(world, chosen)
-        yield
+        pending = lt.pending_fp
+        if lt.accesses:
+            pending = pending | frozenset(lt.accesses)
+            lt.accesses.clear()
+        self.events.append((me, pending))
+        lt.pending_fp = fp
+        ready = self._ready_list
+        chosen = me  # the sole candidate: no decision
+        if ready:
+            i = bisect_left(ready, me)
+            if i < len(ready) and ready[i] == me:
+                candidates = tuple(ready)
+            else:
+                candidates = (*ready[:i], me, *ready[i:])
+            if len(candidates) > 1:
+                chosen = self._choose(point, me, candidates)
+        if chosen != me:
+            if lt.state != _READY:
+                lt.state = _READY
+                insort(ready, me)
+            ready.remove(chosen)
+            self._threads[chosen].state = _RUNNING
+            self._current = chosen
+        self._vtime += 1
+        if self._vtime > DEFAULT_STEP_BUDGET and not world.aborted:
+            self._livelock(world)
+        if chosen != me:
+            yield
 
     def wait(self, world, cond, describe="", predicate=None):
         """Park the running thread on ``cond`` until a :meth:`notify` of it
@@ -254,6 +298,7 @@ class Scheduler:
         lt.cond = cond
         lt.predicate = predicate
         lt.describe = describe or me
+        self._waiters.setdefault(id(cond), []).append(lt)
         # Park ends the segment; keep pending_fp — on wake the thread
         # resumes *inside* the same logical operation (e.g. the recv
         # loop re-checking and popping the queue).
@@ -267,12 +312,21 @@ class Scheduler:
     def notify(self, world, cond) -> None:
         # In any order: predicates only read state, and the ready list
         # stays sorted.
-        for lt in self._threads.values():
-            if lt.state == _BLOCKED and lt.cond is cond:
-                if lt.predicate is None or lt.predicate():
-                    lt.cond = None
-                    lt.predicate = None
-                    self._mark_ready(lt)
+        blocked = self._waiters.get(id(cond))
+        if not blocked:
+            return
+        still = []
+        for lt in blocked:
+            if lt.predicate is None or lt.predicate():
+                lt.cond = None
+                lt.predicate = None
+                self._mark_ready(lt)
+            else:
+                still.append(lt)
+        if still:
+            self._waiters[id(cond)] = still
+        else:
+            del self._waiters[id(cond)]
 
     # -- internals -------------------------------------------------------------
 
@@ -291,38 +345,20 @@ class Scheduler:
             lt.state = _READY
             insort(self._ready_list, lt.name)
 
-    def _ready_remove(self, name: str) -> None:
-        i = bisect_left(self._ready_list, name)
-        if i < len(self._ready_list) and self._ready_list[i] == name:
-            self._ready_list.pop(i)
-
-    def _ready(self, include: Optional[str] = None) -> List[str]:
-        names = list(self._ready_list)
-        if include is not None:
-            i = bisect_left(names, include)
-            if i >= len(names) or names[i] != include:
-                names.insert(i, include)
-        return names
-
     def _choose(self, point: str, current: Optional[str],
-                candidates: List[str]) -> str:
-        if len(candidates) == 1:
-            return candidates[0]
+                candidates: Tuple[str, ...]) -> str:
+        """Record the branching decision among ``candidates`` (two or
+        more, sorted) that the strategy takes."""
         index = len(self.decisions)
         chosen = self.strategy.choose(index, candidates, current, point)
         if chosen not in candidates:
             chosen = candidates[0]
         self.decision_event_index.append(len(self.events))
-        self.decisions.append(Decision(index, point, current,
-                                       tuple(candidates), chosen))
+        # ``tuple.__new__`` builds the same decision as ``Decision(...)``
+        # without a call to the named tuple's Python-level ``__new__``.
+        self.decisions.append(_new(Decision, (index, point, current,
+                                              candidates, chosen)))
         return chosen
-
-    def _tick(self, world) -> None:
-        """Advance the virtual clock one step; past the step budget the run
-        is a livelock and aborts (once — the unwinding steps on)."""
-        self._vtime += 1
-        if self._vtime > DEFAULT_STEP_BUDGET and not world.aborted:
-            self._livelock(world)
 
     def _livelock(self, world) -> None:
         running = sorted(n for n, lt in self._threads.items()
@@ -337,19 +373,24 @@ class Scheduler:
             f"{blocked or 'none'}"
         ))
 
-    def _grant(self, world, name: str) -> None:
-        lt = self._threads[name]
-        lt.state = _RUNNING
-        self._ready_remove(name)
-        self._current = name
-        self._tick(world)
-
     def _schedule_next(self, world, kind: str, detail: str) -> None:
+        """Grant the token to a ready thread, chosen by the strategy when
+        there are several."""
         self._current = None
-        ready = self._ready() or self._unblock(world)
-        if ready:
-            point = f"{kind}:{detail}" if detail else kind
-            self._grant(world, self._choose(point, None, ready))
+        ready = self._ready_list or self._unblock(world)
+        if not ready:
+            return
+        if len(ready) == 1:
+            chosen = ready[0]
+        else:
+            chosen = self._choose(f"{kind}:{detail}" if detail else kind,
+                                  None, tuple(ready))
+        self._threads[chosen].state = _RUNNING
+        self._ready_list.remove(chosen)
+        self._current = chosen
+        self._vtime += 1
+        if self._vtime > DEFAULT_STEP_BUDGET and not world.aborted:
+            self._livelock(world)
 
     def _unblock(self, world) -> List[str]:
         """No thread is ready: abort a deadlock (or finish unwinding an
@@ -367,4 +408,4 @@ class Scheduler:
             ))  # on_abort marked them ready so they can unwind
         else:
             self.on_abort(world)
-        return self._ready()
+        return self._ready_list

@@ -33,8 +33,8 @@ text-only ``generate_program`` and ``mutate`` are front ends over them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Tuple
 
 from ..minilang import ast_nodes as A
 from ..minilang.parser import parse_program

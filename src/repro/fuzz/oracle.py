@@ -47,8 +47,8 @@ processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from ..cfg import build_program_cfgs
 from ..core import analyze_program, instrument_program
@@ -58,7 +58,6 @@ from ..minilang import ast_nodes as A
 from ..minilang.parser import parse_program
 from ..minilang.semantics import check_program
 from ..mpi.thread_levels import ThreadLevel
-from ..runtime.errors import ValidationError
 from ..util.faultinject import fault_site
 
 #: Classification labels (stable strings — they appear in corpus JSON).

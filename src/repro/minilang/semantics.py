@@ -25,7 +25,6 @@ from ..mpi.collectives import (
     MPI_QUERIES,
     MPI_SETUP,
     POINT_TO_POINT,
-    is_mpi_call,
 )
 from . import ast_nodes as A
 

@@ -9,7 +9,6 @@ downstream passes see ``if (true)``/``if (false)`` explicitly.
 
 from __future__ import annotations
 
-import copy
 from typing import Optional, Union
 
 from ..minilang import ast_nodes as A

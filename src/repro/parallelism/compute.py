@@ -14,10 +14,10 @@ the builder's ``ast_block`` map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..minilang import ast_nodes as A
-from .word import EMPTY, B, P, S, Word, barrier
+from .word import EMPTY, P, S, Word, barrier
 
 
 @dataclass

@@ -20,7 +20,7 @@ the monothreaded initial context).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple, Union
+from typing import Tuple, Union
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ All three are scheduling decisions: generators driven by ``yield from``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..mpi.collectives import color_name
 from .errors import (
@@ -37,6 +37,15 @@ class CheckState:
         self.proc = proc
         self.group_kinds = group_kinds or {}
         self._counters: Dict[int, int] = {}
+        #: ``("enter", what)`` or ``("exit", group)`` -> its decision point.
+        self._points: Dict[Tuple[str, object], tuple] = {}
+
+    def _at(self, kind: str, key: object) -> tuple:
+        at = self._points.get((kind, key))
+        if at is None:
+            at = self._points[kind, key] = self.proc.sched.point(
+                SchedPoint.CHECK, f"{kind}:r{self.proc.rank}:{key}")
+        return at
 
     # -- CC --------------------------------------------------------------------
 
@@ -67,8 +76,8 @@ class CheckState:
     def enter(self, group: int, what: str, line: int = 0):
         # Entering an instrumented region is schedule-relevant: whether two
         # threads overlap inside it is exactly what exploration varies.
-        yield from self.proc.world.yield_point(
-            SchedPoint.CHECK, f"enter:r{self.proc.rank}:{what}")
+        yield from self.proc.sched.yield_at(self.proc.world,
+                                            *self._at("enter", what))
         self.proc.enter_checks += 1
         count = self._counters.get(group, 0) + 1
         self._counters[group] = count
@@ -88,7 +97,7 @@ class CheckState:
         )
 
     def exit(self, group: int):
-        yield from self.proc.world.yield_point(
-            SchedPoint.CHECK, f"exit:r{self.proc.rank}:{group}")
+        yield from self.proc.sched.yield_at(self.proc.world,
+                                            *self._at("exit", group))
         count = max(0, self._counters.get(group, 0) - 1)
         self._counters[group] = count

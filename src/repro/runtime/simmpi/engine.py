@@ -13,8 +13,8 @@ real machine:
   are the collective colors, every rank receives ``(min, max)`` and the
   caller turns disagreement into a clean :class:`CollectiveMismatchError`.
 
-Blocking goes through the world's SchedPoint calls: :meth:`collective` is
-a generator, and a waiting rank parks cooperatively (a ``yield``) with an
+Blocking goes through the world's scheduler: :meth:`collective` is a
+generator, and a waiting rank parks cooperatively (a ``yield``) with an
 exact wait-for description until an arrival, a release, a finish or an
 abort wakes it.
 
@@ -33,7 +33,10 @@ from . import ops
 class CollectiveEngine:
     def __init__(self, world: "MpiWorld", ranks: List[int]) -> None:  # noqa: F821
         self.world = world
+        self.sched = world.scheduler
         self.ranks = list(ranks)
+        #: (op name, rank) -> the decision point of that arrival.
+        self._points: Dict[Tuple[str, int], tuple] = {}
         self.round_no = 0
         #: rank -> (op_name, signature, payload) for the open round.
         self.arrivals: Dict[int, Tuple[str, tuple, Any]] = {}
@@ -49,8 +52,11 @@ class CollectiveEngine:
                    payload: Any):
         """Execute one collective round for ``rank`` (a generator); parks
         until matched and returns the rank's result."""
-        yield from self.world.yield_point(SchedPoint.COLLECTIVE,
-                                          f"{op_name}@r{rank}")
+        at = self._points.get((op_name, rank))
+        if at is None:
+            at = self._points[op_name, rank] = self.sched.point(
+                SchedPoint.COLLECTIVE, f"{op_name}@r{rank}")
+        yield from self.sched.yield_at(self.world, *at)
         # Wait for the previous round's release phase to finish.
         while self._releasing:
             yield from self._wait(f"rank {rank} awaiting round release",
@@ -59,7 +65,7 @@ class CollectiveEngine:
         if rank in self.arrivals:
             raise AbortedError()  # same rank twice in one round: unwinding
         self.arrivals[rank] = (op_name, signature, payload)
-        self._detect_mismatch()
+        self._detect_mismatch(op_name, signature)
         if len(self.arrivals) == len(self.ranks):
             self._complete_round()
         else:
@@ -74,7 +80,7 @@ class CollectiveEngine:
         if self._release_pending == 0:
             self._releasing = False
             self._result = None
-            self.world.notify(self)
+            self.sched.notify(self.world, self)
         return value
 
     def on_proc_finished(self, rank: int) -> None:
@@ -89,19 +95,21 @@ class CollectiveEngine:
                 f"deadlock: rank {rank} finished while {desc} wait(s) "
                 f"for the collective to complete"
             ))
-        self.world.notify(self)
+        self.sched.notify(self.world, self)
 
     # -- internals -----------------------------------------------------------------
 
     def _wait(self, describe: str, predicate):
         self.world.check()
-        return self.world.wait(self, describe, predicate)
+        return self.sched.wait(self.world, self, describe, predicate)
 
     def _check_alive_peers(self) -> None:
         self.world.check()
+        finished = self.world.finished_ranks
+        if not finished:
+            return
         missing = [
-            r for r in self.ranks
-            if r in self.world.finished_ranks and r not in self.arrivals
+            r for r in self.ranks if r in finished and r not in self.arrivals
         ]
         if missing and self.arrivals and not self._releasing:
             waiting = ", ".join(
@@ -112,9 +120,14 @@ class CollectiveEngine:
             ))
             self.world.check()
 
-    def _detect_mismatch(self) -> None:
-        names = {v[0] for v in self.arrivals.values()}
-        if len(names) > 1:
+    def _detect_mismatch(self, op_name: str, signature: tuple) -> None:
+        """Compare the newest arrival, ``op_name`` with ``signature``, with
+        the round's first: the earlier arrivals all agree, since the first
+        disagreement aborts the run."""
+        if len(self.arrivals) < 2:
+            return
+        first_name, first_signature, _ = next(iter(self.arrivals.values()))
+        if op_name != first_name:
             desc = ", ".join(
                 f"rank {r} calls {v[0]}" for r, v in sorted(self.arrivals.items())
             )
@@ -122,11 +135,9 @@ class CollectiveEngine:
                 f"deadlock: mismatched collective operations in one round ({desc})"
             ))
             self.world.check()
-        sigs = {v[1] for v in self.arrivals.values()}
-        if len(sigs) > 1:
-            name = next(iter(names))
+        if signature != first_signature:
             self.world.abort(DeadlockError(
-                f"deadlock: {name} called with mismatched arguments "
+                f"deadlock: {op_name} called with mismatched arguments "
                 f"(roots/reduction ops differ across ranks)"
             ))
             self.world.check()
@@ -140,4 +151,4 @@ class CollectiveEngine:
         self.arrivals = {}
         self._releasing = True
         self._release_pending = len(self.ranks)
-        self.world.notify(self)
+        self.sched.notify(self.world, self)

@@ -2,7 +2,7 @@
 
 Send is buffered (never blocks); Recv blocks until a matching
 ``(source, tag)`` message exists — woken by sends and abort through the
-world's SchedPoint calls.  Both are generators, since both are scheduling
+world's scheduler.  Both are generators, since both are scheduling
 decisions.  Wildcards: ``source=-1`` (any source), ``tag=-1`` (any tag),
 mirroring ``MPI_ANY_SOURCE``/``MPI_ANY_TAG``.
 """
@@ -17,13 +17,28 @@ from ..schedpoint import SchedPoint
 class Mailbox:
     def __init__(self, world: "MpiWorld") -> None:  # noqa: F821
         self.world = world
+        self.sched = world.scheduler
         #: dest rank -> list of (source, tag, value), FIFO per (source, tag).
         self.queues: Dict[int, List[Tuple[int, int, Any]]] = {}
+        #: (kind, rank, peer) -> the decision point of that send or recv.
+        self._points: Dict[Tuple[str, int, int], tuple] = {}
+
+    def _at(self, kind: str, rank: int, peer: int) -> tuple:
+        """The decision point of ``rank``'s send to, or receive from,
+        ``peer``."""
+        at = self._points.get((kind, rank, peer))
+        if at is None:
+            detail = (f"r{rank}->r{peer}" if kind == SchedPoint.SEND
+                      else f"r{rank}<-{peer}")
+            at = self._points[kind, rank, peer] = self.sched.point(kind,
+                                                                   detail)
+        return at
 
     def send(self, source: int, dest: int, tag: int, value: Any):
-        yield from self.world.yield_point(SchedPoint.SEND, f"r{source}->r{dest}")
+        yield from self.sched.yield_at(
+            self.world, *self._at(SchedPoint.SEND, source, dest))
         self.queues.setdefault(dest, []).append((source, tag, value))
-        self.world.notify(self)
+        self.sched.notify(self.world, self)
 
     def _match(self, dest: int, source: int, tag: int) -> Optional[int]:
         queue = self.queues.setdefault(dest, [])
@@ -33,14 +48,15 @@ class Mailbox:
         return None
 
     def recv(self, dest: int, source: int, tag: int):
-        yield from self.world.yield_point(SchedPoint.RECV, f"r{dest}<-{source}")
+        yield from self.sched.yield_at(
+            self.world, *self._at(SchedPoint.RECV, dest, source))
         while True:
             index = self._match(dest, source, tag)
             if index is not None:
                 return self.queues[dest].pop(index)[2]
             self.world.check()
-            yield from self.world.wait(
-                self,
+            yield from self.sched.wait(
+                self.world, self,
                 f"rank {dest} in MPI_Recv(source={source}, tag={tag})",
                 lambda: self._match(dest, source, tag) is not None,
             )

@@ -15,7 +15,7 @@ MPI-2 thread-support rules the paper's analysis reasons about:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ...mpi.thread_levels import LEVEL_FROM_INT, ThreadLevel
 from ..errors import ConcurrentCollectiveError, MpiRuntimeError, ThreadLevelError
@@ -24,23 +24,24 @@ from ..schedpoint import SchedPoint
 
 class CriticalSection:
     """A named ``omp critical`` lock that blocks through the world's
-    SchedPoint calls, so contention is schedulable (and deadlock-reportable)
+    scheduler, so contention is schedulable (and deadlock-reportable)
     instead of an opaque OS-level block: ``yield from section.acquire()``,
     then :meth:`release` in a ``finally``."""
 
     def __init__(self, world: "MpiWorld", rank: int, name: str) -> None:  # noqa: F821
         self.world = world
+        self.sched = world.scheduler
         self.rank = rank
         self.name = name
         self._held = False
+        self._at = self.sched.point(SchedPoint.CRITICAL, f"r{rank}:{name}")
 
     def acquire(self):
-        yield from self.world.yield_point(SchedPoint.CRITICAL,
-                                          f"r{self.rank}:{self.name}")
+        yield from self.sched.yield_at(self.world, *self._at)
         while self._held:
             self.world.check()
-            yield from self.world.wait(
-                self,
+            yield from self.sched.wait(
+                self.world, self,
                 f"rank {self.rank} waiting for critical({self.name})",
                 lambda: not self._held,
             )
@@ -48,12 +49,13 @@ class CriticalSection:
 
     def release(self) -> None:
         self._held = False
-        self.world.notify(self)
+        self.sched.notify(self.world, self)
 
 
 class MpiProcess:
     def __init__(self, world: "MpiWorld", rank: int) -> None:  # noqa: F821
         self.world = world
+        self.sched = world.scheduler
         self.rank = rank
         #: Name of the rank's main logical thread (set when the run starts).
         self.main_thread: Optional[str] = None
@@ -69,6 +71,14 @@ class MpiProcess:
         # Instrumentation counters (populated by CheckState).
         self.cc_calls = 0
         self.enter_checks = 0
+        # The per-rank in-flight counters are shared state the thread-level
+        # guard races on: entering/leaving an MPI call never commutes with
+        # another MPI call of the same rank.
+        self._mpi_access = (f"mpi:r{rank}", "w")
+        #: The decision point of this rank's team barriers, and of its
+        #: teams' claims by ``(tid, construct uid)``.
+        self.barrier_at = self.sched.point(SchedPoint.OMP_BARRIER, f"r{rank}")
+        self.claim_points: Dict[Tuple[int, int], tuple] = {}
 
     # -- OpenMP bookkeeping ------------------------------------------------------
 
@@ -113,7 +123,7 @@ class MpiProcess:
                 f"runs at MPI_THREAD_SINGLE", rank=self.rank, line=line,
             )
         if (level is ThreadLevel.FUNNELED
-                and self.world.scheduler.running != self.main_thread):
+                and self.sched.running != self.main_thread):
             raise ThreadLevelError(
                 f"{op_name} called from a non-master thread at "
                 f"MPI_THREAD_FUNNELED", rank=self.rank, line=line,
@@ -133,16 +143,13 @@ class MpiProcess:
             )
         self._in_mpi += 1
         self._collectives_inflight += collective
-        # The per-rank in-flight counters are shared state the thread-level
-        # guard races on: entering/leaving an MPI call never commutes with
-        # another MPI call of the same rank.
-        self.world.scheduler.note_access(f"mpi:r{self.rank}", "w")
+        self.sched.note(self._mpi_access)
         try:
             return (yield from operation)
         finally:
             self._in_mpi -= 1
             self._collectives_inflight -= collective
-            self.world.scheduler.note_access(f"mpi:r{self.rank}", "w")
+            self.sched.note(self._mpi_access)
 
     # -- operations (generators) ----------------------------------------------------------
 

@@ -10,7 +10,7 @@ worker encountering another ``parallel`` creates a sub-team, which is the
 perfectly nested model the paper assumes.
 
 Every blocking operation (run and join, barriers, claims) is a generator
-that parks through the world's SchedPoint calls, so it is cooperative and
+that parks through the world's scheduler, so it is cooperative and
 fully deterministic; workers get deterministic hierarchical names, so a
 run is reproducible from its schedule choice sequence alone.
 """
@@ -51,14 +51,15 @@ class Team:
             if self.size == 1:
                 yield from self._run_guarded(body, 0)
                 return
-            scheduler = self.world.scheduler
-            scheduler.register(scheduler.child_names(self.size), [
+            sched = self.proc.sched
+            sched.register(sched.child_names(self.size), [
                 self._worker_main(body, tid) for tid in range(1, self.size)])
             yield from self._run_guarded(body, 0)
             while self._done < self.size - 1:  # the master joins its workers
                 self.world.check()
-                yield from self.world.wait(
-                    self, f"rank {self.proc.rank} master joining its team",
+                yield from sched.wait(
+                    self.world, self,
+                    f"rank {self.proc.rank} master joining its team",
                     lambda: self._done >= self.size - 1)
             self.world.check()
         finally:
@@ -69,8 +70,8 @@ class Team:
             yield from self._run_guarded(body, tid)
         finally:
             self._done += 1
-            self.world.notify(self)
-            self.world.scheduler.detach()
+            self.proc.sched.notify(self.world, self)
+            self.proc.sched.detach()
 
     def _run_guarded(self, body: TeamBody, tid: int):
         try:
@@ -80,7 +81,7 @@ class Team:
                 raise
         except Exception as err:  # noqa: BLE001 - surface interpreter bugs
             self.world.fail(err, self.proc.rank, f" tid {tid}")
-            self.world.notify(self._arrivals)
+            self.proc.sched.notify(self.world, self._arrivals)
             if tid == 0:
                 raise AbortedError() from err
 
@@ -92,19 +93,18 @@ class Team:
         if self.size == 1:
             self.world.check()
             return
-        yield from self.world.yield_point(SchedPoint.OMP_BARRIER,
-                                          f"r{self.proc.rank}")
+        yield from self.proc.sched.yield_at(self.world, *self.proc.barrier_at)
         gen = self._bar_gen
         self._bar_count += 1
         if self._bar_count == self.size:
             self._bar_count = 0
             self._bar_gen += 1
-            self.world.notify(self._arrivals)
+            self.proc.sched.notify(self.world, self._arrivals)
             return
         while self._bar_gen == gen:
             self.world.check()
-            yield from self.world.wait(
-                self._arrivals,
+            yield from self.proc.sched.wait(
+                self.world, self._arrivals,
                 f"rank {self.proc.rank} in omp barrier "
                 f"({self._bar_count}/{self.size} arrived)",
                 lambda: self._bar_gen != gen,
@@ -114,8 +114,12 @@ class Team:
 
     def claim(self, construct_uid: int, encounter: int, tid: int):
         """First thread to claim ``(construct, encounter)`` wins (single)."""
-        yield from self.world.yield_point(
-            SchedPoint.CLAIM, f"r{self.proc.rank}t{tid}u{construct_uid}")
+        points = self.proc.claim_points
+        at = points.get((tid, construct_uid))
+        if at is None:
+            at = points[tid, construct_uid] = self.proc.sched.point(
+                SchedPoint.CLAIM, f"r{self.proc.rank}t{tid}u{construct_uid}")
+        yield from self.proc.sched.yield_at(self.world, *at)
         key = (construct_uid, encounter)
         won = key not in self._claims
         if won:

@@ -22,8 +22,6 @@ per-process).  Fault kinds:
 
 ``exception``      raise :class:`InjectedFault`
 ``oserror``        raise ``OSError``
-``broken_pool``    raise ``concurrent.futures.process.BrokenProcessPool``
-``pickling``       raise ``pickle.PicklingError``
 ``timeout``        raise :class:`~repro.util.resilience.DeadlineExceeded`
 ``keyboard``       raise ``KeyboardInterrupt``
 ``truncate``       return only the first half of the site's payload
@@ -41,11 +39,9 @@ exactly like the paper keeps its runtime checks cheap enough to ship.
 from __future__ import annotations
 
 import os
-import pickle
 import threading
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from .resilience import DeadlineExceeded
 
@@ -60,7 +56,7 @@ SITES = frozenset({
     "session.read_file",    # after a session re-reads a file (payload: text)
     "session.parse_chunk",  # before an incremental chunk parse
     "session.analyze",      # before the engine analyze of an update
-    "store.evict",          # before fingerprint eviction from the engine cache
+    "engine.evict",         # before fingerprint eviction from the engine cache
     "serve.emit",           # before a serve/watch response line is written
     "fuzz.seed",            # inside one fuzz seed's oracle body
     "fuzz.oracle",          # at the start of each differential-oracle run
@@ -78,8 +74,7 @@ class FaultPlanError(ValueError):
     unregistered site / unknown kind."""
 
 
-_KINDS = ("exception", "oserror", "broken_pool", "pickling", "timeout",
-          "keyboard", "truncate", "hang")
+_KINDS = ("exception", "oserror", "timeout", "keyboard", "truncate", "hang")
 
 
 @dataclass(frozen=True)
@@ -150,10 +145,6 @@ class FaultPlan:
             raise InjectedFault(detail)
         if kind == "oserror":
             raise OSError(detail)
-        if kind == "broken_pool":
-            raise BrokenProcessPool(detail)
-        if kind == "pickling":
-            raise pickle.PicklingError(detail)
         if kind == "timeout":
             raise DeadlineExceeded(site, 0.0, 0.0)
         if kind == "keyboard":

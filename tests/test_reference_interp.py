@@ -2,10 +2,11 @@
 
 :mod:`reference_interp` keeps the tree-walking interpreter, and
 ``reference_runtime()`` runs every program, sweep and fuzz oracle on it.
-On the gallery, every ``tests/corpus`` program and fuzz seeds 0-199 the
-compiled interpreter must give the same outputs, return values, verdict
-lines, collective histories, check counters, choice sequences and the
-footprint of every executed event, run by run.  Both runtimes run the
+On the gallery, every ``tests/corpus`` program, fuzz seeds 0-199 and a
+few programs none of them has (``&&`` and ``||``, a non-canonical ``omp
+for``) the compiled interpreter must give the same outputs, return
+values, verdict lines, collective histories, check counters, choice
+sequences and the footprint of every executed event, run by run.  Both runtimes run the
 same program object, so AST uids (which name claims in footprints) agree.
 """
 
@@ -162,3 +163,121 @@ def test_a_copied_or_pickled_program_compiles_afresh():
     for twin in (copy.deepcopy(program), pickle.loads(pickle.dumps(program))):
         assert getattr(twin, "_code", None) is None
         assert default_run(twin, config, None) == ran
+
+
+#: ``&&`` and ``||``: on plain operands (short-circuits that skip a division
+#: by zero included), and with right operands that call a helper running
+#: ``MPI_Barrier()``, in conditions and declarations, so the compiled
+#: interpreter runs them as generators.  In ``logic_mismatch`` rank 0 alone
+#: short-circuits, and the run deadlocks.
+LOGIC_SOURCES = {
+    "logic_plain": """
+void main() {
+    int r = MPI_Comm_rank();
+    int x = r;
+    if (x < 1 && x > -1) {
+        print(1);
+    }
+    if (x > 1 || x == 0) {
+        print(2);
+    }
+    int a = x == 0 && x + 1 == 1;
+    int b = x == 1 || x == 0;
+    int c = x > 5 && x / 0 == 1;
+    int d = x >= 0 || x / 0 == 1;
+    while (x < 3 && x >= 0) {
+        x = x + 1;
+    }
+    print(a, b, c, d, x);
+}
+""",
+    "logic_barrier": """
+int sync(int v) {
+    MPI_Barrier();
+    return v;
+}
+
+void main() {
+    MPI_Init_thread(3);
+    int r = MPI_Comm_rank();
+    int x = 0;
+    if (r >= 0 && sync(1) == 1) {
+        x = x + 1;
+    }
+    if (r < 0 || sync(2) == 2) {
+        x = x + 10;
+    }
+    int y = r > 5 && sync(3) == 3;
+    int z = r < 5 || sync(4) == 4;
+    #pragma omp parallel
+    {
+        #pragma omp single
+        {
+            if (x > 0 && sync(5) == 5) {
+                x = x + 100;
+            }
+        }
+    }
+    print(x, y, z);
+    MPI_Finalize();
+}
+""",
+    "logic_mismatch": """
+int sync(int v) {
+    MPI_Barrier();
+    return v;
+}
+
+void main() {
+    MPI_Init_thread(3);
+    int r = MPI_Comm_rank();
+    if (r == 0 || sync(1) == 1) {
+        print(r);
+    }
+    MPI_Finalize();
+}
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOGIC_SOURCES))
+def test_logic_operators_run_like_the_tree_walker(name, monkeypatch):
+    program = parse_program(LOGIC_SOURCES[name], f"{name}.mc")
+    verdicts = set()
+    for nt in (1, 2):
+        config = ExploreConfig(nprocs=2, num_threads=nt)
+        ran = both(default_run, program, config, None)
+        verdicts.add(ran[0].split("[")[0])
+        both(dpor_sweep, program, config, None, 12, 2, monkeypatch)
+    if name == "logic_plain":
+        assert ran[1] == {0: ["1", "2", "True True False True 3"],
+                          1: ["False True False True 3"]}
+    assert verdicts == {"DeadlockError" if name == "logic_mismatch"
+                        else "clean"}
+
+
+def test_a_non_canonical_omp_for_fails_like_the_tree_walker(monkeypatch):
+    """An ``omp for`` whose variable is declared outside the loop: the
+    static check only warns (``OMPFOR_INIT``), and a run ends with the
+    interpreter's internal error."""
+    source = """
+void main() {
+    int i = 0;
+    int s = 0;
+    #pragma omp parallel num_threads(2)
+    {
+        #pragma omp for
+        for (i = 0; i < 4; i += 1) {
+            s = s + 1;
+        }
+    }
+    print(s);
+}
+"""
+    program = parse_program(source, "non_canonical.mc")
+    config = ExploreConfig(nprocs=2, num_threads=2)
+    ran = both(default_run, program, config, None)
+    assert ran[0] == ("ValidationError[simulator] rank=0 line=None: "
+                      "internal error on rank 0 tid 0: "
+                      "InterpError('omp for requires a canonical for loop')")
+    both(dpor_sweep, program, config, None, 12, 2, monkeypatch)

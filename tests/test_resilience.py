@@ -5,11 +5,9 @@ checkpoint/resume)."""
 import io
 import json
 import os
-import pickle
 import shutil
 import subprocess
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -167,9 +165,9 @@ def test_failure_digest_is_one_from_two_copies_of_the_package(tmp_path):
 
 def test_fault_plan_parse_defaults_and_hits():
     plan = FaultPlan.parse(
-        "session.analyze=exception, engine.task:3=broken_pool")
+        "session.analyze=exception, engine.task:3=oserror")
     assert plan.rules["session.analyze"][1] == "exception"
-    assert plan.rules["engine.task"][3] == "broken_pool"
+    assert plan.rules["engine.task"][3] == "oserror"
 
 
 @pytest.mark.parametrize("spec", [
@@ -178,6 +176,7 @@ def test_fault_plan_parse_defaults_and_hits():
     "session.analyze=frobnicate",
     "session.analyze:zero=exception",
     "session.analyze:0=exception",
+    "session.analyze=broken_pool",
 ])
 def test_fault_plan_rejects_bad_specs(spec):
     with pytest.raises(FaultPlanError):
@@ -197,12 +196,10 @@ def test_fault_fires_on_exact_hit_only():
 
 def test_fault_kinds_raise_their_exception_classes():
     plan = FaultPlan.parse(
-        "session.read_file:1=oserror,session.read_file:2=broken_pool,"
-        "session.read_file:3=pickling,session.read_file:4=timeout,"
-        "session.read_file:5=keyboard")
+        "session.read_file:1=oserror,session.read_file:2=timeout,"
+        "session.read_file:3=keyboard")
     install_plan(plan)
-    for expected in (OSError, BrokenProcessPool, pickle.PicklingError,
-                     DeadlineExceeded, KeyboardInterrupt):
+    for expected in (OSError, DeadlineExceeded, KeyboardInterrupt):
         with pytest.raises(expected):
             fault_site("session.read_file")
 
@@ -219,10 +216,10 @@ def test_fault_site_is_noop_without_plan():
 
 
 def test_plan_loads_lazily_from_environment(monkeypatch):
-    monkeypatch.setenv("PARCOACH_FAULTS", "store.evict:7=oserror")
+    monkeypatch.setenv("PARCOACH_FAULTS", "engine.evict:7=oserror")
     clear_plan()  # allow a fresh environment read
     plan = active_plan()
-    assert plan is not None and plan.rules["store.evict"][7] == "oserror"
+    assert plan is not None and plan.rules["engine.evict"][7] == "oserror"
 
 
 # -- the serve chaos gate: every site, one at a time --------------------------------
@@ -233,14 +230,14 @@ SERVE_SITES = (
     "session.parse_chunk",
     "session.analyze",
     "engine.task",
-    "store.evict",
+    "engine.evict",
     "serve.emit",
 )
 
 
 def _serve_script(path_a, path_b):
     """A 3-analyze serve script with an edit step, handed to run_serve as
-    a generator so the edit happens between requests (the ``store.evict``
+    a generator so the edit happens between requests (the ``engine.evict``
     site only fires when an update actually evicts fingerprints)."""
     yield f"analyze {path_a}\n"
     yield f"analyze {path_b}\n"
