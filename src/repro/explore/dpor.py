@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
+from itertools import accumulate
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
@@ -64,8 +65,6 @@ class RunRecord:
 
     @classmethod
     def from_scheduler(cls, scheduler) -> "RunRecord":
-        """The record of ``scheduler``'s finished run, which takes its
-        lists."""
         return cls(
             decisions=scheduler.decisions,
             events=scheduler.events,
@@ -96,10 +95,9 @@ class DporStats:
 
 
 def race_lists(events: Sequence[Step],
-               wild: Optional[Dict[Footprint, bool]] = None
-               ) -> List[List[int]]:
-    """``result[k]`` lists, ascending, the earlier events ``j`` of other
-    threads whose footprints :func:`conflicts` with event ``k``'s.
+               wild: Dict[Footprint, bool]) -> List[List[int]]:
+    """``result[k]``: the earlier events of other threads whose footprints
+    :func:`conflicts` with event ``k``'s, ascending.
 
     One pass over the events.  Earlier accesses are indexed by shared
     object, so an event is only tested against earlier events of other
@@ -108,48 +106,35 @@ def race_lists(events: Sequence[Step],
     wildcard event; a wildcard event conflicts with every earlier
     non-empty event of another thread.  ``wild`` caches which footprints
     are wildcards."""
-    if wild is None:
-        wild = {}
     by_obj: Dict[str, List[Tuple[int, str, str]]] = {}
     wilds: List[Tuple[int, str]] = []
     lists: List[List[int]] = []
     for k, (tk, fpk) in enumerate(events):
+        if fpk and fpk not in wild:
+            wild[fpk] = is_wildcard(fpk)
         if not fpk:
-            lists.append([])
-            continue
-        is_wild = wild.get(fpk)
-        if is_wild is None:
-            is_wild = wild[fpk] = is_wildcard(fpk)
-        if is_wild:
-            lists.append([j for j in range(k)
-                          if events[j][1] and events[j][0] != tk])
+            hits = []
+        elif wild[fpk]:
+            hits = [j for j in range(k) if events[j][1] and events[j][0] != tk]
             wilds.append((k, tk))
         else:
             found = {j for j, tj in wilds if tj != tk} if wilds else set()
-            add = found.add
             for obj, mode in fpk:
-                earlier = by_obj.get(obj)
-                if earlier is None:
-                    by_obj[obj] = [(k, tk, mode)]
-                    continue
-                # modes_conflict(other, mode), for every earlier access.
-                if mode == "r" or mode.startswith("c:"):
-                    for j, tj, other in earlier:
-                        if other != mode and tj != tk:
-                            add(j)
-                else:
-                    for j, tj, _ in earlier:
-                        if tj != tk:
-                            add(j)
+                earlier = by_obj.setdefault(obj, [])
+                shared = mode == "r" or mode.startswith("c:")
+                for j, tj, other in earlier:
+                    if tj != tk and (other != mode or not shared):
+                        found.add(j)
                 earlier.append((k, tk, mode))  # k's thread never hits
-            lists.append(sorted(found) if found else [])
+            hits = sorted(found)
+        lists.append(hits)
     return lists
 
 
 def race_pairs(events: Sequence[Step]) -> Iterator[Tuple[int, int]]:
     """Every conflicting pair of a run (:func:`race_lists`): the pairs
     ``(j, k)``, ``j < k``, ordered by ``k`` then ``j``."""
-    for k, hits in enumerate(race_lists(events)):
+    for k, hits in enumerate(race_lists(events, {})):
         for j in hits:
             yield j, k
 
@@ -362,18 +347,14 @@ class DporStrategy:
         # Each decision's preemption, and the preemptions spent before it.
         preempts = [d.current is not None and d.chosen != d.current
                     and d.current in d.runnable for d in decisions]
-        spent = [0] * len(decisions)
-        for i in range(1, len(decisions)):
-            spent[i] = spent[i - 1] + preempts[i - 1]
+        spent = list(accumulate(preempts, initial=0))
         bound = self.preemption_bound
 
         # The runnable threads at the point before each step (none past
         # the abort: its decisions only unwind it).
-        runnable = [(t,) for t, _ in events[:cut]]
-        runnable.append(())
-        for i in range(limit):
-            if eb[i] < cut:
-                runnable[eb[i]] = decisions[i].runnable
+        decision_at = {eb[i]: decisions[i] for i in range(limit)}
+        runnable = [decision_at[k].runnable if k in decision_at
+                    else (events[k][0],) for k in range(cut)] + [()]
 
         # The run's decisions: the sleep set in effect at each from its
         # node on (the node's, woken by every step since and by the bound)
@@ -385,145 +366,109 @@ class DporStrategy:
         q = eb[start] if start < limit else cut
         path: List[_Point] = []
         point = self._root
-        for i in range(min(start, limit)):
+        for i in range(limit):
+            if i >= start:
+                while sleep and q < eb[i]:  # once empty, it stays empty
+                    if wake(sleep, *events[q]):
+                        shared = None
+                    q += 1
+                if sleep and wake_unaffordable(sleep, spent[i], bound):
+                    shared = None
+                if point.sleep is None:
+                    if shared is None:
+                        shared = dict(sleep)
+                    point.sleep = shared
+                k = eb[i]
+                fp = events[k][1]
+                blocked = k + 1 < cut and choices[i] not in runnable[k + 1]
+                if blocked:
+                    fp = self._blocking.get(fp) or self._blocking.setdefault(
+                        fp, frozenset((obj, "w" if mode.startswith("c:")
+                                       else mode) for obj, mode in fp))
+                cost = preempts[i] + (not blocked)
+                child = point.branches.get(choices[i])
+                if child is None:
+                    child = point.branches[choices[i]] = _Point(fp, cost)
+                child.step, child.cost = fp, cost
             path.append(point)
             point = point.branches[choices[i]]
-        for i in range(start, limit):
-            # A sleep set only shrinks: once empty, nothing is replayed.
-            while sleep and q < eb[i]:
-                if wake(sleep, *events[q]):
-                    shared = None
-                q += 1
-            if sleep and wake_unaffordable(sleep, spent[i], bound):
-                shared = None
-            if point.sleep is None:
-                if shared is None:
-                    shared = dict(sleep)
-                point.sleep = shared
-            k = eb[i]
-            fp = events[k][1]
-            blocked = k + 1 < cut and choices[i] not in runnable[k + 1]
-            if blocked:
-                fp = self._blocking.get(fp) or self._blocking.setdefault(
-                    fp, frozenset((obj, "w" if mode.startswith("c:")
-                                   else mode) for obj, mode in fp))
-            cost = preempts[i] + (not blocked)
-            child = point.branches.get(choices[i])
-            if child is None:
-                child = point.branches[choices[i]] = _Point(fp, cost)
-            child.step, child.cost = fp, cost
-            path.append(point)
-            point = child
 
         # Happens-before over the steps up to the abort, then one unknown
         # (wildcard) step per thread the abort found ready: the abort cut
         # that step off.  ``past[k]`` has bit ``j`` set when step ``j``
-        # happens before (or is) step ``k``; ``deps[k]`` lists the earlier
-        # steps that step ``k`` depends on.
+        # happens before (or is) step ``k``; ``deps[k]`` lists the steps
+        # before it that step ``k`` depends on.
         steps = events[:cut] + [(t, WILDCARD) for t in record.ready_at_abort]
-        thread = [t for t, _ in steps]
         deps = race_lists(steps, self._wild)
-        n = len(steps)
-        past = [0] * n
-        enabler = [0] * n
-        previous = [0] * n
+        past: List[int] = []
+        enabler: List[int] = []
+        previous: List[int] = []
         ready: Dict[str, int] = {}
         last: Dict[str, int] = {}
-        for k in range(cut):
-            t, fp = steps[k]
+        for k, (t, fp) in enumerate(steps):
             after = deps[k]
-            here = runnable[k]
-            if len(here) == 1:
-                # A forced step: no other thread was ready.
-                en = ready.get(t, k - 1)
-                if ready:
+            if k < cut:
+                if len(runnable[k]) == 1:  # forced: no other thread ready
+                    en = ready.get(t, k - 1)
                     ready = {}
-            else:
-                ready = {u: ready.get(u, k - 1) for u in here}
-                en = ready.pop(t)
-            if _ABORT in fp:
-                # The abort cuts off every other thread's next step.
-                after += [j for u, j in last.items() if u != t]
-            # Step k woke u, which blocked after its last step: the two
-            # depend (in the other order u would not have blocked), unless
-            # k woke several threads blocked on the same step.
-            then = runnable[k + 1]
-            if len(then) == 1:
-                u = then[0]
-                if u != t and u in last and u not in ready:
-                    after.append(last[u])
-            else:
-                woke = [u for u in then
-                        if u != t and u in last and u not in ready]
+                else:
+                    ready = {u: ready.get(u, k - 1) for u in runnable[k]}
+                    en = ready.pop(t)
+                if _ABORT in fp:
+                    # The abort cuts off every other thread's next step.
+                    after += [j for u, j in last.items() if u != t]
+                woke = [u for u in runnable[k + 1]
+                        if u != t and u not in ready and u in last]
                 for u in woke:
                     if len(woke) == 1 or steps[last[u]][1] != fp:
+                        # Step k woke u, which blocked after its last step:
+                        # the two depend (in the other order u would not
+                        # have blocked), unless k woke several threads
+                        # blocked on the same step.
                         after.append(last[u])
+            else:
+                deps[k] = after = [j for j in after if j < cut]
+                en = ready.get(t, cut - 1)
             before = last.get(t, -1)
             mask = 1 << k
-            for p in after:
-                mask |= past[p]
-            if before >= 0:
-                mask |= past[before]
-            if en >= 0:
-                mask |= past[en]
-            past[k], enabler[k], previous[k] = mask, en, before
-            last[t] = k
-        for k in range(cut, n):
-            t = thread[k]
-            deps[k] = after = [j for j in deps[k] if j < cut]
-            en = ready.get(t, cut - 1)
-            before = last.get(t, -1)
-            mask = 1 << k
-            for p in after:
-                mask |= past[p]
-            if before >= 0:
-                mask |= past[before]
-            if en >= 0:
-                mask |= past[en]
-            past[k], enabler[k], previous[k] = mask, en, before
+            for p in after + [before, en]:
+                if p >= 0:
+                    mask |= past[p]
+            past.append(mask)
+            enabler.append(en)
+            previous.append(before)
+            if k < cut:
+                last[t] = k
 
         # Races whose later step is new in this run: the earlier steps
         # repeat the run that queued it, which reversed their races.  A
-        # candidate j is ordered before k by a third step when j happens
-        # before k's program-order predecessor, k's enabler or a
-        # conflicting step of another thread than j's: a thread's steps
-        # that only its own later conflicting ones order race too, since a
-        # run cap would reach them one reversal per run.  The enabler
-        # itself never races k.
+        # thread's steps that only its own later conflicting ones order
+        # race too: a run cap would reach them one reversal per run.  The
+        # ordering test takes one mask per candidate thread (see
+        # docs/explore.md).
         for k in range(eb[start] if start < limit else cut, len(steps)):
-            candidates = deps[k]
-            if not candidates:
+            conflicting = set(deps[k])
+            if not conflicting:
                 continue
+            candidates = sorted(conflicting)
             en = enabler[k]
             base = past[previous[k]] if previous[k] >= 0 else 0
-            if len(candidates) == 1:
-                j = candidates[0]
-                if en >= 0 and en != j:
-                    base |= past[en]
-                if j != en and not base >> j & 1:
-                    self._reverse(j, k, steps, past, runnable, path, eb,
-                                  decisions, choices, spent, frontier)
-                continue
-            conflicting = set(candidates)
-            candidates = sorted(conflicting)
             if en >= 0 and en not in conflicting:
                 base |= past[en]
-            by_thread: Dict[str, int] = {}
-            latest: Dict[str, int] = {}
+            masks: Dict[str, int] = {}
             for j in candidates:
-                u = thread[j]
-                by_thread[u] = by_thread.get(u, 0) | past[j]
-                latest[u] = j
+                masks[steps[j][0]] = masks.get(steps[j][0], 0) | past[j]
+            latest = {steps[j][0]: j for j in candidates}
             for j in sorted(latest.values()):
-                tj = thread[j]
+                tj = steps[j][0]
                 mask = base
-                for u, m in by_thread.items():
+                for u, past_u in masks.items():
                     if u != tj:
-                        mask |= m
+                        mask |= past_u
                 if j == en or mask >> j & 1:
                     continue  # not reversible, or ordered by a third step
                 for r in [j] + [f for f in candidates if f < j and
-                                thread[f] == tj and f != en
+                                steps[f][0] == tj and f != en
                                 and not mask >> f & 1]:
                     self._reverse(r, k, steps, past, runnable, path, eb,
                                   decisions, choices, spent, frontier)
@@ -536,9 +481,7 @@ class DporStrategy:
         if i < 0:
             return
         bit = 1 << j
-        start = j + 1
-        while start < k and past[start] & bit:
-            start += 1
+        start = next((f for f in range(j + 1, k) if not past[f] & bit), k)
         first = steps[start][0]
         point, d = path[i], decisions[i]
         # Most reversals start with a thread already explored, queued or

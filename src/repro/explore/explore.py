@@ -147,8 +147,6 @@ def _run_with_scheduler(
     mode: str,
     settings: Optional[Dict[str, object]] = None,
 ) -> Tuple[RunResult, ScheduleTrace, Scheduler]:
-    """One run under ``scheduler``, and its trace; ``settings`` is
-    ``config.as_dict()`` when the caller made it once for many runs."""
     result = run_program(
         program,
         nprocs=config.nprocs,
@@ -171,11 +169,13 @@ def run_scheduled(
     group_kinds: Optional[Dict[int, str]] = None,
     strategy_info: Optional[Dict[str, object]] = None,
     mode: str = "full",
+    settings: Optional[Dict[str, object]] = None,
 ) -> Tuple[RunResult, ScheduleTrace]:
-    """Execute one deterministic scheduled run; return result + its trace."""
+    """Execute one deterministic scheduled run; return result + its trace.
+    ``settings`` is ``config.as_dict()``, made once for many runs."""
     result, trace, _ = _run_with_scheduler(
         program, config, Scheduler(strategy or DefaultStrategy()),
-        group_kinds, strategy_info, mode)
+        group_kinds, strategy_info, mode, settings)
     return result, trace
 
 
@@ -213,16 +213,16 @@ def _minimize_failure(program, config, settings, group_kinds,
     def failing(candidate: List[str]) -> bool:
         nonlocal replays
         replays += 1
-        result, _, _ = _run_with_scheduler(
-            program, config, Scheduler(ScriptedStrategy(candidate)),
-            group_kinds, None, "full", settings)
+        result, _ = run_scheduled(program, config, ScriptedStrategy(candidate),
+                                  group_kinds, settings=settings)
         return verdict_line(result) == target
 
     minimal = ddmin(failing, outcome.trace.choice_names, budget=budget)
-    result, trace, _ = _run_with_scheduler(
-        program, config, Scheduler(ScriptedStrategy(minimal)), group_kinds,
-        {"name": "minimized", "from_choices": len(outcome.trace.choices)},
-        "minimized", settings)
+    result, trace = run_scheduled(
+        program, config, ScriptedStrategy(minimal), group_kinds,
+        strategy_info={"name": "minimized", "from_choices":
+                       len(outcome.trace.choices)}, mode="minimized",
+        settings=settings)
     replays += 1
     # Keep exactly the choices the minimized schedule actually consumed.
     trace.choices = trace.choices[:len(minimal)]
@@ -231,11 +231,10 @@ def _minimize_failure(program, config, settings, group_kinds,
 
 
 def _dpor_worker(payload) -> Tuple[ScheduleTrace, RunRecord]:
-    """Pool entry: execute one queued DPOR node, ship trace + record back.
-    ``payload`` is ``(program, config, group_kinds, node, preemptions)``,
-    optionally followed by ``config.as_dict()``."""
-    program, config, group_kinds, node, preemptions = payload[:5]
-    settings = payload[5] if len(payload) > 5 else None
+    """Pool entry: execute one queued DPOR node, ship trace + record back
+    (the payload's sixth item, ``config.as_dict()``, may be left out)."""
+    program, config, group_kinds, node, preemptions, settings = (
+        *payload, None)[:6]
     scheduler = Scheduler()
     scheduler.strategy = GuidedRun(scheduler, node, preemptions)
     _, trace, _ = _run_with_scheduler(
@@ -313,11 +312,12 @@ def explore_config(
                 # Resampling perturbs the seed deterministically, far away
                 # from the base seed range.
                 s = seed + slot + retry * 1_000_003
-                _, trace, _ = _run_with_scheduler(
-                    program, config, Scheduler(
-                        RandomStrategy(seed=s, preemption_bound=preemptions)),
-                    group_kinds, {"name": "random", "seed": s}, "full",
-                    settings)
+                _, trace = run_scheduled(
+                    program, config,
+                    RandomStrategy(seed=s, preemption_bound=preemptions),
+                    group_kinds,
+                    strategy_info={"name": "random", "seed": s},
+                    settings=settings)
                 key = tuple(trace.choice_names)
                 if key not in seen or not trace.choices:
                     break  # fresh schedule (or the only schedule there is)

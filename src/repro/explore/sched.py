@@ -69,8 +69,6 @@ _BLOCKED = "blocked"
 
 _EMPTY_FP: Footprint = frozenset()
 
-_new = tuple.__new__
-
 #: Scheduling steps one run may take.  Deadlocks end runs structurally
 #: long before this; only a livelock reaches it.  The examples, benchmarks
 #: and tests stay below 2,100 steps per run.
@@ -161,9 +159,7 @@ class Scheduler:
                 # A rank main exiting mutates world-level accounting
                 # (finished_ranks, open-round deadlock checks).
                 lt.accesses.add(("procs", "w"))
-            self._close_segment(lt, None)
-            if me in self._ready_list:
-                self._ready_list.remove(me)
+            self._close_segment(lt, None)  # running, so not in the ready list
         if self._current == me:
             self._current = None
             if self._world is not None:
@@ -218,14 +214,9 @@ class Scheduler:
 
     def note_access(self, obj: str, mode: str = "w") -> None:
         """The running segment touched shared object ``obj`` (mode r/w)."""
-        self.note((obj, mode))
-
-    def note(self, access: Tuple[str, str]) -> None:
-        """The running segment made ``access``, an ``(object, mode)``
-        pair."""
         lt = self._threads.get(self.running)
         if lt is not None:
-            lt.accesses.add(access)
+            lt.accesses.add((obj, mode))
 
     def compute(self, units: int = 0) -> int:
         """Advance the running logical thread's compute clock by ``units``
@@ -240,43 +231,27 @@ class Scheduler:
 
     @staticmethod
     def point(kind: str, detail: str = "") -> Tuple[str, Footprint]:
-        """The decision point ``kind:detail`` (``kind`` when there is no
-        detail) and the footprint of the operation it starts: what
-        :meth:`yield_at` takes.  Callers that reach one point repeatedly
-        keep the pair."""
+        """The decision point ``kind:detail`` and its operation's footprint:
+        what :meth:`yield_at` takes."""
         point = f"{kind}:{detail}" if detail else kind
         return point, point_footprint(point)
 
-    def yield_point(self, world, kind: str, detail: str = ""):
-        return self.yield_at(world, *self.point(kind, detail))
-
     def yield_at(self, world, point: str, fp: Footprint):
-        """A scheduling decision at ``point`` (see :meth:`point`): the
-        running thread may be switched out here."""
+        """A scheduling decision: the running thread may switch out here."""
         me = self.running
         lt = self._threads[me]
         # The yield ends the current segment; the next one (whoever runs
         # it first) begins by executing this point's operation.
-        pending = lt.pending_fp
-        if lt.accesses:
-            pending = pending | frozenset(lt.accesses)
-            lt.accesses.clear()
-        self.events.append((me, pending))
-        lt.pending_fp = fp
+        self._close_segment(lt, fp)
+        # The running thread is never in the ready list.
         ready = self._ready_list
         chosen = me  # the sole candidate: no decision
         if ready:
             i = bisect_left(ready, me)
-            if i < len(ready) and ready[i] == me:
-                candidates = tuple(ready)
-            else:
-                candidates = (*ready[:i], me, *ready[i:])
-            if len(candidates) > 1:
-                chosen = self._choose(point, me, candidates)
+            chosen = self._choose(point, me, (*ready[:i], me, *ready[i:]))
         if chosen != me:
-            if lt.state != _READY:
-                lt.state = _READY
-                insort(ready, me)
+            lt.state = _READY
+            insort(ready, me)
             ready.remove(chosen)
             self._threads[chosen].state = _RUNNING
             self._current = chosen
@@ -312,21 +287,12 @@ class Scheduler:
     def notify(self, world, cond) -> None:
         # In any order: predicates only read state, and the ready list
         # stays sorted.
-        blocked = self._waiters.get(id(cond))
-        if not blocked:
-            return
-        still = []
-        for lt in blocked:
+        for lt in self._waiters.pop(id(cond), ()):
             if lt.predicate is None or lt.predicate():
-                lt.cond = None
-                lt.predicate = None
+                lt.cond = lt.predicate = None
                 self._mark_ready(lt)
             else:
-                still.append(lt)
-        if still:
-            self._waiters[id(cond)] = still
-        else:
-            del self._waiters[id(cond)]
+                self._waiters.setdefault(id(cond), []).append(lt)
 
     # -- internals -------------------------------------------------------------
 
@@ -347,8 +313,7 @@ class Scheduler:
 
     def _choose(self, point: str, current: Optional[str],
                 candidates: Tuple[str, ...]) -> str:
-        """Record the branching decision among ``candidates`` (two or
-        more, sorted) that the strategy takes."""
+        """The strategy's choice among two or more ``candidates``, logged."""
         index = len(self.decisions)
         chosen = self.strategy.choose(index, candidates, current, point)
         if chosen not in candidates:
@@ -356,8 +321,8 @@ class Scheduler:
         self.decision_event_index.append(len(self.events))
         # ``tuple.__new__`` builds the same decision as ``Decision(...)``
         # without a call to the named tuple's Python-level ``__new__``.
-        self.decisions.append(_new(Decision, (index, point, current,
-                                              candidates, chosen)))
+        self.decisions.append(tuple.__new__(
+            Decision, (index, point, current, candidates, chosen)))
         return chosen
 
     def _livelock(self, world) -> None:
@@ -374,17 +339,12 @@ class Scheduler:
         ))
 
     def _schedule_next(self, world, kind: str, detail: str) -> None:
-        """Grant the token to a ready thread, chosen by the strategy when
-        there are several."""
         self._current = None
         ready = self._ready_list or self._unblock(world)
         if not ready:
             return
-        if len(ready) == 1:
-            chosen = ready[0]
-        else:
-            chosen = self._choose(f"{kind}:{detail}" if detail else kind,
-                                  None, tuple(ready))
+        chosen = ready[0] if len(ready) == 1 else self._choose(
+            f"{kind}:{detail}" if detail else kind, None, tuple(ready))
         self._threads[chosen].state = _RUNNING
         self._ready_list.remove(chosen)
         self._current = chosen

@@ -86,18 +86,14 @@ class ScheduleTrace:
     def record(cls, scheduler, config: Dict[str, object], result: RunResult,
                strategy_info: Optional[Dict[str, object]] = None,
                mode: str = "full") -> "ScheduleTrace":
-        """The trace of ``scheduler``'s finished run, which takes (and
-        shares with a :class:`~repro.explore.dpor.RunRecord`) its
-        decision list."""
-        decisions = scheduler.decisions
         events = getattr(scheduler, "events", [])
         event_index = getattr(scheduler, "decision_event_index", [])
         footprints = [events[ei][1] if ei < len(events) else None
-                      for ei in event_index[:len(decisions)]]
-        footprints += [None] * (len(decisions) - len(footprints))
+                      for ei in event_index[:len(scheduler.decisions)]]
+        footprints += [None] * (len(scheduler.decisions) - len(footprints))
         return cls(
             config=dict(config),
-            choices=decisions,
+            choices=scheduler.decisions,  # the finished run's own list
             verdict=verdict_line(result),
             verdict_class=type(result.error).__name__ if result.error else "",
             detected_by=result.detected_by,

@@ -37,15 +37,13 @@ class CheckState:
         self.proc = proc
         self.group_kinds = group_kinds or {}
         self._counters: Dict[int, int] = {}
-        #: ``("enter", what)`` or ``("exit", group)`` -> its decision point.
-        self._points: Dict[Tuple[str, object], tuple] = {}
+        self._points: Dict[Tuple[str, object], tuple] = {}  # see _at
 
     def _at(self, kind: str, key: object) -> tuple:
-        at = self._points.get((kind, key))
-        if at is None:
-            at = self._points[kind, key] = self.proc.sched.point(
-                SchedPoint.CHECK, f"{kind}:r{self.proc.rank}:{key}")
-        return at
+        """The decision point of an ``enter`` or ``exit`` check."""
+        return self._points.get((kind, key)) or self._points.setdefault(
+            (kind, key), self.proc.sched.point(
+                SchedPoint.CHECK, f"{kind}:r{self.proc.rank}:{key}"))
 
     # -- CC --------------------------------------------------------------------
 

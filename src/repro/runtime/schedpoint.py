@@ -2,23 +2,24 @@
 
 The simulator's blocking primitives (collective rounds, ``MPI_Recv``, team
 barriers, ``single`` claims, critical sections, fork/join, the inserted
-checks) all funnel through three world-level calls:
+checks) all funnel through three calls of the world's cooperative
+scheduler (``repro.explore.Scheduler``, with ``DefaultStrategy`` unless
+the caller installs another), ``world.scheduler``:
 
-* ``yield_point(kind, detail)`` — a scheduling decision: the running
+* ``yield_at(world, point, fp)`` — a scheduling decision: the running
   logical thread may be switched out here (entering a collective,
-  claiming a ``single``, ...).
-* ``wait(cond, describe, predicate)`` — park the running thread until a
-  ``notify(cond)`` finds ``predicate`` true (``cond`` is any object the
-  waiters and the notifier agree on).  Call sites keep their classic
-  ``while not <state>: wait(...)`` loops; ``describe`` is the wait-for
-  text a deadlock report names.
-* ``notify(cond)`` — state the waiters on ``cond`` test changed; those
-  whose predicate now holds become runnable.
+  claiming a ``single``, ...).  A caller keeps the ``Scheduler.point``
+  pair of a point it reaches again.
+* ``wait(world, cond, describe, predicate)`` — park the running thread
+  until a ``notify`` of ``cond`` finds ``predicate`` true (``cond`` is any
+  object the waiters and the notifier agree on).  Call sites keep their
+  classic ``while not <state>: wait(...)`` loops; ``describe`` is the
+  wait-for text a deadlock report names.
+* ``notify(world, cond)`` — state the waiters on ``cond`` test changed;
+  those whose predicate now holds become runnable.
 
 The first two are generators, driven with ``yield from`` up to the logical
-thread's own generator: a park is a ``yield``.  The world forwards all
-three to its cooperative scheduler (``repro.explore.Scheduler``, with
-``DefaultStrategy`` unless the caller installs another), which resumes one
+thread's own generator: a park is a ``yield``.  The scheduler resumes one
 logical thread at a time on the OS thread that called ``MpiWorld.run``
 and records every decision, so a run is reproducible from its choice
 sequence.  Time is virtual, one tick per scheduling step, and deadlock

@@ -35,8 +35,7 @@ class CollectiveEngine:
         self.world = world
         self.sched = world.scheduler
         self.ranks = list(ranks)
-        #: (op name, rank) -> the decision point of that arrival.
-        self._points: Dict[Tuple[str, int], tuple] = {}
+        self._points: Dict[Tuple[str, int], tuple] = {}  # see collective
         self.round_no = 0
         #: rank -> (op_name, signature, payload) for the open round.
         self.arrivals: Dict[int, Tuple[str, tuple, Any]] = {}
@@ -52,10 +51,9 @@ class CollectiveEngine:
                    payload: Any):
         """Execute one collective round for ``rank`` (a generator); parks
         until matched and returns the rank's result."""
-        at = self._points.get((op_name, rank))
-        if at is None:
-            at = self._points[op_name, rank] = self.sched.point(
-                SchedPoint.COLLECTIVE, f"{op_name}@r{rank}")
+        at = self._points.get((op_name, rank)) or self._points.setdefault(
+            (op_name, rank), self.sched.point(SchedPoint.COLLECTIVE,
+                                              f"{op_name}@r{rank}"))
         yield from self.sched.yield_at(self.world, *at)
         # Wait for the previous round's release phase to finish.
         while self._releasing:
@@ -121,9 +119,7 @@ class CollectiveEngine:
             self.world.check()
 
     def _detect_mismatch(self, op_name: str, signature: tuple) -> None:
-        """Compare the newest arrival, ``op_name`` with ``signature``, with
-        the round's first: the earlier arrivals all agree, since the first
-        disagreement aborts the run."""
+        """The newest arrival against the first: the others agree."""
         if len(self.arrivals) < 2:
             return
         first_name, first_signature, _ = next(iter(self.arrivals.values()))

@@ -23,20 +23,11 @@ class Mailbox:
         #: (kind, rank, peer) -> the decision point of that send or recv.
         self._points: Dict[Tuple[str, int, int], tuple] = {}
 
-    def _at(self, kind: str, rank: int, peer: int) -> tuple:
-        """The decision point of ``rank``'s send to, or receive from,
-        ``peer``."""
-        at = self._points.get((kind, rank, peer))
-        if at is None:
-            detail = (f"r{rank}->r{peer}" if kind == SchedPoint.SEND
-                      else f"r{rank}<-{peer}")
-            at = self._points[kind, rank, peer] = self.sched.point(kind,
-                                                                   detail)
-        return at
-
     def send(self, source: int, dest: int, tag: int, value: Any):
-        yield from self.sched.yield_at(
-            self.world, *self._at(SchedPoint.SEND, source, dest))
+        key = (SchedPoint.SEND, source, dest)
+        at = self._points.get(key) or self._points.setdefault(
+            key, self.sched.point(SchedPoint.SEND, f"r{source}->r{dest}"))
+        yield from self.sched.yield_at(self.world, *at)
         self.queues.setdefault(dest, []).append((source, tag, value))
         self.sched.notify(self.world, self)
 
@@ -48,8 +39,10 @@ class Mailbox:
         return None
 
     def recv(self, dest: int, source: int, tag: int):
-        yield from self.sched.yield_at(
-            self.world, *self._at(SchedPoint.RECV, dest, source))
+        key = (SchedPoint.RECV, dest, source)
+        at = self._points.get(key) or self._points.setdefault(
+            key, self.sched.point(SchedPoint.RECV, f"r{dest}<-{source}"))
+        yield from self.sched.yield_at(self.world, *at)
         while True:
             index = self._match(dest, source, tag)
             if index is not None:

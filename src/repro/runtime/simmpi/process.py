@@ -75,8 +75,7 @@ class MpiProcess:
         # guard races on: entering/leaving an MPI call never commutes with
         # another MPI call of the same rank.
         self._mpi_access = (f"mpi:r{rank}", "w")
-        #: The decision point of this rank's team barriers, and of its
-        #: teams' claims by ``(tid, construct uid)``.
+        #: Decision points of this rank's team barriers and claims.
         self.barrier_at = self.sched.point(SchedPoint.OMP_BARRIER, f"r{rank}")
         self.claim_points: Dict[Tuple[int, int], tuple] = {}
 
@@ -143,13 +142,13 @@ class MpiProcess:
             )
         self._in_mpi += 1
         self._collectives_inflight += collective
-        self.sched.note(self._mpi_access)
+        self.sched.note_access(*self._mpi_access)
         try:
             return (yield from operation)
         finally:
             self._in_mpi -= 1
             self._collectives_inflight -= collective
-            self.sched.note(self._mpi_access)
+            self.sched.note_access(*self._mpi_access)
 
     # -- operations (generators) ----------------------------------------------------------
 

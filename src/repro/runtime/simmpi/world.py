@@ -97,20 +97,6 @@ class MpiWorld:
         self.mailbox = Mailbox(me)
         self.procs = [MpiProcess(me, rank) for rank in range(nprocs)]
 
-    # -- scheduler façade (generators: ``yield from`` them) ----------------------
-
-    def yield_point(self, kind: str, detail: str = ""):
-        return self.scheduler.yield_point(self, kind, detail)
-
-    def wait(self, cond: object, describe: str = "", predicate=None):
-        """Park until a :meth:`notify` of ``cond`` finds ``predicate`` true;
-        callers loop on their own condition."""
-        return self.scheduler.wait(self, cond, describe, predicate)
-
-    def notify(self, cond: object) -> None:
-        """State the waiters on ``cond`` test changed."""
-        self.scheduler.notify(self, cond)
-
     # -- abort protocol -----------------------------------------------------------
 
     def abort(self, error: ValidationError) -> None:

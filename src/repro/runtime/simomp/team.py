@@ -115,10 +115,9 @@ class Team:
     def claim(self, construct_uid: int, encounter: int, tid: int):
         """First thread to claim ``(construct, encounter)`` wins (single)."""
         points = self.proc.claim_points
-        at = points.get((tid, construct_uid))
-        if at is None:
-            at = points[tid, construct_uid] = self.proc.sched.point(
-                SchedPoint.CLAIM, f"r{self.proc.rank}t{tid}u{construct_uid}")
+        at = points.get((tid, construct_uid)) or points.setdefault(
+            (tid, construct_uid), self.proc.sched.point(
+                SchedPoint.CLAIM, f"r{self.proc.rank}t{tid}u{construct_uid}"))
         yield from self.proc.sched.yield_at(self.world, *at)
         key = (construct_uid, encounter)
         won = key not in self._claims
