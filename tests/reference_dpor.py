@@ -4,11 +4,11 @@
 of events by different threads with the original :func:`conflicts`; it is
 kept so the object-indexed scan can be checked against it race for race.
 
-:class:`ReferenceDpor` is the driver with the original expansion: it
-rescans a step's predecessors for every race candidate, rebuilds the
-readiness of every step and replays the sleep set at every decision.
-``tests/test_dpor_identity.py`` holds the driver's expansion to it push
-for push.
+:class:`ReferenceDpor` is :class:`~repro.explore.dpor.DporStrategy` with
+the original expansion: it rescans a step's predecessors for every race
+candidate, rebuilds the readiness of every step and replays the sleep set
+at every decision.  ``tests/test_dpor_identity.py`` holds the current
+expansion to it push for push.
 """
 
 from __future__ import annotations

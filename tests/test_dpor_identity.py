@@ -2,10 +2,11 @@
 
 ``tests/reference_dpor.py`` keeps the original race loop and the original
 expansion.  The object-indexed scan must find identical race pairs, in
-the same order, on seeded random event lists.  The driver's expansion
-must push the same nodes, in the same order, as the reference's when
-both are given the same recorded runs, and leave the same statistics and
-the same tree of decisions: every point's sleep set and branches.
+the same order, on seeded random event lists.  ``DporStrategy``'s
+expansion must push the same nodes, in the same order, as the
+reference's when both are given the same recorded runs, and leave the
+same statistics and the same tree of decisions: every point's sleep set
+and branches.
 """
 
 import random
@@ -77,8 +78,8 @@ def _tree_states(root):
 
 
 class Lockstep(DporStrategy):
-    """The driver, with a :class:`ReferenceDpor` beside it that expands
-    every run the driver expands: both must push the same nodes and leave
+    """:class:`DporStrategy` with a :class:`ReferenceDpor` beside it that
+    expands every run it expands: both must push the same nodes and leave
     the same statistics and decisions along the run, and the same tree
     once the sweep ends."""
 
@@ -86,7 +87,6 @@ class Lockstep(DporStrategy):
         super().__init__(preemption_bound)
         self.reference = ReferenceDpor(preemption_bound)
         self.expansions = 0
-        SWEEPS.append(self)
 
     def _expand(self, node, record, frontier):
         before = len(frontier)
@@ -112,18 +112,20 @@ class Lockstep(DporStrategy):
         assert _tree_states(self._root) == _tree_states(self.reference._root)
 
 
-SWEEPS = []
-
-
 def _lockstep_sweeps(monkeypatch, name, modes, num_threads, runs, preemptions):
-    """Sweep ``name`` in each of ``modes`` with :class:`Lockstep` as the
-    driver; the expansions it checked."""
+    """Sweep ``name`` in each of ``modes`` with :class:`Lockstep` in place
+    of :class:`DporStrategy`; the expansions it checked."""
     case = CASES[name]
     program = parse_program(case.source, f"{name}.mc")
     analysis = analyze_program(program)
     instrumented, _ = instrument_program(analysis)
-    monkeypatch.setattr(explore_module, "DporStrategy", Lockstep)
-    del SWEEPS[:]
+    sweeps = []
+
+    def lockstep(preemption_bound):
+        sweeps.append(Lockstep(preemption_bound))
+        return sweeps[-1]
+
+    monkeypatch.setattr(explore_module, "DporStrategy", lockstep)
     for mode in modes:
         prog, kinds = ((program, None) if mode == "raw"
                        else (instrumented, analysis.group_kinds))
@@ -132,14 +134,14 @@ def _lockstep_sweeps(monkeypatch, name, modes, num_threads, runs, preemptions):
         explore_config(prog, config, strategy="dpor", runs=runs,
                        preemptions=preemptions, group_kinds=kinds,
                        minimize=False)
-    assert len(SWEEPS) == len(modes)
-    return sum(sweep.expansions for sweep in SWEEPS)
+    assert len(sweeps) == len(modes)
+    return sum(sweep.expansions for sweep in sweeps)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_gallery_expansions_push_like_the_reference(monkeypatch, name):
-    """The 48 sweeps of the benchmark and CI: nt=3, runs=100,
-    preemptions=2."""
+    """The benchmark's and CI's sweeps of each gallery case, raw and
+    instrumented: nt=3, runs=100, preemptions=2."""
     _lockstep_sweeps(monkeypatch, name, ("raw", "instrumented"), 3, 100, 2)
 
 
