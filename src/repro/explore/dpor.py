@@ -41,13 +41,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from itertools import accumulate
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
-from .footprint import WILDCARD, Footprint, conflicts, is_wildcard
-from .strategies import Decision, Strategy
+from .footprint import (WILDCARD, Footprint, conflicts, is_wildcard,
+                        modes_conflict)
+from .strategies import Decision, Strategy, preemption_counts
 
 #: One executed (or expected) step: ``(thread, footprint)``.
 Step = Tuple[str, Footprint]
@@ -121,9 +121,8 @@ def race_lists(events: Sequence[Step],
             found = {j for j, tj in wilds if tj != tk} if wilds else set()
             for obj, mode in fpk:
                 earlier = by_obj.setdefault(obj, [])
-                shared = mode == "r" or mode.startswith("c:")
                 for j, tj, other in earlier:
-                    if tj != tk and (other != mode or not shared):
+                    if tj != tk and modes_conflict(other, mode):
                         found.add(j)
                 earlier.append((k, tk, mode))  # k's thread never hits
             hits = sorted(found)
@@ -344,10 +343,7 @@ class DporStrategy:
         cut = eb[limit] if limit < len(eb) else len(events)
         start = len(node.prefix)
         choices = tuple(d.chosen for d in decisions)
-        # Each decision's preemption, and the preemptions spent before it.
-        preempts = [d.current is not None and d.chosen != d.current
-                    and d.current in d.runnable for d in decisions]
-        spent = list(accumulate(preempts, initial=0))
+        spent = preemption_counts(decisions)
         bound = self.preemption_bound
 
         # The runnable threads at the point before each step (none past
@@ -385,7 +381,7 @@ class DporStrategy:
                     fp = self._blocking.get(fp) or self._blocking.setdefault(
                         fp, frozenset((obj, "w" if mode.startswith("c:")
                                        else mode) for obj, mode in fp))
-                cost = preempts[i] + (not blocked)
+                cost = spent[i + 1] - spent[i] + (not blocked)
                 child = point.branches.get(choices[i])
                 if child is None:
                     child = point.branches[choices[i]] = _Point(fp, cost)

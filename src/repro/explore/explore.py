@@ -24,6 +24,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..minilang import ast_nodes as A
@@ -56,6 +57,12 @@ class ExploreConfig:
     instrument: bool = False
 
     def as_dict(self) -> Dict[str, object]:
+        """The settings every trace of a sweep records: one dict per
+        config, which callers copy rather than change."""
+        return self._settings
+
+    @cached_property
+    def _settings(self) -> Dict[str, object]:
         return {
             "nprocs": self.nprocs,
             "num_threads": self.num_threads,
@@ -145,7 +152,6 @@ def _run_with_scheduler(
     group_kinds: Optional[Dict[int, str]],
     strategy_info: Optional[Dict[str, object]],
     mode: str,
-    settings: Optional[Dict[str, object]] = None,
 ) -> Tuple[RunResult, ScheduleTrace, Scheduler]:
     result = run_program(
         program,
@@ -156,9 +162,8 @@ def _run_with_scheduler(
         entry=config.entry,
         scheduler=scheduler,
     )
-    trace = ScheduleTrace.record(scheduler, settings or config.as_dict(),
-                                 result, strategy_info=strategy_info,
-                                 mode=mode)
+    trace = ScheduleTrace.record(scheduler, config.as_dict(), result,
+                                 strategy_info=strategy_info, mode=mode)
     return result, trace, scheduler
 
 
@@ -169,13 +174,11 @@ def run_scheduled(
     group_kinds: Optional[Dict[int, str]] = None,
     strategy_info: Optional[Dict[str, object]] = None,
     mode: str = "full",
-    settings: Optional[Dict[str, object]] = None,
 ) -> Tuple[RunResult, ScheduleTrace]:
-    """Execute one deterministic scheduled run; return result + its trace.
-    ``settings`` is ``config.as_dict()``, made once for many runs."""
+    """Execute one deterministic scheduled run; return result + its trace."""
     result, trace, _ = _run_with_scheduler(
         program, config, Scheduler(strategy or DefaultStrategy()),
-        group_kinds, strategy_info, mode, settings)
+        group_kinds, strategy_info, mode)
     return result, trace
 
 
@@ -203,8 +206,7 @@ def replay(
     return result, new_trace, strategy.divergences
 
 
-def _minimize_failure(program, config, settings, group_kinds,
-                      outcome: ScheduleOutcome,
+def _minimize_failure(program, config, group_kinds, outcome: ScheduleOutcome,
                       budget: int) -> Tuple[ScheduleTrace, int]:
     """Delta-debug a failing schedule's choice sequence."""
     target = outcome.verdict
@@ -214,15 +216,14 @@ def _minimize_failure(program, config, settings, group_kinds,
         nonlocal replays
         replays += 1
         result, _ = run_scheduled(program, config, ScriptedStrategy(candidate),
-                                  group_kinds, settings=settings)
+                                  group_kinds)
         return verdict_line(result) == target
 
     minimal = ddmin(failing, outcome.trace.choice_names, budget=budget)
     result, trace = run_scheduled(
         program, config, ScriptedStrategy(minimal), group_kinds,
         strategy_info={"name": "minimized", "from_choices":
-                       len(outcome.trace.choices)}, mode="minimized",
-        settings=settings)
+                       len(outcome.trace.choices)}, mode="minimized")
     replays += 1
     # Keep exactly the choices the minimized schedule actually consumed.
     trace.choices = trace.choices[:len(minimal)]
@@ -231,16 +232,14 @@ def _minimize_failure(program, config, settings, group_kinds,
 
 
 def _dpor_worker(payload) -> Tuple[ScheduleTrace, RunRecord]:
-    """Pool entry: execute one queued DPOR node, ship trace + record back
-    (the payload's sixth item, ``config.as_dict()``, may be left out)."""
-    program, config, group_kinds, node, preemptions, settings = (
-        *payload, None)[:6]
+    """Pool entry: execute one queued DPOR node, ship trace + record back."""
+    program, config, group_kinds, node, preemptions = payload
     scheduler = Scheduler()
     scheduler.strategy = GuidedRun(scheduler, node, preemptions)
     _, trace, _ = _run_with_scheduler(
         program, config, scheduler, group_kinds,
         {"name": "dpor", "prefix": len(node.prefix),
-         "preemptions": preemptions}, "full", settings)
+         "preemptions": preemptions}, "full")
     return trace, RunRecord.from_scheduler(scheduler)
 
 
@@ -262,7 +261,6 @@ def explore_config(
     """Explore one configuration's schedule space."""
     report = ConfigReport(config=config, strategy=strategy)
     deadline = time.monotonic() + budget if budget is not None else None
-    settings = config.as_dict()  # every trace of the sweep records it
 
     def out_of_time() -> bool:
         return deadline is not None and time.monotonic() >= deadline
@@ -287,7 +285,7 @@ def explore_config(
             _, trace, scheduler = _run_with_scheduler(
                 program, config, Scheduler(ScriptedStrategy(prefix)),
                 group_kinds, {"name": "dfs", "prefix": len(prefix),
-                              "preemptions": preemptions}, "full", settings)
+                              "preemptions": preemptions}, "full")
             note(trace)
             # Past the abort the verdict is fixed: decisions there only
             # reorder the unwinding, so the tree does not branch on them.
@@ -299,8 +297,8 @@ def explore_config(
                 report.budget_exhausted = True
                 break
     elif strategy == "dpor":
-        _explore_dpor(program, config, settings, group_kinds, runs,
-                      preemptions, jobs, note, out_of_time, report)
+        _explore_dpor(program, config, group_kinds, runs, preemptions,
+                      jobs, note, out_of_time, report)
     elif strategy == "random":
         seen: set = set()
         for slot in range(runs):
@@ -316,8 +314,7 @@ def explore_config(
                     program, config,
                     RandomStrategy(seed=s, preemption_bound=preemptions),
                     group_kinds,
-                    strategy_info={"name": "random", "seed": s},
-                    settings=settings)
+                    strategy_info={"name": "random", "seed": s})
                 key = tuple(trace.choice_names)
                 if key not in seen or not trace.choices:
                     break  # fresh schedule (or the only schedule there is)
@@ -333,13 +330,12 @@ def explore_config(
 
     if minimize and report.failures:
         report.minimized, report.minimize_replays = _minimize_failure(
-            program, config, settings, group_kinds, report.failures[0],
-            minimize_budget)
+            program, config, group_kinds, report.failures[0], minimize_budget)
     return report
 
 
-def _explore_dpor(program, config, settings, group_kinds, runs, preemptions,
-                  jobs, note, out_of_time, report) -> None:
+def _explore_dpor(program, config, group_kinds, runs, preemptions, jobs,
+                  note, out_of_time, report) -> None:
     """DPOR sweep, optionally fanning waves out to a process pool.
 
     Workers only *execute* runs; every expansion decision happens here, in
@@ -348,8 +344,7 @@ def _explore_dpor(program, config, settings, group_kinds, runs, preemptions,
     driver = DporStrategy(preemption_bound=preemptions)
 
     def run_serial(node: Node) -> Tuple[ScheduleTrace, RunRecord]:
-        return _dpor_worker((program, config, group_kinds, node, preemptions,
-                             settings))
+        return _dpor_worker((program, config, group_kinds, node, preemptions))
 
     pool: Optional[ProcessPoolExecutor] = None
     pool_broken = False
@@ -363,8 +358,8 @@ def _explore_dpor(program, config, settings, group_kinds, runs, preemptions,
         nonlocal pool, pool_broken
         pairs: Optional[List[Tuple[ScheduleTrace, RunRecord]]] = None
         if pool is not None and not pool_broken and len(nodes) > 1:
-            payloads = [(program, config, group_kinds, n, preemptions,
-                         settings) for n in nodes]
+            payloads = [(program, config, group_kinds, n, preemptions)
+                        for n in nodes]
             try:
                 pairs = list(pool.map(_dpor_worker, payloads))
             except (BrokenProcessPool, OSError):

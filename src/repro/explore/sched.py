@@ -229,20 +229,15 @@ class Scheduler:
 
     # -- decision points (generators: a park is a yield) ------------------------
 
-    @staticmethod
-    def point(kind: str, detail: str = "") -> Tuple[str, Footprint]:
-        """The decision point ``kind:detail`` and its operation's footprint:
-        what :meth:`yield_at` takes."""
+    def yield_point(self, world, kind: str, detail: str = ""):
+        """A scheduling decision at SchedPoint ``kind:detail``: the running
+        thread may switch out here."""
         point = f"{kind}:{detail}" if detail else kind
-        return point, point_footprint(point)
-
-    def yield_at(self, world, point: str, fp: Footprint):
-        """A scheduling decision: the running thread may switch out here."""
         me = self.running
         lt = self._threads[me]
         # The yield ends the current segment; the next one (whoever runs
         # it first) begins by executing this point's operation.
-        self._close_segment(lt, fp)
+        self._close_segment(lt, point_footprint(point))
         # The running thread is never in the ready list.
         ready = self._ready_list
         chosen = me  # the sole candidate: no decision
@@ -284,7 +279,8 @@ class Scheduler:
         if self._current != me:
             yield
 
-    def notify(self, world, cond) -> None:
+    def notify(self, cond) -> None:
+        """State the waiters on ``cond`` test changed."""
         # In any order: predicates only read state, and the ready list
         # stays sorted.
         for lt in self._waiters.pop(id(cond), ()):

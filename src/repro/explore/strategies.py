@@ -23,6 +23,7 @@ scheduler's job, so a run is fully determined by the strategy's answers
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 
@@ -106,13 +107,10 @@ class ScriptedStrategy(Strategy):
 
 
 def preemption_counts(decisions: Sequence[Decision]) -> List[int]:
-    """``result[i]`` = preemptions spent strictly before decision ``i``."""
-    counts, used = [], 0
-    for d in decisions:
-        counts.append(used)
-        if d.preemptive:
-            used += 1
-    return counts
+    """``result[i]`` = preemptions spent strictly before decision ``i``,
+    for ``i`` up to ``len(decisions)``: decision ``i`` is
+    :attr:`~Decision.preemptive` when ``result[i + 1]`` exceeds it."""
+    return list(accumulate((d.preemptive for d in decisions), initial=0))
 
 
 def dfs_prefixes(

@@ -18,7 +18,7 @@ All three are scheduling decisions: generators driven by ``yield from``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..mpi.collectives import color_name
 from .errors import (
@@ -37,13 +37,6 @@ class CheckState:
         self.proc = proc
         self.group_kinds = group_kinds or {}
         self._counters: Dict[int, int] = {}
-        self._points: Dict[Tuple[str, object], tuple] = {}  # see _at
-
-    def _at(self, kind: str, key: object) -> tuple:
-        """The decision point of an ``enter`` or ``exit`` check."""
-        return self._points.get((kind, key)) or self._points.setdefault(
-            (kind, key), self.proc.sched.point(
-                SchedPoint.CHECK, f"{kind}:r{self.proc.rank}:{key}"))
 
     # -- CC --------------------------------------------------------------------
 
@@ -74,8 +67,9 @@ class CheckState:
     def enter(self, group: int, what: str, line: int = 0):
         # Entering an instrumented region is schedule-relevant: whether two
         # threads overlap inside it is exactly what exploration varies.
-        yield from self.proc.sched.yield_at(self.proc.world,
-                                            *self._at("enter", what))
+        yield from self.proc.sched.yield_point(
+            self.proc.world, SchedPoint.CHECK,
+            f"enter:r{self.proc.rank}:{what}")
         self.proc.enter_checks += 1
         count = self._counters.get(group, 0) + 1
         self._counters[group] = count
@@ -95,7 +89,8 @@ class CheckState:
         )
 
     def exit(self, group: int):
-        yield from self.proc.sched.yield_at(self.proc.world,
-                                            *self._at("exit", group))
+        yield from self.proc.sched.yield_point(
+            self.proc.world, SchedPoint.CHECK,
+            f"exit:r{self.proc.rank}:{group}")
         count = max(0, self._counters.get(group, 0) - 1)
         self._counters[group] = count

@@ -6,17 +6,16 @@ checks) all funnel through three calls of the world's cooperative
 scheduler (``repro.explore.Scheduler``, with ``DefaultStrategy`` unless
 the caller installs another), ``world.scheduler``:
 
-* ``yield_at(world, point, fp)`` — a scheduling decision: the running
-  logical thread may be switched out here (entering a collective,
-  claiming a ``single``, ...).  A caller keeps the ``Scheduler.point``
-  pair of a point it reaches again.
+* ``yield_point(world, kind, detail)`` — a scheduling decision: the
+  running logical thread may be switched out here (entering a
+  collective, claiming a ``single``, ...).
 * ``wait(world, cond, describe, predicate)`` — park the running thread
-  until a ``notify`` of ``cond`` finds ``predicate`` true (``cond`` is any
+  until a ``notify(cond)`` finds ``predicate`` true (``cond`` is any
   object the waiters and the notifier agree on).  Call sites keep their
   classic ``while not <state>: wait(...)`` loops; ``describe`` is the
   wait-for text a deadlock report names.
-* ``notify(world, cond)`` — state the waiters on ``cond`` test changed;
-  those whose predicate now holds become runnable.
+* ``notify(cond)`` — state the waiters on ``cond`` test changed; those
+  whose predicate now holds become runnable.
 
 The first two are generators, driven with ``yield from`` up to the logical
 thread's own generator: a park is a ``yield``.  The scheduler resumes one

@@ -35,7 +35,6 @@ class CollectiveEngine:
         self.world = world
         self.sched = world.scheduler
         self.ranks = list(ranks)
-        self._points: Dict[Tuple[str, int], tuple] = {}  # see collective
         self.round_no = 0
         #: rank -> (op_name, signature, payload) for the open round.
         self.arrivals: Dict[int, Tuple[str, tuple, Any]] = {}
@@ -51,10 +50,8 @@ class CollectiveEngine:
                    payload: Any):
         """Execute one collective round for ``rank`` (a generator); parks
         until matched and returns the rank's result."""
-        at = self._points.get((op_name, rank)) or self._points.setdefault(
-            (op_name, rank), self.sched.point(SchedPoint.COLLECTIVE,
-                                              f"{op_name}@r{rank}"))
-        yield from self.sched.yield_at(self.world, *at)
+        yield from self.sched.yield_point(self.world, SchedPoint.COLLECTIVE,
+                                          f"{op_name}@r{rank}")
         # Wait for the previous round's release phase to finish.
         while self._releasing:
             yield from self._wait(f"rank {rank} awaiting round release",
@@ -78,7 +75,7 @@ class CollectiveEngine:
         if self._release_pending == 0:
             self._releasing = False
             self._result = None
-            self.sched.notify(self.world, self)
+            self.sched.notify(self)
         return value
 
     def on_proc_finished(self, rank: int) -> None:
@@ -93,7 +90,7 @@ class CollectiveEngine:
                 f"deadlock: rank {rank} finished while {desc} wait(s) "
                 f"for the collective to complete"
             ))
-        self.sched.notify(self.world, self)
+        self.sched.notify(self)
 
     # -- internals -----------------------------------------------------------------
 
@@ -147,4 +144,4 @@ class CollectiveEngine:
         self.arrivals = {}
         self._releasing = True
         self._release_pending = len(self.ranks)
-        self.sched.notify(self.world, self)
+        self.sched.notify(self)

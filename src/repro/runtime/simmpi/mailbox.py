@@ -20,16 +20,12 @@ class Mailbox:
         self.sched = world.scheduler
         #: dest rank -> list of (source, tag, value), FIFO per (source, tag).
         self.queues: Dict[int, List[Tuple[int, int, Any]]] = {}
-        #: (kind, rank, peer) -> the decision point of that send or recv.
-        self._points: Dict[Tuple[str, int, int], tuple] = {}
 
     def send(self, source: int, dest: int, tag: int, value: Any):
-        key = (SchedPoint.SEND, source, dest)
-        at = self._points.get(key) or self._points.setdefault(
-            key, self.sched.point(SchedPoint.SEND, f"r{source}->r{dest}"))
-        yield from self.sched.yield_at(self.world, *at)
+        yield from self.sched.yield_point(self.world, SchedPoint.SEND,
+                                          f"r{source}->r{dest}")
         self.queues.setdefault(dest, []).append((source, tag, value))
-        self.sched.notify(self.world, self)
+        self.sched.notify(self)
 
     def _match(self, dest: int, source: int, tag: int) -> Optional[int]:
         queue = self.queues.setdefault(dest, [])
@@ -39,10 +35,8 @@ class Mailbox:
         return None
 
     def recv(self, dest: int, source: int, tag: int):
-        key = (SchedPoint.RECV, dest, source)
-        at = self._points.get(key) or self._points.setdefault(
-            key, self.sched.point(SchedPoint.RECV, f"r{dest}<-{source}"))
-        yield from self.sched.yield_at(self.world, *at)
+        yield from self.sched.yield_point(self.world, SchedPoint.RECV,
+                                          f"r{dest}<-{source}")
         while True:
             index = self._match(dest, source, tag)
             if index is not None:

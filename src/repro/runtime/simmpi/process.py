@@ -15,7 +15,7 @@ MPI-2 thread-support rules the paper's analysis reasons about:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ...mpi.thread_levels import LEVEL_FROM_INT, ThreadLevel
 from ..errors import ConcurrentCollectiveError, MpiRuntimeError, ThreadLevelError
@@ -34,10 +34,10 @@ class CriticalSection:
         self.rank = rank
         self.name = name
         self._held = False
-        self._at = self.sched.point(SchedPoint.CRITICAL, f"r{rank}:{name}")
 
     def acquire(self):
-        yield from self.sched.yield_at(self.world, *self._at)
+        yield from self.sched.yield_point(self.world, SchedPoint.CRITICAL,
+                                          f"r{self.rank}:{self.name}")
         while self._held:
             self.world.check()
             yield from self.sched.wait(
@@ -49,7 +49,7 @@ class CriticalSection:
 
     def release(self) -> None:
         self._held = False
-        self.sched.notify(self.world, self)
+        self.sched.notify(self)
 
 
 class MpiProcess:
@@ -75,9 +75,6 @@ class MpiProcess:
         # guard races on: entering/leaving an MPI call never commutes with
         # another MPI call of the same rank.
         self._mpi_access = (f"mpi:r{rank}", "w")
-        #: Decision points of this rank's team barriers and claims.
-        self.barrier_at = self.sched.point(SchedPoint.OMP_BARRIER, f"r{rank}")
-        self.claim_points: Dict[Tuple[int, int], tuple] = {}
 
     # -- OpenMP bookkeeping ------------------------------------------------------
 

@@ -70,7 +70,7 @@ class Team:
             yield from self._run_guarded(body, tid)
         finally:
             self._done += 1
-            self.proc.sched.notify(self.world, self)
+            self.proc.sched.notify(self)
             self.proc.sched.detach()
 
     def _run_guarded(self, body: TeamBody, tid: int):
@@ -81,7 +81,7 @@ class Team:
                 raise
         except Exception as err:  # noqa: BLE001 - surface interpreter bugs
             self.world.fail(err, self.proc.rank, f" tid {tid}")
-            self.proc.sched.notify(self.world, self._arrivals)
+            self.proc.sched.notify(self._arrivals)
             if tid == 0:
                 raise AbortedError() from err
 
@@ -93,13 +93,14 @@ class Team:
         if self.size == 1:
             self.world.check()
             return
-        yield from self.proc.sched.yield_at(self.world, *self.proc.barrier_at)
+        yield from self.proc.sched.yield_point(
+            self.world, SchedPoint.OMP_BARRIER, f"r{self.proc.rank}")
         gen = self._bar_gen
         self._bar_count += 1
         if self._bar_count == self.size:
             self._bar_count = 0
             self._bar_gen += 1
-            self.proc.sched.notify(self.world, self._arrivals)
+            self.proc.sched.notify(self._arrivals)
             return
         while self._bar_gen == gen:
             self.world.check()
@@ -114,11 +115,9 @@ class Team:
 
     def claim(self, construct_uid: int, encounter: int, tid: int):
         """First thread to claim ``(construct, encounter)`` wins (single)."""
-        points = self.proc.claim_points
-        at = points.get((tid, construct_uid)) or points.setdefault(
-            (tid, construct_uid), self.proc.sched.point(
-                SchedPoint.CLAIM, f"r{self.proc.rank}t{tid}u{construct_uid}"))
-        yield from self.proc.sched.yield_at(self.world, *at)
+        yield from self.proc.sched.yield_point(
+            self.world, SchedPoint.CLAIM,
+            f"r{self.proc.rank}t{tid}u{construct_uid}")
         key = (construct_uid, encounter)
         won = key not in self._claims
         if won:

@@ -90,8 +90,8 @@ def test_critical_section_is_mutually_exclusive_threaded():
             try:
                 current = len(counts)
                 # Hand the token on while holding the section.
-                yield from proc.sched.yield_at(
-                    proc.world, *proc.sched.point(SchedPoint.CHECK, "inside"))
+                yield from proc.sched.yield_point(proc.world,
+                                                  SchedPoint.CHECK, "inside")
                 counts.append(current)
             finally:
                 section.release()
